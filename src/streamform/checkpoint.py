@@ -9,6 +9,7 @@ produce identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -50,15 +51,35 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Arrays by name and the metadata; raises ValueError naming the file
+    (and the array, where one is at fault) for anything this version did
+    not write."""
     raw = Path(path).read_bytes()
-    newline = raw.index(b"\n")
+    newline = raw.find(b"\n")
+    if newline < 0:
+        raise ValueError(f"{path} has no complete header line (truncated?)")
     header = json.loads(raw[:newline].decode("utf-8"))
     if header.get("format") != FORMAT_TAG:
         raise ValueError(f"{path} is not a {FORMAT_TAG} file")
+    if header.get("version") != VERSION:
+        raise ValueError(
+            f"{path} has checkpoint version {header.get('version')!r}; expected {VERSION}"
+        )
     body = raw[newline + 1 :]
     arrays: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
+        name, shape = entry["name"], entry["shape"]
         start, n = entry["offset"], entry["nbytes"]
-        arr = np.frombuffer(body[start : start + n], dtype=entry["dtype"]).copy()
-        arrays[entry["name"]] = arr.reshape(entry["shape"])
+        if entry["dtype"] != "float64" or n != math.prod(shape) * 8:
+            raise ValueError(
+                f"{path}: array {name!r} declares {n} bytes of {entry['dtype']}"
+                f" for shape {shape}; expected {math.prod(shape) * 8} bytes of float64"
+            )
+        if start < 0 or start + n > len(body):
+            raise ValueError(
+                f"{path}: array {name!r} needs bytes {start}..{start + n}"
+                f" but the body holds {len(body)} (truncated?)"
+            )
+        arr = np.frombuffer(body[start : start + n], dtype=np.float64).copy()
+        arrays[name] = arr.reshape(shape)
     return arrays, header["meta"]

@@ -5,12 +5,24 @@ the actor and a linear scalar critic output. Forward passes, analytic
 backpropagation and the Adam updates are all hand-rolled here; gradient
 correctness is pinned by finite-difference tests. Rewards are costs, so
 both the critic target regression and the actor update minimize Q.
+
+Workspace rule: ``DdpgLearner.train_step`` writes every batch-sized
+intermediate into a ``TrainWorkspace`` instead of allocating it. There is
+one workspace per thread and per set of shapes (batch size, actor and
+critic widths), shared by every learner of those shapes, so a second
+learner costs no extra scratch memory. A workspace holds no state between
+calls: each function that takes one overwrites what it reads before
+reading it, and what it returns is valid only until the next call on that
+thread. The functions that accept a workspace compute exactly what they
+compute without one, bit for bit; without one they allocate fresh arrays
+and the caller may keep them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +32,25 @@ from .dynamics import ControlInput, Limits, clamp_controls
 ACTION_DIM = 3
 
 
+def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive blocks of ``flat``, one per shape."""
+    views, at = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(flat[at : at + n].reshape(shape))
+        at += n
+    return views
+
+
 @dataclass
 class MlpParams:
     """Per-layer weights (in x out) and biases, plus an optional fixed
-    diagonal input scaling applied before the first layer."""
+    diagonal input scaling applied before the first layer.
+
+    Construction copies the weights and biases into one contiguous float64
+    vector, ``flat``, in arrays() order; ``weights`` and ``biases`` become
+    views into it, so whole-network updates run on ``flat`` alone.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -41,6 +68,10 @@ class MlpParams:
                 )
         if self.input_scale is not None and len(self.input_scale) != self.in_dim:
             raise ValueError("input_scale length must match the input dimension")
+        arrays = self.arrays()
+        self.flat = np.concatenate([np.ravel(a) for a in arrays]).astype(float, copy=False)
+        views = _split(self.flat, [a.shape for a in arrays])
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def in_dim(self) -> int:
@@ -50,6 +81,11 @@ class MlpParams:
     def out_dim(self) -> int:
         return self.weights[-1].shape[1]
 
+    @property
+    def widths(self) -> tuple[int, ...]:
+        """Input width, then each layer's output width."""
+        return (self.in_dim, *(w.shape[1] for w in self.weights))
+
     def arrays(self) -> list[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):
@@ -57,11 +93,31 @@ class MlpParams:
         return out
 
     def copy(self) -> "MlpParams":
+        # construction packs copies of the arrays into a fresh vector
         return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
+            self.weights,
+            self.biases,
             None if self.input_scale is None else self.input_scale.copy(),
         )
+
+
+class MlpBuffers:
+    """Batch-sized arrays for one network shape.
+
+    ``fwd[i]`` receives the input of layer i (``fwd[0]`` the scaled network
+    input) and ``fwd[-1]`` the output; ``bwd[i]`` receives d(loss)/d(input
+    of layer i) and ``mask[i]`` the ReLU mask of ``fwd[i]``; ``grads`` are
+    views of one flat gradient vector ``grad`` laid out like
+    ``MlpParams.flat``.
+    """
+
+    def __init__(self, params: MlpParams, batch: int):
+        widths = params.widths
+        self.fwd = [np.empty((batch, d)) for d in widths]
+        self.bwd = [np.empty((batch, d)) for d in widths[:-1]]
+        self.mask = [np.empty((batch, d), dtype=bool) for d in widths[:-1]]
+        self.grad = np.empty(params.flat.size)
+        self.grads = _split(self.grad, [a.shape for a in params.arrays()])
 
 
 def init_mlp(
@@ -83,65 +139,116 @@ def init_mlp(
     return MlpParams(weights, biases, input_scale)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass; returns output and the per-layer inputs for backprop."""
+def mlp_forward(
+    params: MlpParams, x: np.ndarray, bufs: MlpBuffers | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Forward pass; returns output and the per-layer inputs for backprop.
+
+    With ``bufs`` every result is written into ``bufs.fwd`` and the output
+    and cache are views of it; ``x`` may itself be ``bufs.fwd[0]``.
+    """
+    last = len(params.weights) - 1
+    fwd = [None] * (last + 2) if bufs is None else bufs.fwd
     h = np.atleast_2d(np.asarray(x, dtype=float))
     if params.input_scale is not None:
-        h = h * params.input_scale
+        h = np.multiply(h, params.input_scale, out=fwd[0])
     cache = [h]
-    last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
+        h = np.matmul(h, w, out=fwd[i + 1])
+        h += b
         if i < last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
             cache.append(h)
     return h, cache
 
 
 def mlp_backward(
-    params: MlpParams, cache: list[np.ndarray], dout: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
+    params: MlpParams,
+    cache: list[np.ndarray],
+    dout: np.ndarray,
+    bufs: MlpBuffers | None = None,
+    weight_grads: bool = True,
+    input_grad: bool = True,
+) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
     """Gradients of a scalar loss given d(loss)/d(output).
 
     Returns gradients in arrays() order plus d(loss)/d(input) with the
-    input scaling already undone.
+    input scaling already undone. ``weight_grads=False`` skips the weight
+    and bias gradients and ``input_grad=False`` the layer-0 input gradient;
+    each skipped part is returned as None. With ``bufs`` the results are
+    written into ``bufs.grads`` and ``bufs.bwd``.
     """
-    grads: list[np.ndarray] = [None] * (2 * len(params.weights))
+    n_layers = len(params.weights)
+    if bufs is None:
+        g_out = [None] * (2 * n_layers)
+        bwd = mask = [None] * n_layers
+    else:
+        g_out, bwd, mask = bufs.grads, bufs.bwd, bufs.mask
+    grads = [None] * (2 * n_layers) if weight_grads else None
     da = dout
-    for i in range(len(params.weights) - 1, -1, -1):
-        x_in = cache[i]
-        grads[2 * i] = x_in.T @ da
-        grads[2 * i + 1] = da.sum(axis=0)
-        da = da @ params.weights[i].T
+    for i in range(n_layers - 1, -1, -1):
+        if weight_grads:
+            grads[2 * i] = np.matmul(cache[i].T, da, out=g_out[2 * i])
+            grads[2 * i + 1] = np.sum(da, axis=0, out=g_out[2 * i + 1])
+        if i == 0 and not input_grad:
+            return grads, None
+        da = np.matmul(da, params.weights[i].T, out=bwd[i])
         if i > 0:
-            da = da * (cache[i] > 0.0)
+            da *= np.greater(cache[i], 0.0, out=mask[i])
     if params.input_scale is not None:
-        da = da * params.input_scale
+        da *= params.input_scale
     return grads, da
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None, col=None) -> np.ndarray:
+    """Row-wise softmax, written into ``out`` (which may be ``logits``)
+    when given; ``col`` is an optional (rows, 1) scratch array."""
+    z = np.subtract(logits, logits.max(axis=1, keepdims=True, out=col), out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True, out=col)
+    return z
 
 
-def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    inner = (dprobs * probs).sum(axis=1, keepdims=True)
-    return probs * (dprobs - inner)
+def softmax_backward(
+    probs: np.ndarray, dprobs: np.ndarray, out: np.ndarray | None = None, col=None
+) -> np.ndarray:
+    """d(loss)/d(logits) given d(loss)/d(probs); ``out`` and ``col`` as in
+    softmax."""
+    prod = np.multiply(dprobs, probs, out=out)
+    inner = prod.sum(axis=1, keepdims=True, out=col)
+    grad = np.subtract(dprobs, inner, out=prod)
+    grad *= probs
+    return grad
 
 
-def actor_forward(params: MlpParams, obs: np.ndarray) -> np.ndarray:
-    """Action on the probability simplex for each observation row."""
-    logits, _ = mlp_forward(params, obs)
-    return softmax(logits)
+def actor_forward(
+    params: MlpParams, obs: np.ndarray, bufs: MlpBuffers | None = None, col=None
+) -> np.ndarray:
+    """Action on the probability simplex for each observation row. With
+    ``bufs`` the actions overwrite the logits in ``bufs.fwd[-1]``."""
+    logits, _ = mlp_forward(params, obs, bufs)
+    return softmax(logits, None if bufs is None else logits, col)
 
 
-def critic_forward(params: MlpParams, obs: np.ndarray, action: np.ndarray) -> np.ndarray:
+def critic_input(obs: np.ndarray, action: np.ndarray, out: np.ndarray | None = None):
+    """The critic's (observation | action) rows, written into ``out`` when
+    given."""
+    if out is None:
+        return np.hstack([obs, action])
+    d = obs.shape[1]
+    out[:, :d] = obs
+    out[:, d:] = action
+    return out
+
+
+def critic_forward(
+    params: MlpParams, obs: np.ndarray, action: np.ndarray, bufs: MlpBuffers | None = None
+) -> np.ndarray:
     """Scalar value of each (observation, action) pair."""
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     action = np.atleast_2d(np.asarray(action, dtype=float))
-    out, _ = mlp_forward(params, np.hstack([obs, action]))
+    x = critic_input(obs, action, None if bufs is None else bufs.fwd[0])
+    out, _ = mlp_forward(params, x, bufs)
     return out[:, 0]
 
 
@@ -273,21 +380,25 @@ class ReplayBuffer:
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
+    def sample(self, batch_size: int, rng: np.random.Generator, out=None):
+        """Uniformly drawn (obs, act, rew, obs_next, done) rows, written into
+        the five arrays of ``out`` when given."""
         if self._size < batch_size:
             raise ValueError(f"buffer holds {self._size} < batch {batch_size}")
         idx = rng.integers(0, self._size, size=batch_size)
-        return (
-            self.obs[idx],
-            self.act[idx],
-            self.rew[idx],
-            self.obs_next[idx],
-            self.done[idx],
+        # every index is in range, and mode="clip" lets take write straight
+        # into ``out`` where the default mode would copy through a temporary
+        sources = (self.obs, self.act, self.rew, self.obs_next, self.done)
+        return tuple(
+            np.take(src, idx, axis=0, out=dst, mode="clip")
+            for src, dst in zip(sources, out or (None,) * 5)
         )
 
 
 class Adam:
-    """Standard Adam kept alongside a fixed list of parameter arrays."""
+    """Standard Adam kept alongside a fixed list of parameter arrays. The
+    learner passes one flat vector per network, so a step is a handful of
+    whole-vector operations."""
 
     def __init__(self, arrays: list[np.ndarray], beta1=0.9, beta2=0.999, eps=1e-8):
         self.m = [np.zeros_like(a) for a in arrays]
@@ -295,17 +406,38 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
+    def step(
+        self,
+        arrays: list[np.ndarray],
+        grads: list[np.ndarray],
+        lr: float,
+        scratch: np.ndarray | None = None,
+    ) -> None:
+        """One update. ``scratch`` is an optional (2, n) array, n at least
+        the largest array's size; otherwise two temporaries per array are
+        allocated."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         corr1 = 1.0 - b1**self.t
         corr2 = 1.0 - b2**self.t
         for a, g, m, v in zip(arrays, grads, self.m, self.v):
+            if scratch is None:
+                s, r = np.empty_like(a), np.empty_like(a)
+            else:
+                s, r = (row[: a.size].reshape(a.shape) for row in scratch)
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+            # a -= lr (m / corr1) / (sqrt(v / corr2) + eps), rounded in this order
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(g, 1 - b1, out=s)
             v *= b2
-            v += (1 - b2) * g * g
-            a -= lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
+            np.multiply(g, 1 - b2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(m, corr1, out=s)
+            s *= lr
+            np.divide(v, corr2, out=r)
+            np.sqrt(r, out=r)
+            r += self.eps
+            a -= np.divide(s, r, out=s)
 
 
 def compute_td_targets(
@@ -315,11 +447,18 @@ def compute_td_targets(
     obs_next: np.ndarray,
     done: np.ndarray,
     gamma: float,
+    ws: TrainWorkspace | None = None,
 ) -> np.ndarray:
     """y = r + gamma * Q'(o', pi'(o')), with no bootstrap past done."""
-    u_next = actor_forward(target_actor, obs_next)
-    q_next = critic_forward(target_critic, obs_next, u_next)
-    return rew + gamma * q_next * (1.0 - done)
+    a_bufs, c_bufs, col, y, not_done = (
+        (None,) * 5 if ws is None else (ws.actor, ws.critic, ws.col, ws.targets, ws.vec)
+    )
+    u_next = actor_forward(target_actor, obs_next, a_bufs, col)
+    q_next = critic_forward(target_critic, obs_next, u_next, c_bufs)
+    y = np.multiply(gamma, q_next, out=y)
+    y *= np.subtract(1.0, done, out=not_done)
+    y += rew
+    return y
 
 
 def critic_loss(params: MlpParams, obs, act, targets) -> float:
@@ -328,13 +467,22 @@ def critic_loss(params: MlpParams, obs, act, targets) -> float:
     return float(np.mean(err * err))
 
 
-def critic_loss_grads(params: MlpParams, obs, act, targets) -> tuple[list[np.ndarray], float]:
-    x = np.hstack([np.atleast_2d(obs), np.atleast_2d(act)])
-    out, cache = mlp_forward(params, x)
-    err = out[:, 0] - targets
-    loss = float(np.mean(err * err))
-    dout = (2.0 / len(err)) * err[:, None]
-    grads, _ = mlp_backward(params, cache, dout)
+def critic_loss_grads(
+    params: MlpParams, obs, act, targets, ws: TrainWorkspace | None = None
+) -> tuple[list[np.ndarray], float]:
+    """Gradients of the mean squared TD error; with ``ws`` they are views
+    of ``ws.critic.grad``."""
+    bufs, x, err, sq, dout = (
+        (None,) * 5
+        if ws is None
+        else (ws.critic, ws.critic.fwd[0], ws.err, ws.vec, ws.col)
+    )
+    x = critic_input(np.atleast_2d(obs), np.atleast_2d(act), x)
+    out, cache = mlp_forward(params, x, bufs)
+    err = np.subtract(out[:, 0], targets, out=err)
+    loss = float(np.mean(np.multiply(err, err, out=sq)))
+    dout = np.multiply(2.0 / len(err), err[:, None], out=dout)
+    grads, _ = mlp_backward(params, cache, dout, bufs, input_grad=False)
     return grads, loss
 
 
@@ -345,26 +493,88 @@ def actor_objective(actor: MlpParams, critic: MlpParams, obs) -> float:
 
 
 def actor_objective_grads(
-    actor: MlpParams, critic: MlpParams, obs
+    actor: MlpParams, critic: MlpParams, obs, ws: TrainWorkspace | None = None
 ) -> tuple[list[np.ndarray], float]:
+    """Actor gradients of the mean critic value; only d(Q)/d(input) is
+    taken from the critic. With ``ws`` they are views of ``ws.actor.grad``."""
     obs = np.atleast_2d(obs)
-    logits, cache_a = mlp_forward(actor, obs)
-    u = softmax(logits)
-    x = np.hstack([obs, u])
-    q, cache_q = mlp_forward(critic, x)
+    a_bufs, c_bufs, x, col, dlogits = (
+        (None,) * 5
+        if ws is None
+        else (ws.actor, ws.critic, ws.critic.fwd[0], ws.col, ws.dlogits)
+    )
+    logits, cache_a = mlp_forward(actor, obs, a_bufs)
+    u = softmax(logits, None if ws is None else logits, col)
+    x = critic_input(obs, u, x)
+    q, cache_q = mlp_forward(critic, x, c_bufs)
     objective = float(np.mean(q[:, 0]))
-    dq = np.full((len(obs), 1), 1.0 / len(obs))
-    _, dx = mlp_backward(critic, cache_q, dq)
+    dq = np.empty((len(obs), 1)) if ws is None else col
+    dq.fill(1.0 / len(obs))
+    _, dx = mlp_backward(critic, cache_q, dq, c_bufs, weight_grads=False)
     du = dx[:, obs.shape[1] :]
-    dlogits = softmax_backward(u, du)
-    grads, _ = mlp_backward(actor, cache_a, dlogits)
+    dlogits = softmax_backward(u, du, dlogits, col)
+    grads, _ = mlp_backward(actor, cache_a, dlogits, a_bufs, input_grad=False)
     return grads, objective
 
 
-def soft_update(target: MlpParams, online: MlpParams, tau: float) -> None:
-    for t, o in zip(target.arrays(), online.arrays()):
-        t *= 1.0 - tau
-        t += tau * o
+def soft_update(
+    target: MlpParams, online: MlpParams, tau: float, scratch: np.ndarray | None = None
+) -> None:
+    """target <- (1 - tau) target + tau online, over the flat vectors;
+    ``scratch`` is an optional 1-D array at least as long as them."""
+    step = np.multiply(
+        online.flat, tau, out=None if scratch is None else scratch[: online.flat.size]
+    )
+    target.flat *= 1.0 - tau
+    target.flat += step
+
+
+class TrainWorkspace:
+    """Every batch-sized array one ``train_step`` writes, for one set of
+    shapes; see the module docstring for the sharing rule.
+
+    Besides the two networks' buffers: ``sample`` receives the replay rows,
+    ``targets`` the TD targets, ``err`` the TD errors, ``dlogits`` the
+    actor's output gradient; ``vec`` and ``col`` are (batch,) and
+    (batch, 1) scratch, and ``scratch`` serves Adam and the soft update.
+    """
+
+    _per_thread = threading.local()
+
+    def __init__(self, batch: int, actor: MlpParams, critic: MlpParams):
+        obs_dim, act_dim = actor.in_dim, actor.out_dim
+        self.actor = MlpBuffers(actor, batch)
+        self.critic = MlpBuffers(critic, batch)
+        # no two backward passes run at once, so the actor's reuses the
+        # critic's gradient and mask arrays wherever the shapes agree
+        for kind in ("bwd", "mask"):
+            mine, theirs = getattr(self.actor, kind), getattr(self.critic, kind)
+            for i, (a, c) in enumerate(zip(mine, theirs)):
+                if a.shape == c.shape:
+                    mine[i] = c
+        self.sample = (
+            np.empty((batch, obs_dim)),
+            np.empty((batch, act_dim)),
+            np.empty(batch),
+            np.empty((batch, obs_dim)),
+            np.empty(batch),
+        )
+        self.targets = np.empty(batch)
+        self.err = np.empty(batch)
+        self.vec = np.empty(batch)
+        self.col = np.empty((batch, 1))
+        self.dlogits = np.empty((batch, act_dim))
+        self.scratch = np.empty((2, max(actor.flat.size, critic.flat.size)))
+
+    @classmethod
+    def for_thread(cls, batch: int, actor: MlpParams, critic: MlpParams) -> "TrainWorkspace":
+        """This thread's workspace for these shapes, built on first use."""
+        spaces = cls._per_thread.__dict__.setdefault("spaces", {})
+        key = (batch, actor.widths, critic.widths)
+        ws = spaces.get(key)
+        if ws is None:
+            ws = spaces[key] = cls(batch, actor, critic)
+        return ws
 
 
 class DdpgLearner:
@@ -392,8 +602,8 @@ class DdpgLearner:
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
         self.buffer = ReplayBuffer(cfg.buffer_capacity, obs_dim)
-        self.actor_opt = Adam(self.actor.arrays())
-        self.critic_opt = Adam(self.critic.arrays())
+        self.actor_opt = Adam([self.actor.flat])
+        self.critic_opt = Adam([self.critic.flat])
         self.train_steps = 0
 
     def act(self, observations: np.ndarray, sigma: float, rng: np.random.Generator):
@@ -406,16 +616,18 @@ class DdpgLearner:
         return len(self.buffer) >= self.cfg.batch_size
 
     def train_step(self, rng: np.random.Generator) -> dict[str, float]:
-        obs, act, rew, obs_next, done = self.buffer.sample(self.cfg.batch_size, rng)
+        cfg = self.cfg
+        ws = TrainWorkspace.for_thread(cfg.batch_size, self.actor, self.critic)
+        obs, act, rew, obs_next, done = self.buffer.sample(cfg.batch_size, rng, ws.sample)
         targets = compute_td_targets(
-            self.target_actor, self.target_critic, rew, obs_next, done, self.cfg.gamma
+            self.target_actor, self.target_critic, rew, obs_next, done, cfg.gamma, ws
         )
-        c_grads, c_loss = critic_loss_grads(self.critic, obs, act, targets)
-        self.critic_opt.step(self.critic.arrays(), c_grads, self.cfg.critic_lr)
-        a_grads, a_obj = actor_objective_grads(self.actor, self.critic, obs)
-        self.actor_opt.step(self.actor.arrays(), a_grads, self.cfg.actor_lr)
-        soft_update(self.target_actor, self.actor, self.cfg.tau)
-        soft_update(self.target_critic, self.critic, self.cfg.tau)
+        _, c_loss = critic_loss_grads(self.critic, obs, act, targets, ws)
+        self.critic_opt.step([self.critic.flat], [ws.critic.grad], cfg.critic_lr, ws.scratch)
+        _, a_obj = actor_objective_grads(self.actor, self.critic, obs, ws)
+        self.actor_opt.step([self.actor.flat], [ws.actor.grad], cfg.actor_lr, ws.scratch)
+        soft_update(self.target_actor, self.actor, cfg.tau, ws.scratch[0])
+        soft_update(self.target_critic, self.critic, cfg.tau, ws.scratch[0])
         self.train_steps += 1
         return {"critic_loss": c_loss, "actor_q": a_obj}
 

@@ -9,7 +9,7 @@ noise whose position components are expressed in the agent's local frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,3 +1,8 @@
+import json
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,11 +13,13 @@ from streamform.ddpg import (
     ActorPolicy,
     Adam,
     DdpgLearner,
+    MlpBuffers,
     MlpParams,
     RandomPolicy,
     ReplayBuffer,
     StandStillPolicy,
     TrainerConfig,
+    TrainWorkspace,
     actor_forward,
     actor_objective,
     actor_objective_grads,
@@ -25,6 +32,7 @@ from streamform.ddpg import (
     load_learner_networks,
     load_policy,
     map_action,
+    mlp_backward,
     mlp_forward,
     perturb_logits,
     shared_policy_act,
@@ -280,6 +288,158 @@ class TestTrainStep:
         assert diff == pytest.approx(diff0 * (1 - tau) ** k, rel=1e-9)
 
 
+class ReferenceAdam:
+    """Per-array Adam exactly as first written: the allocating oracle for
+    the learner's flat-vector, in-place update."""
+
+    def __init__(self, arrays, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+
+    def step(self, arrays, grads, lr):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        corr1 = 1.0 - b1**self.t
+        corr2 = 1.0 - b2**self.t
+        for a, g, m, v in zip(arrays, grads, self.m, self.v):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            a -= lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
+
+
+def reference_soft_update(target, online, tau):
+    for t, o in zip(target.arrays(), online.arrays()):
+        t *= 1.0 - tau
+        t += tau * o
+
+
+def filled_learner(seed, obs_scale=None):
+    cfg = small_config(batch_size=64, hidden=(32, 24))
+    rng = np.random.default_rng(seed)
+    learner = DdpgLearner(obs_dim=6, cfg=cfg, rng=rng, obs_scale=obs_scale)
+    for _ in range(300):
+        learner.record(
+            rng.normal(size=6), rng.dirichlet(np.ones(3)), rng.normal(),
+            rng.normal(size=6), rng.random() < 0.1,
+        )
+    return learner, rng
+
+
+def assert_same_networks(a, b):
+    arrays_a, arrays_b = a.network_arrays(), b.network_arrays()
+    assert arrays_a.keys() == arrays_b.keys()
+    for name in arrays_a:
+        np.testing.assert_array_equal(arrays_a[name], arrays_b[name], err_msg=name)
+
+
+class TestWorkspaceTrainStep:
+    """The reused-workspace train_step against the allocating path."""
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_bit_exact_with_allocating_reference(self, scaled):
+        scale = np.random.default_rng(30).uniform(0.2, 3.0, 6) if scaled else None
+        new, rng_new = filled_learner(31, scale)
+        ref, rng_ref = filled_learner(31, scale)
+        cfg = ref.cfg
+        ref_critic_opt = ReferenceAdam(ref.critic.arrays())
+        ref_actor_opt = ReferenceAdam(ref.actor.arrays())
+        for _ in range(50):
+            diag = new.train_step(rng_new)
+
+            obs, act, rew, obs_next, done = ref.buffer.sample(cfg.batch_size, rng_ref)
+            targets = compute_td_targets(
+                ref.target_actor, ref.target_critic, rew, obs_next, done, cfg.gamma
+            )
+            c_grads, c_loss = critic_loss_grads(ref.critic, obs, act, targets)
+            ref_critic_opt.step(ref.critic.arrays(), c_grads, cfg.critic_lr)
+            a_grads, a_obj = actor_objective_grads(ref.actor, ref.critic, obs)
+            ref_actor_opt.step(ref.actor.arrays(), a_grads, cfg.actor_lr)
+            reference_soft_update(ref.target_actor, ref.actor, cfg.tau)
+            reference_soft_update(ref.target_critic, ref.critic, cfg.tau)
+
+            assert diag == {"critic_loss": c_loss, "actor_q": a_obj}
+        assert_same_networks(new, ref)
+        pairs = ((new.critic_opt, ref_critic_opt), (new.actor_opt, ref_actor_opt))
+        for opt, ref_opt in pairs:
+            assert opt.t == ref_opt.t
+            for mine, theirs in ((opt.m, ref_opt.m), (opt.v, ref_opt.v)):
+                np.testing.assert_array_equal(
+                    mine[0], np.concatenate([x.ravel() for x in theirs])
+                )
+
+    def test_shared_workspace_leaks_no_state(self):
+        # two learners of one shape share this thread's workspace; training
+        # them interleaved must match training each one on its own
+        a, rng_a = filled_learner(32)
+        b, rng_b = filled_learner(33)
+        assert TrainWorkspace.for_thread(64, a.actor, a.critic) is TrainWorkspace.for_thread(
+            64, b.actor, b.critic
+        )
+        for _ in range(20):
+            a.train_step(rng_a)
+            b.train_step(rng_b)
+        for seed, interleaved in ((32, a), (33, b)):
+            alone, rng = filled_learner(seed)
+            for _ in range(20):
+                alone.train_step(rng)
+            assert_same_networks(alone, interleaved)
+
+    def test_threads_train_concurrently_without_interference(self):
+        # each thread has its own workspace; a shared one would mix batches
+        def train(learner, rng):
+            for _ in range(15):
+                learner.train_step(rng)
+
+        seeds = (35, 36, 37)
+        learners = [filled_learner(seed) for seed in seeds]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=train, args=pair) for pair in learners]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old_interval)
+        for seed, (threaded, _) in zip(seeds, learners):
+            alone, rng = filled_learner(seed)
+            train(alone, rng)
+            assert_same_networks(alone, threaded)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_input_gradient_only_path_matches_full_backward(self, scaled):
+        rng = np.random.default_rng(34)
+        scale = rng.uniform(0.2, 3.0, 5 + ACTION_DIM) if scaled else None
+        critic = init_mlp([5 + ACTION_DIM, 16, 12, 1], rng, input_scale=scale)
+        x = rng.normal(size=(40, 5 + ACTION_DIM))
+        out, cache = mlp_forward(critic, x)
+        dout = rng.normal(size=out.shape)
+        full_grads, full_dx = mlp_backward(critic, cache, dout)
+
+        no_weights, dx = mlp_backward(critic, cache, dout, weight_grads=False)
+        assert no_weights is None
+        np.testing.assert_array_equal(dx, full_dx)
+        grads, no_dx = mlp_backward(critic, cache, dout, input_grad=False)
+        assert no_dx is None
+        for g, full in zip(grads, full_grads):
+            np.testing.assert_array_equal(g, full)
+
+        bufs = MlpBuffers(critic, len(x))
+        out_b, cache_b = mlp_forward(critic, x, bufs)
+        np.testing.assert_array_equal(out_b, out)
+        _, dx_b = mlp_backward(critic, cache_b, dout, bufs, weight_grads=False)
+        np.testing.assert_array_equal(dx_b, full_dx)
+        mlp_backward(critic, cache_b, dout, bufs, input_grad=False)
+        full_flat = np.concatenate([g.ravel() for g in full_grads])
+        np.testing.assert_array_equal(bufs.grad, full_flat)
+
+
 def finite_difference_grads(f, arrays, h=1e-5):
     grads = []
     for arr in arrays:
@@ -377,6 +537,49 @@ class TestCheckpoint:
         policy = ActorPolicy.from_checkpoint(path)
         obs = np.random.default_rng(20).normal(size=(6, 4))
         np.testing.assert_array_equal(policy.act(obs), actor_forward(learner.actor, obs))
+
+
+    def _rewrite_header(self, path, **changes):
+        raw = path.read_bytes()
+        newline = raw.index(b"\n")
+        header = json.loads(raw[:newline])
+        header.update(changes)
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + raw[newline:])
+        return header
+
+    def test_unknown_version_rejected(self, tmp_path):
+        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(21))
+        path = tmp_path / "v99.ckpt"
+        learner.save(path)
+        self._rewrite_header(path, version=99)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*version 99"):
+            load_learner_networks(path)
+
+    def test_truncated_file_names_file_and_array(self, tmp_path):
+        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(22))
+        path = tmp_path / "cut.ckpt"
+        learner.save(path)
+        raw = path.read_bytes()
+        header = json.loads(raw[: raw.index(b"\n")])
+        last = max(header["arrays"], key=lambda e: e["offset"])["name"]
+        path.write_bytes(raw[:-16])
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*array '{last}'"):
+            load_learner_networks(path)
+        path.write_bytes(raw[:10])
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*header"):
+            load_learner_networks(path)
+
+    def test_size_mismatch_names_file_and_array(self, tmp_path):
+        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(23))
+        path = tmp_path / "bad.ckpt"
+        learner.save(path)
+        raw = path.read_bytes()
+        header = json.loads(raw[: raw.index(b"\n")])
+        header["arrays"][0]["shape"] = [1]
+        self._rewrite_header(path, arrays=header["arrays"])
+        name = header["arrays"][0]["name"]
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*array '{name}'"):
+            load_learner_networks(path)
 
 
 class TestScriptedPolicies:
