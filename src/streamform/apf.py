@@ -1,8 +1,12 @@
 """Repulsive artificial-potential-field cost, the comparison baseline.
 
-Drop-in replacement for the stream-value avoidance cost: it scores raw
-proximity of the per-side shortest detection instead of streamline
-deviation, so swapping it changes nothing else in the pipeline.
+It stands in for the stream-value avoidance cost but is not a drop-in
+replacement. ``stream_avoid.avoidance_cost`` takes each side's avoider
+state, its current stream value and its shortest distance, and scores
+streamline deviation on the active sides. ``apf_cost`` takes only the
+per-side shortest distances (None where a side sees nothing) and scores
+raw proximity, so a caller swapping one for the other must also change
+what it passes.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ import numpy as np
 
 FORMAT_TAG = "streamform-checkpoint"
 VERSION = 1
+ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes")
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
@@ -58,16 +59,26 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     newline = raw.find(b"\n")
     if newline < 0:
         raise ValueError(f"{path} has no complete header line (truncated?)")
-    header = json.loads(raw[:newline].decode("utf-8"))
-    if header.get("format") != FORMAT_TAG:
+    try:
+        header = json.loads(raw[:newline].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"{path} has a header line that is not JSON: {exc}") from None
+    if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
         raise ValueError(f"{path} is not a {FORMAT_TAG} file")
     if header.get("version") != VERSION:
         raise ValueError(
             f"{path} has checkpoint version {header.get('version')!r}; expected {VERSION}"
         )
+    lacking = [key for key in ("arrays", "meta") if key not in header]
+    if lacking:
+        raise ValueError(f"{path}: header lacks {', '.join(lacking)}")
     body = raw[newline + 1 :]
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
+    for k, entry in enumerate(header["arrays"]):
+        lacking = [key for key in ENTRY_KEYS if key not in entry]
+        if lacking:
+            named = f" ({entry['name']!r})" if "name" in entry else ""
+            raise ValueError(f"{path}: array entry {k}{named} lacks {', '.join(lacking)}")
         name, shape = entry["name"], entry["shape"]
         start, n = entry["offset"], entry["nbytes"]
         if entry["dtype"] != "float64" or n != math.prod(shape) * 8:

@@ -7,21 +7,17 @@ correctness is pinned by finite-difference tests. Rewards are costs, so
 both the critic target regression and the actor update minimize Q.
 
 Workspace rule: ``DdpgLearner.train_step`` writes every batch-sized
-intermediate into a ``TrainWorkspace`` instead of allocating it. There is
-one workspace per thread and per set of shapes (batch size, actor and
-critic widths), shared by every learner of those shapes, so a second
-learner costs no extra scratch memory. A workspace holds no state between
-calls: each function that takes one overwrites what it reads before
-reading it, and what it returns is valid only until the next call on that
-thread. The functions that accept a workspace compute exactly what they
-compute without one, bit for bit; without one they allocate fresh arrays
-and the caller may keep them.
+intermediate into the learner's own ``TrainWorkspace`` instead of
+allocating it. A workspace holds no state between calls: each function
+that takes one overwrites what it reads before reading it, and what it
+returns is valid only until the next call. The functions that accept a
+workspace compute exactly what they compute without one, bit for bit;
+without one they allocate fresh arrays and the caller may keep them.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,16 +101,15 @@ class MlpBuffers:
     """Batch-sized arrays for one network shape.
 
     ``fwd[i]`` receives the input of layer i (``fwd[0]`` the scaled network
-    input) and ``fwd[-1]`` the output; ``bwd[i]`` receives d(loss)/d(input
-    of layer i) and ``mask[i]`` the ReLU mask of ``fwd[i]``; ``grads`` are
-    views of one flat gradient vector ``grad`` laid out like
-    ``MlpParams.flat``.
+    input) and ``fwd[-1]`` the output; the backward pass then overwrites
+    ``fwd[i]`` with d(loss)/d(input of layer i), after reading it into
+    ``mask[i]``, the ReLU mask. ``grads`` are views of one flat gradient
+    vector ``grad`` laid out like ``MlpParams.flat``.
     """
 
     def __init__(self, params: MlpParams, batch: int):
         widths = params.widths
         self.fwd = [np.empty((batch, d)) for d in widths]
-        self.bwd = [np.empty((batch, d)) for d in widths[:-1]]
         self.mask = [np.empty((batch, d), dtype=bool) for d in widths[:-1]]
         self.grad = np.empty(params.flat.size)
         self.grads = _split(self.grad, [a.shape for a in params.arrays()])
@@ -176,14 +171,15 @@ def mlp_backward(
     input scaling already undone. ``weight_grads=False`` skips the weight
     and bias gradients and ``input_grad=False`` the layer-0 input gradient;
     each skipped part is returned as None. With ``bufs`` the results are
-    written into ``bufs.grads`` and ``bufs.bwd``.
+    written into ``bufs.grads`` and over ``bufs.fwd``, so a forward cache
+    held there serves one backward pass.
     """
     n_layers = len(params.weights)
     if bufs is None:
         g_out = [None] * (2 * n_layers)
-        bwd = mask = [None] * n_layers
+        d_in = mask = [None] * n_layers
     else:
-        g_out, bwd, mask = bufs.grads, bufs.bwd, bufs.mask
+        g_out, d_in, mask = bufs.grads, bufs.fwd, bufs.mask
     grads = [None] * (2 * n_layers) if weight_grads else None
     da = dout
     for i in range(n_layers - 1, -1, -1):
@@ -192,9 +188,11 @@ def mlp_backward(
             grads[2 * i + 1] = np.sum(da, axis=0, out=g_out[2 * i + 1])
         if i == 0 and not input_grad:
             return grads, None
-        da = np.matmul(da, params.weights[i].T, out=bwd[i])
+        relu = np.greater(cache[i], 0.0, out=mask[i]) if i > 0 else None
+        # cache[i] may be d_in[i]: it is read above and overwritten here
+        da = np.matmul(da, params.weights[i].T, out=d_in[i])
         if i > 0:
-            da *= np.greater(cache[i], 0.0, out=mask[i])
+            da *= relu
     if params.input_scale is not None:
         da *= params.input_scale
     return grads, da
@@ -250,26 +248,6 @@ def critic_forward(
     x = critic_input(obs, action, None if bufs is None else bufs.fwd[0])
     out, _ = mlp_forward(params, x, bufs)
     return out[:, 0]
-
-
-def perturb_logits(logits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Exploration noise applied on pre-softmax activations."""
-    if sigma <= 0.0:
-        return logits
-    return logits + rng.normal(0.0, sigma, size=logits.shape)
-
-
-def shared_policy_act(
-    params: MlpParams,
-    observations: np.ndarray,
-    sigma: float,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Evaluate the one shared policy on every follower's observation."""
-    logits, _ = mlp_forward(params, observations)
-    if sigma > 0.0 and rng is not None:
-        logits = perturb_logits(logits, sigma, rng)
-    return softmax(logits)
 
 
 def map_action(u_raw: np.ndarray, limits: Limits) -> ControlInput:
@@ -530,8 +508,8 @@ def soft_update(
 
 
 class TrainWorkspace:
-    """Every batch-sized array one ``train_step`` writes, for one set of
-    shapes; see the module docstring for the sharing rule.
+    """Every batch-sized array one ``train_step`` writes; see the module
+    docstring for the rule.
 
     Besides the two networks' buffers: ``sample`` receives the replay rows,
     ``targets`` the TD targets, ``err`` the TD errors, ``dlogits`` the
@@ -539,19 +517,10 @@ class TrainWorkspace:
     (batch, 1) scratch, and ``scratch`` serves Adam and the soft update.
     """
 
-    _per_thread = threading.local()
-
     def __init__(self, batch: int, actor: MlpParams, critic: MlpParams):
         obs_dim, act_dim = actor.in_dim, actor.out_dim
         self.actor = MlpBuffers(actor, batch)
         self.critic = MlpBuffers(critic, batch)
-        # no two backward passes run at once, so the actor's reuses the
-        # critic's gradient and mask arrays wherever the shapes agree
-        for kind in ("bwd", "mask"):
-            mine, theirs = getattr(self.actor, kind), getattr(self.critic, kind)
-            for i, (a, c) in enumerate(zip(mine, theirs)):
-                if a.shape == c.shape:
-                    mine[i] = c
         self.sample = (
             np.empty((batch, obs_dim)),
             np.empty((batch, act_dim)),
@@ -565,16 +534,6 @@ class TrainWorkspace:
         self.col = np.empty((batch, 1))
         self.dlogits = np.empty((batch, act_dim))
         self.scratch = np.empty((2, max(actor.flat.size, critic.flat.size)))
-
-    @classmethod
-    def for_thread(cls, batch: int, actor: MlpParams, critic: MlpParams) -> "TrainWorkspace":
-        """This thread's workspace for these shapes, built on first use."""
-        spaces = cls._per_thread.__dict__.setdefault("spaces", {})
-        key = (batch, actor.widths, critic.widths)
-        ws = spaces.get(key)
-        if ws is None:
-            ws = spaces[key] = cls(batch, actor, critic)
-        return ws
 
 
 class DdpgLearner:
@@ -604,10 +563,16 @@ class DdpgLearner:
         self.buffer = ReplayBuffer(cfg.buffer_capacity, obs_dim)
         self.actor_opt = Adam([self.actor.flat])
         self.critic_opt = Adam([self.critic.flat])
+        self.workspace = TrainWorkspace(cfg.batch_size, self.actor, self.critic)
         self.train_steps = 0
 
     def act(self, observations: np.ndarray, sigma: float, rng: np.random.Generator):
-        return shared_policy_act(self.actor, observations, sigma, rng)
+        """The one shared policy on every follower's observation row, with
+        exploration noise of scale ``sigma`` added to the logits."""
+        logits, _ = mlp_forward(self.actor, observations)
+        if sigma > 0.0:
+            logits = logits + rng.normal(0.0, sigma, size=logits.shape)
+        return softmax(logits)
 
     def record(self, obs, act, rew, obs_next, done: bool) -> None:
         self.buffer.add(obs, act, rew, obs_next, done)
@@ -617,7 +582,7 @@ class DdpgLearner:
 
     def train_step(self, rng: np.random.Generator) -> dict[str, float]:
         cfg = self.cfg
-        ws = TrainWorkspace.for_thread(cfg.batch_size, self.actor, self.critic)
+        ws = self.workspace
         obs, act, rew, obs_next, done = self.buffer.sample(cfg.batch_size, rng, ws.sample)
         targets = compute_td_targets(
             self.target_actor, self.target_critic, rew, obs_next, done, cfg.gamma, ws

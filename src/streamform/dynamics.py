@@ -116,7 +116,6 @@ def step(
     limits: Limits,
     noise: StateNoise | None = None,
     rng: np.random.Generator | None = None,
-    flip_dy_sign: bool = False,
 ) -> AgentState:
     """Advance one agent by dt.
 
@@ -124,14 +123,10 @@ def step(
     omega); v, alpha, omega then integrate the controls with saturation.
     Gaussian noise, if given, is added last: position noise is drawn in the
     local frame and rotated by the new heading into world coordinates.
-    flip_dy_sign negates the lateral arc displacement (alternate convention
-    in which forward motion at alpha=pi/2 decreases y).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     dx, dy = arc_displacement(state.v, state.alpha, state.omega, dt)
-    if flip_dy_sign:
-        dy = -dy
     x = state.position.x + dx
     y = state.position.y + dy
     v = min(max(state.v + dt * u.accel, 0.0), limits.v_max)

@@ -240,36 +240,34 @@ def neighbor_observations(
     dist = np.hypot(diff[..., 0], diff[..., 1])
     adjacency = (dist <= connection_zone) & ~np.eye(n, dtype=bool)
 
-    neighbors: list[dict[int, tuple[float, float]]] = []
-    for i in range(n):
-        obs: dict[int, tuple[float, float]] = {}
-        for j in range(n):
-            if not adjacency[i, j]:
-                continue
-            d = float(dist[i, j])
-            theta = math.atan2(diff[i, j, 1], diff[i, j, 0])
-            if noise_std > 0.0 and rng is not None:
-                d = max(0.0, d + float(rng.normal(0.0, noise_std)))
-                theta = wrap_angle(theta + float(rng.normal(0.0, noise_std)))
-            obs[j] = (d, theta)
-        neighbors.append(obs)
-
     # flood from the navigator to find who can hear the broadcast
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if adjacency[i, j] and j not in reached:
-                reached.add(j)
-                frontier.append(j)
+    reached = np.arange(n) == 0
+    size = 0
+    while size != (size := np.count_nonzero(reached)):
+        reached |= adjacency[reached].any(axis=0)
+
+    # every link i -> j in row order, then the broadcast links 0 -> i; the
+    # noise is drawn in that order, range before bearing on each link
+    rows, cols = np.nonzero(adjacency)
+    heard = np.flatnonzero(reached[1:]) + 1
+    src = np.concatenate([rows, np.zeros_like(heard)])
+    dst = np.concatenate([cols, heard])
+    noisy = noise_std > 0.0 and rng is not None
+    noise = rng.normal(0.0, noise_std, size=(len(src), 2)).tolist() if noisy else None
+    links = []
+    for k, (d, dx, dy) in enumerate(
+        zip(dist[src, dst].tolist(), diff[src, dst, 0].tolist(), diff[src, dst, 1].tolist())
+    ):
+        theta = math.atan2(dy, dx)
+        if noisy:
+            d = max(0.0, d + noise[k][0])
+            theta = wrap_angle(theta + noise[k][1])
+        links.append((d, theta))
+
+    neighbors: list[dict[int, tuple[float, float]]] = [{} for _ in range(n)]
+    for i, j, link in zip(rows.tolist(), cols.tolist(), links):
+        neighbors[i][j] = link
     broadcast: list[tuple[float, float] | None] = [None] * n
-    for i in range(1, n):
-        if i in reached:
-            d = float(dist[0, i])
-            theta = math.atan2(diff[0, i, 1], diff[0, i, 0])
-            if noise_std > 0.0 and rng is not None:
-                d = max(0.0, d + float(rng.normal(0.0, noise_std)))
-                theta = wrap_angle(theta + float(rng.normal(0.0, noise_std)))
-            broadcast[i] = (d, theta)
+    for i, link in zip(heard.tolist(), links[len(rows) :]):
+        broadcast[i] = link
     return CommsView(adjacency, neighbors, broadcast)

@@ -19,7 +19,6 @@ from streamform.ddpg import (
     ReplayBuffer,
     StandStillPolicy,
     TrainerConfig,
-    TrainWorkspace,
     actor_forward,
     actor_objective,
     actor_objective_grads,
@@ -34,10 +33,9 @@ from streamform.ddpg import (
     map_action,
     mlp_backward,
     mlp_forward,
-    perturb_logits,
-    shared_policy_act,
     simplex_from_controls,
     soft_update,
+    softmax,
 )
 
 LIM = Limits(v_max=0.5, omega_max=0.2, a_max=0.5, beta_max=0.5)
@@ -152,32 +150,51 @@ class TestDiscountedReturn:
 
 
 class TestExplorationNoise:
+    """DdpgLearner.act: the one shared policy, noised on its logits."""
+
+    @staticmethod
+    def learner(seed):
+        return DdpgLearner(obs_dim=6, cfg=small_config(), rng=np.random.default_rng(seed))
+
     def test_sigma_zero_is_identity(self):
+        # no noise is drawn, so the rng is left as it was
+        learner = self.learner(7)
         rng = np.random.default_rng(7)
-        logits = rng.normal(size=(4, 3))
-        out = perturb_logits(logits, 0.0, rng)
-        np.testing.assert_array_equal(out, logits)
+        obs = rng.normal(size=(4, 6))
+        state = rng.bit_generator.state
+        logits, _ = mlp_forward(learner.actor, obs)
+        np.testing.assert_array_equal(learner.act(obs, 0.0, rng), softmax(logits))
+        assert rng.bit_generator.state == state
 
     def test_noise_variance(self):
-        rng = np.random.default_rng(8)
-        logits = np.zeros((100_000, 3))
-        noisy = perturb_logits(logits, 0.3, rng)
-        assert noisy.var() == pytest.approx(0.09, rel=0.05)
+        # identical rows share their logits, so the log-ratio of two action
+        # components varies only by the difference of two draws: 2 sigma^2
+        learner = self.learner(8)
+        u = learner.act(np.zeros((100_000, 6)), 0.3, np.random.default_rng(8))
+        assert np.log(u[:, 0] / u[:, 1]).var() == pytest.approx(2 * 0.09, rel=0.05)
+
+    def test_noise_is_softmax_of_perturbed_logits(self):
+        learner = self.learner(11)
+        obs = np.random.default_rng(11).normal(size=(5, 6))
+        logits, _ = mlp_forward(learner.actor, obs)
+        noise = np.random.default_rng(12).normal(0.0, 0.4, size=logits.shape)
+        np.testing.assert_array_equal(
+            learner.act(obs, 0.4, np.random.default_rng(12)), softmax(logits + noise)
+        )
 
     def test_shared_policy_parameter_sharing(self):
-        rng = np.random.default_rng(9)
-        net = init_mlp([6, 16, ACTION_DIM], rng)
-        obs = np.tile(rng.normal(size=(1, 6)), (3, 1))
-        u = shared_policy_act(net, obs, 0.0)
+        learner = self.learner(9)
+        obs = np.tile(np.random.default_rng(9).normal(size=(1, 6)), (3, 1))
+        u = learner.act(obs, 0.0, np.random.default_rng(9))
         np.testing.assert_array_equal(u[0], u[1])
         np.testing.assert_array_equal(u[0], u[2])
 
     def test_sigma_zero_matches_actor_forward(self):
+        learner = self.learner(10)
         rng = np.random.default_rng(10)
-        net = init_mlp([6, 16, ACTION_DIM], rng)
         obs = rng.normal(size=(5, 6))
         np.testing.assert_array_equal(
-            shared_policy_act(net, obs, 0.0, rng), actor_forward(net, obs)
+            learner.act(obs, 0.0, rng), actor_forward(learner.actor, obs)
         )
 
 
@@ -372,13 +389,10 @@ class TestWorkspaceTrainStep:
                 )
 
     def test_shared_workspace_leaks_no_state(self):
-        # two learners of one shape share this thread's workspace; training
-        # them interleaved must match training each one on its own
+        # training two learners interleaved must match training each one on
+        # its own
         a, rng_a = filled_learner(32)
         b, rng_b = filled_learner(33)
-        assert TrainWorkspace.for_thread(64, a.actor, a.critic) is TrainWorkspace.for_thread(
-            64, b.actor, b.critic
-        )
         for _ in range(20):
             a.train_step(rng_a)
             b.train_step(rng_b)
@@ -389,7 +403,7 @@ class TestWorkspaceTrainStep:
             assert_same_networks(alone, interleaved)
 
     def test_threads_train_concurrently_without_interference(self):
-        # each thread has its own workspace; a shared one would mix batches
+        # learners on three threads at once must match each one trained alone
         def train(learner, rng):
             for _ in range(15):
                 learner.train_step(rng)
@@ -435,6 +449,8 @@ class TestWorkspaceTrainStep:
         np.testing.assert_array_equal(out_b, out)
         _, dx_b = mlp_backward(critic, cache_b, dout, bufs, weight_grads=False)
         np.testing.assert_array_equal(dx_b, full_dx)
+        # the backward pass overwrote the cache held in bufs
+        _, cache_b = mlp_forward(critic, x, bufs)
         mlp_backward(critic, cache_b, dout, bufs, input_grad=False)
         full_flat = np.concatenate([g.ravel() for g in full_grads])
         np.testing.assert_array_equal(bufs.grad, full_flat)
@@ -579,6 +595,51 @@ class TestCheckpoint:
         self._rewrite_header(path, arrays=header["arrays"])
         name = header["arrays"][0]["name"]
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*array '{name}'"):
+            load_learner_networks(path)
+
+
+    def test_header_without_arrays_or_meta_names_file(self, tmp_path):
+        path = tmp_path / "bare.ckpt"
+        path.write_bytes(b'{"format": "streamform-checkpoint", "version": 1}\n')
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*lacks arrays, meta"):
+            load_learner_networks(path)
+        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(24))
+        learner.save(path)
+        header = self._rewrite_header(path)
+        del header["meta"]
+        path.write_bytes(json.dumps(header).encode() + b"\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*lacks meta"):
+            load_learner_networks(path)
+
+    def test_entry_without_field_names_file_and_entry(self, tmp_path):
+        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(25))
+        path = tmp_path / "entry.ckpt"
+        learner.save(path)
+        header = self._rewrite_header(path)
+        name = header["arrays"][0]["name"]
+        del header["arrays"][0]["nbytes"]
+        self._rewrite_header(path, arrays=header["arrays"])
+        with pytest.raises(
+            ValueError, match=f"{re.escape(str(path))}: array entry 0 \\('{name}'\\) lacks nbytes"
+        ):
+            load_learner_networks(path)
+        del header["arrays"][0]["name"]
+        self._rewrite_header(path, arrays=header["arrays"])
+        with pytest.raises(
+            ValueError, match=f"{re.escape(str(path))}: array entry 0 lacks name, nbytes"
+        ):
+            load_learner_networks(path)
+
+    def test_header_not_json_names_file(self, tmp_path):
+        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(26))
+        path = tmp_path / "garbled.ckpt"
+        learner.save(path)
+        raw = path.read_bytes()
+        path.write_bytes(b"{not json" + raw[raw.index(b"\n") :])
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*not JSON"):
+            load_learner_networks(path)
+        path.write_bytes(b"[]" + raw[raw.index(b"\n") :])
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} is not a"):
             load_learner_networks(path)
 
 

@@ -50,15 +50,6 @@ def test_forward_at_half_pi_increases_y():
     assert out.position.y > 0.09
 
 
-def test_flip_dy_sign_mirrors_lateral_motion():
-    s = AgentState(Vec2(0, 0), v=1.0, alpha=math.pi / 2, omega=0.05)
-    lim = Limits(v_max=1.0)
-    normal = step(s, NO_U, 0.1, lim).position
-    flipped = step(s, NO_U, 0.1, lim, flip_dy_sign=True).position
-    assert flipped.y == pytest.approx(-normal.y, abs=1e-15)
-    assert flipped.x == pytest.approx(normal.x, abs=1e-15)
-
-
 class TestClampControls:
     def test_zero(self):
         u = clamp_controls(0.0, 0.0, LIM)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from streamform.geom import Vec2
+from streamform.geom import Vec2, wrap_angle
 from streamform.sensing import (
     CommsView,
     LidarConfig,
@@ -16,6 +16,48 @@ from streamform.sensing import (
 )
 
 CFG = LidarConfig(noise_std=0.0)
+
+
+def scalar_neighbor_observations(positions, connection_zone, noise_std=0.0, rng=None):
+    """Per-pair loop and set-based flood: the oracle for the array version."""
+    n = len(positions)
+    pts = np.array([[p.x, p.y] for p in positions])
+    diff = pts[None, :, :] - pts[:, None, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    adjacency = (dist <= connection_zone) & ~np.eye(n, dtype=bool)
+
+    neighbors = []
+    for i in range(n):
+        obs = {}
+        for j in range(n):
+            if not adjacency[i, j]:
+                continue
+            d = float(dist[i, j])
+            theta = math.atan2(diff[i, j, 1], diff[i, j, 0])
+            if noise_std > 0.0 and rng is not None:
+                d = max(0.0, d + float(rng.normal(0.0, noise_std)))
+                theta = wrap_angle(theta + float(rng.normal(0.0, noise_std)))
+            obs[j] = (d, theta)
+        neighbors.append(obs)
+
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(n):
+            if adjacency[i, j] and j not in reached:
+                reached.add(j)
+                frontier.append(j)
+    broadcast = [None] * n
+    for i in range(1, n):
+        if i in reached:
+            d = float(dist[0, i])
+            theta = math.atan2(diff[0, i, 1], diff[0, i, 0])
+            if noise_std > 0.0 and rng is not None:
+                d = max(0.0, d + float(rng.normal(0.0, noise_std)))
+                theta = wrap_angle(theta + float(rng.normal(0.0, noise_std)))
+            broadcast[i] = (d, theta)
+    return CommsView(adjacency, neighbors, broadcast)
 
 
 def make_scan(distances, cfg=CFG):
@@ -208,3 +250,22 @@ class TestNeighborObservations:
         d, theta = view.broadcast[1]
         assert d == pytest.approx(2.0)
         assert theta == pytest.approx(math.pi / 2)
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.1, 3.0])
+    def test_matches_scalar_oracle_on_random_worlds(self, noise_std):
+        world = np.random.default_rng(int(noise_std * 10) + 40)
+        for _ in range(100):
+            n = int(world.integers(1, 60))
+            side = world.uniform(2.0, 60.0)
+            pts = [Vec2(*xy) for xy in world.uniform(0.0, side, size=(n, 2))]
+            seed = int(world.integers(2**32))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = neighbor_observations(pts, 7.0, noise_std, rng_a)
+            want = scalar_neighbor_observations(pts, 7.0, noise_std, rng_b)
+            np.testing.assert_array_equal(got.adjacency, want.adjacency)
+            # same links in the same insertion order, and the same noise draws
+            assert [list(d.items()) for d in got.neighbors] == [
+                list(d.items()) for d in want.neighbors
+            ]
+            assert got.broadcast == want.broadcast
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
