@@ -2,13 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .geom import Vec2, wrap_angle, circumcenter, to_local, to_world, DegenerateTriangle
+from .geom import Vec2, wrap_angle, circumcenter, DegenerateTriangle
 
-__all__ = [
-    "Vec2",
-    "wrap_angle",
-    "circumcenter",
-    "to_local",
-    "to_world",
-    "DegenerateTriangle",
-]
+__all__ = ["Vec2", "wrap_angle", "circumcenter", "DegenerateTriangle"]

@@ -1,13 +1,14 @@
 """Self-describing checkpoint container with bit-exact round-trips.
 
 Layout: one JSON header line (format tag, metadata, array directory with
-shapes/dtypes/offsets) followed by the concatenated row-major float64
-buffers. No timestamps or other run-varying bytes, so identical runs
-produce identical files.
+shapes/dtypes/offsets, SHA-256 digest of the body) followed by the
+concatenated row-major float64 buffers. No timestamps or other run-varying
+bytes, so identical runs produce identical files.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 FORMAT_TAG = "streamform-checkpoint"
-VERSION = 1
+VERSION = 2
 ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes")
 
 
@@ -39,13 +40,15 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
         )
         blobs.append(blob)
         offset += len(blob)
+    body = b"".join(blobs)
     header = {
         "format": FORMAT_TAG,
         "version": VERSION,
         "meta": meta,
         "arrays": entries,
+        "sha256": hashlib.sha256(body).hexdigest(),
     }
-    payload = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + b"".join(blobs)
+    payload = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_bytes(payload)
     os.replace(tmp, path)
@@ -69,7 +72,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise ValueError(
             f"{path} has checkpoint version {header.get('version')!r}; expected {VERSION}"
         )
-    lacking = [key for key in ("arrays", "meta") if key not in header]
+    lacking = [key for key in ("arrays", "meta", "sha256") if key not in header]
     if lacking:
         raise ValueError(f"{path}: header lacks {', '.join(lacking)}")
     body = raw[newline + 1 :]
@@ -93,4 +96,6 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             )
         arr = np.frombuffer(body[start : start + n], dtype=np.float64).copy()
         arrays[name] = arr.reshape(shape)
+    if hashlib.sha256(body).hexdigest() != header["sha256"]:
+        raise ValueError(f"{path}: body does not match the header's sha256 digest (corrupt?)")
     return arrays, header["meta"]

@@ -40,8 +40,7 @@ def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
 
 @dataclass
 class MlpParams:
-    """Per-layer weights (in x out) and biases, plus an optional fixed
-    diagonal input scaling applied before the first layer.
+    """Per-layer weights (in x out) and biases.
 
     Construction copies the weights and biases into one contiguous float64
     vector, ``flat``, in arrays() order; ``weights`` and ``biases`` become
@@ -50,7 +49,6 @@ class MlpParams:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    input_scale: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases):
@@ -62,8 +60,6 @@ class MlpParams:
                 raise ValueError(
                     f"layer {i} input {w.shape[0]} does not match previous output"
                 )
-        if self.input_scale is not None and len(self.input_scale) != self.in_dim:
-            raise ValueError("input_scale length must match the input dimension")
         arrays = self.arrays()
         self.flat = np.concatenate([np.ravel(a) for a in arrays]).astype(float, copy=False)
         views = _split(self.flat, [a.shape for a in arrays])
@@ -90,21 +86,17 @@ class MlpParams:
 
     def copy(self) -> "MlpParams":
         # construction packs copies of the arrays into a fresh vector
-        return MlpParams(
-            self.weights,
-            self.biases,
-            None if self.input_scale is None else self.input_scale.copy(),
-        )
+        return MlpParams(self.weights, self.biases)
 
 
 class MlpBuffers:
     """Batch-sized arrays for one network shape.
 
-    ``fwd[i]`` receives the input of layer i (``fwd[0]`` the scaled network
-    input) and ``fwd[-1]`` the output; the backward pass then overwrites
-    ``fwd[i]`` with d(loss)/d(input of layer i), after reading it into
-    ``mask[i]``, the ReLU mask. ``grads`` are views of one flat gradient
-    vector ``grad`` laid out like ``MlpParams.flat``.
+    ``fwd[i]`` receives the input of layer i and ``fwd[-1]`` the output
+    (``fwd[0]`` only where the caller builds the input there); the backward
+    pass then overwrites ``fwd[i]`` with d(loss)/d(input of layer i), after
+    reading it into ``mask[i]``, the ReLU mask. ``grads`` are views of one
+    flat gradient vector ``grad`` laid out like ``MlpParams.flat``.
     """
 
     def __init__(self, params: MlpParams, batch: int):
@@ -115,12 +107,7 @@ class MlpBuffers:
         self.grads = _split(self.grad, [a.shape for a in params.arrays()])
 
 
-def init_mlp(
-    sizes: list[int],
-    rng: np.random.Generator,
-    final_scale: float = 3e-3,
-    input_scale: np.ndarray | None = None,
-) -> MlpParams:
+def init_mlp(sizes: list[int], rng: np.random.Generator, final_scale: float = 3e-3) -> MlpParams:
     """He-initialized hidden layers; small uniform final layer."""
     weights, biases = [], []
     for i in range(len(sizes) - 1):
@@ -131,7 +118,7 @@ def init_mlp(
             w = rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, fan_out))
         weights.append(w)
         biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases, input_scale)
+    return MlpParams(weights, biases)
 
 
 def mlp_forward(
@@ -145,8 +132,6 @@ def mlp_forward(
     last = len(params.weights) - 1
     fwd = [None] * (last + 2) if bufs is None else bufs.fwd
     h = np.atleast_2d(np.asarray(x, dtype=float))
-    if params.input_scale is not None:
-        h = np.multiply(h, params.input_scale, out=fwd[0])
     cache = [h]
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = np.matmul(h, w, out=fwd[i + 1])
@@ -167,12 +152,12 @@ def mlp_backward(
 ) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
     """Gradients of a scalar loss given d(loss)/d(output).
 
-    Returns gradients in arrays() order plus d(loss)/d(input) with the
-    input scaling already undone. ``weight_grads=False`` skips the weight
-    and bias gradients and ``input_grad=False`` the layer-0 input gradient;
-    each skipped part is returned as None. With ``bufs`` the results are
-    written into ``bufs.grads`` and over ``bufs.fwd``, so a forward cache
-    held there serves one backward pass.
+    Returns gradients in arrays() order plus d(loss)/d(input).
+    ``weight_grads=False`` skips the weight and bias gradients and
+    ``input_grad=False`` the layer-0 input gradient; each skipped part is
+    returned as None. With ``bufs`` the results are written into
+    ``bufs.grads`` and over ``bufs.fwd``, so a forward cache held there
+    serves one backward pass.
     """
     n_layers = len(params.weights)
     if bufs is None:
@@ -193,8 +178,6 @@ def mlp_backward(
         da = np.matmul(da, params.weights[i].T, out=d_in[i])
         if i > 0:
             da *= relu
-    if params.input_scale is not None:
-        da *= params.input_scale
     return grads, da
 
 
@@ -272,16 +255,6 @@ def simplex_from_controls(accel: float, angular_accel: float, limits: Limits) ->
     return np.array([u0, u1, u2])
 
 
-def discounted_return(rewards, gamma: float) -> float:
-    """Sum of gamma^t * r_t over a reward sequence."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    total = 0.0
-    for r in reversed(list(rewards)):
-        total = r + gamma * total
-    return total
-
-
 @dataclass(frozen=True)
 class TrainerConfig:
     critic_lr: float = 1e-3
@@ -294,7 +267,6 @@ class TrainerConfig:
     sigma_start: float = 0.3
     sigma_end: float = 0.05
     sigma_anneal_frac: float = 0.5
-    train_every: int = 1
     hidden: tuple[int, ...] = (64, 128, 128)
     actor_final_scale: float = 3e-3
 
@@ -317,8 +289,6 @@ class TrainerConfig:
             problems.append("buffer_capacity must be at least batch_size")
         if self.episodes < 0:
             problems.append(f"episodes must be nonnegative, got {self.episodes}")
-        if self.train_every < 1:
-            problems.append(f"train_every must be positive, got {self.train_every}")
         if not 0.0 <= self.sigma_anneal_frac <= 1.0:
             problems.append("sigma_anneal_frac must be in [0, 1]")
         if self.sigma_start < 0 or self.sigma_end < 0:
@@ -349,6 +319,12 @@ class ReplayBuffer:
         return self._size
 
     def add(self, obs, act, rew: float, obs_next, done: bool) -> None:
+        """Store one transition. A non-finite field raises ValueError and
+        leaves the buffer as it was: one NaN sampled into a batch would
+        turn every network weight into NaN."""
+        for name, value in (("obs", obs), ("act", act), ("rew", rew), ("obs_next", obs_next)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"transition has a non-finite {name}: {value!r}")
         i = self._next
         self.obs[i] = obs
         self.act[i] = act
@@ -374,48 +350,37 @@ class ReplayBuffer:
 
 
 class Adam:
-    """Standard Adam kept alongside a fixed list of parameter arrays. The
-    learner passes one flat vector per network, so a step is a handful of
-    whole-vector operations."""
+    """Standard Adam over one flat parameter vector (``MlpParams.flat``),
+    so a step is a handful of whole-vector operations."""
 
-    def __init__(self, arrays: list[np.ndarray], beta1=0.9, beta2=0.999, eps=1e-8):
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+    def __init__(self, size: int, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
-    def step(
-        self,
-        arrays: list[np.ndarray],
-        grads: list[np.ndarray],
-        lr: float,
-        scratch: np.ndarray | None = None,
-    ) -> None:
-        """One update. ``scratch`` is an optional (2, n) array, n at least
-        the largest array's size; otherwise two temporaries per array are
-        allocated."""
+    def step(self, param: np.ndarray, grad: np.ndarray, lr: float, scratch: np.ndarray) -> None:
+        """One in-place update of ``param``; ``scratch`` is a (2, n) array
+        with n at least ``param.size``."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         corr1 = 1.0 - b1**self.t
         corr2 = 1.0 - b2**self.t
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            if scratch is None:
-                s, r = np.empty_like(a), np.empty_like(a)
-            else:
-                s, r = (row[: a.size].reshape(a.shape) for row in scratch)
-            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
-            # a -= lr (m / corr1) / (sqrt(v / corr2) + eps), rounded in this order
-            m *= b1
-            m += np.multiply(g, 1 - b1, out=s)
-            v *= b2
-            np.multiply(g, 1 - b2, out=s)
-            v += np.multiply(s, g, out=s)
-            np.divide(m, corr1, out=s)
-            s *= lr
-            np.divide(v, corr2, out=r)
-            np.sqrt(r, out=r)
-            r += self.eps
-            a -= np.divide(s, r, out=s)
+        m, v = self.m, self.v
+        s, r = scratch[0, : param.size], scratch[1, : param.size]
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+        # param -= lr (m / corr1) / (sqrt(v / corr2) + eps), rounded in this order
+        m *= b1
+        m += np.multiply(grad, 1 - b1, out=s)
+        v *= b2
+        np.multiply(grad, 1 - b2, out=s)
+        v += np.multiply(s, grad, out=s)
+        np.divide(m, corr1, out=s)
+        s *= lr
+        np.divide(v, corr2, out=r)
+        np.sqrt(r, out=r)
+        r += self.eps
+        param -= np.divide(s, r, out=s)
 
 
 def compute_td_targets(
@@ -539,30 +504,16 @@ class TrainWorkspace:
 class DdpgLearner:
     """Owns the online/target networks, replay buffer and Adam states."""
 
-    def __init__(
-        self,
-        obs_dim: int,
-        cfg: TrainerConfig,
-        rng: np.random.Generator,
-        obs_scale: np.ndarray | None = None,
-    ):
+    def __init__(self, obs_dim: int, cfg: TrainerConfig, rng: np.random.Generator):
         self.obs_dim = obs_dim
         self.cfg = cfg
-        critic_scale = None
-        if obs_scale is not None:
-            obs_scale = np.asarray(obs_scale, dtype=float)
-            critic_scale = np.concatenate([obs_scale, np.ones(ACTION_DIM)])
-        self.actor = init_mlp(
-            [obs_dim, *cfg.hidden, ACTION_DIM], rng, cfg.actor_final_scale, obs_scale
-        )
-        self.critic = init_mlp(
-            [obs_dim + ACTION_DIM, *cfg.hidden, 1], rng, input_scale=critic_scale
-        )
+        self.actor = init_mlp([obs_dim, *cfg.hidden, ACTION_DIM], rng, cfg.actor_final_scale)
+        self.critic = init_mlp([obs_dim + ACTION_DIM, *cfg.hidden, 1], rng)
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
         self.buffer = ReplayBuffer(cfg.buffer_capacity, obs_dim)
-        self.actor_opt = Adam([self.actor.flat])
-        self.critic_opt = Adam([self.critic.flat])
+        self.actor_opt = Adam(self.actor.flat.size)
+        self.critic_opt = Adam(self.critic.flat.size)
         self.workspace = TrainWorkspace(cfg.batch_size, self.actor, self.critic)
         self.train_steps = 0
 
@@ -588,13 +539,22 @@ class DdpgLearner:
             self.target_actor, self.target_critic, rew, obs_next, done, cfg.gamma, ws
         )
         _, c_loss = critic_loss_grads(self.critic, obs, act, targets, ws)
-        self.critic_opt.step([self.critic.flat], [ws.critic.grad], cfg.critic_lr, ws.scratch)
+        self._require_finite(c_loss, "critic loss")
+        self.critic_opt.step(self.critic.flat, ws.critic.grad, cfg.critic_lr, ws.scratch)
         _, a_obj = actor_objective_grads(self.actor, self.critic, obs, ws)
-        self.actor_opt.step([self.actor.flat], [ws.actor.grad], cfg.actor_lr, ws.scratch)
+        self._require_finite(a_obj, "actor objective")
+        self.actor_opt.step(self.actor.flat, ws.actor.grad, cfg.actor_lr, ws.scratch)
         soft_update(self.target_actor, self.actor, cfg.tau, ws.scratch[0])
         soft_update(self.target_critic, self.critic, cfg.tau, ws.scratch[0])
         self.train_steps += 1
         return {"critic_loss": c_loss, "actor_q": a_obj}
+
+    def _require_finite(self, value: float, what: str) -> None:
+        """Raise before the Adam step that would apply a non-finite value."""
+        if not math.isfinite(value):
+            raise FloatingPointError(
+                f"train step {self.train_steps}: {what} is {value}; its update is not applied"
+            )
 
     def network_arrays(self) -> dict[str, np.ndarray]:
         named: dict[str, np.ndarray] = {}
@@ -607,8 +567,6 @@ class DdpgLearner:
             for i, (w, b) in enumerate(zip(net.weights, net.biases)):
                 named[f"{prefix}.w{i}"] = w
                 named[f"{prefix}.b{i}"] = b
-            if net.input_scale is not None:
-                named[f"{prefix}.input_scale"] = net.input_scale
         return named
 
     def save(self, path, config_echo: dict | None = None) -> None:
@@ -629,7 +587,7 @@ def _params_from_arrays(arrays: dict[str, np.ndarray], prefix: str) -> MlpParams
         i += 1
     if not weights:
         raise ValueError(f"checkpoint has no layers for {prefix!r}")
-    return MlpParams(weights, biases, arrays.get(f"{prefix}.input_scale"))
+    return MlpParams(weights, biases)
 
 
 def load_policy(path) -> tuple[MlpParams, dict]:
@@ -658,34 +616,6 @@ class ActorPolicy:
         params, _ = load_policy(path)
         return cls(params)
 
-    def reset(self, seed=None) -> None:
-        pass
-
     def act(self, observations: np.ndarray) -> np.ndarray:
         return actor_forward(self.params, observations)
 
-
-class RandomPolicy:
-    """Uniform Dirichlet simplex actions; reseeded per episode."""
-
-    def __init__(self, seed: int = 0):
-        self._seed = seed
-        self._rng = np.random.default_rng(seed)
-
-    def reset(self, seed=None) -> None:
-        self._rng = np.random.default_rng(self._seed if seed is None else seed)
-
-    def act(self, observations: np.ndarray) -> np.ndarray:
-        n = len(np.atleast_2d(observations))
-        return self._rng.dirichlet(np.ones(ACTION_DIM), size=n)
-
-
-class StandStillPolicy:
-    """No acceleration, no turn."""
-
-    def reset(self, seed=None) -> None:
-        pass
-
-    def act(self, observations: np.ndarray) -> np.ndarray:
-        n = len(np.atleast_2d(observations))
-        return np.tile(np.array([0.0, 0.5, 0.5]), (n, 1))

@@ -37,9 +37,6 @@ class AgentState:
     alpha: Angle = 0.0
     omega: float = 0.0
 
-    def pose(self) -> tuple[Vec2, Angle]:
-        return self.position, self.alpha
-
 
 @dataclass(frozen=True)
 class ControlInput:

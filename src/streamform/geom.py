@@ -1,8 +1,8 @@
 """Planar geometry primitives shared by the whole simulator.
 
 Everything here is a pure function of its inputs: 2-D vectors, angle
-wrapping into (-pi, pi], rigid-frame transforms, and the circumcenter of a
-triangle (used to fit virtual cylinders to lidar returns).
+wrapping into (-pi, pi], and the circumcenter of a triangle (used to fit
+virtual cylinders to lidar returns).
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ class Vec2:
         """Angle of this vector from the +x axis."""
         return math.atan2(self.y, self.x)
 
-    def rotated(self, angle: Angle) -> "Vec2":
-        c, s = math.cos(angle), math.sin(angle)
-        return Vec2(c * self.x - s * self.y, s * self.x + c * self.y)
-
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y)
 
@@ -108,15 +104,3 @@ def circumcenter(p1: Vec2, p2: Vec2, p3: Vec2) -> tuple[Vec2, float]:
     uy = (bx * c_sq - cx * b_sq) / d
     radius = math.hypot(ux, uy)
     return Vec2(p1.x + ux, p1.y + uy), radius
-
-
-def to_local(pose: tuple[Vec2, Angle], world_point: Vec2) -> Vec2:
-    """Express a world point in the frame of an agent at ``pose``."""
-    origin, heading = pose
-    return (world_point - origin).rotated(-heading)
-
-
-def to_world(pose: tuple[Vec2, Angle], local_point: Vec2) -> Vec2:
-    """Inverse of to_local."""
-    origin, heading = pose
-    return local_point.rotated(heading) + origin

@@ -196,8 +196,8 @@ def split_sides(
             else:
                 # shortest ray dead ahead: take the side covering more rays,
                 # left on a perfect tie
-                n_left = sum(1 for k in range(start, end + 1) if scan.angles[k] > 0)
-                n_right = sum(1 for k in range(start, end + 1) if scan.angles[k] < 0)
+                seg = scan.angles[start : end + 1]
+                n_left, n_right = np.count_nonzero(seg > 0), np.count_nonzero(seg < 0)
                 (lhs if n_left >= n_right else rhs).append((start, end))
     # foremost = smallest inner angle magnitude; on the left the inner
     # endpoint is the interval start, on the right it is the interval end

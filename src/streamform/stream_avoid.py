@@ -16,9 +16,11 @@ repulsive proximity factor so the penalty fades at the engagement range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
+
+import numpy as np
 
 from .geom import Angle, DegenerateTriangle, Vec2, circumcenter
 from .sensing import LidarScan, detect_intervals, split_sides
@@ -80,7 +82,6 @@ class AvoidanceState:
     avoid: bool = False
     c_desired: float | None = None
     prev_inner_angle: Angle | None = None
-    cylinder: VirtualCylinder | None = None
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,7 @@ class SideReading:
     """What one half-field saw this step."""
 
     interval: tuple[int, int]
-    inner_index: int
     m_index: int
-    outer_index: int
     cylinder: VirtualCylinder
     degenerate: bool
     c_current: float
@@ -139,11 +138,8 @@ def shortest_interior_ray(interval: tuple[int, int], scan: LidarScan) -> int:
     start, end = interval
     if end - start + 1 < 3:
         raise ValueError(f"interval {interval} must span at least 3 rays")
-    best = start + 1
-    for i in range(start + 2, end):
-        if scan.distances[i] < scan.distances[best]:
-            best = i
-    return best
+    # argmin returns the first of equal minima
+    return start + 1 + int(np.argmin(scan.distances[start + 1 : end]))
 
 
 def stream_bound(
@@ -187,7 +183,7 @@ def _read_side(
     scan: LidarScan, interval: tuple[int, int], side: Side, params: StreamParams
 ) -> SideReading:
     start, end = interval
-    inner, outer = (start, end) if side == Side.LHS else (end, start)
+    inner = start if side == Side.LHS else end
     m = shortest_interior_ray(interval, scan)
     degenerate = False
     try:
@@ -204,9 +200,7 @@ def _read_side(
     m_distance = max(float(scan.distances[m]), MIN_M_DISTANCE)
     return SideReading(
         interval=interval,
-        inner_index=inner,
         m_index=m,
-        outer_index=outer,
         cylinder=cyl,
         degenerate=degenerate,
         c_current=c_current,
@@ -255,25 +249,22 @@ def avoidance_update(
             m_dist.append(None)
             continue
         reading = _read_side(scan, interval, side, params)
-        bound = stream_bound(reading.cylinder, params.d_stop, params.flow_strength, side)
-        rising = not prev.avoid or prev.c_desired is None
-        if rising:
-            c_desired = _floor_to_bound(reading.c_current, bound)
-        elif (
-            prev.prev_inner_angle is None
-            or abs(reading.inner_angle) <= abs(prev.prev_inner_angle)
-        ):
-            # new obstacle in front: re-lock to the current stream value
-            c_desired = _floor_to_bound(reading.c_current, bound)
-        else:
-            # same obstacle sliding outward: hold the desired value
+        # same obstacle sliding outward: hold the desired value; otherwise
+        # (a rising edge, or a new obstacle in front) lock to the current one
+        hold = (
+            prev.avoid
+            and prev.c_desired is not None
+            and prev.prev_inner_angle is not None
+            and abs(reading.inner_angle) > abs(prev.prev_inner_angle)
+        )
+        if hold:
             c_desired = prev.c_desired
+        else:
+            bound = stream_bound(reading.cylinder, params.d_stop, params.flow_strength, side)
+            c_desired = _floor_to_bound(reading.c_current, bound)
         new_states.append(
             AvoidanceState(
-                avoid=True,
-                c_desired=c_desired,
-                prev_inner_angle=reading.inner_angle,
-                cylinder=reading.cylinder,
+                avoid=True, c_desired=c_desired, prev_inner_angle=reading.inner_angle
             )
         )
         readings.append(reading)

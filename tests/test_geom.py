@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from streamform.geom import (
-    DegenerateTriangle,
-    Vec2,
-    circumcenter,
-    to_local,
-    to_world,
-    wrap_angle,
-)
+from streamform.geom import DegenerateTriangle, Vec2, circumcenter, wrap_angle
 
 
 class TestWrapAngle:
@@ -119,36 +112,3 @@ class TestCircumcenter:
             oc, _ = oracle_circumcenter(*p)
             assert center.distance_to(oc) < 1e-9
 
-
-class TestFrames:
-    def test_identity_pose(self):
-        p = to_local((Vec2(0, 0), 0.0), Vec2(1, 2))
-        assert (p.x, p.y) == (1.0, 2.0)
-
-    def test_quarter_turn(self):
-        # hand oracle: R(-pi/2) applied to (1,1)-(1,0) = (0,1) gives (1,0)
-        p = to_local((Vec2(1, 0), math.pi / 2), Vec2(1, 1))
-        assert p.x == pytest.approx(1.0, abs=1e-12)
-        assert p.y == pytest.approx(0.0, abs=1e-12)
-
-    @given(
-        st.floats(-10, 10),
-        st.floats(-10, 10),
-        st.floats(-math.pi, math.pi),
-        st.floats(-10, 10),
-        st.floats(-10, 10),
-    )
-    def test_round_trip(self, ox, oy, heading, px, py):
-        pose = (Vec2(ox, oy), heading)
-        p = Vec2(px, py)
-        back = to_world(pose, to_local(pose, p))
-        assert back.distance_to(p) < 1e-12
-
-    def test_distances_preserved(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            ox, oy, h, ax, ay, bx, by = rng.uniform(-10, 10, size=7)
-            pose = (Vec2(ox, oy), h)
-            a, b = Vec2(ax, ay), Vec2(bx, by)
-            la, lb = to_local(pose, a), to_local(pose, b)
-            assert abs(la.distance_to(lb) - a.distance_to(b)) < 1e-12

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from streamform.geom import Vec2, circumcenter
-from streamform.sensing import LidarConfig, LidarScan, ObstacleSet, raycast
+from streamform.sensing import LidarConfig, LidarScan, ObstacleSet, detect_intervals, raycast
 from streamform.stream_avoid import (
     AvoidanceState,
     Side,
@@ -296,6 +297,43 @@ class TestAvoidanceUpdate:
         assert out.states[Side.LHS].avoid and out.states[Side.RHS].avoid
         assert out.readings[Side.LHS] is not None
         assert out.readings[Side.RHS] is not None
+
+
+
+def decided_by_a_tie_rule(scan):
+    """True when a tie rule, which the mirrored scan does not mirror, picks
+    a side or a shortest ray: an interval whose shortest ray is not unique
+    (argmin keeps the lower index), or one crossing the heading axis whose
+    shortest ray is dead ahead (split_sides sends it left)."""
+    for start, end in detect_intervals(scan, PARAMS.d_risk):
+        for d in (scan.distances[start : end + 1], scan.distances[start + 1 : end]):
+            if np.count_nonzero(d == d.min()) > 1:
+                return True
+        if scan.angles[start] <= 0.0 <= scan.angles[end]:
+            m = start + int(np.argmin(scan.distances[start : end + 1]))
+            if scan.angles[m] == 0.0:
+                return True
+    return False
+
+
+class TestMirrorProperty:
+    """Sensing to avoidance on noise-free scans from a fresh avoider state."""
+
+    obstacle = st.tuples(st.floats(-0.5, 2.5), st.floats(-2.0, 2.0), st.floats(0.05, 0.6))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(obstacle, min_size=1, max_size=6))
+    def test_mirror_in_y_swaps_sides_and_keeps_cost(self, obstacles):
+        scan = scan_of([(Vec2(x, y), r) for x, y, r in obstacles])
+        mirrored = scan_of([(Vec2(x, -y), r) for x, y, r in obstacles])
+        assume(not decided_by_a_tie_rule(scan))
+        fresh = (AvoidanceState(), AvoidanceState())
+        out = avoidance_update(scan, fresh, PARAMS)
+        out_m = avoidance_update(mirrored, fresh, PARAMS)
+        flags = [s.avoid for s in out.states]
+        assert flags == [s.avoid for s in reversed(out_m.states)]
+        assert out.cost >= 0.0
+        assert out_m.cost == pytest.approx(out.cost, rel=1e-9)
 
 
 def steer_along_streamlines(obstacle_y, steps=140, gain=3.0):
