@@ -92,17 +92,19 @@ class MlpParams:
 class MlpBuffers:
     """Batch-sized arrays for one network shape.
 
-    ``fwd[i]`` receives the input of layer i and ``fwd[-1]`` the output
-    (``fwd[0]`` only where the caller builds the input there); the backward
-    pass then overwrites ``fwd[i]`` with d(loss)/d(input of layer i), after
-    reading it into ``mask[i]``, the ReLU mask. ``grads`` are views of one
-    flat gradient vector ``grad`` laid out like ``MlpParams.flat``.
+    ``fwd[i]`` receives the input of layer i and ``fwd[-1]`` the output;
+    the backward pass then overwrites ``fwd[i]`` with d(loss)/d(input of
+    layer i), after reading it into ``mask[i]``, the ReLU mask. ``fwd[0]``
+    is None until a caller that builds the network input in place, or takes
+    the input gradient, puts an array there; ``mask[0]`` stays None, since
+    layer 0 has no ReLU. ``grads`` are views of one flat gradient vector
+    ``grad`` laid out like ``MlpParams.flat``.
     """
 
     def __init__(self, params: MlpParams, batch: int):
         widths = params.widths
-        self.fwd = [np.empty((batch, d)) for d in widths]
-        self.mask = [np.empty((batch, d), dtype=bool) for d in widths[:-1]]
+        self.fwd = [None] + [np.empty((batch, d)) for d in widths[1:]]
+        self.mask = [None] + [np.empty((batch, d), dtype=bool) for d in widths[1:-1]]
         self.grad = np.empty(params.flat.size)
         self.grads = _split(self.grad, [a.shape for a in params.arrays()])
 
@@ -486,6 +488,9 @@ class TrainWorkspace:
         obs_dim, act_dim = actor.in_dim, actor.out_dim
         self.actor = MlpBuffers(actor, batch)
         self.critic = MlpBuffers(critic, batch)
+        # the critic's input rows are built here, and its input gradient
+        # lands here in the actor update; the actor needs neither
+        self.critic.fwd[0] = np.empty((batch, critic.in_dim))
         self.sample = (
             np.empty((batch, obs_dim)),
             np.empty((batch, act_dim)),

@@ -22,6 +22,14 @@ from .geom import Angle, Vec2, wrap_angle
 # (minimum obstacle footprint guarantees at least three rays on a hit)
 MIN_INTERVAL_RAYS = 3
 
+# raycast skips circles farther than d_max + radius + REACH_MARGIN [m]. Each
+# exact hit distance on such a circle exceeds d_max + REACH_MARGIN, and
+# rounding moves a computed one by a few 1e-8 of itself at most (on a ray
+# grazing the circle). So for any d_max below about 10 km a culled circle's
+# computed distance still exceeds d_max, and the clip to d_max makes the
+# cull exact: the circle would have left the scan unchanged.
+REACH_MARGIN = 1e-3
+
 
 @dataclass(frozen=True)
 class LidarConfig:
@@ -49,6 +57,11 @@ class LidarConfig:
         # produce exactly mirrored scans
         mid = 0.5 * (self.fov_min + self.fov_max)
         return mid + self.resolution * (np.arange(n) - (n - 1) / 2.0)
+
+    @cached_property
+    def ray_dirs(self) -> np.ndarray:
+        """Agent-frame unit ray directions, shape (2, n_rays)."""
+        return np.stack([np.cos(self.angles), np.sin(self.angles)])
 
     @property
     def n_rays(self) -> int:
@@ -100,9 +113,19 @@ class ObstacleSet:
         """New set with extra circles appended (used to add agent bodies)."""
         if len(centers) == 0:
             return self
-        return ObstacleSet(
-            np.vstack([self.centers, centers]), np.concatenate([self.radii, radii])
-        )
+        centers = np.asarray(centers, dtype=float)
+        radii = np.asarray(radii, dtype=float)
+        # this set's own arrays were checked when it was built
+        if centers.ndim != 2 or centers.shape[1] != 2 or radii.ndim != 1:
+            raise ValueError("centers must have shape (n, 2) and radii shape (n,)")
+        if len(centers) != len(radii):
+            raise ValueError("centers and radii must have matching length")
+        if (radii <= 0).any():
+            raise ValueError("obstacle radii must be positive")
+        out = ObstacleSet.__new__(ObstacleSet)
+        out.centers = np.concatenate([self.centers, centers])
+        out.radii = np.concatenate([self.radii, radii])
+        return out
 
 
 def raycast(
@@ -117,32 +140,39 @@ def raycast(
     Each ray reports the nearest intersection distance (or d_max when the
     ray misses everything), plus Gaussian range noise when ``rng`` is given;
     results are clamped to [d_min, d_max]. If the agent center lies inside
-    an obstacle every ray reads d_min and ``agent_inside`` is set.
+    an obstacle every ray reads d_min and ``agent_inside`` is set. Circles
+    out of reach (see REACH_MARGIN) are dropped before the ray work.
     """
     n = cfg.n_rays
-    if len(obstacles) == 0:
-        true_d = np.full(n, cfg.d_max)
-        inside = False
+    rel = obstacles.centers - (position.x, position.y)
+    cc = np.einsum("ij,ij->i", rel, rel)
+    r2 = obstacles.radii**2
+    if (cc < r2).any():
+        return LidarScan(cfg.angles.copy(), np.full(n, cfg.d_min), agent_inside=True)
+    near = np.flatnonzero(cc <= (obstacles.radii + (cfg.d_max + REACH_MARGIN)) ** 2)
+    if len(near) == 0:
+        d = np.full(n, cfg.d_max)
     else:
-        rel = obstacles.centers - np.array([position.x, position.y])
-        cc = np.einsum("ij,ij->i", rel, rel)
-        inside = bool(np.any(cc < obstacles.radii**2))
-        if inside:
-            return LidarScan(cfg.angles.copy(), np.full(n, cfg.d_min), agent_inside=True)
-        world_angles = heading + cfg.angles
-        dirs = np.stack([np.cos(world_angles), np.sin(world_angles)], axis=1)
-        b = dirs @ rel.T  # (n_rays, n_obs) projections of centers on rays
-        disc = b * b - (cc - obstacles.radii**2)
-        hit = disc >= 0.0
-        t = np.where(hit, b - np.sqrt(np.where(hit, disc, 0.0)), np.inf)
-        t = np.where(t >= 0.0, t, np.inf)
-        true_d = t.min(axis=1)
-        true_d = np.where(np.isfinite(true_d), true_d, cfg.d_max)
-    d = np.clip(true_d, cfg.d_min, cfg.d_max)
+        c, s = math.cos(heading), math.sin(heading)
+        dirs = np.array([[c, -s], [s, c]]) @ cfg.ray_dirs
+        b = rel.take(near, axis=0) @ dirs  # (circles, rays) projections on rays
+        # disc = b|b| - (cc - r^2): a circle behind a ray (b < 0) gets a
+        # negative discriminant and misses like one off to the side. The
+        # inside test leaves cc - r^2 >= 0, so b >= 0 gives a root t >= 0
+        disc = np.abs(b)
+        disc *= b
+        disc -= (cc - r2).take(near)[:, None]
+        with np.errstate(invalid="ignore"):
+            np.sqrt(disc, out=disc)  # NaN marks a miss
+        b -= disc
+        d = np.fmin.reduce(b, axis=0)  # nearest hit per ray; NaN if none
+        np.fmin(d, cfg.d_max, out=d)
+        np.maximum(d, cfg.d_min, out=d)
     if rng is not None and cfg.noise_std > 0.0:
-        d = d + rng.normal(0.0, cfg.noise_std, size=n)
-        d = np.clip(d, cfg.d_min, cfg.d_max)
-    return LidarScan(cfg.angles.copy(), d, agent_inside=inside)
+        d += rng.normal(0.0, cfg.noise_std, size=n)
+        np.minimum(d, cfg.d_max, out=d)
+        np.maximum(d, cfg.d_min, out=d)
+    return LidarScan(cfg.angles.copy(), d)
 
 
 def detect_intervals(scan: LidarScan, d_risk: float) -> list[tuple[int, int]]:

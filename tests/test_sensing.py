@@ -5,6 +5,7 @@ import pytest
 
 from streamform.geom import Vec2, wrap_angle
 from streamform.sensing import (
+    REACH_MARGIN,
     CommsView,
     LidarConfig,
     LidarScan,
@@ -58,6 +59,61 @@ def scalar_neighbor_observations(positions, connection_zone, noise_std=0.0, rng=
                 theta = wrap_angle(theta + float(rng.normal(0.0, noise_std)))
             broadcast[i] = (d, theta)
     return CommsView(adjacency, neighbors, broadcast)
+
+
+def reference_raycast(position, heading, obstacles, cfg, rng=None):
+    """Every ray against every circle, no culling: the oracle for ``raycast``."""
+    n = cfg.n_rays
+    if len(obstacles) == 0:
+        true_d = np.full(n, cfg.d_max)
+        inside = False
+    else:
+        rel = obstacles.centers - np.array([position.x, position.y])
+        cc = np.einsum("ij,ij->i", rel, rel)
+        inside = bool(np.any(cc < obstacles.radii**2))
+        if inside:
+            return LidarScan(cfg.angles.copy(), np.full(n, cfg.d_min), agent_inside=True)
+        world_angles = heading + cfg.angles
+        dirs = np.stack([np.cos(world_angles), np.sin(world_angles)], axis=1)
+        b = dirs @ rel.T  # (n_rays, n_obs) projections of centers on rays
+        disc = b * b - (cc - obstacles.radii**2)
+        hit = disc >= 0.0
+        t = np.where(hit, b - np.sqrt(np.where(hit, disc, 0.0)), np.inf)
+        t = np.where(t >= 0.0, t, np.inf)
+        true_d = t.min(axis=1)
+        true_d = np.where(np.isfinite(true_d), true_d, cfg.d_max)
+    d = np.clip(true_d, cfg.d_min, cfg.d_max)
+    if rng is not None and cfg.noise_std > 0.0:
+        d = d + rng.normal(0.0, cfg.noise_std, size=n)
+        d = np.clip(d, cfg.d_min, cfg.d_max)
+    return LidarScan(cfg.angles.copy(), d, agent_inside=inside)
+
+
+def random_world(gen):
+    """Agent pose and a circle world around it; some empty, some around the agent."""
+    position = Vec2(*gen.uniform(-5.0, 5.0, 2))
+    heading = float(gen.uniform(-math.pi, math.pi))
+    kind = int(gen.integers(10))
+    n = 0 if kind == 0 else int(gen.integers(1, 40))
+    centers = np.array([position.x, position.y]) + gen.uniform(-4.0, 4.0, (n, 2))
+    radii = gen.uniform(0.05, 1.0, n)
+    if kind == 1:
+        # the agent inside a circle
+        radii[0] = float(np.hypot(*(centers[0] - [position.x, position.y]))) + 0.01
+    return position, heading, ObstacleSet(centers, radii)
+
+
+def far_circles(gen, position, cfg, radii):
+    """Centers that put every circle beyond the cull radius of ``raycast``."""
+    n = len(radii)
+    # half just past the cull radius, half well beyond it
+    extra = np.where(gen.random(n) < 0.5, 1e-9, gen.uniform(0.0, 10.0, n))
+    dist = (cfg.d_max + radii + REACH_MARGIN) * (1.0 + 1e-12) + extra
+    angle = gen.uniform(-math.pi, math.pi, n)
+    centers = np.column_stack(
+        [position.x + dist * np.cos(angle), position.y + dist * np.sin(angle)]
+    )
+    return centers
 
 
 def make_scan(distances, cfg=CFG):
@@ -126,6 +182,88 @@ class TestRaycast:
         obs = ObstacleSet.from_list([(Vec2(-1.0, 0.0), 0.3)])
         scan = raycast(Vec2(0, 0), 0.0, obs, CFG)
         assert np.all(scan.distances == CFG.d_max)
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.2])
+    def test_matches_reference_on_random_worlds(self, noise_std):
+        cfg = LidarConfig(noise_std=noise_std)
+        gen = np.random.default_rng(int(noise_std * 10) + 60)
+        for _ in range(1500):
+            position, heading, world = random_world(gen)
+            seed = int(gen.integers(2**32))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = raycast(position, heading, world, cfg, rng_a)
+            want = reference_raycast(position, heading, world, cfg, rng_b)
+            assert got.agent_inside == want.agent_inside
+            np.testing.assert_array_equal(got.angles, want.angles)
+            np.testing.assert_allclose(got.distances, want.distances, rtol=0.0, atol=1e-9)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_circles_out_of_range_never_change_a_scan(self):
+        cfg = LidarConfig(noise_std=0.2)
+        gen = np.random.default_rng(61)
+        for _ in range(2000):
+            position, heading, world = random_world(gen)
+            radii = gen.uniform(0.05, 2.0, int(gen.integers(1, 20)))
+            centers = far_circles(gen, position, cfg, radii)
+            seed = int(gen.integers(2**32))
+            base = raycast(position, heading, world, cfg, np.random.default_rng(seed))
+            more = world.extended(centers, radii)
+            scan = raycast(position, heading, more, cfg, np.random.default_rng(seed))
+            assert scan.agent_inside == base.agent_inside
+            np.testing.assert_array_equal(scan.distances, base.distances)
+
+    def test_uncut_cast_clips_culled_circles_to_d_max(self):
+        # culling is exact: without it, the same circles would read d_max on
+        # every ray. The worst case is a ray grazing a tiny circle, where the
+        # hit distance is nearly the center distance and rounds the most.
+        gen = np.random.default_rng(62)
+        for _ in range(500):
+            position = Vec2(*gen.uniform(-5.0, 5.0, 2))
+            radii = 10.0 ** gen.uniform(-9.0, 0.0, 5)
+            centers = far_circles(gen, position, CFG, radii)
+            world = ObstacleSet(centers, radii)
+            rel = centers - [position.x, position.y]
+            # point ray k of the fan just inside the tangent of circle 0
+            graze = math.asin(radii[0] / float(np.hypot(*rel[0]))) * (1.0 - 1e-12)
+            k = int(gen.integers(CFG.n_rays))
+            heading = math.atan2(rel[0, 1], rel[0, 0]) + graze - float(CFG.angles[k])
+            scan = reference_raycast(position, heading, world, CFG)
+            assert np.all(scan.distances == CFG.d_max)
+
+
+class TestObstacleSetExtended:
+    BASE = ObstacleSet(np.array([[1.0, 2.0], [3.0, -1.0]]), np.array([0.3, 0.5]))
+
+    def test_appends_like_vstack_and_concatenate(self):
+        gen = np.random.default_rng(63)
+        centers, radii = gen.normal(size=(4, 2)), gen.uniform(0.1, 1.0, 4)
+        base_centers, base_radii = self.BASE.centers.copy(), self.BASE.radii.copy()
+        out = self.BASE.extended(centers, radii)
+        want_centers = np.vstack([self.BASE.centers, centers])
+        assert out.centers.tobytes() == want_centers.tobytes()
+        assert out.centers.shape == want_centers.shape
+        assert out.radii.tobytes() == np.concatenate([self.BASE.radii, radii]).tobytes()
+        assert out.centers.dtype == out.radii.dtype == np.float64
+        assert self.BASE.centers.tobytes() == base_centers.tobytes()
+        assert self.BASE.radii.tobytes() == base_radii.tobytes()
+        out.centers[0] = 99.0
+        assert self.BASE.centers[0, 0] == 1.0
+
+    def test_nothing_appended_returns_the_same_set(self):
+        assert self.BASE.extended(np.empty((0, 2)), np.empty(0)) is self.BASE
+
+    @pytest.mark.parametrize("radius", [0.0, -0.2])
+    def test_non_positive_radius_raises(self, radius):
+        with pytest.raises(ValueError, match="positive"):
+            self.BASE.extended(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.2, radius]))
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="matching length"):
+            self.BASE.extended(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.2]))
+
+    def test_bad_shape_raises(self):
+        with pytest.raises(ValueError, match="shape"):
+            self.BASE.extended(np.array([[0.0, 0.0, 1.0]]), np.array([0.2]))
 
 
 class TestLidarConfig:
