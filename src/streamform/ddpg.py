@@ -18,7 +18,7 @@ without one they allocate fresh arrays and the caller may keep them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -355,17 +355,20 @@ class Adam:
     """Standard Adam over one flat parameter vector (``MlpParams.flat``),
     so a step is a handful of whole-vector operations."""
 
-    def __init__(self, size: int, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, size: int):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
     def step(self, param: np.ndarray, grad: np.ndarray, lr: float, scratch: np.ndarray) -> None:
         """One in-place update of ``param``; ``scratch`` is a (2, n) array
         with n at least ``param.size``."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         corr1 = 1.0 - b1**self.t
         corr2 = 1.0 - b2**self.t
         m, v = self.m, self.v
@@ -381,7 +384,7 @@ class Adam:
         s *= lr
         np.divide(v, corr2, out=r)
         np.sqrt(r, out=r)
-        r += self.eps
+        r += self.EPS
         param -= np.divide(s, r, out=s)
 
 
@@ -545,20 +548,24 @@ class DdpgLearner:
         )
         _, c_loss = critic_loss_grads(self.critic, obs, act, targets, ws)
         self._require_finite(c_loss, "critic loss")
+        self._require_finite(ws.critic.grad, "critic gradient")
         self.critic_opt.step(self.critic.flat, ws.critic.grad, cfg.critic_lr, ws.scratch)
         _, a_obj = actor_objective_grads(self.actor, self.critic, obs, ws)
         self._require_finite(a_obj, "actor objective")
+        self._require_finite(ws.actor.grad, "actor gradient")
         self.actor_opt.step(self.actor.flat, ws.actor.grad, cfg.actor_lr, ws.scratch)
         soft_update(self.target_actor, self.actor, cfg.tau, ws.scratch[0])
         soft_update(self.target_critic, self.critic, cfg.tau, ws.scratch[0])
         self.train_steps += 1
         return {"critic_loss": c_loss, "actor_q": a_obj}
 
-    def _require_finite(self, value: float, what: str) -> None:
-        """Raise before the Adam step that would apply a non-finite value."""
-        if not math.isfinite(value):
+    def _require_finite(self, value, what: str) -> None:
+        """Raise before the Adam step that would apply a non-finite value
+        (a scalar or a gradient vector)."""
+        if not np.isfinite(value).all():
+            shown = value if np.ndim(value) == 0 else "not finite"
             raise FloatingPointError(
-                f"train step {self.train_steps}: {what} is {value}; its update is not applied"
+                f"train step {self.train_steps}: {what} is {shown}; its update is not applied"
             )
 
     def network_arrays(self) -> dict[str, np.ndarray]:
@@ -574,11 +581,11 @@ class DdpgLearner:
                 named[f"{prefix}.b{i}"] = b
         return named
 
-    def save(self, path, config_echo: dict | None = None) -> None:
+    def save(self, path) -> None:
         meta = {
             "train_steps": self.train_steps,
             "obs_dim": self.obs_dim,
-            "config": config_echo or {},
+            "config": asdict(self.cfg),
         }
         save_checkpoint(path, self.network_arrays(), meta)
 

@@ -46,9 +46,6 @@ class Vec2:
     def __neg__(self) -> "Vec2":
         return Vec2(-self.x, -self.y)
 
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 

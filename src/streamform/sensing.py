@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geom import Angle, Vec2, wrap_angle
+from .geom import Angle, Vec2
 
 # contiguous detections narrower than this many rays are discarded
 # (minimum obstacle footprint guarantees at least three rays on a hit)
@@ -83,28 +83,24 @@ class LidarScan:
         return Vec2(d * math.cos(a), d * math.sin(a))
 
 
+def _check_circles(centers: np.ndarray, radii: np.ndarray) -> None:
+    """Raise ValueError unless (n, 2) centers and (n,) radii describe real
+    circles: a NaN one would miss every ray and vanish from the scan."""
+    if len(centers) != len(radii):
+        raise ValueError("centers and radii must have matching length")
+    if not np.isfinite(centers).all():
+        raise ValueError("obstacle centers must be finite")
+    if not ((radii > 0) & (radii < np.inf)).all():
+        raise ValueError("obstacle radii must be positive and finite")
+
+
 class ObstacleSet:
     """Circular obstacles stored as flat arrays for vectorized ray casts."""
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray):
         self.centers = np.asarray(centers, dtype=float).reshape(-1, 2)
         self.radii = np.asarray(radii, dtype=float).reshape(-1)
-        if len(self.centers) != len(self.radii):
-            raise ValueError("centers and radii must have matching length")
-        if np.any(self.radii <= 0):
-            raise ValueError("obstacle radii must be positive")
-
-    @classmethod
-    def from_list(cls, items: list[tuple[Vec2, float]]) -> "ObstacleSet":
-        if not items:
-            return cls.empty()
-        centers = np.array([[c.x, c.y] for c, _ in items])
-        radii = np.array([r for _, r in items])
-        return cls(centers, radii)
-
-    @classmethod
-    def empty(cls) -> "ObstacleSet":
-        return cls(np.empty((0, 2)), np.empty(0))
+        _check_circles(self.centers, self.radii)
 
     def __len__(self) -> int:
         return len(self.radii)
@@ -118,10 +114,7 @@ class ObstacleSet:
         # this set's own arrays were checked when it was built
         if centers.ndim != 2 or centers.shape[1] != 2 or radii.ndim != 1:
             raise ValueError("centers must have shape (n, 2) and radii shape (n,)")
-        if len(centers) != len(radii):
-            raise ValueError("centers and radii must have matching length")
-        if (radii <= 0).any():
-            raise ValueError("obstacle radii must be positive")
+        _check_circles(centers, radii)
         out = ObstacleSet.__new__(ObstacleSet)
         out.centers = np.concatenate([self.centers, centers])
         out.radii = np.concatenate([self.radii, radii])
@@ -252,12 +245,7 @@ class CommsView:
     broadcast: list[tuple[float, float] | None]
 
 
-def neighbor_observations(
-    positions: list[Vec2],
-    connection_zone: float,
-    noise_std: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> CommsView:
+def neighbor_observations(positions: list[Vec2], connection_zone: float) -> CommsView:
     """Relative-position links between agents within the connection zone.
 
     Agent 0 is the navigator; its broadcast (distance and bearing from the
@@ -276,23 +264,17 @@ def neighbor_observations(
     while size != (size := np.count_nonzero(reached)):
         reached |= adjacency[reached].any(axis=0)
 
-    # every link i -> j in row order, then the broadcast links 0 -> i; the
-    # noise is drawn in that order, range before bearing on each link
+    # every link i -> j in row order, then the broadcast links 0 -> i
     rows, cols = np.nonzero(adjacency)
     heard = np.flatnonzero(reached[1:]) + 1
     src = np.concatenate([rows, np.zeros_like(heard)])
     dst = np.concatenate([cols, heard])
-    noisy = noise_std > 0.0 and rng is not None
-    noise = rng.normal(0.0, noise_std, size=(len(src), 2)).tolist() if noisy else None
-    links = []
-    for k, (d, dx, dy) in enumerate(
-        zip(dist[src, dst].tolist(), diff[src, dst, 0].tolist(), diff[src, dst, 1].tolist())
-    ):
-        theta = math.atan2(dy, dx)
-        if noisy:
-            d = max(0.0, d + noise[k][0])
-            theta = wrap_angle(theta + noise[k][1])
-        links.append((d, theta))
+    links = [
+        (d, math.atan2(dy, dx))
+        for d, dx, dy in zip(
+            dist[src, dst].tolist(), diff[src, dst, 0].tolist(), diff[src, dst, 1].tolist()
+        )
+    ]
 
     neighbors: list[dict[int, tuple[float, float]]] = [{} for _ in range(n)]
     for i, j, link in zip(rows.tolist(), cols.tolist(), links):

@@ -472,6 +472,24 @@ class TestNonFinite:
         assert_same_networks_as(learner, before)
         assert learner.critic_opt.t == learner.actor_opt.t == 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_train_step_refuses_non_finite_gradients(self):
+        # a huge but finite input times a zero weight keeps the loss finite,
+        # while that weight's gradient (input times upstream gradient) overflows
+        cfg = TrainerConfig(batch_size=32, buffer_capacity=64, hidden=(8, 8))
+        rng = np.random.default_rng(40)
+        learner = DdpgLearner(obs_dim=4, cfg=cfg, rng=rng)
+        learner.critic.weights[0][0, :] = 0.0
+        for _ in range(64):
+            obs = rng.normal(size=4)
+            obs[0] = 1e308
+            learner.record(obs, rng.dirichlet(np.ones(3)), 1e3, rng.normal(size=4), False)
+        before = {k: v.tobytes() for k, v in learner.network_arrays().items()}
+        with pytest.raises(FloatingPointError, match="critic gradient is not finite"):
+            learner.train_step(rng)
+        assert {k: v.tobytes() for k, v in learner.network_arrays().items()} == before
+        assert learner.critic_opt.t == learner.actor_opt.t == 0
+
 
 def finite_difference_grads(f, arrays, h=1e-5):
     grads = []
@@ -533,10 +551,12 @@ class TestCheckpoint:
         cfg = small_config()
         learner = DdpgLearner(obs_dim=7, cfg=cfg, rng=np.random.default_rng(17))
         path = tmp_path / "net.ckpt"
-        learner.save(path, config_echo={"note": "test"})
+        learner.save(path)
         nets, meta = load_learner_networks(path)
         assert meta["train_steps"] == 0
         assert meta["obs_dim"] == 7
+        echoed = meta["config"]
+        assert TrainerConfig(**{**echoed, "hidden": tuple(echoed["hidden"])}) == cfg
         for name, net in nets.items():
             orig = getattr(learner, name)
             for a, b in zip(net.arrays(), orig.arrays()):

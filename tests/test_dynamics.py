@@ -7,7 +7,6 @@ from streamform.dynamics import (
     AgentState,
     ControlInput,
     Limits,
-    StateNoise,
     arc_displacement,
     clamp_controls,
     step,
@@ -16,9 +15,6 @@ from streamform.geom import Vec2
 
 LIM = Limits(v_max=0.5, omega_max=0.2, a_max=0.5, beta_max=0.5)
 NO_U = ControlInput(0.0, 0.0)
-
-# follower state-noise covariance used throughout the simulator
-NOISE_DIAG = (1e-2, 1e-2, 1e-4, 3.2e-4, 3.2e-6)
 
 
 def test_straight_line_step():
@@ -91,11 +87,10 @@ def test_arc_taylor_agrees_with_exact_at_threshold():
 
 def test_speed_stays_nonnegative_and_bounded():
     rng = np.random.default_rng(0)
-    noise = StateNoise.from_diagonal(NOISE_DIAG)
     s = AgentState()
     for _ in range(500):
         u = clamp_controls(rng.uniform(-2, 2), rng.uniform(-2, 2), LIM)
-        s = step(s, u, 0.1, LIM, noise, rng)
+        s = step(s, u, 0.1, LIM)
         assert 0.0 <= s.v <= LIM.v_max
         assert abs(s.omega) <= LIM.omega_max
         assert -math.pi < s.alpha <= math.pi
@@ -107,39 +102,6 @@ def test_noiseless_determinism():
     a = step(s, u, 0.1, LIM)
     b = step(s, u, 0.1, LIM)
     assert a == b
-
-
-def test_noise_variances_match_covariance():
-    # mid-range state so no clamp truncates the samples
-    s = AgentState(Vec2(0, 0), v=0.25, alpha=0.0, omega=0.0)
-    noise = StateNoise.from_diagonal(NOISE_DIAG)
-    rng = np.random.default_rng(123)
-    base = step(s, NO_U, 0.1, LIM)
-    n = 100_000
-    deltas = np.empty((n, 5))
-    for i in range(n):
-        out = step(s, NO_U, 0.1, LIM, noise, rng)
-        deltas[i] = (
-            out.position.x - base.position.x,
-            out.position.y - base.position.y,
-            out.v - base.v,
-            out.alpha - base.alpha,
-            out.omega - base.omega,
-        )
-    sample_var = deltas.var(axis=0)
-    np.testing.assert_allclose(sample_var, NOISE_DIAG, rtol=0.05)
-
-
-def test_state_noise_validation():
-    with pytest.raises(ValueError):
-        StateNoise(np.ones((4, 4)))
-    bad = np.zeros((5, 5))
-    bad[0, 1] = 1.0  # asymmetric
-    with pytest.raises(ValueError):
-        StateNoise(bad)
-    neg = -np.eye(5)
-    with pytest.raises(ValueError):
-        StateNoise(neg)
 
 
 def test_nonpositive_dt_rejected():

@@ -27,7 +27,10 @@ PARAMS = StreamParams()
 
 
 def scan_of(world_obstacles, pos=Vec2(0, 0), heading=0.0):
-    return raycast(pos, heading, ObstacleSet.from_list(world_obstacles), CFG)
+    """Noise-free scan of a world given as (center, radius) pairs."""
+    centers = [[c.x, c.y] for c, _ in world_obstacles]
+    radii = [r for _, r in world_obstacles]
+    return raycast(pos, heading, ObstacleSet(centers, radii), CFG)
 
 
 def make_scan(distances):
@@ -339,7 +342,7 @@ class TestMirrorProperty:
 def steer_along_streamlines(obstacle_y, steps=140, gain=3.0):
     """Kinematic particle steered by a proportional law on the stream error."""
     center, r = Vec2(1.5, obstacle_y), 0.3
-    world = ObstacleSet.from_list([(center, r)])
+    world = ObstacleSet([[center.x, center.y]], [r])
     pos, heading, v, dt = Vec2(0.0, 0.0), 0.0, 0.3, 0.1
     avoider = StreamAvoider(PARAMS)
     headings = [heading]
