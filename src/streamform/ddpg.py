@@ -305,20 +305,32 @@ class TrainerConfig:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform sampling."""
+    """Fixed-capacity ring of transitions with uniform sampling.
+
+    A transition is one row of ``rows``, ``[obs | act | rew | obs_next |
+    done]``, and ``obs`` to ``done`` are column views of it. One allocation,
+    not five: at the default capacity (about 360 MB) it is far above glibc's
+    mmap threshold (at most 32 MB), so it is mapped lazily and only written
+    rows become resident. Per-field arrays of 8-24 MB could fall below a
+    threshold raised by a freed learner and come from reused heap, where
+    calloc zero-fills, and so makes resident, every page.
+    """
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int = ACTION_DIM):
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim))
-        self.act = np.zeros((capacity, act_dim))
-        self.rew = np.zeros(capacity)
-        self.obs_next = np.zeros((capacity, obs_dim))
-        self.done = np.zeros(capacity)
+        self.obs_dim, self.act_dim = obs_dim, act_dim
+        self.rows = np.zeros((capacity, 2 * obs_dim + act_dim + 2))
+        self.obs, self.act, self.rew, self.obs_next, self.done = self.fields(self.rows)
         self._next = 0
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
+
+    def fields(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(obs, act, rew, obs_next, done) column views of transition rows."""
+        o, e = self.obs_dim, self.obs_dim + self.act_dim
+        return rows[:, :o], rows[:, o:e], rows[:, e], rows[:, e + 1 : -1], rows[:, -1]
 
     def add(self, obs, act, rew: float, obs_next, done: bool) -> None:
         """Store one transition. A non-finite field raises ValueError and
@@ -337,18 +349,14 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator, out=None):
-        """Uniformly drawn (obs, act, rew, obs_next, done) rows, written into
-        the five arrays of ``out`` when given."""
+        """Uniformly drawn rows as the five field views; the rows are
+        written into the (batch_size, width) array ``out`` when given."""
         if self._size < batch_size:
             raise ValueError(f"buffer holds {self._size} < batch {batch_size}")
         idx = rng.integers(0, self._size, size=batch_size)
         # every index is in range, and mode="clip" lets take write straight
         # into ``out`` where the default mode would copy through a temporary
-        sources = (self.obs, self.act, self.rew, self.obs_next, self.done)
-        return tuple(
-            np.take(src, idx, axis=0, out=dst, mode="clip")
-            for src, dst in zip(sources, out or (None,) * 5)
-        )
+        return self.fields(np.take(self.rows, idx, axis=0, out=out, mode="clip"))
 
 
 class Adam:
@@ -481,10 +489,11 @@ class TrainWorkspace:
     """Every batch-sized array one ``train_step`` writes; see the module
     docstring for the rule.
 
-    Besides the two networks' buffers: ``sample`` receives the replay rows,
-    ``targets`` the TD targets, ``err`` the TD errors, ``dlogits`` the
-    actor's output gradient; ``vec`` and ``col`` are (batch,) and
-    (batch, 1) scratch, and ``scratch`` serves Adam and the soft update.
+    Besides the two networks' buffers: ``sample`` receives whole replay
+    rows (one take; see ``ReplayBuffer``), ``targets`` the TD targets,
+    ``err`` the TD errors, ``dlogits`` the actor's output gradient; ``vec``
+    and ``col`` are (batch,) and (batch, 1) scratch, and ``scratch`` serves
+    Adam and the soft update.
     """
 
     def __init__(self, batch: int, actor: MlpParams, critic: MlpParams):
@@ -494,13 +503,7 @@ class TrainWorkspace:
         # the critic's input rows are built here, and its input gradient
         # lands here in the actor update; the actor needs neither
         self.critic.fwd[0] = np.empty((batch, critic.in_dim))
-        self.sample = (
-            np.empty((batch, obs_dim)),
-            np.empty((batch, act_dim)),
-            np.empty(batch),
-            np.empty((batch, obs_dim)),
-            np.empty(batch),
-        )
+        self.sample = np.empty((batch, 2 * obs_dim + act_dim + 2))
         self.targets = np.empty(batch)
         self.err = np.empty(batch)
         self.vec = np.empty(batch)

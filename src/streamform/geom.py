@@ -43,9 +43,6 @@ class Vec2:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 

@@ -196,7 +196,7 @@ def _read_side(
         cyl = default_cylinder(scan, m)
         degenerate = True
     # the agent sits at -center in the cylinder frame
-    c_current = stream_value(-cyl.center, cyl.radius, params.flow_strength)
+    c_current = stream_value(Vec2(-cyl.center.x, -cyl.center.y), cyl.radius, params.flow_strength)
     m_distance = max(float(scan.distances[m]), MIN_M_DISTANCE)
     return SideReading(
         interval=interval,

@@ -28,9 +28,11 @@ def test_layer_calls_exist(name):
     assert callable(getattr(adapter, name, None)), name
 
 
-@pytest.mark.parametrize("workload", ["obstacle_course", "swarm"])
+@pytest.mark.parametrize("workload", ["train", "obstacle_course", "swarm"])
 def test_workload_runs_with_its_checks(workload, tmp_path):
+    # train also records, samples and trains while it is built
     wl = episode.Workload(workload, seed=1, out_dir=tmp_path)
+    steps_at_setup = wl.stats.steps
     for _ in range(40):
         wl.step()  # raises episode.CheckFailed on a failed output check
-    assert wl.stats.steps == 40
+    assert wl.stats.steps == steps_at_setup + 40

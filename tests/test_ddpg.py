@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import streamform
 from streamform.checkpoint import FORMAT_TAG, VERSION
 from streamform.dynamics import Limits
 from streamform.ddpg import (
@@ -208,6 +211,79 @@ class TestReplayBuffer:
         assert counts.sum() == draws
         _, p = stats.chisquare(counts)
         assert p > 0.01
+
+
+# Builds six default learners (1M-row buffers), each while the previous one
+# is still alive, and prints the peak RSS in MB after each is filled and
+# trained. It reads VmHWM, the peak of this process's own memory map:
+# ru_maxrss of a spawned child starts at its parent's peak, so under a large
+# pytest process it would hide any growth below that.
+REBUILD_SCRIPT = """
+import json, re
+import numpy as np
+from streamform.ddpg import DdpgLearner, TrainerConfig
+
+rng = np.random.default_rng(0)
+learner, peaks = None, []
+for _ in range(6):
+    learner = DdpgLearner(20, TrainerConfig(), rng)
+    while not learner.ready():
+        learner.record(rng.normal(size=20), rng.dirichlet(np.ones(3)), rng.normal(),
+                       rng.normal(size=20), False)
+    for _ in range(3):
+        learner.train_step(rng)
+    status = open("/proc/self/status").read()
+    peaks.append(int(re.search(r"VmHWM:\\s*(\\d+) kB", status).group(1)) / 1024)
+print(json.dumps(peaks))
+"""
+
+
+class TestReplayLayout:
+    def test_row_holds_the_fields_in_order(self):
+        buf = ReplayBuffer(capacity=4, obs_dim=2)
+        buf.add([1.0, 2.0], [3.0, 4.0, 5.0], 6.0, [7.0, 8.0], True)
+        np.testing.assert_array_equal(buf.rows[0], [1, 2, 3, 4, 5, 6, 7, 8, 1])
+
+    def test_sampled_fields_equal_the_added_transition(self):
+        buf = ReplayBuffer(capacity=16, obs_dim=3)
+        rng = np.random.default_rng(41)
+        added = {}
+        for k in range(16):
+            t = (
+                np.array([k, *rng.normal(size=2)]), rng.dirichlet(np.ones(3)),
+                rng.normal(), rng.normal(size=3), bool(k % 2),
+            )
+            buf.add(*t)
+            added[k] = t
+        obs, act, rew, obs_next, done = buf.sample(16, rng)
+        for j in range(16):
+            o, a, r, o2, d = added[int(obs[j, 0])]
+            np.testing.assert_array_equal(obs[j], o)
+            np.testing.assert_array_equal(act[j], a)
+            assert rew[j] == r and done[j] == float(d)
+            np.testing.assert_array_equal(obs_next[j], o2)
+
+    def test_sample_into_workspace_equals_allocating_sample(self):
+        learner, _ = filled_learner(42)
+        ws, n = learner.workspace, learner.cfg.batch_size
+        fresh = learner.buffer.sample(n, np.random.default_rng(43))
+        into = learner.buffer.sample(n, np.random.default_rng(43), ws.sample)
+        for a, b in zip(fresh, into):
+            assert np.shares_memory(b, ws.sample)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_rebuilt_learners_keep_unwritten_rows_off_resident_memory(self):
+        # a 1M-row buffer must cost resident memory only for the rows
+        # written, however the allocator reuses a freed learner's memory
+        src = os.path.dirname(os.path.dirname(streamform.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", REBUILD_SCRIPT], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        peaks = json.loads(done.stdout)
+        assert peaks[-1] - peaks[1] < 10.0, peaks
 
 
 class TestTargets:
