@@ -2,7 +2,8 @@
 
 Layout: one JSON header line (format tag, metadata, array directory with
 shapes/dtypes/offsets, SHA-256 digest of the body) followed by the
-concatenated row-major float64 buffers. No timestamps or other run-varying
+concatenated row-major buffers, each in its own dtype: float32 or float64
+(anything else is written as float64). No timestamps or other run-varying
 bytes, so identical runs produce identical files.
 """
 
@@ -19,6 +20,7 @@ import numpy as np
 FORMAT_TAG = "streamform-checkpoint"
 VERSION = 2
 ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes")
+DTYPES = ("float32", "float64")
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
@@ -27,13 +29,14 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
     blobs = []
     offset = 0
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
+        arr = np.asarray(arrays[name])
+        arr = np.ascontiguousarray(arr, arr.dtype if arr.dtype.name in DTYPES else np.float64)
         blob = arr.tobytes()
         entries.append(
             {
                 "name": name,
                 "shape": list(arr.shape),
-                "dtype": "float64",
+                "dtype": arr.dtype.name,
                 "offset": offset,
                 "nbytes": len(blob),
             }
@@ -83,18 +86,21 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             named = f" ({entry['name']!r})" if "name" in entry else ""
             raise ValueError(f"{path}: array entry {k}{named} lacks {', '.join(lacking)}")
         name, shape = entry["name"], entry["shape"]
-        start, n = entry["offset"], entry["nbytes"]
-        if entry["dtype"] != "float64" or n != math.prod(shape) * 8:
+        start, n, dtype = entry["offset"], entry["nbytes"], entry["dtype"]
+        if dtype not in DTYPES:
+            raise ValueError(f"{path}: array {name!r} has dtype {dtype!r}, not one of {DTYPES}")
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if n != size:
             raise ValueError(
-                f"{path}: array {name!r} declares {n} bytes of {entry['dtype']}"
-                f" for shape {shape}; expected {math.prod(shape) * 8} bytes of float64"
+                f"{path}: array {name!r} declares {n} bytes of {dtype}"
+                f" for shape {shape}; expected {size} bytes"
             )
         if start < 0 or start + n > len(body):
             raise ValueError(
                 f"{path}: array {name!r} needs bytes {start}..{start + n}"
                 f" but the body holds {len(body)} (truncated?)"
             )
-        arr = np.frombuffer(body[start : start + n], dtype=np.float64).copy()
+        arr = np.frombuffer(body[start : start + n], dtype=dtype).copy()
         arrays[name] = arr.reshape(shape)
     if hashlib.sha256(body).hexdigest() != header["sha256"]:
         raise ValueError(f"{path}: body does not match the header's sha256 digest (corrupt?)")

@@ -13,6 +13,12 @@ that takes one overwrites what it reads before reading it, and what it
 returns is valid only until the next call. The functions that accept a
 workspace compute exactly what they compute without one, bit for bit;
 without one they allocate fresh arrays and the caller may keep them.
+
+Precision rule: the learner runs in ``DTYPE`` (float32). Buffers, workspace
+and Adam moments take the parameters' dtype and the forward passes cast their
+inputs to it, so every building block also runs in float64 on float64 copies.
+The act paths softmax float64 logits: a float32 softmax misses the simplex by
+about 1e-7, and an action must sum to one far more closely than that.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .dynamics import ControlInput, Limits, clamp_controls
 
 ACTION_DIM = 3
+DTYPE = np.float32
 
 
 def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -42,9 +49,9 @@ def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
 class MlpParams:
     """Per-layer weights (in x out) and biases.
 
-    Construction copies the weights and biases into one contiguous float64
-    vector, ``flat``, in arrays() order; ``weights`` and ``biases`` become
-    views into it, so whole-network updates run on ``flat`` alone.
+    Construction copies the weights and biases into one contiguous vector
+    of their dtype, ``flat``, in arrays() order; ``weights`` and ``biases``
+    become views into it, so whole-network updates run on ``flat`` alone.
     """
 
     weights: list[np.ndarray]
@@ -61,7 +68,7 @@ class MlpParams:
                     f"layer {i} input {w.shape[0]} does not match previous output"
                 )
         arrays = self.arrays()
-        self.flat = np.concatenate([np.ravel(a) for a in arrays]).astype(float, copy=False)
+        self.flat = np.concatenate([np.ravel(a) for a in arrays])
         views = _split(self.flat, [a.shape for a in arrays])
         self.weights, self.biases = views[0::2], views[1::2]
 
@@ -98,19 +105,20 @@ class MlpBuffers:
     is None until a caller that builds the network input in place, or takes
     the input gradient, puts an array there; ``mask[0]`` stays None, since
     layer 0 has no ReLU. ``grads`` are views of one flat gradient vector
-    ``grad`` laid out like ``MlpParams.flat``.
+    ``grad`` laid out like ``MlpParams.flat``. All take the params' dtype.
     """
 
     def __init__(self, params: MlpParams, batch: int):
-        widths = params.widths
-        self.fwd = [None] + [np.empty((batch, d)) for d in widths[1:]]
+        widths, dtype = params.widths, params.flat.dtype
+        self.fwd = [None] + [np.empty((batch, d), dtype) for d in widths[1:]]
         self.mask = [None] + [np.empty((batch, d), dtype=bool) for d in widths[1:-1]]
-        self.grad = np.empty(params.flat.size)
+        self.grad = np.empty(params.flat.size, dtype)
         self.grads = _split(self.grad, [a.shape for a in params.arrays()])
 
 
 def init_mlp(sizes: list[int], rng: np.random.Generator, final_scale: float = 3e-3) -> MlpParams:
-    """He-initialized hidden layers; small uniform final layer."""
+    """He-initialized hidden layers; small uniform final layer (float64
+    draws, rounded to ``DTYPE``)."""
     weights, biases = [], []
     for i in range(len(sizes) - 1):
         fan_in, fan_out = sizes[i], sizes[i + 1]
@@ -118,8 +126,8 @@ def init_mlp(sizes: list[int], rng: np.random.Generator, final_scale: float = 3e
             w = rng.uniform(-final_scale, final_scale, (fan_in, fan_out))
         else:
             w = rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, fan_out))
-        weights.append(w)
-        biases.append(np.zeros(fan_out))
+        weights.append(w.astype(DTYPE))
+        biases.append(np.zeros(fan_out, DTYPE))
     return MlpParams(weights, biases)
 
 
@@ -129,11 +137,12 @@ def mlp_forward(
     """Forward pass; returns output and the per-layer inputs for backprop.
 
     With ``bufs`` every result is written into ``bufs.fwd`` and the output
-    and cache are views of it; ``x`` may itself be ``bufs.fwd[0]``.
+    and cache are views of it; ``x`` (cast to the params' dtype) may itself
+    be ``bufs.fwd[0]``.
     """
     last = len(params.weights) - 1
     fwd = [None] * (last + 2) if bufs is None else bufs.fwd
-    h = np.atleast_2d(np.asarray(x, dtype=float))
+    h = np.atleast_2d(np.asarray(x, dtype=params.flat.dtype))
     cache = [h]
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = np.matmul(h, w, out=fwd[i + 1])
@@ -176,8 +185,11 @@ def mlp_backward(
         if i == 0 and not input_grad:
             return grads, None
         relu = np.greater(cache[i], 0.0, out=mask[i]) if i > 0 else None
-        # cache[i] may be d_in[i]: it is read above and overwritten here
-        da = np.matmul(da, params.weights[i].T, out=d_in[i])
+        # cache[i] may be d_in[i]: it is read above and overwritten here. One
+        # output column makes it an outer product: multiply gives the K=1
+        # matmul's bits, 2.4x faster in float32 at batch 1024
+        w = params.weights[i]
+        da = (np.multiply if w.shape[1] == 1 else np.matmul)(da, w.T, out=d_in[i])
         if i > 0:
             da *= relu
     return grads, da
@@ -228,8 +240,8 @@ def critic_forward(
     params: MlpParams, obs: np.ndarray, action: np.ndarray, bufs: MlpBuffers | None = None
 ) -> np.ndarray:
     """Scalar value of each (observation, action) pair."""
-    obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    action = np.atleast_2d(np.asarray(action, dtype=float))
+    obs = np.atleast_2d(np.asarray(obs, dtype=params.flat.dtype))
+    action = np.atleast_2d(np.asarray(action, dtype=params.flat.dtype))
     x = critic_input(obs, action, None if bufs is None else bufs.fwd[0])
     out, _ = mlp_forward(params, x, bufs)
     return out[:, 0]
@@ -308,18 +320,18 @@ class ReplayBuffer:
     """Fixed-capacity ring of transitions with uniform sampling.
 
     A transition is one row of ``rows``, ``[obs | act | rew | obs_next |
-    done]``, and ``obs`` to ``done`` are column views of it. One allocation,
-    not five: at the default capacity (about 360 MB) it is far above glibc's
-    mmap threshold (at most 32 MB), so it is mapped lazily and only written
-    rows become resident. Per-field arrays of 8-24 MB could fall below a
-    threshold raised by a freed learner and come from reused heap, where
-    calloc zero-fills, and so makes resident, every page.
+    done]``, in ``DTYPE``; ``obs`` to ``done`` are column views of it. One
+    allocation, not five: at the default capacity (about 180 MB) it is far
+    above glibc's mmap threshold (at most 32 MB), so it is mapped lazily and
+    only written rows become resident. Per-field arrays of 4-12 MB could fall
+    below a threshold raised by a freed learner and come from reused heap,
+    where calloc zero-fills, and so makes resident, every page.
     """
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int = ACTION_DIM):
         self.capacity = capacity
         self.obs_dim, self.act_dim = obs_dim, act_dim
-        self.rows = np.zeros((capacity, 2 * obs_dim + act_dim + 2))
+        self.rows = np.zeros((capacity, 2 * obs_dim + act_dim + 2), DTYPE)
         self.obs, self.act, self.rew, self.obs_next, self.done = self.fields(self.rows)
         self._next = 0
         self._size = 0
@@ -333,11 +345,13 @@ class ReplayBuffer:
         return rows[:, :o], rows[:, o:e], rows[:, e], rows[:, e + 1 : -1], rows[:, -1]
 
     def add(self, obs, act, rew: float, obs_next, done: bool) -> None:
-        """Store one transition. A non-finite field raises ValueError and
-        leaves the buffer as it was: one NaN sampled into a batch would
-        turn every network weight into NaN."""
+        """Store one transition. A field not finite as a row holds it (1e39
+        is inf in float32) raises ValueError and leaves the buffer as it was:
+        one NaN sampled into a batch would turn every network weight NaN."""
         for name, value in (("obs", obs), ("act", act), ("rew", rew), ("obs_next", obs_next)):
-            if not np.isfinite(value).all():
+            with np.errstate(over="ignore"):  # the overflow is what is tested for
+                held = np.asarray(value, dtype=self.rows.dtype)
+            if not np.isfinite(held).all():
                 raise ValueError(f"transition has a non-finite {name}: {value!r}")
         i = self._next
         self.obs[i] = obs
@@ -360,16 +374,16 @@ class ReplayBuffer:
 
 
 class Adam:
-    """Standard Adam over one flat parameter vector (``MlpParams.flat``),
-    so a step is a handful of whole-vector operations."""
+    """Standard Adam over one flat parameter vector (``MlpParams.flat``), in
+    its dtype, so a step is a handful of whole-vector operations."""
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, size: int):
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+    def __init__(self, param: np.ndarray):
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
         self.t = 0
 
     def step(self, param: np.ndarray, grad: np.ndarray, lr: float, scratch: np.ndarray) -> None:
@@ -464,7 +478,7 @@ def actor_objective_grads(
     x = critic_input(obs, u, x)
     q, cache_q = mlp_forward(critic, x, c_bufs)
     objective = float(np.mean(q[:, 0]))
-    dq = np.empty((len(obs), 1)) if ws is None else col
+    dq = np.empty((len(obs), 1), q.dtype) if ws is None else col
     dq.fill(1.0 / len(obs))
     _, dx = mlp_backward(critic, cache_q, dq, c_bufs, weight_grads=False)
     du = dx[:, obs.shape[1] :]
@@ -493,23 +507,23 @@ class TrainWorkspace:
     rows (one take; see ``ReplayBuffer``), ``targets`` the TD targets,
     ``err`` the TD errors, ``dlogits`` the actor's output gradient; ``vec``
     and ``col`` are (batch,) and (batch, 1) scratch, and ``scratch`` serves
-    Adam and the soft update.
+    Adam and the soft update. All take the params' dtype.
     """
 
     def __init__(self, batch: int, actor: MlpParams, critic: MlpParams):
-        obs_dim, act_dim = actor.in_dim, actor.out_dim
+        obs_dim, act_dim, dtype = actor.in_dim, actor.out_dim, actor.flat.dtype
         self.actor = MlpBuffers(actor, batch)
         self.critic = MlpBuffers(critic, batch)
         # the critic's input rows are built here, and its input gradient
         # lands here in the actor update; the actor needs neither
-        self.critic.fwd[0] = np.empty((batch, critic.in_dim))
-        self.sample = np.empty((batch, 2 * obs_dim + act_dim + 2))
-        self.targets = np.empty(batch)
-        self.err = np.empty(batch)
-        self.vec = np.empty(batch)
-        self.col = np.empty((batch, 1))
-        self.dlogits = np.empty((batch, act_dim))
-        self.scratch = np.empty((2, max(actor.flat.size, critic.flat.size)))
+        self.critic.fwd[0] = np.empty((batch, critic.in_dim), dtype)
+        self.sample = np.empty((batch, 2 * obs_dim + act_dim + 2), dtype)
+        self.targets = np.empty(batch, dtype)
+        self.err = np.empty(batch, dtype)
+        self.vec = np.empty(batch, dtype)
+        self.col = np.empty((batch, 1), dtype)
+        self.dlogits = np.empty((batch, act_dim), dtype)
+        self.scratch = np.empty((2, max(actor.flat.size, critic.flat.size)), dtype)
 
 
 class DdpgLearner:
@@ -523,17 +537,18 @@ class DdpgLearner:
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
         self.buffer = ReplayBuffer(cfg.buffer_capacity, obs_dim)
-        self.actor_opt = Adam(self.actor.flat.size)
-        self.critic_opt = Adam(self.critic.flat.size)
+        self.actor_opt = Adam(self.actor.flat)
+        self.critic_opt = Adam(self.critic.flat)
         self.workspace = TrainWorkspace(cfg.batch_size, self.actor, self.critic)
         self.train_steps = 0
 
     def act(self, observations: np.ndarray, sigma: float, rng: np.random.Generator):
         """The one shared policy on every follower's observation row, with
-        exploration noise of scale ``sigma`` added to the logits."""
+        exploration noise of scale ``sigma`` added to the float64 logits."""
         logits, _ = mlp_forward(self.actor, observations)
+        logits = logits.astype(np.float64)
         if sigma > 0.0:
-            logits = logits + rng.normal(0.0, sigma, size=logits.shape)
+            logits += rng.normal(0.0, sigma, size=logits.shape)
         return softmax(logits)
 
     def record(self, obs, act, rew, obs_next, done: bool) -> None:
@@ -632,5 +647,6 @@ class ActorPolicy:
         return cls(params)
 
     def act(self, observations: np.ndarray) -> np.ndarray:
-        return actor_forward(self.params, observations)
+        logits, _ = mlp_forward(self.params, observations)
+        return softmax(logits.astype(np.float64))
 

@@ -4,16 +4,18 @@ import re
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import streamform
-from streamform.checkpoint import FORMAT_TAG, VERSION
+from streamform.checkpoint import FORMAT_TAG, VERSION, load_checkpoint, save_checkpoint
 from streamform.dynamics import Limits
 from streamform.ddpg import (
     ACTION_DIM,
+    DTYPE,
     ActorPolicy,
     Adam,
     DdpgLearner,
@@ -53,10 +55,17 @@ def small_config(**kw):
     return TrainerConfig(**defaults)
 
 
+def float64(net):
+    """An exact float64 copy of a network."""
+    return MlpParams(
+        [w.astype(np.float64) for w in net.weights], [b.astype(np.float64) for b in net.biases]
+    )
+
+
 class TestActorForward:
     def test_simplex_invariant(self):
         rng = np.random.default_rng(0)
-        net = init_mlp([6, 16, ACTION_DIM], rng)
+        net = float64(init_mlp([6, 16, ACTION_DIM], rng))
         obs = rng.normal(size=(50, 6))
         u = actor_forward(net, obs)
         assert np.all(u >= 0)
@@ -147,7 +156,9 @@ class TestExplorationNoise:
         obs = rng.normal(size=(4, 6))
         state = rng.bit_generator.state
         logits, _ = mlp_forward(learner.actor, obs)
-        np.testing.assert_array_equal(learner.act(obs, 0.0, rng), softmax(logits))
+        np.testing.assert_array_equal(
+            learner.act(obs, 0.0, rng), softmax(logits.astype(np.float64))
+        )
         assert rng.bit_generator.state == state
 
     def test_noise_variance(self):
@@ -173,8 +184,21 @@ class TestExplorationNoise:
         np.testing.assert_array_equal(u[0], u[1])
         np.testing.assert_array_equal(u[0], u[2])
 
+    def test_act_paths_return_float64_rows_on_the_simplex(self):
+        learner = self.learner(13)
+        obs = np.random.default_rng(13).normal(size=(200, 6)) * 50.0
+        rng = np.random.default_rng(14)
+        for u in (
+            learner.act(obs, 0.0, rng), learner.act(obs, 2.0, rng),
+            ActorPolicy(learner.actor).act(obs),
+        ):
+            assert u.dtype == np.float64
+            assert np.all(u >= 0)
+            np.testing.assert_allclose(u.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
     def test_sigma_zero_matches_actor_forward(self):
         learner = self.learner(10)
+        learner.actor = float64(learner.actor)
         rng = np.random.default_rng(10)
         obs = rng.normal(size=(5, 6))
         np.testing.assert_array_equal(
@@ -258,10 +282,10 @@ class TestReplayLayout:
         obs, act, rew, obs_next, done = buf.sample(16, rng)
         for j in range(16):
             o, a, r, o2, d = added[int(obs[j, 0])]
-            np.testing.assert_array_equal(obs[j], o)
-            np.testing.assert_array_equal(act[j], a)
-            assert rew[j] == r and done[j] == float(d)
-            np.testing.assert_array_equal(obs_next[j], o2)
+            np.testing.assert_array_equal(obs[j], o.astype(DTYPE))
+            np.testing.assert_array_equal(act[j], a.astype(DTYPE))
+            assert rew[j] == DTYPE(r) and done[j] == float(d)
+            np.testing.assert_array_equal(obs_next[j], o2.astype(DTYPE))
 
     def test_sample_into_workspace_equals_allocating_sample(self):
         learner, _ = filled_learner(42)
@@ -295,7 +319,7 @@ class TestTargets:
         obs2 = rng.normal(size=(6, 4))
         done = np.ones(6)
         y = compute_td_targets(actor, critic, rew, obs2, done, 0.9)
-        np.testing.assert_array_equal(y, rew)
+        np.testing.assert_array_equal(y, rew.astype(DTYPE))
 
     def test_bootstrap_when_not_done(self):
         rng = np.random.default_rng(13)
@@ -332,8 +356,8 @@ class TestTrainStep:
         # critic must fit them ever more closely on a frozen batch
         rng = np.random.default_rng(15)
         critic = init_mlp([4 + ACTION_DIM, 32, 32, 1], rng)
-        opt = Adam(critic.flat.size)
-        scratch = np.empty((2, critic.flat.size))
+        opt = Adam(critic.flat)
+        scratch = np.empty((2, critic.flat.size), critic.flat.dtype)
         obs = rng.normal(size=(64, 4))
         act = rng.dirichlet(np.ones(3), 64)
         rew = rng.normal(size=64)
@@ -392,6 +416,26 @@ def reference_soft_update(target, online, tau):
         t += tau * o
 
 
+def reference_train_step(nets, opts, batch, cfg):
+    """One allocating train step on ``nets`` (any object with the learner's
+    four network attributes) with ``ReferenceAdam`` states ``opts`` =
+    (critic, actor); returns the diagnostics as train_step does."""
+    obs, act, rew, obs_next, done = batch
+    targets = compute_td_targets(
+        nets.target_actor, nets.target_critic, rew, obs_next, done, cfg.gamma
+    )
+    c_grads, c_loss = critic_loss_grads(nets.critic, obs, act, targets)
+    opts[0].step(nets.critic.arrays(), c_grads, cfg.critic_lr)
+    a_grads, a_obj = actor_objective_grads(nets.actor, nets.critic, obs)
+    opts[1].step(nets.actor.arrays(), a_grads, cfg.actor_lr)
+    reference_soft_update(nets.target_actor, nets.actor, cfg.tau)
+    reference_soft_update(nets.target_critic, nets.critic, cfg.tau)
+    return {"critic_loss": c_loss, "actor_q": a_obj}
+
+
+NETWORKS = ("actor", "critic", "target_actor", "target_critic")
+
+
 def filled_learner(seed):
     cfg = small_config(batch_size=64, hidden=(32, 24))
     rng = np.random.default_rng(seed)
@@ -426,19 +470,10 @@ class TestWorkspaceTrainStep:
         ref_actor_opt = ReferenceAdam(ref.actor.arrays())
         for _ in range(50):
             diag = new.train_step(rng_new)
-
-            obs, act, rew, obs_next, done = ref.buffer.sample(cfg.batch_size, rng_ref)
-            targets = compute_td_targets(
-                ref.target_actor, ref.target_critic, rew, obs_next, done, cfg.gamma
-            )
-            c_grads, c_loss = critic_loss_grads(ref.critic, obs, act, targets)
-            ref_critic_opt.step(ref.critic.arrays(), c_grads, cfg.critic_lr)
-            a_grads, a_obj = actor_objective_grads(ref.actor, ref.critic, obs)
-            ref_actor_opt.step(ref.actor.arrays(), a_grads, cfg.actor_lr)
-            reference_soft_update(ref.target_actor, ref.actor, cfg.tau)
-            reference_soft_update(ref.target_critic, ref.critic, cfg.tau)
-
-            assert diag == {"critic_loss": c_loss, "actor_q": a_obj}
+            batch = ref.buffer.sample(cfg.batch_size, rng_ref)
+            opts = (ref_critic_opt, ref_actor_opt)
+            assert diag == reference_train_step(ref, opts, batch, cfg)
+        assert new.actor.flat.dtype == DTYPE
         assert_same_networks(new, ref)
         pairs = ((new.critic_opt, ref_critic_opt), (new.actor_opt, ref_actor_opt))
         for opt, ref_opt in pairs:
@@ -447,6 +482,29 @@ class TestWorkspaceTrainStep:
                 np.testing.assert_array_equal(
                     mine, np.concatenate([x.ravel() for x in theirs])
                 )
+
+    def test_float32_training_tracks_a_float64_reference(self):
+        # the learner against the allocating path on exact float64 copies of
+        # the same networks and batches. float32 rounding gives relative
+        # errors of about 3e-7 (networks) and 2e-7 (diagnostics, as series
+        # over the steps: actor_q crosses zero) over these 50 steps
+        new, rng_new = filled_learner(31)
+        ref, rng_ref = filled_learner(31)
+        cfg = ref.cfg
+        nets = SimpleNamespace(**{name: float64(getattr(ref, name)) for name in NETWORKS})
+        opts = (ReferenceAdam(nets.critic.arrays()), ReferenceAdam(nets.actor.arrays()))
+        mine, theirs = [], []
+        for _ in range(50):
+            mine.append(list(new.train_step(rng_new).values()))
+            batch = [f.astype(np.float64) for f in ref.buffer.sample(cfg.batch_size, rng_ref)]
+            theirs.append(list(reference_train_step(nets, opts, batch, cfg).values()))
+        mine, theirs = np.array(mine), np.array(theirs)
+        errors = np.linalg.norm(mine - theirs, axis=0) / np.linalg.norm(theirs, axis=0)
+        assert np.all(errors < 1e-4), errors
+        for name in NETWORKS:
+            flat32, flat64 = getattr(new, name).flat, getattr(nets, name).flat
+            assert flat32.dtype == DTYPE
+            assert np.linalg.norm(flat32 - flat64) < 1e-5 * np.linalg.norm(flat64), name
 
     def test_shared_workspace_leaks_no_state(self):
         # training two learners interleaved must match training each one on
@@ -491,7 +549,7 @@ class TestWorkspaceTrainStep:
         critic = init_mlp([5 + ACTION_DIM, 16, 12, 1], rng)
         x = rng.normal(size=(40, 5 + ACTION_DIM))
         out, cache = mlp_forward(critic, x)
-        dout = rng.normal(size=out.shape)
+        dout = rng.normal(size=out.shape).astype(out.dtype)
         full_grads, full_dx = mlp_backward(critic, cache, dout)
 
         no_weights, dx = mlp_backward(critic, cache, dout, weight_grads=False)
@@ -513,6 +571,21 @@ class TestWorkspaceTrainStep:
         full_flat = np.concatenate([g.ravel() for g in full_grads])
         np.testing.assert_array_equal(bufs.grad, full_flat)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_column_input_gradient_is_the_matmul_bit_for_bit(self, dtype):
+        # mlp_backward takes a one-column layer's input gradient as an outer
+        # product with multiply, not a K=1 matmul
+        rng = np.random.default_rng(44)
+        for _ in range(50):
+            n_in, batch = int(rng.integers(1, 40)), int(rng.integers(1, 300))
+            head = MlpParams([rng.normal(size=(n_in, 1)).astype(dtype)], [np.zeros(1, dtype)])
+            _, cache = mlp_forward(head, rng.normal(size=(batch, n_in)))
+            dout = rng.normal(size=(batch, 1)).astype(dtype)
+            _, dx = mlp_backward(head, cache, dout, weight_grads=False)
+            expected = np.matmul(dout, head.weights[0].T)
+            assert dx.dtype == expected.dtype == dtype
+            assert dx.tobytes() == expected.tobytes()
+
 
 class TestNonFinite:
     """A non-finite value must raise before it reaches a weight."""
@@ -527,6 +600,18 @@ class TestNonFinite:
             buf.add(**row, done=False)
         assert len(buf) == 1
         assert np.isfinite(buf.obs).all() and np.isfinite(buf.rew).all()
+
+    @pytest.mark.parametrize("field", ["obs", "act", "rew", "obs_next"])
+    def test_buffer_rejects_a_field_that_overflows_the_row_dtype(self, field):
+        # 1e39 is finite as a float64 but would be stored as inf
+        buf = ReplayBuffer(capacity=4, obs_dim=2)
+        row = {"obs": [0.0, 1.0], "act": [1.0, 0.0, 0.0], "rew": 0.5, "obs_next": [1.0, 1.0]}
+        buf.add(**row, done=False)
+        row[field] = 1e39 if field == "rew" else [0.0] * (len(row[field]) - 1) + [1e39]
+        with pytest.raises(ValueError, match=f"non-finite {field}:"):
+            buf.add(**row, done=False)
+        assert len(buf) == 1
+        assert np.isfinite(buf.rows).all()
 
     def test_nan_reward_leaves_the_networks_finite(self):
         learner, rng = filled_learner(38)
@@ -550,15 +635,16 @@ class TestNonFinite:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_train_step_refuses_non_finite_gradients(self):
-        # a huge but finite input times a zero weight keeps the loss finite,
-        # while that weight's gradient (input times upstream gradient) overflows
+        # a huge input, finite in float32, times a zero weight keeps the loss
+        # finite, while that weight's gradient (input times upstream gradient)
+        # overflows
         cfg = TrainerConfig(batch_size=32, buffer_capacity=64, hidden=(8, 8))
         rng = np.random.default_rng(40)
         learner = DdpgLearner(obs_dim=4, cfg=cfg, rng=rng)
         learner.critic.weights[0][0, :] = 0.0
         for _ in range(64):
             obs = rng.normal(size=4)
-            obs[0] = 1e308
+            obs[0] = 1e38
             learner.record(obs, rng.dirichlet(np.ones(3)), 1e3, rng.normal(size=4), False)
         before = {k: v.tobytes() for k, v in learner.network_arrays().items()}
         with pytest.raises(FloatingPointError, match="critic gradient is not finite"):
@@ -598,7 +684,7 @@ class TestGradients:
     def test_critic_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(100 + seed)
         obs_dim = int(rng.integers(2, 6))
-        critic = init_mlp([obs_dim + ACTION_DIM, 6, 5, 1], rng)
+        critic = float64(init_mlp([obs_dim + ACTION_DIM, 6, 5, 1], rng))
         obs = rng.normal(size=(8, obs_dim))
         act = rng.dirichlet(np.ones(3), 8)
         y = rng.normal(size=8)
@@ -612,8 +698,8 @@ class TestGradients:
     def test_actor_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(200 + seed)
         obs_dim = int(rng.integers(2, 6))
-        actor = init_mlp([obs_dim, 6, 5, ACTION_DIM], rng, final_scale=0.5)
-        critic = init_mlp([obs_dim + ACTION_DIM, 6, 5, 1], rng)
+        actor = float64(init_mlp([obs_dim, 6, 5, ACTION_DIM], rng, final_scale=0.5))
+        critic = float64(init_mlp([obs_dim + ACTION_DIM, 6, 5, 1], rng))
         obs = rng.normal(size=(8, obs_dim))
         analytic, _ = actor_objective_grads(actor, critic, obs)
         numeric = finite_difference_grads(
@@ -651,8 +737,50 @@ class TestCheckpoint:
         learner.save(path)
         policy = ActorPolicy.from_checkpoint(path)
         obs = np.random.default_rng(20).normal(size=(6, 4))
-        np.testing.assert_array_equal(policy.act(obs), actor_forward(learner.actor, obs))
+        np.testing.assert_array_equal(policy.act(obs), learner.act(obs, 0.0, None))
 
+    def test_float32_round_trip_keeps_dtype_and_bytes(self, tmp_path):
+        learner, rng = filled_learner(29)
+        learner.train_step(rng)
+        path = tmp_path / "f32.ckpt"
+        learner.save(path)
+        arrays, _ = load_checkpoint(path)
+        live = learner.network_arrays()
+        assert arrays.keys() == live.keys()
+        for name, arr in live.items():
+            assert arr.dtype == DTYPE, name
+            assert arrays[name].dtype == arr.dtype and arrays[name].tobytes() == arr.tobytes()
+
+    def test_float64_checkpoint_loads_into_a_policy_that_acts(self, tmp_path):
+        # float64 arrays are written as every checkpoint was before the
+        # learner ran in float32: 8 bytes an element, dtype "float64"
+        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(30))
+        path = tmp_path / "f64.ckpt"
+        arrays = {k: v.astype(np.float64) for k, v in learner.network_arrays().items()}
+        save_checkpoint(path, arrays, {"train_steps": 0})
+        raw = path.read_bytes()
+        entries = json.loads(raw[: raw.index(b"\n")])["arrays"]
+        assert {e["dtype"] for e in entries} == {"float64"}
+        policy = ActorPolicy.from_checkpoint(path)
+        assert policy.params.flat.dtype == np.float64
+        obs = np.random.default_rng(31).normal(size=(6, 4))
+        u = policy.act(obs)
+        np.testing.assert_array_equal(u, actor_forward(float64(learner.actor), obs))
+        np.testing.assert_allclose(u.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_float16_entry_rejected(self, tmp_path):
+        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(32))
+        path = tmp_path / "f16.ckpt"
+        learner.save(path)
+        header = self._rewrite_header(path)
+        entry = header["arrays"][0]
+        entry["dtype"], entry["nbytes"] = "float16", entry["nbytes"] // 2
+        self._rewrite_header(path, arrays=header["arrays"])
+        with pytest.raises(
+            ValueError,
+            match=f"{re.escape(str(path))}: array '{entry['name']}' has dtype 'float16'",
+        ):
+            load_learner_networks(path)
 
     def _rewrite_header(self, path, **changes):
         raw = path.read_bytes()
