@@ -32,29 +32,14 @@ class Vec2:
     x: float
     y: float
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, k: float) -> "Vec2":
-        return Vec2(self.x * k, self.y * k)
-
-    __rmul__ = __mul__
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
     def norm_sq(self) -> float:
         return self.x * self.x + self.y * self.y
-
-    def distance_to(self, other: "Vec2") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def bearing(self) -> Angle:
-        """Angle of this vector from the +x axis."""
-        return math.atan2(self.y, self.x)
 
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +28,9 @@ from .sensing import LidarScan, detect_intervals, split_sides
 # center have no usable stream value
 SINGULARITY_EPS = 1e-9
 
-# fallback cylinder when the three endpoints are collinear: a circle of the
-# minimum obstacle size pushed just past the shortest ray endpoint
+# fallback cylinder when the three endpoints are collinear or circumscribe a
+# circle centred on the agent: a circle of the minimum obstacle size pushed
+# just past the shortest ray endpoint
 DEFAULT_CYL_PAD = 0.1
 DEFAULT_CYL_RADIUS = 0.1
 
@@ -112,19 +112,9 @@ def stream_value(p_rel: Vec2, radius: float, flow_strength: float = 1.0) -> floa
     return flow_strength * p_rel.y * (1.0 - radius * radius / rho_sq)
 
 
-def estimate_cylinder(p_start: Vec2, p_mid: Vec2, p_end: Vec2) -> VirtualCylinder:
-    """Fit a cylinder through three interval endpoints via the circumcenter.
-
-    Raises DegenerateTriangle when the endpoints are collinear; the caller
-    substitutes default_cylinder per the fallback rule.
-    """
-    center, radius = circumcenter(p_start, p_mid, p_end)
-    return VirtualCylinder(center, radius)
-
-
 def default_cylinder(scan: LidarScan, m_index: int) -> VirtualCylinder:
-    """Fallback when no triangle can be formed: minimum-size circle pushed
-    DEFAULT_CYL_PAD past the shortest ray endpoint along that ray."""
+    """Fallback when the endpoints fit no usable cylinder: minimum-size circle
+    pushed DEFAULT_CYL_PAD past the shortest ray endpoint along that ray."""
     d = float(scan.distances[m_index]) + DEFAULT_CYL_PAD
     a = float(scan.angles[m_index])
     return VirtualCylinder(Vec2(d * math.cos(a), d * math.sin(a)), DEFAULT_CYL_RADIUS)
@@ -160,41 +150,19 @@ def stream_bound(
     return stream_value(rel, cyl.radius, flow_strength)
 
 
-def avoidance_cost(
-    states: Sequence[AvoidanceState],
-    c_current: Sequence[float | None],
-    m_distances: Sequence[float | None],
-    d_risk: float,
-) -> float:
-    """Sum over active sides of squared stream-value error times the
-    repulsive proximity factor (1/||p_m|| - 1/d_risk)."""
-    total = 0.0
-    for state, c, d_m in zip(states, c_current, m_distances):
-        if not state.avoid:
-            continue
-        if d_m is None or d_m <= 0.0:
-            raise ValueError(f"active side needs a positive shortest distance, got {d_m}")
-        err = c - state.c_desired
-        total += err * err * (1.0 / d_m - 1.0 / d_risk)
-    return total
-
-
 def _read_side(
     scan: LidarScan, interval: tuple[int, int], side: Side, params: StreamParams
 ) -> SideReading:
     start, end = interval
     inner = start if side == Side.LHS else end
     m = shortest_interior_ray(interval, scan)
-    degenerate = False
     try:
-        cyl = estimate_cylinder(scan.endpoint(start), scan.endpoint(m), scan.endpoint(end))
+        center, radius = circumcenter(scan.endpoint(start), scan.endpoint(m), scan.endpoint(end))
+        # a cylinder centred on the agent itself is as unusable as no triangle
+        degenerate = center.norm() < SINGULARITY_EPS
     except DegenerateTriangle:
-        cyl = default_cylinder(scan, m)
         degenerate = True
-    if cyl.center.norm() < SINGULARITY_EPS:
-        # cylinder centered on the agent itself: geometry is unusable
-        cyl = default_cylinder(scan, m)
-        degenerate = True
+    cyl = default_cylinder(scan, m) if degenerate else VirtualCylinder(center, radius)
     # the agent sits at -center in the cylinder frame
     c_current = stream_value(Vec2(-cyl.center.x, -cyl.center.y), cyl.radius, params.flow_strength)
     m_distance = max(float(scan.distances[m]), MIN_M_DISTANCE)
@@ -209,14 +177,6 @@ def _read_side(
     )
 
 
-def _floor_to_bound(c_desired: float, bound: float) -> float:
-    """Availability check: adopt the minimum-clearance streamline whenever
-    the candidate streamline passes closer to the obstacle than it."""
-    if abs(c_desired) < abs(bound):
-        return bound
-    return c_desired
-
-
 def avoidance_update(
     scan: LidarScan,
     states: tuple[AvoidanceState, AvoidanceState],
@@ -226,54 +186,42 @@ def avoidance_update(
 
     Per side: the avoid flag tracks whether a detection interval exists. On
     a rising edge the desired stream value locks to the agent's current
-    stream value (floored in magnitude to the side's bound). While avoiding,
-    the desired value is held as long as the interval's inner angle keeps
-    growing in magnitude (the same obstacle sliding outward as it is
-    passed); if a new obstacle appears in front the desired value re-locks
-    to the current one. A side with no detection resets its memory.
-    """
-    intervals = detect_intervals(scan, params.d_risk)
-    per_side = split_sides(intervals, scan)
+    stream value, floored in magnitude to the side's bound (the
+    minimum-clearance streamline). While avoiding, the desired value is held
+    as long as the interval's inner angle keeps growing in magnitude (the
+    same obstacle sliding outward as it is passed); if a new obstacle appears
+    in front the desired value re-locks to the current one. A side with no
+    detection resets its memory.
 
-    new_states: list[AvoidanceState] = []
-    readings: list[SideReading | None] = []
-    c_now: list[float | None] = []
-    m_dist: list[float | None] = []
+    The cost is the squared stream-value error times the repulsive proximity
+    factor, summed over the active sides:
+    (c_current - c_desired)^2 * (1/m_distance - 1/d_risk).
+    """
+    per_side = split_sides(detect_intervals(scan, params.d_risk), scan)
+    new_states = [AvoidanceState(), AvoidanceState()]
+    readings: list[SideReading | None] = [None, None]
+    cost = 0.0
     for side in (Side.LHS, Side.RHS):
         interval = per_side[side]
-        prev = states[side]
         if interval is None:
-            new_states.append(AvoidanceState())
-            readings.append(None)
-            c_now.append(None)
-            m_dist.append(None)
             continue
-        reading = _read_side(scan, interval, side, params)
+        prev = states[side]
+        rd = _read_side(scan, interval, side, params)
         # same obstacle sliding outward: hold the desired value; otherwise
         # (a rising edge, or a new obstacle in front) lock to the current one
-        hold = (
-            prev.avoid
-            and prev.c_desired is not None
-            and prev.prev_inner_angle is not None
-            and abs(reading.inner_angle) > abs(prev.prev_inner_angle)
-        )
-        if hold:
+        remembered = prev.avoid and prev.c_desired is not None and prev.prev_inner_angle is not None
+        if remembered and abs(rd.inner_angle) > abs(prev.prev_inner_angle):
             c_desired = prev.c_desired
         else:
-            bound = stream_bound(reading.cylinder, params.d_stop, params.flow_strength, side)
-            c_desired = _floor_to_bound(reading.c_current, bound)
-        new_states.append(
-            AvoidanceState(
-                avoid=True, c_desired=c_desired, prev_inner_angle=reading.inner_angle
-            )
+            bound = stream_bound(rd.cylinder, params.d_stop, params.flow_strength, side)
+            c_desired = bound if abs(rd.c_current) < abs(bound) else rd.c_current
+        new_states[side] = AvoidanceState(
+            avoid=True, c_desired=c_desired, prev_inner_angle=rd.inner_angle
         )
-        readings.append(reading)
-        c_now.append(reading.c_current)
-        m_dist.append(reading.m_distance)
-
-    states_out = (new_states[0], new_states[1])
-    cost = avoidance_cost(states_out, c_now, m_dist, params.d_risk)
-    return AvoidanceOutcome(states=states_out, readings=(readings[0], readings[1]), cost=cost)
+        readings[side] = rd
+        err = rd.c_current - c_desired
+        cost += err * err * (1.0 / rd.m_distance - 1.0 / params.d_risk)
+    return AvoidanceOutcome(tuple(new_states), tuple(readings), cost)
 
 
 class StreamAvoider:
@@ -281,13 +229,10 @@ class StreamAvoider:
 
     def __init__(self, params: StreamParams):
         self.params = params
-        self.states: tuple[AvoidanceState, AvoidanceState] = (
-            AvoidanceState(),
-            AvoidanceState(),
-        )
+        self.reset()
 
     def reset(self) -> None:
-        self.states = (AvoidanceState(), AvoidanceState())
+        self.states: tuple[AvoidanceState, AvoidanceState] = (AvoidanceState(), AvoidanceState())
 
     def update(self, scan: LidarScan) -> AvoidanceOutcome:
         outcome = avoidance_update(scan, self.states, self.params)

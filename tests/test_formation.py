@@ -53,10 +53,10 @@ class TestTrackingError:
             pi = Vec2(*rng.uniform(-5, 5, 2))
             eta = Vec2(*rng.uniform(-3, 3, 2))
             direct = (pi - p0) - eta
-            d = pi.distance_to(p0)
-            theta = (pi - p0).bearing()
+            rel = pi - p0
+            d, theta = rel.norm(), math.atan2(rel.y, rel.x)
             via_broadcast = tracking_error(relative_displacement(d, theta), eta)
-            assert via_broadcast.distance_to(direct) < 1e-12
+            assert (via_broadcast - direct).norm() < 1e-12
 
 
 class TestTrackingCost:

@@ -7,16 +7,15 @@ from hypothesis import assume, given, settings, strategies as st
 from streamform.geom import Vec2, circumcenter
 from streamform.sensing import LidarConfig, LidarScan, ObstacleSet, detect_intervals, raycast
 from streamform.stream_avoid import (
+    SINGULARITY_EPS,
     AvoidanceState,
     Side,
     StreamAvoider,
     StreamParams,
     StreamSingularity,
     VirtualCylinder,
-    avoidance_cost,
     avoidance_update,
     default_cylinder,
-    estimate_cylinder,
     shortest_interior_ray,
     stream_bound,
     stream_value,
@@ -70,16 +69,11 @@ class TestStreamValue:
 
 
 class TestEstimateCylinder:
-    def test_delegates_to_circumcenter(self):
-        pts = (Vec2(1, 0.2), Vec2(0.8, 0), Vec2(1, -0.2))
-        cyl = estimate_cylinder(*pts)
-        center, radius = circumcenter(*pts)
-        assert cyl.center == center
-        assert cyl.radius == radius
+    """The cylinder fit: the circumcenter of an interval's three endpoints."""
 
     def test_symmetric_endpoints_center_on_axis(self):
-        cyl = estimate_cylinder(Vec2(1, 0.25), Vec2(0.7, 0.0), Vec2(1, -0.25))
-        assert cyl.center.y == pytest.approx(0.0, abs=1e-12)
+        center, _ = circumcenter(Vec2(1, 0.25), Vec2(0.7, 0.0), Vec2(1, -0.25))
+        assert center.y == pytest.approx(0.0, abs=1e-12)
 
     def test_three_points_on_circle_recover_it(self):
         center, r = Vec2(1.2, -0.4), 0.35
@@ -87,9 +81,9 @@ class TestEstimateCylinder:
             Vec2(center.x + r * math.cos(a), center.y + r * math.sin(a))
             for a in (2.6, 3.1, 3.7)
         ]
-        cyl = estimate_cylinder(*pts)
-        assert cyl.center.distance_to(center) < 1e-12
-        assert cyl.radius == pytest.approx(r, abs=1e-12)
+        got, radius = circumcenter(*pts)
+        assert (got - center).norm() < 1e-12
+        assert radius == pytest.approx(r, abs=1e-12)
 
     def test_noisy_circle_monte_carlo(self):
         # known circle r=0.3 sampled with Gaussian endpoint noise; the
@@ -106,7 +100,7 @@ class TestEstimateCylinder:
                 )
                 for a in angles
             ]
-            return estimate_cylinder(*pts).radius
+            return circumcenter(*pts)[1]
 
         wide = np.array(
             [sample((math.radians(120), math.radians(180), math.radians(240))) for _ in range(1000)]
@@ -171,33 +165,41 @@ class TestStreamBound:
 
 
 class TestAvoidanceCost:
-    def test_zero_when_flags_false(self):
-        states = (AvoidanceState(), AvoidanceState())
-        assert avoidance_cost(states, (None, None), (None, None), 0.7) == 0.0
+    """The cost avoidance_update returns for a side that holds a given
+    desired stream value: an arc of returns at 0.35 m on the right side,
+    whose inner angle is larger in magnitude than the held 0.0."""
+
+    @staticmethod
+    def held(c_desired):
+        scan = make_scan({i: 0.35 for i in range(20, 25)})
+        fresh = (AvoidanceState(), AvoidanceState())
+        rd = avoidance_update(scan, fresh, PARAMS).readings[Side.RHS]
+        held = AvoidanceState(avoid=True, c_desired=c_desired(rd.c_current), prev_inner_angle=0.0)
+        out = avoidance_update(scan, (AvoidanceState(), held), PARAMS)
+        # the side held its desired value rather than re-locking
+        assert out.states[Side.RHS] == AvoidanceState(True, held.c_desired, rd.inner_angle)
+        return out
 
     def test_zero_when_on_desired_streamline(self):
-        st = AvoidanceState(avoid=True, c_desired=-0.37)
-        cost = avoidance_cost((st, AvoidanceState()), (-0.37, None), (0.2, None), 0.7)
-        assert cost == 0.0
+        assert self.held(lambda c: c).cost == 0.0
 
     def test_arithmetic(self):
         # (0.5)^2 * (1/0.35 - 1/0.7) = 0.25 * 10/7 = 5/14
-        st = AvoidanceState(avoid=True, c_desired=0.0)
-        cost = avoidance_cost((st, AvoidanceState()), (0.5, None), (0.35, None), 0.7)
-        assert cost == pytest.approx(5.0 / 14.0, rel=1e-12)
+        assert self.held(lambda c: c - 0.5).cost == pytest.approx(5.0 / 14.0, rel=1e-12)
 
     def test_nonnegative_within_risk_range(self):
         rng = np.random.default_rng(31)
-        for _ in range(1000):
-            st = AvoidanceState(avoid=True, c_desired=float(rng.normal()))
-            c = float(rng.normal())
-            d_m = float(rng.uniform(0.01, 0.7))
-            assert avoidance_cost((st, AvoidanceState()), (c, None), (d_m, None), 0.7) >= 0.0
-
-    def test_active_side_requires_distance(self):
-        st = AvoidanceState(avoid=True, c_desired=0.1)
-        with pytest.raises(ValueError):
-            avoidance_cost((st, AvoidanceState()), (0.2, None), (None, None), 0.7)
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            world = [
+                (Vec2(rng.uniform(-0.5, 2.0), rng.uniform(-1.5, 1.5)), rng.uniform(0.05, 0.6))
+                for _ in range(n)
+            ]
+            held = tuple(
+                AvoidanceState(avoid=True, c_desired=float(rng.normal()), prev_inner_angle=0.0)
+                for _ in range(2)
+            )
+            assert avoidance_update(scan_of(world), held, PARAMS).cost >= 0.0
 
 
 class TestAvoidanceUpdate:
@@ -285,6 +287,20 @@ class TestAvoidanceUpdate:
         expected_center = default_cylinder(scan, rd.m_index).center
         assert rd.cylinder.center == expected_center
 
+    def test_cylinder_centred_on_agent_uses_default_cylinder(self):
+        # a concentric arc: the circumcenter of its endpoints is the agent
+        scan = make_scan({i: 0.5 for i in range(26, 31)})
+        out = avoidance_update(scan, (AvoidanceState(), AvoidanceState()), PARAMS)
+        active = [s for s in (Side.LHS, Side.RHS) if out.readings[s] is not None]
+        assert len(active) == 1
+        rd = out.readings[active[0]]
+        start, end = rd.interval
+        ends = (scan.endpoint(start), scan.endpoint(rd.m_index), scan.endpoint(end))
+        center, _ = circumcenter(*ends)
+        assert center.norm() < SINGULARITY_EPS
+        assert rd.degenerate
+        assert rd.cylinder == default_cylinder(scan, rd.m_index)
+
     def test_missing_memory_treated_as_rising_edge(self):
         scan = scan_of([(Vec2(0.8, 0.35), 0.25)])
         broken = (AvoidanceState(avoid=True, c_desired=None), AvoidanceState())
@@ -300,6 +316,11 @@ class TestAvoidanceUpdate:
         assert out.states[Side.LHS].avoid and out.states[Side.RHS].avoid
         assert out.readings[Side.LHS] is not None
         assert out.readings[Side.RHS] is not None
+        expected = sum(
+            (rd.c_current - st.c_desired) ** 2 * (1 / rd.m_distance - 1 / PARAMS.d_risk)
+            for st, rd in zip(out.states, out.readings)
+        )
+        assert out.cost == pytest.approx(expected, rel=1e-12)
 
 
 
@@ -363,7 +384,7 @@ def steer_along_streamlines(obstacle_y, steps=140, gain=3.0):
         heading += omega * dt
         pos = Vec2(pos.x + v * dt * math.cos(heading), pos.y + v * dt * math.sin(heading))
         headings.append(heading)
-        clearances.append(pos.distance_to(center) - r)
+        clearances.append((pos - center).norm() - r)
     return np.array(headings), np.array(clearances)
 
 
