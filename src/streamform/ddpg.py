@@ -6,13 +6,20 @@ backpropagation and the Adam updates are all hand-rolled here; gradient
 correctness is pinned by finite-difference tests. Rewards are costs, so
 both the critic target regression and the actor update minimize Q.
 
+Layer rule: layer i is one (in + 1, out) matrix ``MlpParams.layers[i]``, its
+weights above its bias row, and every layer input carries a trailing ones
+column, so one matmul applies the weights and adds the bias, and the
+weight-gradient matmul ``input.T @ grad`` returns the weight and bias
+gradients together.
+
 Workspace rule: ``DdpgLearner.train_step`` writes every batch-sized
 intermediate into the learner's own ``TrainWorkspace`` instead of
 allocating it. A workspace holds no state between calls: each function
 that takes one overwrites what it reads before reading it, and what it
 returns is valid only until the next call. The functions that accept a
-workspace compute exactly what they compute without one, bit for bit;
-without one they allocate fresh arrays and the caller may keep them.
+workspace run the same matmuls on the same layouts without one, so they
+compute exactly the same, bit for bit; without one they allocate fresh
+arrays and the caller may keep them.
 
 Precision rule: the learner runs in ``DTYPE`` (float32). Buffers, workspace
 and Adam moments take the parameters' dtype and the forward passes cast their
@@ -50,8 +57,10 @@ class MlpParams:
     """Per-layer weights (in x out) and biases.
 
     Construction copies the weights and biases into one contiguous vector
-    of their dtype, ``flat``, in arrays() order; ``weights`` and ``biases``
-    become views into it, so whole-network updates run on ``flat`` alone.
+    of their dtype, ``flat``, in arrays() order, so whole-network updates
+    run on ``flat`` alone. ``layers[i]`` is the (in + 1, out) view of
+    layer i in it; ``weights[i]`` is its first ``in`` rows and ``biases[i]``
+    its last.
     """
 
     weights: list[np.ndarray]
@@ -67,10 +76,10 @@ class MlpParams:
                 raise ValueError(
                     f"layer {i} input {w.shape[0]} does not match previous output"
                 )
-        arrays = self.arrays()
-        self.flat = np.concatenate([np.ravel(a) for a in arrays])
-        views = _split(self.flat, [a.shape for a in arrays])
-        self.weights, self.biases = views[0::2], views[1::2]
+        self.flat = np.concatenate([np.ravel(a) for a in self.arrays()])
+        self.layers = _split(self.flat, [(w.shape[0] + 1, w.shape[1]) for w in self.weights])
+        self.weights = [layer[:-1] for layer in self.layers]
+        self.biases = [layer[-1] for layer in self.layers]
 
     @property
     def in_dim(self) -> int:
@@ -97,23 +106,41 @@ class MlpParams:
 
 
 class MlpBuffers:
-    """Batch-sized arrays for one network shape.
+    """Batch-sized arrays for one network shape, in the params' dtype.
 
-    ``fwd[i]`` receives the input of layer i and ``fwd[-1]`` the output;
-    the backward pass then overwrites ``fwd[i]`` with d(loss)/d(input of
-    layer i), after reading it into ``mask[i]``, the ReLU mask. ``fwd[0]``
-    is None until a caller that builds the network input in place, or takes
-    the input gradient, puts an array there; ``mask[0]`` stays None, since
-    layer 0 has no ReLU. ``grads`` are views of one flat gradient vector
-    ``grad`` laid out like ``MlpParams.flat``. All take the params' dtype.
+    ``fwd[i]`` receives the input of layer i as a contiguous (batch, width
+    + 1) array whose last column is ones, and ``fwd[-1]`` the output, with
+    no such column. ``inputs`` is ``fwd[0]`` without its ones column; a
+    caller may build the network input there in place. The backward pass
+    overwrites ``fwd[i]`` with d(loss)/d(input of layer i), after reading
+    the ReLU mask from it; that gradient is taken for the ones column too
+    and discarded there, so the mask and its product run on whole
+    contiguous arrays, and each forward pass sets the ones columns again.
+    ``grad`` is one flat gradient vector laid out like ``MlpParams.flat``,
+    and ``layer_grads[i]`` its (in + 1, out) view for layer i.
+
+    ``zeros[i]`` (the ReLU's second operand, all zeros) and ``mask[i]``
+    serve hidden layer i, whose input is ``fwd[i]``. They are prefix views
+    of one flat zero block and one bool block, which a ``TrainWorkspace``
+    shares between its two networks (pass both blocks, each at least as
+    long as the largest hidden ``fwd[i]``, or neither): nothing may write
+    to the zeros. ``zeros[0]`` and ``mask[0]`` are None, since layer 0 has
+    no ReLU.
     """
 
-    def __init__(self, params: MlpParams, batch: int):
+    def __init__(self, params: MlpParams, batch: int, zeros=None, mask=None):
         widths, dtype = params.widths, params.flat.dtype
-        self.fwd = [None] + [np.empty((batch, d), dtype) for d in widths[1:]]
-        self.mask = [None] + [np.empty((batch, d), dtype=bool) for d in widths[1:-1]]
+        self.fwd = [np.empty((batch, d + 1), dtype) for d in widths[:-1]]
+        self.fwd.append(np.empty((batch, widths[-1]), dtype))
+        self.inputs = self.fwd[0][:, :-1]
         self.grad = np.empty(params.flat.size, dtype)
-        self.grads = _split(self.grad, [a.shape for a in params.arrays()])
+        self.layer_grads = _split(self.grad, [layer.shape for layer in params.layers])
+        hidden = [h.shape for h in self.fwd[1:-1]]
+        if zeros is None:
+            size = max((math.prod(shape) for shape in hidden), default=0)
+            zeros, mask = np.zeros(size, dtype), np.empty(size, bool)
+        self.zeros = [None] + [zeros[: math.prod(shape)].reshape(shape) for shape in hidden]
+        self.mask = [None] + [mask[: math.prod(shape)].reshape(shape) for shape in hidden]
 
 
 def init_mlp(sizes: list[int], rng: np.random.Generator, final_scale: float = 3e-3) -> MlpParams:
@@ -134,23 +161,28 @@ def init_mlp(sizes: list[int], rng: np.random.Generator, final_scale: float = 3e
 def mlp_forward(
     params: MlpParams, x: np.ndarray, bufs: MlpBuffers | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass; returns output and the per-layer inputs for backprop.
+    """Forward pass; returns output and the per-layer inputs for backprop,
+    each with its ones column (see ``MlpBuffers``).
 
     With ``bufs`` every result is written into ``bufs.fwd`` and the output
     and cache are views of it; ``x`` (cast to the params' dtype) may itself
-    be ``bufs.fwd[0]``.
+    be ``bufs.inputs``.
     """
-    last = len(params.weights) - 1
-    fwd = [None] * (last + 2) if bufs is None else bufs.fwd
-    h = np.atleast_2d(np.asarray(x, dtype=params.flat.dtype))
-    cache = [h]
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = np.matmul(h, w, out=fwd[i + 1])
-        h += b
-        if i < last:
-            np.maximum(h, 0.0, out=h)
-            cache.append(h)
-    return h, cache
+    dtype, last = params.flat.dtype, len(params.layers) - 1
+    if bufs is None:
+        x = np.atleast_2d(np.asarray(x, dtype=dtype))
+        fwd = [np.empty((len(x), d + 1), dtype) for d in params.widths[:-1]] + [None]
+        zeros = [0.0] * (last + 1)  # the same bits as a zero block (tested)
+    else:
+        fwd, zeros = bufs.fwd, bufs.zeros
+    if bufs is None or x is not bufs.inputs:
+        fwd[0][:, :-1] = x
+    for i, layer in enumerate(params.layers):
+        fwd[i][:, -1] = 1.0  # the backward pass writes over it
+        if i == last:
+            return np.matmul(fwd[i], layer, out=fwd[i + 1]), fwd[: i + 1]
+        np.matmul(fwd[i], layer, out=fwd[i + 1][:, :-1])
+        np.maximum(fwd[i + 1], zeros[i + 1], out=fwd[i + 1])
 
 
 def mlp_backward(
@@ -167,31 +199,32 @@ def mlp_backward(
     ``weight_grads=False`` skips the weight and bias gradients and
     ``input_grad=False`` the layer-0 input gradient; each skipped part is
     returned as None. With ``bufs`` the results are written into
-    ``bufs.grads`` and over ``bufs.fwd``, so a forward cache held there
+    ``bufs.grad`` and over ``bufs.fwd``, so a forward cache held there
     serves one backward pass.
     """
-    n_layers = len(params.weights)
+    n_layers = len(params.layers)
     if bufs is None:
-        g_out = [None] * (2 * n_layers)
-        d_in = mask = [None] * n_layers
+        g_out = d_in = mask = [None] * n_layers
     else:
-        g_out, d_in, mask = bufs.grads, bufs.fwd, bufs.mask
+        g_out, d_in, mask = bufs.layer_grads, bufs.fwd, bufs.mask
     grads = [None] * (2 * n_layers) if weight_grads else None
     da = dout
     for i in range(n_layers - 1, -1, -1):
         if weight_grads:
-            grads[2 * i] = np.matmul(cache[i].T, da, out=g_out[2 * i])
-            grads[2 * i + 1] = np.sum(da, axis=0, out=g_out[2 * i + 1])
+            # the input's ones column turns the bias row into sum(da, axis=0)
+            g = np.matmul(cache[i].T, da, out=g_out[i])
+            grads[2 * i], grads[2 * i + 1] = g[:-1], g[-1]
         if i == 0 and not input_grad:
             return grads, None
         relu = np.greater(cache[i], 0.0, out=mask[i]) if i > 0 else None
         # cache[i] may be d_in[i]: it is read above and overwritten here. One
         # output column makes it an outer product: multiply gives the K=1
         # matmul's bits, 2.4x faster in float32 at batch 1024
-        w = params.weights[i]
-        da = (np.multiply if w.shape[1] == 1 else np.matmul)(da, w.T, out=d_in[i])
+        layer = params.layers[i]
+        da = (np.multiply if layer.shape[1] == 1 else np.matmul)(da, layer.T, out=d_in[i])
         if i > 0:
             da *= relu
+        da = da[:, :-1]  # drop the ones column's gradient
     return grads, da
 
 
@@ -242,7 +275,7 @@ def critic_forward(
     """Scalar value of each (observation, action) pair."""
     obs = np.atleast_2d(np.asarray(obs, dtype=params.flat.dtype))
     action = np.atleast_2d(np.asarray(action, dtype=params.flat.dtype))
-    x = critic_input(obs, action, None if bufs is None else bufs.fwd[0])
+    x = critic_input(obs, action, None if bufs is None else bufs.inputs)
     out, _ = mlp_forward(params, x, bufs)
     return out[:, 0]
 
@@ -333,6 +366,8 @@ class ReplayBuffer:
         self.obs_dim, self.act_dim = obs_dim, act_dim
         self.rows = np.zeros((capacity, 2 * obs_dim + act_dim + 2), DTYPE)
         self.obs, self.act, self.rew, self.obs_next, self.done = self.fields(self.rows)
+        self._row = np.empty(self.rows.shape[1], DTYPE)  # add() builds a row here
+        self._row_fields = self.fields(self._row[None])
         self._next = 0
         self._size = 0
 
@@ -348,17 +383,17 @@ class ReplayBuffer:
         """Store one transition. A field not finite as a row holds it (1e39
         is inf in float32) raises ValueError and leaves the buffer as it was:
         one NaN sampled into a batch would turn every network weight NaN."""
-        for name, value in (("obs", obs), ("act", act), ("rew", rew), ("obs_next", obs_next)):
-            with np.errstate(over="ignore"):  # the overflow is what is tested for
-                held = np.asarray(value, dtype=self.rows.dtype)
-            if not np.isfinite(held).all():
-                raise ValueError(f"transition has a non-finite {name}: {value!r}")
+        values = (obs, act, rew, obs_next, float(done))
+        with np.errstate(over="ignore"):  # the overflow is what is tested for
+            for view, value in zip(self._row_fields, values):
+                view[...] = value
+        if not np.isfinite(self._row[:-1]).all():
+            names = ("obs", "act", "rew", "obs_next")
+            for name, view, value in zip(names, self._row_fields, values):
+                if not np.isfinite(view).all():
+                    raise ValueError(f"transition has a non-finite {name}: {value!r}")
         i = self._next
-        self.obs[i] = obs
-        self.act[i] = act
-        self.rew[i] = rew
-        self.obs_next[i] = obs_next
-        self.done[i] = float(done)
+        self.rows[i] = self._row
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -445,7 +480,7 @@ def critic_loss_grads(
     bufs, x, err, sq, dout = (
         (None,) * 5
         if ws is None
-        else (ws.critic, ws.critic.fwd[0], ws.err, ws.vec, ws.col)
+        else (ws.critic, ws.critic.inputs, ws.err, ws.vec, ws.col)
     )
     x = critic_input(np.atleast_2d(obs), np.atleast_2d(act), x)
     out, cache = mlp_forward(params, x, bufs)
@@ -471,7 +506,7 @@ def actor_objective_grads(
     a_bufs, c_bufs, x, col, dlogits = (
         (None,) * 5
         if ws is None
-        else (ws.actor, ws.critic, ws.critic.fwd[0], ws.col, ws.dlogits)
+        else (ws.actor, ws.critic, ws.critic.inputs, ws.col, ws.dlogits)
     )
     logits, cache_a = mlp_forward(actor, obs, a_bufs)
     u = softmax(logits, None if ws is None else logits, col)
@@ -507,16 +542,18 @@ class TrainWorkspace:
     rows (one take; see ``ReplayBuffer``), ``targets`` the TD targets,
     ``err`` the TD errors, ``dlogits`` the actor's output gradient; ``vec``
     and ``col`` are (batch,) and (batch, 1) scratch, and ``scratch`` serves
-    Adam and the soft update. All take the params' dtype.
+    Adam and the soft update. All take the params' dtype. ``zeros`` and the
+    bool ``mask`` are the ReLU blocks both networks' buffers view (see
+    ``MlpBuffers``).
     """
 
     def __init__(self, batch: int, actor: MlpParams, critic: MlpParams):
         obs_dim, act_dim, dtype = actor.in_dim, actor.out_dim, actor.flat.dtype
-        self.actor = MlpBuffers(actor, batch)
-        self.critic = MlpBuffers(critic, batch)
-        # the critic's input rows are built here, and its input gradient
-        # lands here in the actor update; the actor needs neither
-        self.critic.fwd[0] = np.empty((batch, critic.in_dim), dtype)
+        widest = max((*actor.widths[1:-1], *critic.widths[1:-1]), default=0)
+        self.zeros = np.zeros(batch * (widest + 1), dtype)
+        self.mask = np.empty(self.zeros.size, bool)
+        self.actor = MlpBuffers(actor, batch, self.zeros, self.mask)
+        self.critic = MlpBuffers(critic, batch, self.zeros, self.mask)
         self.sample = np.empty((batch, 2 * obs_dim + act_dim + 2), dtype)
         self.targets = np.empty(batch, dtype)
         self.err = np.empty(batch, dtype)

@@ -287,6 +287,37 @@ class TestReplayLayout:
             assert rew[j] == DTYPE(r) and done[j] == float(d)
             np.testing.assert_array_equal(obs_next[j], o2.astype(DTYPE))
 
+    def test_add_stores_each_field_cast_on_its_own(self):
+        # add() casts the whole row at once; each stored field must have the
+        # bytes of that field cast alone, for values that round in float32
+        buf = ReplayBuffer(capacity=64, obs_dim=4)
+        rng = np.random.default_rng(45)
+        edge = [3.4028235e38, -3.4028235e38, 1e-46, 1.4e-45, -0.0, 1 / 3, 0.1, 7]
+        for k in range(200):
+            def field(n):
+                x = rng.normal(size=n) * 10.0 ** rng.integers(-45, 38, size=n)
+                hit = rng.random(n) < 0.2
+                x[hit] = rng.choice(edge, hit.sum())
+                return list(x) if k % 2 else x
+            obs, act, rew, obs_next = field(4), field(3), float(field(1)[0]), field(4)
+            buf.add(obs, act, rew, obs_next, bool(k % 3))
+            expected = [np.asarray(v, DTYPE) for v in (obs, act, rew, obs_next, float(k % 3 > 0))]
+            assert buf.rows[k % 64].tobytes() == b"".join(e.tobytes() for e in expected), k
+
+    @pytest.mark.parametrize("field", ["obs", "act", "rew", "obs_next"])
+    def test_failed_add_to_a_full_ring_changes_nothing(self, field):
+        buf = ReplayBuffer(capacity=3, obs_dim=2)
+        for k in range(4):
+            buf.add([k, 1.0], [1.0, 0.0, 0.0], 0.5, [k, 2.0], False)
+        before = buf.rows.tobytes()
+        row = {"obs": [9.0, 9.0], "act": [0.0, 1.0, 0.0], "rew": 9.0, "obs_next": [9.0, 9.0]}
+        row[field] = np.nan if field == "rew" else [9.0] * (len(row[field]) - 1) + [np.nan]
+        with pytest.raises(ValueError, match=f"non-finite {field}:"):
+            buf.add(**row, done=True)
+        assert buf.rows.tobytes() == before and len(buf) == 3
+        buf.add([5.0, 5.0], [0.0, 0.0, 1.0], 1.0, [6.0, 6.0], True)
+        np.testing.assert_array_equal(buf.rows[1], [5, 5, 0, 0, 1, 1, 6, 6, 1])
+
     def test_sample_into_workspace_equals_allocating_sample(self):
         learner, _ = filled_learner(42)
         ws, n = learner.workspace, learner.cfg.batch_size
@@ -585,6 +616,83 @@ class TestWorkspaceTrainStep:
             expected = np.matmul(dout, head.weights[0].T)
             assert dx.dtype == expected.dtype == dtype
             assert dx.tobytes() == expected.tobytes()
+
+
+class TestLayerLayout:
+    """Each layer is one (in + 1, out) matrix: weights, then the bias row."""
+
+    def test_layers_view_flat_as_weights_then_bias(self):
+        rng = np.random.default_rng(46)
+        sizes = [5, 7, 6, 2]
+        weights = [rng.normal(size=(i, o)).astype(DTYPE) for i, o in zip(sizes, sizes[1:])]
+        biases = [rng.normal(size=o).astype(DTYPE) for o in sizes[1:]]
+        net = MlpParams(weights, biases)
+        for layer, w, b in zip(net.layers, weights, biases):
+            assert np.shares_memory(layer, net.flat)
+            assert layer.shape == (w.shape[0] + 1, w.shape[1])
+            assert layer[:-1].tobytes() == w.tobytes() and layer[-1].tobytes() == b.tobytes()
+        for layer, w, b in zip(net.layers, net.weights, net.biases):
+            assert np.shares_memory(w, layer) and np.shares_memory(b, layer)
+        assert net.flat.tobytes() == b"".join(a.tobytes() for a in net.arrays())
+
+    def test_backward_gradients_follow_the_flat_layout(self):
+        rng = np.random.default_rng(47)
+        net = init_mlp([4, 9, 3], rng)
+        x = rng.normal(size=(30, 4))
+        out, cache = mlp_forward(net, x)
+        dout = rng.normal(size=out.shape).astype(DTYPE)
+        grads, _ = mlp_backward(net, cache, dout)
+        bufs = MlpBuffers(net, len(x))
+        for layer, lg in zip(net.layers, bufs.layer_grads):
+            assert lg.shape == layer.shape and np.shares_memory(lg, bufs.grad)
+        _, cache_b = mlp_forward(net, x, bufs)
+        grads_b, _ = mlp_backward(net, cache_b, dout, bufs, input_grad=False)
+        assert bufs.grad.tobytes() == b"".join(g.tobytes() for g in grads)
+        # the returned gradients are views of bufs.grad at the arrays() offsets
+        base = bufs.grad.__array_interface__["data"][0]
+        starts = np.cumsum([0] + [a.size for a in net.arrays()[:-1]]) * bufs.grad.itemsize
+        for g, a, start in zip(grads_b, net.arrays(), starts):
+            assert g.shape == a.shape and g.__array_interface__["data"][0] == base + start
+        # the bias gradient is the column sum of the output gradient
+        np.testing.assert_allclose(grads[-1], dout.sum(axis=0), rtol=1e-5)
+
+    def test_forward_after_an_input_gradient_resets_the_ones_columns(self):
+        # the input-gradient backward writes over every ones column; the next
+        # forward must set them again and match the allocating path bit for bit
+        rng = np.random.default_rng(48)
+        critic = init_mlp([5 + ACTION_DIM, 16, 12, 1], rng)
+        x, x2 = rng.normal(size=(2, 40, 5 + ACTION_DIM))
+        bufs = MlpBuffers(critic, len(x))
+        out, cache = mlp_forward(critic, x, bufs)
+        mlp_backward(critic, cache, np.ones_like(out), bufs, weight_grads=False)
+        assert all(np.any(h[:, -1] != 1.0) for h in bufs.fwd[:-1])
+        out_b, cache_b = mlp_forward(critic, x2, bufs)
+        out_a, cache_a = mlp_forward(critic, x2)
+        assert out_b.tobytes() == out_a.tobytes()
+        for h_b, h_a in zip(cache_b, cache_a):
+            assert h_b.tobytes() == h_a.tobytes()
+            assert np.all(h_b[:, -1] == 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_on_a_zero_block_matches_relu_on_a_scalar(self, dtype):
+        # the workspace ReLU's second operand is a zero array, the allocating
+        # one's the scalar 0.0: the two must agree bit for bit, signed zeros,
+        # NaN and infinities included
+        edge = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45, -1e-45], dtype)
+        rng = np.random.default_rng(49)
+        h = np.concatenate([edge, rng.normal(size=1000).astype(dtype)]).reshape(-1, 8)
+        zeros = np.zeros_like(h)
+        assert np.maximum(h, zeros).tobytes() == np.maximum(h, 0.0).tobytes()
+
+    def test_train_steps_leave_the_shared_zero_block_zero(self):
+        learner, rng = filled_learner(50)
+        ws = learner.workspace
+        for bufs in (ws.actor, ws.critic):
+            assert all(np.shares_memory(z, ws.zeros) for z in bufs.zeros[1:])
+            assert all(np.shares_memory(m, ws.mask) for m in bufs.mask[1:])
+        for _ in range(20):
+            learner.train_step(rng)
+        assert ws.zeros.tobytes() == bytes(ws.zeros.nbytes)
 
 
 class TestNonFinite:
