@@ -12,14 +12,14 @@ column, so one matmul applies the weights and adds the bias, and the
 weight-gradient matmul ``input.T @ grad`` returns the weight and bias
 gradients together.
 
-Workspace rule: ``DdpgLearner.train_step`` writes every batch-sized
-intermediate into the learner's own ``TrainWorkspace`` instead of
-allocating it. A workspace holds no state between calls: each function
-that takes one overwrites what it reads before reading it, and what it
-returns is valid only until the next call. The functions that accept a
-workspace run the same matmuls on the same layouts without one, so they
-compute exactly the same, bit for bit; without one they allocate fresh
-arrays and the caller may keep them.
+Workspace rule: every forward, backward and update function writes into
+buffers its caller passes (an ``MlpBuffers`` per network, a whole
+``TrainWorkspace``, or an ``out`` or ``scratch`` array); there is no
+allocating variant. ``DdpgLearner.train_step`` passes the learner's own
+workspace, and the act paths build fresh ``MlpBuffers`` for their rows (a
+1-D observation is one row). Buffers hold no state between calls: each
+function overwrites what it reads before reading it, and what it returns is
+valid only until the next call that is given the same buffers.
 
 Precision rule: the learner runs in ``DTYPE`` (float32). Buffers, workspace
 and Adam moments take the parameters' dtype and the forward passes cast their
@@ -117,7 +117,8 @@ class MlpBuffers:
     and discarded there, so the mask and its product run on whole
     contiguous arrays, and each forward pass sets the ones columns again.
     ``grad`` is one flat gradient vector laid out like ``MlpParams.flat``,
-    and ``layer_grads[i]`` its (in + 1, out) view for layer i.
+    and ``layer_grads[i]`` its (in + 1, out) view for layer i. ``col`` is
+    (batch, 1) scratch for row reductions and a one-column output gradient.
 
     ``zeros[i]`` (the ReLU's second operand, all zeros) and ``mask[i]``
     serve hidden layer i, whose input is ``fwd[i]``. They are prefix views
@@ -135,6 +136,7 @@ class MlpBuffers:
         self.inputs = self.fwd[0][:, :-1]
         self.grad = np.empty(params.flat.size, dtype)
         self.layer_grads = _split(self.grad, [layer.shape for layer in params.layers])
+        self.col = np.empty((batch, 1), dtype)
         hidden = [h.shape for h in self.fwd[1:-1]]
         if zeros is None:
             size = max((math.prod(shape) for shape in hidden), default=0)
@@ -159,37 +161,28 @@ def init_mlp(sizes: list[int], rng: np.random.Generator, final_scale: float = 3e
 
 
 def mlp_forward(
-    params: MlpParams, x: np.ndarray, bufs: MlpBuffers | None = None
+    params: MlpParams, x: np.ndarray, bufs: MlpBuffers
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass; returns output and the per-layer inputs for backprop,
-    each with its ones column (see ``MlpBuffers``).
-
-    With ``bufs`` every result is written into ``bufs.fwd`` and the output
-    and cache are views of it; ``x`` (cast to the params' dtype) may itself
-    be ``bufs.inputs``.
+    """Forward pass into ``bufs.fwd``; returns the output and the per-layer
+    inputs for backprop, each with its ones column, as views of it. ``x``
+    (cast to the params' dtype) may itself be ``bufs.inputs``.
     """
-    dtype, last = params.flat.dtype, len(params.layers) - 1
-    if bufs is None:
-        x = np.atleast_2d(np.asarray(x, dtype=dtype))
-        fwd = [np.empty((len(x), d + 1), dtype) for d in params.widths[:-1]] + [None]
-        zeros = [0.0] * (last + 1)  # the same bits as a zero block (tested)
-    else:
-        fwd, zeros = bufs.fwd, bufs.zeros
-    if bufs is None or x is not bufs.inputs:
-        fwd[0][:, :-1] = x
+    fwd, last = bufs.fwd, len(params.layers) - 1
+    if x is not bufs.inputs:
+        bufs.inputs[...] = x
     for i, layer in enumerate(params.layers):
         fwd[i][:, -1] = 1.0  # the backward pass writes over it
         if i == last:
             return np.matmul(fwd[i], layer, out=fwd[i + 1]), fwd[: i + 1]
         np.matmul(fwd[i], layer, out=fwd[i + 1][:, :-1])
-        np.maximum(fwd[i + 1], zeros[i + 1], out=fwd[i + 1])
+        np.maximum(fwd[i + 1], bufs.zeros[i + 1], out=fwd[i + 1])
 
 
 def mlp_backward(
     params: MlpParams,
     cache: list[np.ndarray],
     dout: np.ndarray,
-    bufs: MlpBuffers | None = None,
+    bufs: MlpBuffers,
     weight_grads: bool = True,
     input_grad: bool = True,
 ) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
@@ -198,50 +191,45 @@ def mlp_backward(
     Returns gradients in arrays() order plus d(loss)/d(input).
     ``weight_grads=False`` skips the weight and bias gradients and
     ``input_grad=False`` the layer-0 input gradient; each skipped part is
-    returned as None. With ``bufs`` the results are written into
-    ``bufs.grad`` and over ``bufs.fwd``, so a forward cache held there
-    serves one backward pass.
+    returned as None. The results are written into ``bufs.grad`` and over
+    ``bufs.fwd``, so a forward cache held there serves one backward pass.
     """
     n_layers = len(params.layers)
-    if bufs is None:
-        g_out = d_in = mask = [None] * n_layers
-    else:
-        g_out, d_in, mask = bufs.layer_grads, bufs.fwd, bufs.mask
     grads = [None] * (2 * n_layers) if weight_grads else None
     da = dout
     for i in range(n_layers - 1, -1, -1):
         if weight_grads:
             # the input's ones column turns the bias row into sum(da, axis=0)
-            g = np.matmul(cache[i].T, da, out=g_out[i])
+            g = np.matmul(cache[i].T, da, out=bufs.layer_grads[i])
             grads[2 * i], grads[2 * i + 1] = g[:-1], g[-1]
         if i == 0 and not input_grad:
             return grads, None
-        relu = np.greater(cache[i], 0.0, out=mask[i]) if i > 0 else None
-        # cache[i] may be d_in[i]: it is read above and overwritten here. One
+        relu = np.greater(cache[i], 0.0, out=bufs.mask[i]) if i > 0 else None
+        # cache[i] is bufs.fwd[i]: it is read above and overwritten here. One
         # output column makes it an outer product: multiply gives the K=1
         # matmul's bits, 2.4x faster in float32 at batch 1024
         layer = params.layers[i]
-        da = (np.multiply if layer.shape[1] == 1 else np.matmul)(da, layer.T, out=d_in[i])
+        da = (np.multiply if layer.shape[1] == 1 else np.matmul)(da, layer.T, out=bufs.fwd[i])
         if i > 0:
             da *= relu
         da = da[:, :-1]  # drop the ones column's gradient
     return grads, da
 
 
-def softmax(logits: np.ndarray, out: np.ndarray | None = None, col=None) -> np.ndarray:
-    """Row-wise softmax, written into ``out`` (which may be ``logits``)
-    when given; ``col`` is an optional (rows, 1) scratch array."""
-    z = np.subtract(logits, logits.max(axis=1, keepdims=True, out=col), out=out)
+def softmax(z: np.ndarray, col=None) -> np.ndarray:
+    """Row-wise softmax of the logits ``z``, in place; ``col`` is an
+    optional (rows, 1) scratch array."""
+    z -= z.max(axis=1, keepdims=True, out=col)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True, out=col)
     return z
 
 
 def softmax_backward(
-    probs: np.ndarray, dprobs: np.ndarray, out: np.ndarray | None = None, col=None
+    probs: np.ndarray, dprobs: np.ndarray, out: np.ndarray, col: np.ndarray
 ) -> np.ndarray:
-    """d(loss)/d(logits) given d(loss)/d(probs); ``out`` and ``col`` as in
-    softmax."""
+    """d(loss)/d(logits) given d(loss)/d(probs), written into ``out``;
+    ``col`` is a (rows, 1) scratch array."""
     prod = np.multiply(dprobs, probs, out=out)
     inner = prod.sum(axis=1, keepdims=True, out=col)
     grad = np.subtract(dprobs, inner, out=prod)
@@ -249,20 +237,15 @@ def softmax_backward(
     return grad
 
 
-def actor_forward(
-    params: MlpParams, obs: np.ndarray, bufs: MlpBuffers | None = None, col=None
-) -> np.ndarray:
-    """Action on the probability simplex for each observation row. With
-    ``bufs`` the actions overwrite the logits in ``bufs.fwd[-1]``."""
+def actor_forward(params: MlpParams, obs: np.ndarray, bufs: MlpBuffers) -> np.ndarray:
+    """Action on the probability simplex for each observation row; the
+    actions overwrite the logits in ``bufs.fwd[-1]``."""
     logits, _ = mlp_forward(params, obs, bufs)
-    return softmax(logits, None if bufs is None else logits, col)
+    return softmax(logits, bufs.col)
 
 
-def critic_input(obs: np.ndarray, action: np.ndarray, out: np.ndarray | None = None):
-    """The critic's (observation | action) rows, written into ``out`` when
-    given."""
-    if out is None:
-        return np.hstack([obs, action])
+def critic_input(obs: np.ndarray, action: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The critic's (observation | action) rows, written into ``out``."""
     d = obs.shape[1]
     out[:, :d] = obs
     out[:, d:] = action
@@ -270,14 +253,19 @@ def critic_input(obs: np.ndarray, action: np.ndarray, out: np.ndarray | None = N
 
 
 def critic_forward(
-    params: MlpParams, obs: np.ndarray, action: np.ndarray, bufs: MlpBuffers | None = None
+    params: MlpParams, obs: np.ndarray, action: np.ndarray, bufs: MlpBuffers
 ) -> np.ndarray:
-    """Scalar value of each (observation, action) pair."""
-    obs = np.atleast_2d(np.asarray(obs, dtype=params.flat.dtype))
-    action = np.atleast_2d(np.asarray(action, dtype=params.flat.dtype))
-    x = critic_input(obs, action, None if bufs is None else bufs.inputs)
-    out, _ = mlp_forward(params, x, bufs)
+    """Scalar value of each (observation, action) row pair."""
+    out, _ = mlp_forward(params, critic_input(obs, action, bufs.inputs), bufs)
     return out[:, 0]
+
+
+def _act_logits(params: MlpParams, observations) -> np.ndarray:
+    """float64 copy of the actor's logits for each observation row (a 1-D
+    observation is one row), through fresh buffers sized to the rows."""
+    rows = np.atleast_2d(observations)
+    logits, _ = mlp_forward(params, rows, MlpBuffers(params, len(rows)))
+    return logits.astype(np.float64)
 
 
 def map_action(u_raw: np.ndarray, limits: Limits) -> ControlInput:
@@ -340,6 +328,8 @@ class TrainerConfig:
             problems.append("sigma_anneal_frac must be in [0, 1]")
         if self.sigma_start < 0 or self.sigma_end < 0:
             problems.append("exploration sigmas must be nonnegative")
+        if not all(isinstance(w, (int, np.integer)) and w > 0 for w in self.hidden):
+            problems.append(f"hidden widths must be positive ints, got {self.hidden}")
         return problems
 
     def sigma_at(self, episode: int) -> float:
@@ -361,6 +351,8 @@ class ReplayBuffer:
     where calloc zero-fills, and so makes resident, every page.
     """
 
+    FIELDS = ("obs", "act", "rew", "obs_next", "done")
+
     def __init__(self, capacity: int, obs_dim: int, act_dim: int = ACTION_DIM):
         self.capacity = capacity
         self.obs_dim, self.act_dim = obs_dim, act_dim
@@ -380,16 +372,19 @@ class ReplayBuffer:
         return rows[:, :o], rows[:, o:e], rows[:, e], rows[:, e + 1 : -1], rows[:, -1]
 
     def add(self, obs, act, rew: float, obs_next, done: bool) -> None:
-        """Store one transition. A field not finite as a row holds it (1e39
-        is inf in float32) raises ValueError and leaves the buffer as it was:
-        one NaN sampled into a batch would turn every network weight NaN."""
+        """Store one transition. A field whose size is not its width, or
+        that is not finite as a row holds it (1e39 is inf in float32), raises
+        ValueError and leaves the buffer as it was: one NaN sampled into a
+        batch would turn every network weight NaN."""
         values = (obs, act, rew, obs_next, float(done))
         with np.errstate(over="ignore"):  # the overflow is what is tested for
-            for view, value in zip(self._row_fields, values):
+            for name, view, value in zip(self.FIELDS, self._row_fields, values):
+                n = np.size(value)
+                if n != view.size:
+                    raise ValueError(f"transition {name} has {n} values, not {view.size}")
                 view[...] = value
         if not np.isfinite(self._row[:-1]).all():
-            names = ("obs", "act", "rew", "obs_next")
-            for name, view, value in zip(names, self._row_fields, values):
+            for name, view, value in zip(self.FIELDS, self._row_fields, values):
                 if not np.isfinite(view).all():
                     raise ValueError(f"transition has a non-finite {name}: {value!r}")
         i = self._next
@@ -452,84 +447,53 @@ def compute_td_targets(
     obs_next: np.ndarray,
     done: np.ndarray,
     gamma: float,
-    ws: TrainWorkspace | None = None,
+    ws: TrainWorkspace,
 ) -> np.ndarray:
-    """y = r + gamma * Q'(o', pi'(o')), with no bootstrap past done."""
-    a_bufs, c_bufs, col, y, not_done = (
-        (None,) * 5 if ws is None else (ws.actor, ws.critic, ws.col, ws.targets, ws.vec)
-    )
-    u_next = actor_forward(target_actor, obs_next, a_bufs, col)
-    q_next = critic_forward(target_critic, obs_next, u_next, c_bufs)
-    y = np.multiply(gamma, q_next, out=y)
-    y *= np.subtract(1.0, done, out=not_done)
+    """y = r + gamma * Q'(o', pi'(o')), with no bootstrap past done; written
+    into ``ws.targets``."""
+    u_next = actor_forward(target_actor, obs_next, ws.actor)
+    q_next = critic_forward(target_critic, obs_next, u_next, ws.critic)
+    y = np.multiply(gamma, q_next, out=ws.targets)
+    y *= np.subtract(1.0, done, out=ws.vec)
     y += rew
     return y
 
 
-def critic_loss(params: MlpParams, obs, act, targets) -> float:
-    q = critic_forward(params, obs, act)
-    err = q - targets
-    return float(np.mean(err * err))
-
-
 def critic_loss_grads(
-    params: MlpParams, obs, act, targets, ws: TrainWorkspace | None = None
+    params: MlpParams, obs, act, targets, ws: TrainWorkspace
 ) -> tuple[list[np.ndarray], float]:
-    """Gradients of the mean squared TD error; with ``ws`` they are views
-    of ``ws.critic.grad``."""
-    bufs, x, err, sq, dout = (
-        (None,) * 5
-        if ws is None
-        else (ws.critic, ws.critic.inputs, ws.err, ws.vec, ws.col)
-    )
-    x = critic_input(np.atleast_2d(obs), np.atleast_2d(act), x)
-    out, cache = mlp_forward(params, x, bufs)
-    err = np.subtract(out[:, 0], targets, out=err)
-    loss = float(np.mean(np.multiply(err, err, out=sq)))
-    dout = np.multiply(2.0 / len(err), err[:, None], out=dout)
-    grads, _ = mlp_backward(params, cache, dout, bufs, input_grad=False)
+    """Gradients of the mean squared TD error, as views of
+    ``ws.critic.grad``, and that error."""
+    out, cache = mlp_forward(params, critic_input(obs, act, ws.critic.inputs), ws.critic)
+    err = np.subtract(out[:, 0], targets, out=ws.err)
+    loss = float(np.mean(np.multiply(err, err, out=ws.vec)))
+    dout = np.multiply(2.0 / len(err), err[:, None], out=ws.critic.col)
+    grads, _ = mlp_backward(params, cache, dout, ws.critic, input_grad=False)
     return grads, loss
 
 
-def actor_objective(actor: MlpParams, critic: MlpParams, obs) -> float:
-    """Mean critic value of the actor's actions (a cost, to be minimized)."""
-    u = actor_forward(actor, obs)
-    return float(np.mean(critic_forward(critic, obs, u)))
-
-
 def actor_objective_grads(
-    actor: MlpParams, critic: MlpParams, obs, ws: TrainWorkspace | None = None
+    actor: MlpParams, critic: MlpParams, obs, ws: TrainWorkspace
 ) -> tuple[list[np.ndarray], float]:
-    """Actor gradients of the mean critic value; only d(Q)/d(input) is
-    taken from the critic. With ``ws`` they are views of ``ws.actor.grad``."""
-    obs = np.atleast_2d(obs)
-    a_bufs, c_bufs, x, col, dlogits = (
-        (None,) * 5
-        if ws is None
-        else (ws.actor, ws.critic, ws.critic.inputs, ws.col, ws.dlogits)
-    )
-    logits, cache_a = mlp_forward(actor, obs, a_bufs)
-    u = softmax(logits, None if ws is None else logits, col)
-    x = critic_input(obs, u, x)
-    q, cache_q = mlp_forward(critic, x, c_bufs)
+    """Actor gradients of the mean critic value (a cost, to be minimized),
+    as views of ``ws.actor.grad``, and that value; only d(Q)/d(input) is
+    taken from the critic."""
+    logits, cache_a = mlp_forward(actor, obs, ws.actor)
+    u = softmax(logits, ws.actor.col)
+    q, cache_q = mlp_forward(critic, critic_input(obs, u, ws.critic.inputs), ws.critic)
     objective = float(np.mean(q[:, 0]))
-    dq = np.empty((len(obs), 1), q.dtype) if ws is None else col
-    dq.fill(1.0 / len(obs))
-    _, dx = mlp_backward(critic, cache_q, dq, c_bufs, weight_grads=False)
+    ws.critic.col.fill(1.0 / len(obs))  # d(objective)/dQ
+    _, dx = mlp_backward(critic, cache_q, ws.critic.col, ws.critic, weight_grads=False)
     du = dx[:, obs.shape[1] :]
-    dlogits = softmax_backward(u, du, dlogits, col)
-    grads, _ = mlp_backward(actor, cache_a, dlogits, a_bufs, input_grad=False)
+    dlogits = softmax_backward(u, du, ws.dlogits, ws.actor.col)
+    grads, _ = mlp_backward(actor, cache_a, dlogits, ws.actor, input_grad=False)
     return grads, objective
 
 
-def soft_update(
-    target: MlpParams, online: MlpParams, tau: float, scratch: np.ndarray | None = None
-) -> None:
+def soft_update(target: MlpParams, online: MlpParams, tau: float, scratch: np.ndarray) -> None:
     """target <- (1 - tau) target + tau online, over the flat vectors;
-    ``scratch`` is an optional 1-D array at least as long as them."""
-    step = np.multiply(
-        online.flat, tau, out=None if scratch is None else scratch[: online.flat.size]
-    )
+    ``scratch`` is a 1-D array at least as long as them."""
+    step = np.multiply(online.flat, tau, out=scratch[: online.flat.size])
     target.flat *= 1.0 - tau
     target.flat += step
 
@@ -541,10 +505,9 @@ class TrainWorkspace:
     Besides the two networks' buffers: ``sample`` receives whole replay
     rows (one take; see ``ReplayBuffer``), ``targets`` the TD targets,
     ``err`` the TD errors, ``dlogits`` the actor's output gradient; ``vec``
-    and ``col`` are (batch,) and (batch, 1) scratch, and ``scratch`` serves
-    Adam and the soft update. All take the params' dtype. ``zeros`` and the
-    bool ``mask`` are the ReLU blocks both networks' buffers view (see
-    ``MlpBuffers``).
+    is (batch,) scratch, and ``scratch`` serves Adam and the soft update.
+    All take the params' dtype. ``zeros`` and the bool ``mask`` are the ReLU
+    blocks both networks' buffers view (see ``MlpBuffers``).
     """
 
     def __init__(self, batch: int, actor: MlpParams, critic: MlpParams):
@@ -558,7 +521,6 @@ class TrainWorkspace:
         self.targets = np.empty(batch, dtype)
         self.err = np.empty(batch, dtype)
         self.vec = np.empty(batch, dtype)
-        self.col = np.empty((batch, 1), dtype)
         self.dlogits = np.empty((batch, act_dim), dtype)
         self.scratch = np.empty((2, max(actor.flat.size, critic.flat.size)), dtype)
 
@@ -582,8 +544,7 @@ class DdpgLearner:
     def act(self, observations: np.ndarray, sigma: float, rng: np.random.Generator):
         """The one shared policy on every follower's observation row, with
         exploration noise of scale ``sigma`` added to the float64 logits."""
-        logits, _ = mlp_forward(self.actor, observations)
-        logits = logits.astype(np.float64)
+        logits = _act_logits(self.actor, observations)
         if sigma > 0.0:
             logits += rng.normal(0.0, sigma, size=logits.shape)
         return softmax(logits)
@@ -663,15 +624,6 @@ def load_policy(path) -> tuple[MlpParams, dict]:
     return _params_from_arrays(arrays, "actor"), meta
 
 
-def load_learner_networks(path) -> tuple[dict[str, MlpParams], dict]:
-    arrays, meta = load_checkpoint(path)
-    nets = {
-        name: _params_from_arrays(arrays, name)
-        for name in ("actor", "critic", "target_actor", "target_critic")
-    }
-    return nets, meta
-
-
 class ActorPolicy:
     """Greedy wrapper around trained actor parameters."""
 
@@ -684,6 +636,5 @@ class ActorPolicy:
         return cls(params)
 
     def act(self, observations: np.ndarray) -> np.ndarray:
-        logits, _ = mlp_forward(self.params, observations)
-        return softmax(logits.astype(np.float64))
+        return softmax(_act_logits(self.params, observations))
 

@@ -23,22 +23,18 @@ from streamform.ddpg import (
     MlpParams,
     ReplayBuffer,
     TrainerConfig,
+    TrainWorkspace,
     actor_forward,
-    actor_objective,
     actor_objective_grads,
     compute_td_targets,
     critic_forward,
-    critic_loss,
     critic_loss_grads,
     init_mlp,
-    load_learner_networks,
-    load_policy,
     map_action,
     mlp_backward,
     mlp_forward,
     simplex_from_controls,
     soft_update,
-    softmax,
 )
 
 LIM = Limits(v_max=0.5, omega_max=0.2, a_max=0.5, beta_max=0.5)
@@ -62,12 +58,96 @@ def float64(net):
     )
 
 
+def rows_of(net, x):
+    """Fresh buffers for ``net`` sized to the rows of ``x``."""
+    return MlpBuffers(net, len(x))
+
+
+def critic_workspace(critic, batch):
+    """A workspace for ``critic`` with a small actor of its dtype beside it."""
+    obs_dim, dtype = critic.in_dim - ACTION_DIM, critic.flat.dtype
+    actor = MlpParams(
+        [np.zeros((obs_dim, 4), dtype), np.zeros((4, ACTION_DIM), dtype)],
+        [np.zeros(4, dtype), np.zeros(ACTION_DIM, dtype)],
+    )
+    return TrainWorkspace(batch, actor, critic)
+
+
+# The network math as first written, allocating every array. Every function
+# of streamform.ddpg that writes into buffers is checked against these, so
+# they share no code with it.
+
+
+def reference_forward(params, x):
+    """Output and each layer's input with its ones column."""
+    h = np.atleast_2d(np.asarray(x, dtype=params.flat.dtype))
+    cache = []
+    for i, layer in enumerate(params.layers):
+        h = np.hstack([h, np.ones((len(h), 1), h.dtype)])
+        cache.append(h)
+        h = h @ layer
+        if i < len(params.layers) - 1:
+            h = np.maximum(h, 0.0)
+    return h, cache
+
+
+def reference_backward(params, cache, dout):
+    """Gradients in arrays() order and d(loss)/d(input). A one-column layer's
+    input gradient is an outer product, which multiply takes with the K=1
+    matmul's bits (tested below)."""
+    grads = [None] * (2 * len(params.layers))
+    da = dout
+    for i in range(len(params.layers) - 1, -1, -1):
+        layer = params.layers[i]
+        g = cache[i].T @ da
+        grads[2 * i], grads[2 * i + 1] = g[:-1], g[-1]
+        da = np.multiply(da, layer.T) if layer.shape[1] == 1 else da @ layer.T
+        if i > 0:
+            da = da * (cache[i] > 0)
+        da = da[:, :-1]
+    return grads, da
+
+
+def reference_softmax(logits):
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_softmax_backward(probs, dprobs):
+    return (dprobs - (dprobs * probs).sum(axis=1, keepdims=True)) * probs
+
+
+def reference_actor(actor, obs):
+    return reference_softmax(reference_forward(actor, obs)[0])
+
+
+def reference_critic(critic, obs, act):
+    return reference_forward(critic, np.hstack([obs, act]))[0][:, 0]
+
+
+def reference_critic_loss_grads(critic, obs, act, targets):
+    q, cache = reference_forward(critic, np.hstack([obs, act]))
+    err = q[:, 0] - targets
+    grads, _ = reference_backward(critic, cache, (2.0 / len(err)) * err[:, None])
+    return grads, float(np.mean(err * err))
+
+
+def reference_actor_objective_grads(actor, critic, obs):
+    logits, cache_a = reference_forward(actor, obs)
+    u = reference_softmax(logits)
+    q, cache_q = reference_forward(critic, np.hstack([obs, u]))
+    _, dx = reference_backward(critic, cache_q, np.full((len(obs), 1), 1.0 / len(obs), q.dtype))
+    dlogits = reference_softmax_backward(u, dx[:, obs.shape[1] :])
+    grads, _ = reference_backward(actor, cache_a, dlogits)
+    return grads, float(np.mean(q[:, 0]))
+
+
 class TestActorForward:
     def test_simplex_invariant(self):
         rng = np.random.default_rng(0)
         net = float64(init_mlp([6, 16, ACTION_DIM], rng))
         obs = rng.normal(size=(50, 6))
-        u = actor_forward(net, obs)
+        u = actor_forward(net, obs, rows_of(net, obs))
         assert np.all(u >= 0)
         np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-9)
 
@@ -76,12 +156,13 @@ class TestActorForward:
         net = init_mlp([4, 8, ACTION_DIM], rng)
         net.weights[-1][:] = 0.0
         net.biases[-1][:] = 0.0
-        u = actor_forward(net, rng.normal(size=(5, 4)))
+        obs = rng.normal(size=(5, 4))
+        u = actor_forward(net, obs, rows_of(net, obs))
         np.testing.assert_allclose(u, 1.0 / 3.0, atol=1e-12)
 
     def test_dominant_logit_saturates(self):
         net = MlpParams([np.eye(3) * 50.0], [np.zeros(3)])
-        u = actor_forward(net, np.array([[1.0, 0.0, 0.0]]))
+        u = actor_forward(net, np.array([[1.0, 0.0, 0.0]]), MlpBuffers(net, 1))
         assert u[0, 0] > 1.0 - 1e-12
 
 
@@ -118,8 +199,9 @@ class TestCriticForward:
         rng = np.random.default_rng(4)
         net = init_mlp([8 + ACTION_DIM, 16, 1], rng)
         obs, act = rng.normal(size=(3, 8)), rng.dirichlet(np.ones(3), 3)
-        a = critic_forward(net, obs, act)
-        b = critic_forward(net, obs, act)
+        bufs = rows_of(net, obs)
+        a = critic_forward(net, obs, act, bufs).copy()
+        b = critic_forward(net, obs, act, bufs)
         np.testing.assert_array_equal(a, b)
 
     def test_zero_weights_depend_only_on_bias(self):
@@ -130,8 +212,8 @@ class TestCriticForward:
         net.biases[0][:] = 0.7
         net.biases[-1][:] = -0.2
         obs = rng.normal(size=(4, 5))
-        q1 = critic_forward(net, obs, rng.dirichlet(np.ones(3), 4))
-        q2 = critic_forward(net, 2 * obs, rng.dirichlet(np.ones(3), 4))
+        q1 = critic_forward(net, obs, rng.dirichlet(np.ones(3), 4), rows_of(net, obs))
+        q2 = critic_forward(net, 2 * obs, rng.dirichlet(np.ones(3), 4), rows_of(net, obs))
         np.testing.assert_allclose(q1, q2, atol=1e-15)
         np.testing.assert_allclose(q1, -0.2, atol=1e-15)
 
@@ -139,7 +221,9 @@ class TestCriticForward:
         rng = np.random.default_rng(6)
         net = init_mlp([5 + ACTION_DIM, 8, 1], rng)
         with pytest.raises(ValueError):
-            critic_forward(net, rng.normal(size=(2, 9)), rng.dirichlet(np.ones(3), 2))
+            critic_forward(
+                net, rng.normal(size=(2, 9)), rng.dirichlet(np.ones(3), 2), MlpBuffers(net, 2)
+            )
 
 
 class TestExplorationNoise:
@@ -155,9 +239,9 @@ class TestExplorationNoise:
         rng = np.random.default_rng(7)
         obs = rng.normal(size=(4, 6))
         state = rng.bit_generator.state
-        logits, _ = mlp_forward(learner.actor, obs)
+        logits, _ = reference_forward(learner.actor, obs)
         np.testing.assert_array_equal(
-            learner.act(obs, 0.0, rng), softmax(logits.astype(np.float64))
+            learner.act(obs, 0.0, rng), reference_softmax(logits.astype(np.float64))
         )
         assert rng.bit_generator.state == state
 
@@ -171,10 +255,10 @@ class TestExplorationNoise:
     def test_noise_is_softmax_of_perturbed_logits(self):
         learner = self.learner(11)
         obs = np.random.default_rng(11).normal(size=(5, 6))
-        logits, _ = mlp_forward(learner.actor, obs)
+        logits, _ = reference_forward(learner.actor, obs)
         noise = np.random.default_rng(12).normal(0.0, 0.4, size=logits.shape)
         np.testing.assert_array_equal(
-            learner.act(obs, 0.4, np.random.default_rng(12)), softmax(logits + noise)
+            learner.act(obs, 0.4, np.random.default_rng(12)), reference_softmax(logits + noise)
         )
 
     def test_shared_policy_parameter_sharing(self):
@@ -201,9 +285,22 @@ class TestExplorationNoise:
         learner.actor = float64(learner.actor)
         rng = np.random.default_rng(10)
         obs = rng.normal(size=(5, 6))
-        np.testing.assert_array_equal(
-            learner.act(obs, 0.0, rng), actor_forward(learner.actor, obs)
-        )
+        expected = actor_forward(learner.actor, obs, rows_of(learner.actor, obs))
+        np.testing.assert_array_equal(learner.act(obs, 0.0, rng), expected)
+
+    def test_a_one_dimensional_observation_is_one_row(self):
+        # the act paths size their buffers to the rows, so a 1-D observation
+        # is never broadcast across a larger buffer
+        learner = self.learner(15)
+        obs = np.random.default_rng(15).normal(size=(3, 6))
+        policy = ActorPolicy(learner.actor)
+        for one in (obs[0], list(obs[0])):
+            u = learner.act(one, 0.0, None)
+            assert u.shape == (1, ACTION_DIM)
+            np.testing.assert_array_equal(u, learner.act(obs[:1], 0.0, None))
+            np.testing.assert_array_equal(policy.act(one), u)
+        with pytest.raises(ValueError):
+            learner.act(obs[:, :5], 0.0, None)
 
 
 class TestReplayBuffer:
@@ -235,6 +332,24 @@ class TestReplayBuffer:
         assert counts.sum() == draws
         _, p = stats.chisquare(counts)
         assert p > 0.01
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("obs", [1.0]), ("obs", np.zeros(4)), ("act", 0.5), ("rew", [1.0, 2.0]),
+         ("obs_next", 2.0)],
+        ids=["short-obs", "long-obs", "scalar-act", "two-rew", "scalar-obs_next"],
+    )
+    def test_add_rejects_a_field_of_the_wrong_size(self, field, value):
+        # a field must hold exactly its width, never be broadcast across it
+        buf = ReplayBuffer(capacity=4, obs_dim=3)
+        row = {"obs": [1.0, 2.0, 3.0], "act": [1.0, 0.0, 0.0], "rew": 0.5,
+               "obs_next": [4.0, 5.0, 6.0]}
+        buf.add(**row, done=False)
+        before = buf.rows.tobytes()
+        row[field] = value
+        with pytest.raises(ValueError, match=f"transition {field} has {np.size(value)} values"):
+            buf.add(**row, done=False)
+        assert buf.rows.tobytes() == before and len(buf) == 1
 
 
 # Builds six default learners (1M-row buffers), each while the previous one
@@ -349,7 +464,8 @@ class TestTargets:
         rew = rng.normal(size=6)
         obs2 = rng.normal(size=(6, 4))
         done = np.ones(6)
-        y = compute_td_targets(actor, critic, rew, obs2, done, 0.9)
+        ws = TrainWorkspace(6, actor, critic)
+        y = compute_td_targets(actor, critic, rew, obs2, done, 0.9, ws)
         np.testing.assert_array_equal(y, rew.astype(DTYPE))
 
     def test_bootstrap_when_not_done(self):
@@ -358,9 +474,10 @@ class TestTargets:
         critic = init_mlp([4 + ACTION_DIM, 8, 1], rng)
         rew = np.zeros(3)
         obs2 = rng.normal(size=(3, 4))
-        y = compute_td_targets(actor, critic, rew, obs2, np.zeros(3), 0.9)
-        u2 = actor_forward(actor, obs2)
-        np.testing.assert_allclose(y, 0.9 * critic_forward(critic, obs2, u2), rtol=1e-12)
+        ws = TrainWorkspace(3, actor, critic)
+        y = compute_td_targets(actor, critic, rew, obs2, np.zeros(3), 0.9, ws)
+        u2 = reference_actor(actor, obs2)
+        np.testing.assert_allclose(y, 0.9 * reference_critic(critic, obs2, u2), rtol=1e-12)
 
 
 class TestTrainStep:
@@ -388,15 +505,15 @@ class TestTrainStep:
         rng = np.random.default_rng(15)
         critic = init_mlp([4 + ACTION_DIM, 32, 32, 1], rng)
         opt = Adam(critic.flat)
-        scratch = np.empty((2, critic.flat.size), critic.flat.dtype)
+        ws = critic_workspace(critic, 64)
         obs = rng.normal(size=(64, 4))
         act = rng.dirichlet(np.ones(3), 64)
         rew = rng.normal(size=64)
-        first = critic_loss(critic, obs, act, rew)
+        _, first = reference_critic_loss_grads(critic, obs, act, rew)
         loss = first
         for _ in range(300):
-            grads, loss = critic_loss_grads(critic, obs, act, rew)
-            opt.step(critic.flat, np.concatenate([g.ravel() for g in grads]), 1e-3, scratch)
+            _, loss = critic_loss_grads(critic, obs, act, rew, ws)
+            opt.step(critic.flat, ws.critic.grad, 1e-3, ws.scratch)
         assert loss < 0.5 * first
 
     def test_diagnostics_reported(self):
@@ -412,14 +529,15 @@ class TestTrainStep:
         tau = 0.1
         diff0 = np.linalg.norm(online.weights[0] - target.weights[0])
         k = 20
+        scratch = np.empty(online.flat.size, online.flat.dtype)
         for _ in range(k):
-            soft_update(target, online, tau)
+            soft_update(target, online, tau, scratch)
         diff = np.linalg.norm(online.weights[0] - target.weights[0])
         assert diff == pytest.approx(diff0 * (1 - tau) ** k, rel=1e-9)
 
 
 class ReferenceAdam:
-    """Per-array Adam exactly as first written: the allocating oracle for
+    """Per-array Adam exactly as first written: the allocating reference for
     the learner's flat-vector, in-place update."""
 
     def __init__(self, arrays, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -450,14 +568,15 @@ def reference_soft_update(target, online, tau):
 def reference_train_step(nets, opts, batch, cfg):
     """One allocating train step on ``nets`` (any object with the learner's
     four network attributes) with ``ReferenceAdam`` states ``opts`` =
-    (critic, actor); returns the diagnostics as train_step does."""
+    (critic, actor); returns the diagnostics as train_step does. It runs no
+    network, softmax or update function of streamform.ddpg."""
     obs, act, rew, obs_next, done = batch
-    targets = compute_td_targets(
-        nets.target_actor, nets.target_critic, rew, obs_next, done, cfg.gamma
-    )
-    c_grads, c_loss = critic_loss_grads(nets.critic, obs, act, targets)
+    u_next = reference_actor(nets.target_actor, obs_next)
+    q_next = reference_critic(nets.target_critic, obs_next, u_next)
+    targets = cfg.gamma * q_next * (1.0 - done) + rew
+    c_grads, c_loss = reference_critic_loss_grads(nets.critic, obs, act, targets)
     opts[0].step(nets.critic.arrays(), c_grads, cfg.critic_lr)
-    a_grads, a_obj = actor_objective_grads(nets.actor, nets.critic, obs)
+    a_grads, a_obj = reference_actor_objective_grads(nets.actor, nets.critic, obs)
     opts[1].step(nets.actor.arrays(), a_grads, cfg.actor_lr)
     reference_soft_update(nets.target_actor, nets.actor, cfg.tau)
     reference_soft_update(nets.target_critic, nets.critic, cfg.tau)
@@ -505,14 +624,13 @@ class TestWorkspaceTrainStep:
             opts = (ref_critic_opt, ref_actor_opt)
             assert diag == reference_train_step(ref, opts, batch, cfg)
         assert new.actor.flat.dtype == DTYPE
-        assert_same_networks(new, ref)
+        for name in NETWORKS:
+            assert getattr(new, name).flat.tobytes() == getattr(ref, name).flat.tobytes(), name
         pairs = ((new.critic_opt, ref_critic_opt), (new.actor_opt, ref_actor_opt))
         for opt, ref_opt in pairs:
             assert opt.t == ref_opt.t
             for mine, theirs in ((opt.m, ref_opt.m), (opt.v, ref_opt.v)):
-                np.testing.assert_array_equal(
-                    mine, np.concatenate([x.ravel() for x in theirs])
-                )
+                assert mine.tobytes() == b"".join(x.tobytes() for x in theirs)
 
     def test_float32_training_tracks_a_float64_reference(self):
         # the learner against the allocating path on exact float64 copies of
@@ -579,28 +697,28 @@ class TestWorkspaceTrainStep:
         rng = np.random.default_rng(34)
         critic = init_mlp([5 + ACTION_DIM, 16, 12, 1], rng)
         x = rng.normal(size=(40, 5 + ACTION_DIM))
-        out, cache = mlp_forward(critic, x)
+        out, cache = reference_forward(critic, x)
         dout = rng.normal(size=out.shape).astype(out.dtype)
-        full_grads, full_dx = mlp_backward(critic, cache, dout)
+        full_grads, full_dx = reference_backward(critic, cache, dout)
+        bufs = MlpBuffers(critic, len(x))
 
-        no_weights, dx = mlp_backward(critic, cache, dout, weight_grads=False)
+        def backward(**flags):
+            # a fresh forward each time: the backward pass overwrites the cache
+            _, cache_b = mlp_forward(critic, x, bufs)
+            return mlp_backward(critic, cache_b, dout, bufs, **flags)
+
+        grads, dx = backward()
+        np.testing.assert_array_equal(dx, full_dx)
+        for g, full in zip(grads, full_grads):
+            np.testing.assert_array_equal(g, full)
+        no_weights, dx = backward(weight_grads=False)
         assert no_weights is None
         np.testing.assert_array_equal(dx, full_dx)
-        grads, no_dx = mlp_backward(critic, cache, dout, input_grad=False)
+        bufs.grad.fill(np.nan)
+        grads, no_dx = backward(input_grad=False)
         assert no_dx is None
         for g, full in zip(grads, full_grads):
             np.testing.assert_array_equal(g, full)
-
-        bufs = MlpBuffers(critic, len(x))
-        out_b, cache_b = mlp_forward(critic, x, bufs)
-        np.testing.assert_array_equal(out_b, out)
-        _, dx_b = mlp_backward(critic, cache_b, dout, bufs, weight_grads=False)
-        np.testing.assert_array_equal(dx_b, full_dx)
-        # the backward pass overwrote the cache held in bufs
-        _, cache_b = mlp_forward(critic, x, bufs)
-        mlp_backward(critic, cache_b, dout, bufs, input_grad=False)
-        full_flat = np.concatenate([g.ravel() for g in full_grads])
-        np.testing.assert_array_equal(bufs.grad, full_flat)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_one_column_input_gradient_is_the_matmul_bit_for_bit(self, dtype):
@@ -610,9 +728,10 @@ class TestWorkspaceTrainStep:
         for _ in range(50):
             n_in, batch = int(rng.integers(1, 40)), int(rng.integers(1, 300))
             head = MlpParams([rng.normal(size=(n_in, 1)).astype(dtype)], [np.zeros(1, dtype)])
-            _, cache = mlp_forward(head, rng.normal(size=(batch, n_in)))
+            bufs = MlpBuffers(head, batch)
+            _, cache = mlp_forward(head, rng.normal(size=(batch, n_in)), bufs)
             dout = rng.normal(size=(batch, 1)).astype(dtype)
-            _, dx = mlp_backward(head, cache, dout, weight_grads=False)
+            _, dx = mlp_backward(head, cache, dout, bufs, weight_grads=False)
             expected = np.matmul(dout, head.weights[0].T)
             assert dx.dtype == expected.dtype == dtype
             assert dx.tobytes() == expected.tobytes()
@@ -639,9 +758,9 @@ class TestLayerLayout:
         rng = np.random.default_rng(47)
         net = init_mlp([4, 9, 3], rng)
         x = rng.normal(size=(30, 4))
-        out, cache = mlp_forward(net, x)
+        out, cache = reference_forward(net, x)
         dout = rng.normal(size=out.shape).astype(DTYPE)
-        grads, _ = mlp_backward(net, cache, dout)
+        grads, _ = reference_backward(net, cache, dout)
         bufs = MlpBuffers(net, len(x))
         for layer, lg in zip(net.layers, bufs.layer_grads):
             assert lg.shape == layer.shape and np.shares_memory(lg, bufs.grad)
@@ -658,7 +777,7 @@ class TestLayerLayout:
 
     def test_forward_after_an_input_gradient_resets_the_ones_columns(self):
         # the input-gradient backward writes over every ones column; the next
-        # forward must set them again and match the allocating path bit for bit
+        # forward must set them again and match the reference bit for bit
         rng = np.random.default_rng(48)
         critic = init_mlp([5 + ACTION_DIM, 16, 12, 1], rng)
         x, x2 = rng.normal(size=(2, 40, 5 + ACTION_DIM))
@@ -667,7 +786,7 @@ class TestLayerLayout:
         mlp_backward(critic, cache, np.ones_like(out), bufs, weight_grads=False)
         assert all(np.any(h[:, -1] != 1.0) for h in bufs.fwd[:-1])
         out_b, cache_b = mlp_forward(critic, x2, bufs)
-        out_a, cache_a = mlp_forward(critic, x2)
+        out_a, cache_a = reference_forward(critic, x2)
         assert out_b.tobytes() == out_a.tobytes()
         for h_b, h_a in zip(cache_b, cache_a):
             assert h_b.tobytes() == h_a.tobytes()
@@ -675,9 +794,9 @@ class TestLayerLayout:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_on_a_zero_block_matches_relu_on_a_scalar(self, dtype):
-        # the workspace ReLU's second operand is a zero array, the allocating
-        # one's the scalar 0.0: the two must agree bit for bit, signed zeros,
-        # NaN and infinities included
+        # the buffers' ReLU's second operand is a zero array, the reference's
+        # the scalar 0.0: the two must agree bit for bit, signed zeros, NaN and
+        # infinities included
         edge = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45, -1e-45], dtype)
         rng = np.random.default_rng(49)
         h = np.concatenate([edge, rng.normal(size=1000).astype(dtype)]).reshape(-1, 8)
@@ -761,6 +880,49 @@ class TestNonFinite:
         assert learner.critic_opt.t == learner.actor_opt.t == 0
 
 
+def bandit_best(obs):
+    """One-hot of the largest of each row's first three features."""
+    return np.eye(ACTION_DIM)[np.argmax(obs[:, :ACTION_DIM], axis=1)]
+
+
+def bandit_cost(actions, obs):
+    return np.sum((actions - bandit_best(obs)) ** 2, axis=1)
+
+
+class TestLearningSignal:
+    """Actor and critic together must improve a policy, not just follow their
+    gradients: a sign error in the actor update passes every gradient test."""
+
+    # the greedy cost after training may be at most this share of the
+    # initial cost. Measured at seeds 0-2: 0.665-0.670 -> 0.053-0.071, shares
+    # of 0.080-0.107, so the bound leaves a margin of 2.3x or more. With the
+    # actor gradient negated the cost rose to 1.28-1.97 at the same seeds
+    BOUND = 0.25
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_training_lowers_the_greedy_cost_of_a_contextual_bandit(self, seed):
+        # one-step episodes of 4 rows with 4 normal features; every
+        # transition is terminal, so the TD target is the cost itself
+        cfg = TrainerConfig(
+            batch_size=64, hidden=(32, 32), critic_lr=1e-3, actor_lr=1e-3, tau=0.05,
+            buffer_capacity=6000,
+        )
+        rng = np.random.default_rng(seed)
+        learner = DdpgLearner(obs_dim=4, cfg=cfg, rng=rng)
+        policy = ActorPolicy(learner.actor)  # the learner's live actor, greedy
+        held_out = rng.normal(size=(512, 4))
+        initial = bandit_cost(policy.act(held_out), held_out).mean()
+        for _ in range(1500):
+            obs = rng.normal(size=(4, 4))
+            actions = learner.act(obs, 0.5, rng)
+            for o, a, c in zip(obs, actions, bandit_cost(actions, obs)):
+                learner.record(o, a, c, o, True)
+            if learner.ready():
+                learner.train_step(rng)
+        final = bandit_cost(policy.act(held_out), held_out).mean()
+        assert final <= self.BOUND * initial, (initial, final)
+
+
 def finite_difference_grads(f, arrays, h=1e-5):
     grads = []
     for arr in arrays:
@@ -796,9 +958,9 @@ class TestGradients:
         obs = rng.normal(size=(8, obs_dim))
         act = rng.dirichlet(np.ones(3), 8)
         y = rng.normal(size=8)
-        analytic, _ = critic_loss_grads(critic, obs, act, y)
+        analytic, _ = critic_loss_grads(critic, obs, act, y, critic_workspace(critic, 8))
         numeric = finite_difference_grads(
-            lambda: critic_loss(critic, obs, act, y), critic.arrays()
+            lambda: reference_critic_loss_grads(critic, obs, act, y)[1], critic.arrays()
         )
         assert relative_grad_error(analytic, numeric) < 1e-4
 
@@ -809,9 +971,10 @@ class TestGradients:
         actor = float64(init_mlp([obs_dim, 6, 5, ACTION_DIM], rng, final_scale=0.5))
         critic = float64(init_mlp([obs_dim + ACTION_DIM, 6, 5, 1], rng))
         obs = rng.normal(size=(8, obs_dim))
-        analytic, _ = actor_objective_grads(actor, critic, obs)
+        analytic, _ = actor_objective_grads(actor, critic, obs, TrainWorkspace(8, actor, critic))
         numeric = finite_difference_grads(
-            lambda: actor_objective(actor, critic, obs), actor.arrays()
+            lambda: float(np.mean(reference_critic(critic, obs, reference_actor(actor, obs)))),
+            actor.arrays(),
         )
         assert relative_grad_error(analytic, numeric) < 1e-4
 
@@ -822,15 +985,12 @@ class TestCheckpoint:
         learner = DdpgLearner(obs_dim=7, cfg=cfg, rng=np.random.default_rng(17))
         path = tmp_path / "net.ckpt"
         learner.save(path)
-        nets, meta = load_learner_networks(path)
+        arrays, meta = load_checkpoint(path)
         assert meta["train_steps"] == 0
         assert meta["obs_dim"] == 7
         echoed = meta["config"]
         assert TrainerConfig(**{**echoed, "hidden": tuple(echoed["hidden"])}) == cfg
-        for name, net in nets.items():
-            orig = getattr(learner, name)
-            for a, b in zip(net.arrays(), orig.arrays()):
-                np.testing.assert_array_equal(a, b)
+        assert_same_networks_as(learner, arrays)
 
     def test_identical_saves_identical_bytes(self, tmp_path):
         learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(18))
@@ -873,7 +1033,8 @@ class TestCheckpoint:
         assert policy.params.flat.dtype == np.float64
         obs = np.random.default_rng(31).normal(size=(6, 4))
         u = policy.act(obs)
-        np.testing.assert_array_equal(u, actor_forward(float64(learner.actor), obs))
+        actor64 = float64(learner.actor)
+        np.testing.assert_array_equal(u, actor_forward(actor64, obs, rows_of(actor64, obs)))
         np.testing.assert_allclose(u.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_float16_entry_rejected(self, tmp_path):
@@ -888,7 +1049,7 @@ class TestCheckpoint:
             ValueError,
             match=f"{re.escape(str(path))}: array '{entry['name']}' has dtype 'float16'",
         ):
-            load_learner_networks(path)
+            load_checkpoint(path)
 
     def _rewrite_header(self, path, **changes):
         raw = path.read_bytes()
@@ -904,7 +1065,7 @@ class TestCheckpoint:
         learner.save(path)
         self._rewrite_header(path, version=99)
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*version 99"):
-            load_learner_networks(path)
+            load_checkpoint(path)
 
     def test_truncated_file_names_file_and_array(self, tmp_path):
         learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(22))
@@ -915,10 +1076,10 @@ class TestCheckpoint:
         last = max(header["arrays"], key=lambda e: e["offset"])["name"]
         path.write_bytes(raw[:-16])
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*array '{last}'"):
-            load_learner_networks(path)
+            load_checkpoint(path)
         path.write_bytes(raw[:10])
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*header"):
-            load_learner_networks(path)
+            load_checkpoint(path)
 
     def test_size_mismatch_names_file_and_array(self, tmp_path):
         learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(23))
@@ -930,21 +1091,21 @@ class TestCheckpoint:
         self._rewrite_header(path, arrays=header["arrays"])
         name = header["arrays"][0]["name"]
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*array '{name}'"):
-            load_learner_networks(path)
+            load_checkpoint(path)
 
 
     def test_header_without_arrays_or_meta_names_file(self, tmp_path):
         path = tmp_path / "bare.ckpt"
         path.write_bytes(json.dumps({"format": FORMAT_TAG, "version": VERSION}).encode() + b"\n")
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*lacks arrays, meta"):
-            load_learner_networks(path)
+            load_checkpoint(path)
         learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(24))
         learner.save(path)
         header = self._rewrite_header(path)
         del header["meta"]
         path.write_bytes(json.dumps(header).encode() + b"\n")
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*lacks meta"):
-            load_learner_networks(path)
+            load_checkpoint(path)
 
     def test_entry_without_field_names_file_and_entry(self, tmp_path):
         learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(25))
@@ -957,13 +1118,13 @@ class TestCheckpoint:
         with pytest.raises(
             ValueError, match=f"{re.escape(str(path))}: array entry 0 \\('{name}'\\) lacks nbytes"
         ):
-            load_learner_networks(path)
+            load_checkpoint(path)
         del header["arrays"][0]["name"]
         self._rewrite_header(path, arrays=header["arrays"])
         with pytest.raises(
             ValueError, match=f"{re.escape(str(path))}: array entry 0 lacks name, nbytes"
         ):
-            load_learner_networks(path)
+            load_checkpoint(path)
 
     def test_header_not_json_names_file(self, tmp_path):
         learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(26))
@@ -972,10 +1133,10 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(b"{not json" + raw[raw.index(b"\n") :])
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*not JSON"):
-            load_learner_networks(path)
+            load_checkpoint(path)
         path.write_bytes(b"[]" + raw[raw.index(b"\n") :])
         with pytest.raises(ValueError, match=f"{re.escape(str(path))} is not a"):
-            load_learner_networks(path)
+            load_checkpoint(path)
 
     def test_flipped_body_byte_fails_the_digest(self, tmp_path):
         learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(27))
@@ -985,7 +1146,7 @@ class TestCheckpoint:
         raw[raw.index(b"\n") + 1 + 100] ^= 0x01
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*sha256"):
-            load_learner_networks(path)
+            load_checkpoint(path)
 
     def test_missing_digest_names_file(self, tmp_path):
         learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(28))
@@ -996,7 +1157,7 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(json.dumps(header).encode() + raw[raw.index(b"\n") :])
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header lacks sha256"):
-            load_learner_networks(path)
+            load_checkpoint(path)
 
 
 class TestTrainerConfig:
@@ -1007,6 +1168,12 @@ class TestTrainerConfig:
             TrainerConfig(tau=0.0)
         with pytest.raises(ValueError):
             TrainerConfig(batch_size=0)
+
+    @pytest.mark.parametrize("hidden", [(0,), (-4,), (16, 2.5), ("8",), (16, None)])
+    def test_hidden_widths_must_be_positive_ints(self, hidden):
+        # a zero width gives an actor that ignores its input
+        with pytest.raises(ValueError, match="hidden widths must be positive ints"):
+            TrainerConfig(hidden=hidden)
 
     def test_sigma_schedule(self):
         cfg = small_config(episodes=100, sigma_start=0.3, sigma_end=0.05, sigma_anneal_frac=0.5)
