@@ -17,9 +17,13 @@ buffers its caller passes (an ``MlpBuffers`` per network, a whole
 ``TrainWorkspace``, or an ``out`` or ``scratch`` array); there is no
 allocating variant. ``DdpgLearner.train_step`` passes the learner's own
 workspace, and the act paths build fresh ``MlpBuffers`` for their rows (a
-1-D observation is one row). Buffers hold no state between calls: each
-function overwrites what it reads before reading it, and what it returns is
-valid only until the next call that is given the same buffers.
+1-D observation is one row). ``MlpBuffers`` is the only channel between the
+passes over a network: a backward pass reads the layer inputs that the last
+forward pass left in the same buffers, and writes the weight gradients into
+their one flat ``grad`` vector, which is what the gradient functions return.
+Otherwise buffers hold no state between calls: each function overwrites
+what it reads before reading it, and what it returns is valid only until the
+next call that is given the same buffers.
 
 Precision rule: the learner runs in ``DTYPE`` (float32). Buffers, workspace
 and Adam moments take the parameters' dtype and the forward passes cast their
@@ -82,17 +86,9 @@ class MlpParams:
         self.biases = [layer[-1] for layer in self.layers]
 
     @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
-    @property
     def widths(self) -> tuple[int, ...]:
         """Input width, then each layer's output width."""
-        return (self.in_dim, *(w.shape[1] for w in self.weights))
+        return (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
 
     def arrays(self) -> list[np.ndarray]:
         out = []
@@ -160,12 +156,9 @@ def init_mlp(sizes: list[int], rng: np.random.Generator, final_scale: float = 3e
     return MlpParams(weights, biases)
 
 
-def mlp_forward(
-    params: MlpParams, x: np.ndarray, bufs: MlpBuffers
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass into ``bufs.fwd``; returns the output and the per-layer
-    inputs for backprop, each with its ones column, as views of it. ``x``
-    (cast to the params' dtype) may itself be ``bufs.inputs``.
+def mlp_forward(params: MlpParams, x: np.ndarray, bufs: MlpBuffers) -> np.ndarray:
+    """Forward pass into ``bufs.fwd``; returns the output, ``bufs.fwd[-1]``.
+    ``x`` (cast to the params' dtype) may itself be ``bufs.inputs``.
     """
     fwd, last = bufs.fwd, len(params.layers) - 1
     if x is not bufs.inputs:
@@ -173,47 +166,40 @@ def mlp_forward(
     for i, layer in enumerate(params.layers):
         fwd[i][:, -1] = 1.0  # the backward pass writes over it
         if i == last:
-            return np.matmul(fwd[i], layer, out=fwd[i + 1]), fwd[: i + 1]
+            return np.matmul(fwd[i], layer, out=fwd[i + 1])
         np.matmul(fwd[i], layer, out=fwd[i + 1][:, :-1])
         np.maximum(fwd[i + 1], bufs.zeros[i + 1], out=fwd[i + 1])
 
 
 def mlp_backward(
-    params: MlpParams,
-    cache: list[np.ndarray],
-    dout: np.ndarray,
-    bufs: MlpBuffers,
-    weight_grads: bool = True,
-    input_grad: bool = True,
-) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
-    """Gradients of a scalar loss given d(loss)/d(output).
+    params: MlpParams, dout: np.ndarray, bufs: MlpBuffers, weight_grads: bool
+) -> np.ndarray | None:
+    """Backpropagate d(loss)/d(output) through the forward pass last run in
+    ``bufs``.
 
-    Returns gradients in arrays() order plus d(loss)/d(input).
-    ``weight_grads=False`` skips the weight and bias gradients and
-    ``input_grad=False`` the layer-0 input gradient; each skipped part is
-    returned as None. The results are written into ``bufs.grad`` and over
-    ``bufs.fwd``, so a forward cache held there serves one backward pass.
+    ``weight_grads=True`` writes the weight and bias gradients into
+    ``bufs.grad`` and returns None; ``False`` returns d(loss)/d(input) only
+    and leaves ``bufs.grad`` as it was. Either mode overwrites ``bufs.fwd``,
+    so one forward pass serves one backward pass.
     """
-    n_layers = len(params.layers)
-    grads = [None] * (2 * n_layers) if weight_grads else None
+    fwd = bufs.fwd
     da = dout
-    for i in range(n_layers - 1, -1, -1):
+    for i in range(len(params.layers) - 1, -1, -1):
         if weight_grads:
             # the input's ones column turns the bias row into sum(da, axis=0)
-            g = np.matmul(cache[i].T, da, out=bufs.layer_grads[i])
-            grads[2 * i], grads[2 * i + 1] = g[:-1], g[-1]
-        if i == 0 and not input_grad:
-            return grads, None
-        relu = np.greater(cache[i], 0.0, out=bufs.mask[i]) if i > 0 else None
-        # cache[i] is bufs.fwd[i]: it is read above and overwritten here. One
-        # output column makes it an outer product: multiply gives the K=1
-        # matmul's bits, 2.4x faster in float32 at batch 1024
+            np.matmul(fwd[i].T, da, out=bufs.layer_grads[i])
+            if i == 0:
+                return None
+        relu = np.greater(fwd[i], 0.0, out=bufs.mask[i]) if i > 0 else None
+        # fwd[i] is read above and overwritten here. One output column makes
+        # it an outer product: multiply gives the K=1 matmul's bits, 2.4x
+        # faster in float32 at batch 1024
         layer = params.layers[i]
-        da = (np.multiply if layer.shape[1] == 1 else np.matmul)(da, layer.T, out=bufs.fwd[i])
+        da = (np.multiply if layer.shape[1] == 1 else np.matmul)(da, layer.T, out=fwd[i])
         if i > 0:
             da *= relu
         da = da[:, :-1]  # drop the ones column's gradient
-    return grads, da
+    return da
 
 
 def softmax(z: np.ndarray, col=None) -> np.ndarray:
@@ -240,8 +226,7 @@ def softmax_backward(
 def actor_forward(params: MlpParams, obs: np.ndarray, bufs: MlpBuffers) -> np.ndarray:
     """Action on the probability simplex for each observation row; the
     actions overwrite the logits in ``bufs.fwd[-1]``."""
-    logits, _ = mlp_forward(params, obs, bufs)
-    return softmax(logits, bufs.col)
+    return softmax(mlp_forward(params, obs, bufs), bufs.col)
 
 
 def critic_input(obs: np.ndarray, action: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -256,16 +241,14 @@ def critic_forward(
     params: MlpParams, obs: np.ndarray, action: np.ndarray, bufs: MlpBuffers
 ) -> np.ndarray:
     """Scalar value of each (observation, action) row pair."""
-    out, _ = mlp_forward(params, critic_input(obs, action, bufs.inputs), bufs)
-    return out[:, 0]
+    return mlp_forward(params, critic_input(obs, action, bufs.inputs), bufs)[:, 0]
 
 
 def _act_logits(params: MlpParams, observations) -> np.ndarray:
     """float64 copy of the actor's logits for each observation row (a 1-D
     observation is one row), through fresh buffers sized to the rows."""
     rows = np.atleast_2d(observations)
-    logits, _ = mlp_forward(params, rows, MlpBuffers(params, len(rows)))
-    return logits.astype(np.float64)
+    return mlp_forward(params, rows, MlpBuffers(params, len(rows))).astype(np.float64)
 
 
 def map_action(u_raw: np.ndarray, limits: Limits) -> ControlInput:
@@ -306,11 +289,6 @@ class TrainerConfig:
     actor_final_scale: float = 3e-3
 
     def __post_init__(self):
-        problems = self.validate()
-        if problems:
-            raise ValueError("; ".join(problems))
-
-    def validate(self) -> list[str]:
         problems = []
         if not 0.0 < self.gamma < 1.0:
             problems.append(f"gamma must be in (0, 1), got {self.gamma}")
@@ -330,7 +308,8 @@ class TrainerConfig:
             problems.append("exploration sigmas must be nonnegative")
         if not all(isinstance(w, (int, np.integer)) and w > 0 for w in self.hidden):
             problems.append(f"hidden widths must be positive ints, got {self.hidden}")
-        return problems
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def sigma_at(self, episode: int) -> float:
         """Linear anneal over the first sigma_anneal_frac of training."""
@@ -353,10 +332,10 @@ class ReplayBuffer:
 
     FIELDS = ("obs", "act", "rew", "obs_next", "done")
 
-    def __init__(self, capacity: int, obs_dim: int, act_dim: int = ACTION_DIM):
+    def __init__(self, capacity: int, obs_dim: int):
         self.capacity = capacity
-        self.obs_dim, self.act_dim = obs_dim, act_dim
-        self.rows = np.zeros((capacity, 2 * obs_dim + act_dim + 2), DTYPE)
+        self.obs_dim = obs_dim
+        self.rows = np.zeros((capacity, 2 * obs_dim + ACTION_DIM + 2), DTYPE)
         self.obs, self.act, self.rew, self.obs_next, self.done = self.fields(self.rows)
         self._row = np.empty(self.rows.shape[1], DTYPE)  # add() builds a row here
         self._row_fields = self.fields(self._row[None])
@@ -368,7 +347,7 @@ class ReplayBuffer:
 
     def fields(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
         """(obs, act, rew, obs_next, done) column views of transition rows."""
-        o, e = self.obs_dim, self.obs_dim + self.act_dim
+        o, e = self.obs_dim, self.obs_dim + ACTION_DIM
         return rows[:, :o], rows[:, o:e], rows[:, e], rows[:, e + 1 : -1], rows[:, -1]
 
     def add(self, obs, act, rew: float, obs_next, done: bool) -> None:
@@ -461,33 +440,32 @@ def compute_td_targets(
 
 def critic_loss_grads(
     params: MlpParams, obs, act, targets, ws: TrainWorkspace
-) -> tuple[list[np.ndarray], float]:
-    """Gradients of the mean squared TD error, as views of
-    ``ws.critic.grad``, and that error."""
-    out, cache = mlp_forward(params, critic_input(obs, act, ws.critic.inputs), ws.critic)
+) -> tuple[np.ndarray, float]:
+    """Flat gradient (``ws.critic.grad``) of the mean squared TD error, and
+    that error."""
+    out = mlp_forward(params, critic_input(obs, act, ws.critic.inputs), ws.critic)
     err = np.subtract(out[:, 0], targets, out=ws.err)
     loss = float(np.mean(np.multiply(err, err, out=ws.vec)))
     dout = np.multiply(2.0 / len(err), err[:, None], out=ws.critic.col)
-    grads, _ = mlp_backward(params, cache, dout, ws.critic, input_grad=False)
-    return grads, loss
+    mlp_backward(params, dout, ws.critic, weight_grads=True)
+    return ws.critic.grad, loss
 
 
 def actor_objective_grads(
     actor: MlpParams, critic: MlpParams, obs, ws: TrainWorkspace
-) -> tuple[list[np.ndarray], float]:
-    """Actor gradients of the mean critic value (a cost, to be minimized),
-    as views of ``ws.actor.grad``, and that value; only d(Q)/d(input) is
-    taken from the critic."""
-    logits, cache_a = mlp_forward(actor, obs, ws.actor)
-    u = softmax(logits, ws.actor.col)
-    q, cache_q = mlp_forward(critic, critic_input(obs, u, ws.critic.inputs), ws.critic)
+) -> tuple[np.ndarray, float]:
+    """Flat actor gradient (``ws.actor.grad``) of the mean critic value (a
+    cost, to be minimized), and that value; only d(Q)/d(input) is taken
+    from the critic."""
+    u = softmax(mlp_forward(actor, obs, ws.actor), ws.actor.col)
+    q = mlp_forward(critic, critic_input(obs, u, ws.critic.inputs), ws.critic)
     objective = float(np.mean(q[:, 0]))
     ws.critic.col.fill(1.0 / len(obs))  # d(objective)/dQ
-    _, dx = mlp_backward(critic, cache_q, ws.critic.col, ws.critic, weight_grads=False)
+    dx = mlp_backward(critic, ws.critic.col, ws.critic, weight_grads=False)
     du = dx[:, obs.shape[1] :]
     dlogits = softmax_backward(u, du, ws.dlogits, ws.actor.col)
-    grads, _ = mlp_backward(actor, cache_a, dlogits, ws.actor, input_grad=False)
-    return grads, objective
+    mlp_backward(actor, dlogits, ws.actor, weight_grads=True)
+    return ws.actor.grad, objective
 
 
 def soft_update(target: MlpParams, online: MlpParams, tau: float, scratch: np.ndarray) -> None:
@@ -511,7 +489,7 @@ class TrainWorkspace:
     """
 
     def __init__(self, batch: int, actor: MlpParams, critic: MlpParams):
-        obs_dim, act_dim, dtype = actor.in_dim, actor.out_dim, actor.flat.dtype
+        obs_dim, act_dim, dtype = actor.widths[0], actor.widths[-1], actor.flat.dtype
         widest = max((*actor.widths[1:-1], *critic.widths[1:-1]), default=0)
         self.zeros = np.zeros(batch * (widest + 1), dtype)
         self.mask = np.empty(self.zeros.size, bool)
@@ -562,14 +540,14 @@ class DdpgLearner:
         targets = compute_td_targets(
             self.target_actor, self.target_critic, rew, obs_next, done, cfg.gamma, ws
         )
-        _, c_loss = critic_loss_grads(self.critic, obs, act, targets, ws)
+        c_grad, c_loss = critic_loss_grads(self.critic, obs, act, targets, ws)
         self._require_finite(c_loss, "critic loss")
-        self._require_finite(ws.critic.grad, "critic gradient")
-        self.critic_opt.step(self.critic.flat, ws.critic.grad, cfg.critic_lr, ws.scratch)
-        _, a_obj = actor_objective_grads(self.actor, self.critic, obs, ws)
+        self._require_finite(c_grad, "critic gradient")
+        self.critic_opt.step(self.critic.flat, c_grad, cfg.critic_lr, ws.scratch)
+        a_grad, a_obj = actor_objective_grads(self.actor, self.critic, obs, ws)
         self._require_finite(a_obj, "actor objective")
-        self._require_finite(ws.actor.grad, "actor gradient")
-        self.actor_opt.step(self.actor.flat, ws.actor.grad, cfg.actor_lr, ws.scratch)
+        self._require_finite(a_grad, "actor gradient")
+        self.actor_opt.step(self.actor.flat, a_grad, cfg.actor_lr, ws.scratch)
         soft_update(self.target_actor, self.actor, cfg.tau, ws.scratch[0])
         soft_update(self.target_critic, self.critic, cfg.tau, ws.scratch[0])
         self.train_steps += 1
@@ -606,24 +584,6 @@ class DdpgLearner:
         save_checkpoint(path, self.network_arrays(), meta)
 
 
-def _params_from_arrays(arrays: dict[str, np.ndarray], prefix: str) -> MlpParams:
-    weights, biases = [], []
-    i = 0
-    while f"{prefix}.w{i}" in arrays:
-        weights.append(arrays[f"{prefix}.w{i}"])
-        biases.append(arrays[f"{prefix}.b{i}"])
-        i += 1
-    if not weights:
-        raise ValueError(f"checkpoint has no layers for {prefix!r}")
-    return MlpParams(weights, biases)
-
-
-def load_policy(path) -> tuple[MlpParams, dict]:
-    """Actor parameters plus checkpoint metadata."""
-    arrays, meta = load_checkpoint(path)
-    return _params_from_arrays(arrays, "actor"), meta
-
-
 class ActorPolicy:
     """Greedy wrapper around trained actor parameters."""
 
@@ -632,7 +592,23 @@ class ActorPolicy:
 
     @classmethod
     def from_checkpoint(cls, path) -> "ActorPolicy":
-        params, _ = load_policy(path)
+        """The actor of a checkpoint: ``actor.w0``, ``actor.b0``, ... numbered
+        from 0 without a gap, each layer's input the previous one's output;
+        anything else raises a ValueError naming the file."""
+        arrays, _ = load_checkpoint(path)
+        found = {name for name in arrays if name.startswith("actor.")}
+        n = sum(name.startswith("actor.w") for name in found)
+        wanted = {f"actor.{kind}{i}" for i in range(n) for kind in "wb"}
+        if not n or found != wanted:
+            raise ValueError(
+                f"{path}: actor arrays {sorted(found)} are not actor.w0, actor.b0, ..."
+                " numbered from 0 without a gap"
+            )
+        weights = [arrays[f"actor.w{i}"] for i in range(n)]
+        try:
+            params = MlpParams(weights, [arrays[f"actor.b{i}"] for i in range(n)])
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
         return cls(params)
 
     def act(self, observations: np.ndarray) -> np.ndarray:

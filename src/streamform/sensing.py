@@ -189,6 +189,14 @@ def detect_intervals(scan: LidarScan, d_risk: float) -> list[tuple[int, int]]:
     return intervals
 
 
+def shortest_ray(scan: LidarScan, start: int, stop: int) -> int:
+    """Index of the shortest of rays start to stop - 1. The one tie rule of
+    the avoidance logic: an exact distance tie goes to the lowest index, the
+    rightmost of the tied rays."""
+    # argmin returns the first of equal minima
+    return start + int(np.argmin(scan.distances[start:stop]))
+
+
 def split_sides(
     intervals: list[tuple[int, int]], scan: LidarScan
 ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
@@ -210,7 +218,7 @@ def split_sides(
         elif a_end < 0.0:
             rhs.append((start, end))
         else:
-            m = start + int(np.argmin(scan.distances[start : end + 1]))
+            m = shortest_ray(scan, start, end + 1)
             a_m = float(scan.angles[m])
             if a_m > 0.0:
                 lhs.append((start, end))

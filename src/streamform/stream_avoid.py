@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-import numpy as np
 
 from .geom import Angle, DegenerateTriangle, Vec2, circumcenter
-from .sensing import LidarScan, detect_intervals, split_sides
+from .sensing import LidarScan, detect_intervals, shortest_ray, split_sides
 
 # doublet singularity guard: points closer than this to the cylinder
 # center have no usable stream value
@@ -121,15 +120,12 @@ def default_cylinder(scan: LidarScan, m_index: int) -> VirtualCylinder:
 
 
 def shortest_interior_ray(interval: tuple[int, int], scan: LidarScan) -> int:
-    """Index of the shortest ray strictly inside the interval.
-
-    Ties break toward the smaller index.
-    """
+    """Index of the shortest ray strictly inside the interval; ties follow
+    ``sensing.shortest_ray``."""
     start, end = interval
     if end - start + 1 < 3:
         raise ValueError(f"interval {interval} must span at least 3 rays")
-    # argmin returns the first of equal minima
-    return start + 1 + int(np.argmin(scan.distances[start + 1 : end]))
+    return shortest_ray(scan, start + 1, end)
 
 
 def stream_bound(

@@ -63,9 +63,15 @@ def rows_of(net, x):
     return MlpBuffers(net, len(x))
 
 
+def split_like(flat, net):
+    """``flat`` cut into arrays of the shapes of ``net.arrays()``, in order."""
+    ends = np.cumsum([a.size for a in net.arrays()])[:-1]
+    return [part.reshape(a.shape) for part, a in zip(np.split(flat, ends), net.arrays())]
+
+
 def critic_workspace(critic, batch):
     """A workspace for ``critic`` with a small actor of its dtype beside it."""
-    obs_dim, dtype = critic.in_dim - ACTION_DIM, critic.flat.dtype
+    obs_dim, dtype = critic.widths[0] - ACTION_DIM, critic.flat.dtype
     actor = MlpParams(
         [np.zeros((obs_dim, 4), dtype), np.zeros((4, ACTION_DIM), dtype)],
         [np.zeros(4, dtype), np.zeros(ACTION_DIM, dtype)],
@@ -693,32 +699,37 @@ class TestWorkspaceTrainStep:
             train(alone, rng)
             assert_same_networks(alone, threaded)
 
-    def test_input_gradient_only_path_matches_full_backward(self):
-        rng = np.random.default_rng(34)
+    @staticmethod
+    def backward_case(seed):
+        """A critic, its input rows, an output gradient, the reference's
+        gradients and input gradient, and buffers for the rows."""
+        rng = np.random.default_rng(seed)
         critic = init_mlp([5 + ACTION_DIM, 16, 12, 1], rng)
         x = rng.normal(size=(40, 5 + ACTION_DIM))
         out, cache = reference_forward(critic, x)
         dout = rng.normal(size=out.shape).astype(out.dtype)
-        full_grads, full_dx = reference_backward(critic, cache, dout)
-        bufs = MlpBuffers(critic, len(x))
+        grads, dx = reference_backward(critic, cache, dout)
+        return critic, x, dout, grads, dx, MlpBuffers(critic, len(x))
 
-        def backward(**flags):
-            # a fresh forward each time: the backward pass overwrites the cache
-            _, cache_b = mlp_forward(critic, x, bufs)
-            return mlp_backward(critic, cache_b, dout, bufs, **flags)
-
-        grads, dx = backward()
-        np.testing.assert_array_equal(dx, full_dx)
-        for g, full in zip(grads, full_grads):
-            np.testing.assert_array_equal(g, full)
-        no_weights, dx = backward(weight_grads=False)
-        assert no_weights is None
-        np.testing.assert_array_equal(dx, full_dx)
+    def test_input_gradient_only_path_matches_full_backward(self):
+        # the input mode returns the reference's input gradient and leaves
+        # every byte of the gradient vector as it was
+        critic, x, dout, _, full_dx, bufs = self.backward_case(34)
         bufs.grad.fill(np.nan)
-        grads, no_dx = backward(input_grad=False)
-        assert no_dx is None
-        for g, full in zip(grads, full_grads):
-            np.testing.assert_array_equal(g, full)
+        before = bufs.grad.tobytes()
+        mlp_forward(critic, x, bufs)
+        dx = mlp_backward(critic, dout, bufs, weight_grads=False)
+        assert dx.tobytes() == full_dx.tobytes()
+        assert bufs.grad.tobytes() == before
+
+    def test_weight_gradient_path_writes_the_reference_gradients(self):
+        # the weight mode returns None and writes the reference's gradients,
+        # in arrays() order, into the flat vector
+        critic, x, dout, full_grads, _, bufs = self.backward_case(35)
+        bufs.grad.fill(np.nan)
+        mlp_forward(critic, x, bufs)
+        assert mlp_backward(critic, dout, bufs, weight_grads=True) is None
+        assert bufs.grad.tobytes() == b"".join(g.tobytes() for g in full_grads)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_one_column_input_gradient_is_the_matmul_bit_for_bit(self, dtype):
@@ -729,9 +740,9 @@ class TestWorkspaceTrainStep:
             n_in, batch = int(rng.integers(1, 40)), int(rng.integers(1, 300))
             head = MlpParams([rng.normal(size=(n_in, 1)).astype(dtype)], [np.zeros(1, dtype)])
             bufs = MlpBuffers(head, batch)
-            _, cache = mlp_forward(head, rng.normal(size=(batch, n_in)), bufs)
+            mlp_forward(head, rng.normal(size=(batch, n_in)), bufs)
             dout = rng.normal(size=(batch, 1)).astype(dtype)
-            _, dx = mlp_backward(head, cache, dout, bufs, weight_grads=False)
+            dx = mlp_backward(head, dout, bufs, weight_grads=False)
             expected = np.matmul(dout, head.weights[0].T)
             assert dx.dtype == expected.dtype == dtype
             assert dx.tobytes() == expected.tobytes()
@@ -764,16 +775,27 @@ class TestLayerLayout:
         bufs = MlpBuffers(net, len(x))
         for layer, lg in zip(net.layers, bufs.layer_grads):
             assert lg.shape == layer.shape and np.shares_memory(lg, bufs.grad)
-        _, cache_b = mlp_forward(net, x, bufs)
-        grads_b, _ = mlp_backward(net, cache_b, dout, bufs, input_grad=False)
+        mlp_forward(net, x, bufs)
+        mlp_backward(net, dout, bufs, weight_grads=True)
         assert bufs.grad.tobytes() == b"".join(g.tobytes() for g in grads)
-        # the returned gradients are views of bufs.grad at the arrays() offsets
-        base = bufs.grad.__array_interface__["data"][0]
-        starts = np.cumsum([0] + [a.size for a in net.arrays()[:-1]]) * bufs.grad.itemsize
-        for g, a, start in zip(grads_b, net.arrays(), starts):
-            assert g.shape == a.shape and g.__array_interface__["data"][0] == base + start
+        # split by the arrays() shapes, the flat vector holds each gradient
+        # where flat holds its array, and layer_grads[i] is layer i's block
+        for g, part in zip(grads, split_like(bufs.grad, net)):
+            assert g.shape == part.shape and g.tobytes() == part.tobytes()
+        for i, lg in enumerate(bufs.layer_grads):
+            assert lg[:-1].tobytes() == grads[2 * i].tobytes()
+            assert lg[-1].tobytes() == grads[2 * i + 1].tobytes()
         # the bias gradient is the column sum of the output gradient
-        np.testing.assert_allclose(grads[-1], dout.sum(axis=0), rtol=1e-5)
+        np.testing.assert_allclose(split_like(bufs.grad, net)[-1], dout.sum(axis=0), rtol=1e-5)
+
+    def test_gradient_functions_return_the_workspace_vectors(self):
+        learner, rng = filled_learner(51)
+        ws, n = learner.workspace, learner.cfg.batch_size
+        obs, act, rew, *_ = learner.buffer.sample(n, rng, ws.sample)
+        grad, _ = critic_loss_grads(learner.critic, obs, act, rew, ws)
+        assert grad is ws.critic.grad
+        grad, _ = actor_objective_grads(learner.actor, learner.critic, obs, ws)
+        assert grad is ws.actor.grad
 
     def test_forward_after_an_input_gradient_resets_the_ones_columns(self):
         # the input-gradient backward writes over every ones column; the next
@@ -782,13 +804,13 @@ class TestLayerLayout:
         critic = init_mlp([5 + ACTION_DIM, 16, 12, 1], rng)
         x, x2 = rng.normal(size=(2, 40, 5 + ACTION_DIM))
         bufs = MlpBuffers(critic, len(x))
-        out, cache = mlp_forward(critic, x, bufs)
-        mlp_backward(critic, cache, np.ones_like(out), bufs, weight_grads=False)
+        out = mlp_forward(critic, x, bufs)
+        mlp_backward(critic, np.ones_like(out), bufs, weight_grads=False)
         assert all(np.any(h[:, -1] != 1.0) for h in bufs.fwd[:-1])
-        out_b, cache_b = mlp_forward(critic, x2, bufs)
+        out_b = mlp_forward(critic, x2, bufs)
         out_a, cache_a = reference_forward(critic, x2)
         assert out_b.tobytes() == out_a.tobytes()
-        for h_b, h_a in zip(cache_b, cache_a):
+        for h_b, h_a in zip(bufs.fwd[:-1], cache_a):
             assert h_b.tobytes() == h_a.tobytes()
             assert np.all(h_b[:, -1] == 1.0)
 
@@ -958,7 +980,8 @@ class TestGradients:
         obs = rng.normal(size=(8, obs_dim))
         act = rng.dirichlet(np.ones(3), 8)
         y = rng.normal(size=8)
-        analytic, _ = critic_loss_grads(critic, obs, act, y, critic_workspace(critic, 8))
+        grad, _ = critic_loss_grads(critic, obs, act, y, critic_workspace(critic, 8))
+        analytic = split_like(grad, critic)
         numeric = finite_difference_grads(
             lambda: reference_critic_loss_grads(critic, obs, act, y)[1], critic.arrays()
         )
@@ -971,7 +994,8 @@ class TestGradients:
         actor = float64(init_mlp([obs_dim, 6, 5, ACTION_DIM], rng, final_scale=0.5))
         critic = float64(init_mlp([obs_dim + ACTION_DIM, 6, 5, 1], rng))
         obs = rng.normal(size=(8, obs_dim))
-        analytic, _ = actor_objective_grads(actor, critic, obs, TrainWorkspace(8, actor, critic))
+        grad, _ = actor_objective_grads(actor, critic, obs, TrainWorkspace(8, actor, critic))
+        analytic = split_like(grad, actor)
         numeric = finite_difference_grads(
             lambda: float(np.mean(reference_critic(critic, obs, reference_actor(actor, obs)))),
             actor.arrays(),
@@ -1036,6 +1060,25 @@ class TestCheckpoint:
         actor64 = float64(learner.actor)
         np.testing.assert_array_equal(u, actor_forward(actor64, obs, rows_of(actor64, obs)))
         np.testing.assert_allclose(u.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [
+            ({"w0": (4, 3)}, "actor arrays ['actor.w0'] are not actor.w0, actor.b0"),
+            ({"w0": (4, 5), "b0": (5,), "w1": (6, 3), "b1": (3,)},
+             "layer 1 input 6 does not match previous output"),
+            ({"w0": (4, 5), "b0": (5,), "w2": (5, 3), "b2": (3,)},
+             "actor arrays ['actor.b0', 'actor.b2', 'actor.w0', 'actor.w2'] are not"),
+        ],
+        ids=["weight-without-bias", "layers-do-not-chain", "gap-in-layers"],
+    )
+    def test_malformed_actor_names_the_file(self, tmp_path, shapes, message):
+        # a gap in the layer numbers must not load as the layers before it
+        path = tmp_path / "actor.ckpt"
+        arrays = {f"actor.{k}": np.zeros(shape, DTYPE) for k, shape in shapes.items()}
+        save_checkpoint(path, arrays, {})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            ActorPolicy.from_checkpoint(path)
 
     def test_float16_entry_rejected(self, tmp_path):
         learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(32))

@@ -13,6 +13,7 @@ from streamform.sensing import (
     detect_intervals,
     neighbor_observations,
     raycast,
+    shortest_ray,
     split_sides,
 )
 
@@ -359,6 +360,18 @@ class TestSplitSides:
         lhs, rhs = split_sides([(28, 33)], scan)
         assert lhs == (28, 33)
         assert rhs is None
+
+    def test_straddle_with_tied_shortest_rays_follows_shortest_ray(self):
+        # rays 29 (right of the heading) and 31 (left) tie exactly. Today's
+        # rule, shortest_ray, takes the lower index, so the interval goes
+        # right in a scan and in its mirror image alike: the rule is not
+        # mirror-symmetric
+        for tied in ({28: 0.6, 29: 0.4, 30: 0.6, 31: 0.4, 32: 0.6},
+                     {28: 0.6, 29: 0.4, 30: 0.5, 31: 0.4, 32: 0.7}):
+            for distances in (tied, {60 - i: d for i, d in tied.items()}):
+                scan = make_scan(distances)
+                assert shortest_ray(scan, 28, 33) == 29
+                assert split_sides([(28, 32)], scan) == (None, (28, 32))
 
 
 class TestNeighborObservations:

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from streamform.geom import Vec2, circumcenter
-from streamform.sensing import LidarConfig, LidarScan, ObstacleSet, detect_intervals, raycast
+from streamform.sensing import (
+    LidarConfig,
+    LidarScan,
+    ObstacleSet,
+    detect_intervals,
+    raycast,
+    shortest_ray,
+)
 from streamform.stream_avoid import (
     SINGULARITY_EPS,
     AvoidanceState,
@@ -327,15 +334,14 @@ class TestAvoidanceUpdate:
 def decided_by_a_tie_rule(scan):
     """True when a tie rule, which the mirrored scan does not mirror, picks
     a side or a shortest ray: an interval whose shortest ray is not unique
-    (argmin keeps the lower index), or one crossing the heading axis whose
-    shortest ray is dead ahead (split_sides sends it left)."""
+    (shortest_ray keeps the lower index), or one crossing the heading axis
+    whose shortest ray is dead ahead (split_sides sends it left)."""
     for start, end in detect_intervals(scan, PARAMS.d_risk):
         for d in (scan.distances[start : end + 1], scan.distances[start + 1 : end]):
             if np.count_nonzero(d == d.min()) > 1:
                 return True
         if scan.angles[start] <= 0.0 <= scan.angles[end]:
-            m = start + int(np.argmin(scan.distances[start : end + 1]))
-            if scan.angles[m] == 0.0:
+            if scan.angles[shortest_ray(scan, start, end + 1)] == 0.0:
                 return True
     return False
 
