@@ -11,6 +11,7 @@ swapping one for the other must also change what it passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -30,14 +31,15 @@ class ApfParams:
 def apf_cost(side_distances: Iterable[float | None], params: ApfParams) -> float:
     """Sum over sides of (gain/2) * (1/d - 1/d0)^2 inside the cutoff.
 
-    Sides without a detection pass None and contribute nothing.
+    Sides without a detection pass None and contribute nothing; a side
+    distance that is not positive and finite raises ValueError.
     """
     total = 0.0
     for d in side_distances:
         if d is None:
             continue
-        if d <= 0.0:
-            raise ValueError(f"distance must be positive, got {d}")
+        if not 0.0 < d < math.inf:
+            raise ValueError(f"side distance must be positive and finite, got {d}")
         if d < params.cutoff:
             diff = 1.0 / d - 1.0 / params.cutoff
             total += 0.5 * params.gain * diff * diff

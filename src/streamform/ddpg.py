@@ -229,19 +229,15 @@ def actor_forward(params: MlpParams, obs: np.ndarray, bufs: MlpBuffers) -> np.nd
     return softmax(mlp_forward(params, obs, bufs), bufs.col)
 
 
-def critic_input(obs: np.ndarray, action: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The critic's (observation | action) rows, written into ``out``."""
-    d = obs.shape[1]
-    out[:, :d] = obs
-    out[:, d:] = action
-    return out
-
-
 def critic_forward(
     params: MlpParams, obs: np.ndarray, action: np.ndarray, bufs: MlpBuffers
 ) -> np.ndarray:
-    """Scalar value of each (observation, action) row pair."""
-    return mlp_forward(params, critic_input(obs, action, bufs.inputs), bufs)[:, 0]
+    """Scalar value of each (observation, action) row pair; the critic's
+    (observation | action) input rows are built in ``bufs.inputs``."""
+    d = obs.shape[1]
+    bufs.inputs[:, :d] = obs
+    bufs.inputs[:, d:] = action
+    return mlp_forward(params, bufs.inputs, bufs)[:, 0]
 
 
 def _act_logits(params: MlpParams, observations) -> np.ndarray:
@@ -322,7 +318,7 @@ class ReplayBuffer:
     """Fixed-capacity ring of transitions with uniform sampling.
 
     A transition is one row of ``rows``, ``[obs | act | rew | obs_next |
-    done]``, in ``DTYPE``; ``obs`` to ``done`` are column views of it. One
+    done]``, in ``DTYPE``; ``fields`` gives the column views. One
     allocation, not five: at the default capacity (about 180 MB) it is far
     above glibc's mmap threshold (at most 32 MB), so it is mapped lazily and
     only written rows become resident. Per-field arrays of 4-12 MB could fall
@@ -336,7 +332,6 @@ class ReplayBuffer:
         self.capacity = capacity
         self.obs_dim = obs_dim
         self.rows = np.zeros((capacity, 2 * obs_dim + ACTION_DIM + 2), DTYPE)
-        self.obs, self.act, self.rew, self.obs_next, self.done = self.fields(self.rows)
         self._row = np.empty(self.rows.shape[1], DTYPE)  # add() builds a row here
         self._row_fields = self.fields(self._row[None])
         self._next = 0
@@ -443,8 +438,8 @@ def critic_loss_grads(
 ) -> tuple[np.ndarray, float]:
     """Flat gradient (``ws.critic.grad``) of the mean squared TD error, and
     that error."""
-    out = mlp_forward(params, critic_input(obs, act, ws.critic.inputs), ws.critic)
-    err = np.subtract(out[:, 0], targets, out=ws.err)
+    q = critic_forward(params, obs, act, ws.critic)
+    err = np.subtract(q, targets, out=ws.err)
     loss = float(np.mean(np.multiply(err, err, out=ws.vec)))
     dout = np.multiply(2.0 / len(err), err[:, None], out=ws.critic.col)
     mlp_backward(params, dout, ws.critic, weight_grads=True)
@@ -457,9 +452,8 @@ def actor_objective_grads(
     """Flat actor gradient (``ws.actor.grad``) of the mean critic value (a
     cost, to be minimized), and that value; only d(Q)/d(input) is taken
     from the critic."""
-    u = softmax(mlp_forward(actor, obs, ws.actor), ws.actor.col)
-    q = mlp_forward(critic, critic_input(obs, u, ws.critic.inputs), ws.critic)
-    objective = float(np.mean(q[:, 0]))
+    u = actor_forward(actor, obs, ws.actor)
+    objective = float(np.mean(critic_forward(critic, obs, u, ws.critic)))
     ws.critic.col.fill(1.0 / len(obs))  # d(objective)/dQ
     dx = mlp_backward(critic, ws.critic.col, ws.critic, weight_grads=False)
     du = dx[:, obs.shape[1] :]

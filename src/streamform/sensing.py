@@ -134,8 +134,13 @@ def raycast(
     ray misses everything), plus Gaussian range noise when ``rng`` is given;
     results are clamped to [d_min, d_max]. If the agent center lies inside
     an obstacle every ray reads d_min and ``agent_inside`` is set. Circles
-    out of reach (see REACH_MARGIN) are dropped before the ray work.
+    out of reach (see REACH_MARGIN) are dropped before the ray work. A
+    non-finite position or heading raises ValueError.
     """
+    if not position.is_finite():
+        raise ValueError(f"raycast position {position} must be finite")
+    if not math.isfinite(heading):
+        raise ValueError(f"raycast heading {heading!r} must be finite")
     n = cfg.n_rays
     rel = obstacles.centers - (position.x, position.y)
     cc = np.einsum("ij,ij->i", rel, rel)
@@ -143,24 +148,22 @@ def raycast(
     if (cc < r2).any():
         return LidarScan(cfg.angles.copy(), np.full(n, cfg.d_min), agent_inside=True)
     near = np.flatnonzero(cc <= (obstacles.radii + (cfg.d_max + REACH_MARGIN)) ** 2)
-    if len(near) == 0:
-        d = np.full(n, cfg.d_max)
-    else:
-        c, s = math.cos(heading), math.sin(heading)
-        dirs = np.array([[c, -s], [s, c]]) @ cfg.ray_dirs
-        b = rel.take(near, axis=0) @ dirs  # (circles, rays) projections on rays
-        # disc = b|b| - (cc - r^2): a circle behind a ray (b < 0) gets a
-        # negative discriminant and misses like one off to the side. The
-        # inside test leaves cc - r^2 >= 0, so b >= 0 gives a root t >= 0
-        disc = np.abs(b)
-        disc *= b
-        disc -= (cc - r2).take(near)[:, None]
-        with np.errstate(invalid="ignore"):
-            np.sqrt(disc, out=disc)  # NaN marks a miss
-        b -= disc
-        d = np.fmin.reduce(b, axis=0)  # nearest hit per ray; NaN if none
-        np.fmin(d, cfg.d_max, out=d)
-        np.maximum(d, cfg.d_min, out=d)
+    c, s = math.cos(heading), math.sin(heading)
+    dirs = np.array([[c, -s], [s, c]]) @ cfg.ray_dirs
+    b = rel.take(near, axis=0) @ dirs  # (circles, rays) projections on rays
+    # disc = b|b| - (cc - r^2): a circle behind a ray (b < 0) gets a
+    # negative discriminant and misses like one off to the side. The
+    # inside test leaves cc - r^2 >= 0, so b >= 0 gives a root t >= 0
+    disc = np.abs(b)
+    disc *= b
+    disc -= (cc - r2).take(near)[:, None]
+    with np.errstate(invalid="ignore"):
+        np.sqrt(disc, out=disc)  # NaN marks a miss
+    b -= disc
+    # nearest hit per ray; inf where none (also with no circle in reach)
+    d = np.fmin.reduce(b, axis=0, initial=math.inf)
+    np.fmin(d, cfg.d_max, out=d)
+    np.maximum(d, cfg.d_min, out=d)
     if rng is not None and cfg.noise_std > 0.0:
         d += rng.normal(0.0, cfg.noise_std, size=n)
         np.minimum(d, cfg.d_max, out=d)
@@ -174,19 +177,11 @@ def detect_intervals(scan: LidarScan, d_risk: float) -> list[tuple[int, int]]:
     Runs shorter than MIN_INTERVAL_RAYS are discarded. Returns inclusive
     (start, end) ray-index pairs in ascending order.
     """
-    close = scan.distances < d_risk
-    intervals: list[tuple[int, int]] = []
-    start = None
-    for i, flag in enumerate(close):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            if i - start >= MIN_INTERVAL_RAYS:
-                intervals.append((start, i - 1))
-            start = None
-    if start is not None and len(close) - start >= MIN_INTERVAL_RAYS:
-        intervals.append((start, len(close) - 1))
-    return intervals
+    close = np.zeros(len(scan.distances) + 2, bool)  # padded with a clear ray each end
+    np.less(scan.distances, d_risk, out=close[1:-1])
+    # alternately the first close ray of a run and the first clear one after it
+    edges = np.flatnonzero(close[1:] != close[:-1]).tolist()
+    return [(s, e - 1) for s, e in zip(edges[::2], edges[1::2]) if e - s >= MIN_INTERVAL_RAYS]
 
 
 def shortest_ray(scan: LidarScan, start: int, stop: int) -> int:
@@ -202,39 +197,34 @@ def split_sides(
 ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
     """Assign detection intervals to the left/right half-fields.
 
-    An interval lies on the left when all its ray angles are positive and
-    on the right when all are negative; one straddling the heading axis is
-    assigned whole to the side of its shortest ray. Per side only the
-    foremost interval (the one whose endpoint is nearest the heading axis)
-    is kept.
+    ``intervals`` must be disjoint and ascending, as detect_intervals returns
+    them. An interval lies on the left when all its ray angles are positive
+    and on the right when all are negative; one straddling the heading axis
+    is assigned whole to the side of its shortest ray. Per side only the
+    foremost interval (inner endpoint nearest the heading axis) is kept: the
+    first one on the left (smallest start), the last one on the right
+    (largest end).
     """
-    lhs: list[tuple[int, int]] = []
-    rhs: list[tuple[int, int]] = []
+    lhs = rhs = None
     for start, end in intervals:
-        a_start = float(scan.angles[start])
-        a_end = float(scan.angles[end])
-        if a_start > 0.0:
-            lhs.append((start, end))
-        elif a_end < 0.0:
-            rhs.append((start, end))
+        if scan.angles[start] > 0.0:
+            left = True
+        elif scan.angles[end] < 0.0:
+            left = False
         else:
-            m = shortest_ray(scan, start, end + 1)
-            a_m = float(scan.angles[m])
-            if a_m > 0.0:
-                lhs.append((start, end))
-            elif a_m < 0.0:
-                rhs.append((start, end))
+            a_m = scan.angles[shortest_ray(scan, start, end + 1)]
+            if a_m != 0.0:
+                left = a_m > 0.0
             else:
                 # shortest ray dead ahead: take the side covering more rays,
                 # left on a perfect tie
                 seg = scan.angles[start : end + 1]
-                n_left, n_right = np.count_nonzero(seg > 0), np.count_nonzero(seg < 0)
-                (lhs if n_left >= n_right else rhs).append((start, end))
-    # foremost = smallest inner angle magnitude; on the left the inner
-    # endpoint is the interval start, on the right it is the interval end
-    best_lhs = min(lhs, key=lambda iv: iv[0]) if lhs else None
-    best_rhs = max(rhs, key=lambda iv: iv[1]) if rhs else None
-    return best_lhs, best_rhs
+                left = np.count_nonzero(seg > 0) >= np.count_nonzero(seg < 0)
+        if not left:
+            rhs = (start, end)
+        elif lhs is None:
+            lhs = (start, end)
+    return lhs, rhs
 
 
 @dataclass
@@ -258,10 +248,14 @@ def neighbor_observations(positions: list[Vec2], connection_zone: float) -> Comm
 
     Agent 0 is the navigator; its broadcast (distance and bearing from the
     navigator to each follower) is relayed through the network, so every
-    follower in the navigator's connected component receives it.
+    follower in the navigator's connected component receives it. A
+    non-finite position raises ValueError.
     """
     n = len(positions)
     pts = np.array([[p.x, p.y] for p in positions])
+    if not np.isfinite(pts).all():
+        bad = [i for i, p in enumerate(positions) if not p.is_finite()]
+        raise ValueError(f"positions of agents {bad} must be finite")
     diff = pts[None, :, :] - pts[:, None, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     adjacency = (dist <= connection_zone) & ~np.eye(n, dtype=bool)

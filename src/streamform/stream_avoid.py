@@ -76,11 +76,17 @@ class StreamParams:
 
 @dataclass(frozen=True)
 class AvoidanceState:
-    """Per-side memory carried across steps."""
+    """Per-side memory carried across steps: the desired stream value held
+    and the inner angle of the side's interval last step, both None while
+    the side is clear."""
 
-    avoid: bool = False
     c_desired: float | None = None
     prev_inner_angle: Angle | None = None
+
+    @property
+    def avoid(self) -> bool:
+        """The side is avoiding: it holds both memories."""
+        return self.c_desired is not None and self.prev_inner_angle is not None
 
 
 @dataclass(frozen=True)
@@ -119,15 +125,6 @@ def default_cylinder(scan: LidarScan, m_index: int) -> VirtualCylinder:
     return VirtualCylinder(Vec2(d * math.cos(a), d * math.sin(a)), DEFAULT_CYL_RADIUS)
 
 
-def shortest_interior_ray(interval: tuple[int, int], scan: LidarScan) -> int:
-    """Index of the shortest ray strictly inside the interval; ties follow
-    ``sensing.shortest_ray``."""
-    start, end = interval
-    if end - start + 1 < 3:
-        raise ValueError(f"interval {interval} must span at least 3 rays")
-    return shortest_ray(scan, start + 1, end)
-
-
 def stream_bound(
     cyl: VirtualCylinder, d_stop: float, flow_strength: float, side: Side
 ) -> float:
@@ -151,7 +148,9 @@ def _read_side(
 ) -> SideReading:
     start, end = interval
     inner = start if side == Side.LHS else end
-    m = shortest_interior_ray(interval, scan)
+    # the shortest ray strictly inside; detect_intervals keeps no interval
+    # of fewer than MIN_INTERVAL_RAYS (3) rays, so there is one
+    m = shortest_ray(scan, start + 1, end)
     try:
         center, radius = circumcenter(scan.endpoint(start), scan.endpoint(m), scan.endpoint(end))
         # a cylinder centred on the agent itself is as unusable as no triangle
@@ -205,15 +204,12 @@ def avoidance_update(
         rd = _read_side(scan, interval, side, params)
         # same obstacle sliding outward: hold the desired value; otherwise
         # (a rising edge, or a new obstacle in front) lock to the current one
-        remembered = prev.avoid and prev.c_desired is not None and prev.prev_inner_angle is not None
-        if remembered and abs(rd.inner_angle) > abs(prev.prev_inner_angle):
+        if prev.avoid and abs(rd.inner_angle) > abs(prev.prev_inner_angle):
             c_desired = prev.c_desired
         else:
             bound = stream_bound(rd.cylinder, params.d_stop, params.flow_strength, side)
             c_desired = bound if abs(rd.c_current) < abs(bound) else rd.c_current
-        new_states[side] = AvoidanceState(
-            avoid=True, c_desired=c_desired, prev_inner_angle=rd.inner_angle
-        )
+        new_states[side] = AvoidanceState(c_desired, rd.inner_angle)
         readings[side] = rd
         err = rd.c_current - c_desired
         cost += err * err * (1.0 / rd.m_distance - 1.0 / params.d_risk)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from streamform.apf import ApfParams, apf_cost
@@ -37,6 +39,13 @@ def test_nonpositive_distance_rejected():
     p = ApfParams(cutoff=0.7)
     with pytest.raises(ValueError):
         apf_cost([0.0], p)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_distance_rejected(bad):
+    # [nan, None] used to cost 0.0
+    with pytest.raises(ValueError, match="side distance must be positive and finite"):
+        apf_cost([bad, None], ApfParams(cutoff=0.7))
 
 
 def test_param_validation():

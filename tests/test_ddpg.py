@@ -315,7 +315,8 @@ class TestReplayBuffer:
         for k in range(7):
             buf.add([float(k)], [0, 0, 1], k, [float(k + 1)], False)
         assert len(buf) == 5
-        stored = set(buf.obs[:, 0])
+        obs = buf.fields(buf.rows)[0]
+        stored = set(obs[:, 0])
         assert stored == {2.0, 3.0, 4.0, 5.0, 6.0}
 
     def test_sample_requires_enough(self):
@@ -848,7 +849,7 @@ class TestNonFinite:
         with pytest.raises(ValueError, match=f"non-finite {field}:"):
             buf.add(**row, done=False)
         assert len(buf) == 1
-        assert np.isfinite(buf.obs).all() and np.isfinite(buf.rew).all()
+        assert np.isfinite(buf.rows).all()
 
     @pytest.mark.parametrize("field", ["obs", "act", "rew", "obs_next"])
     def test_buffer_rejects_a_field_that_overflows_the_row_dtype(self, field):
@@ -875,7 +876,8 @@ class TestNonFinite:
     def test_train_step_refuses_a_non_finite_loss(self):
         # a NaN that got into the buffer past add(): no weight may change
         learner, rng = filled_learner(39)
-        learner.buffer.rew[: len(learner.buffer)] = np.nan
+        rew = learner.buffer.fields(learner.buffer.rows)[2]
+        rew[: len(learner.buffer)] = np.nan
         before = {k: v.copy() for k, v in learner.network_arrays().items()}
         with pytest.raises(FloatingPointError, match="critic loss is nan"):
             learner.train_step(rng)

@@ -34,6 +34,15 @@ class TestRelativeDisplacement:
         with pytest.raises(ValueError):
             relative_displacement(-0.1, 0.0)
 
+    @pytest.mark.parametrize(
+        "d, theta, name",
+        [(math.nan, 0.3, "d_0i"), (math.inf, 0.3, "d_0i"), (1.0, math.nan, "theta_0i")],
+    )
+    def test_non_finite_input_rejected(self, d, theta, name):
+        # a NaN distance or bearing used to give Vec2(nan, nan)
+        with pytest.raises(ValueError, match=name):
+            relative_displacement(d, theta)
+
 
 class TestTrackingError:
     def test_exact_match(self):

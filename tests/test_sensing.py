@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from streamform.geom import Vec2
 from streamform.sensing import (
@@ -169,6 +170,24 @@ class TestRaycast:
             assert np.all(scan.distances >= cfg.d_min)
             assert np.all(scan.distances <= cfg.d_max)
 
+    @pytest.mark.parametrize(
+        "position, heading, name",
+        [(Vec2(math.nan, 0.0), 0.0, "position"), (Vec2(0.0, math.inf), 0.0, "position"),
+         (Vec2(0.0, 0.0), math.nan, "heading")],
+    )
+    def test_non_finite_position_or_nan_heading_raises(self, position, heading, name):
+        # a NaN pose used to give a blind scan: every ray at d_max, not inside
+        obs = ObstacleSet([[1.0, 0.0]], [0.3])
+        with pytest.raises(ValueError, match=f"raycast {name}"):
+            raycast(position, heading, obs, CFG)
+
+    @pytest.mark.parametrize("heading", [math.inf, -math.inf])
+    def test_infinite_heading_is_named(self, heading):
+        # math.cos raised a bare "math domain error" here
+        obs = ObstacleSet([[1.0, 0.0]], [0.3])
+        with pytest.raises(ValueError, match="raycast heading"):
+            raycast(Vec2(0.0, 0.0), heading, obs, CFG)
+
     def test_behind_obstacle_not_seen(self):
         obs = ObstacleSet([[-1.0, 0.0]], [0.3])
         scan = raycast(Vec2(0, 0), 0.0, obs, CFG)
@@ -294,6 +313,19 @@ class TestLidarConfig:
             LidarConfig(d_min=2.0, d_max=1.0)
 
 
+def scan_loop_intervals(distances, d_risk):
+    """Ray-by-ray run scan: the oracle for ``detect_intervals``."""
+    runs, start = [], None
+    for i, close in enumerate(list(distances < d_risk) + [False]):
+        if close and start is None:
+            start = i
+        elif not close and start is not None:
+            if i - start >= 3:
+                runs.append((start, i - 1))
+            start = None
+    return runs
+
+
 class TestDetectIntervals:
     def test_all_clear(self):
         scan = make_scan({})
@@ -325,8 +357,78 @@ class TestDetectIntervals:
                 if end < CFG.n_rays - 1:
                     assert d[end + 1] >= 0.7
 
+    # few distinct values, d_risk itself among them, so runs start and end
+    # everywhere, the scan edges included
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from([0.2, 0.5, 0.7, 1.0, 2.0]), min_size=CFG.n_rays,
+                    max_size=CFG.n_rays))
+    def test_matches_a_ray_by_ray_scan(self, distances):
+        d = np.array(distances)
+        scan = LidarScan(CFG.angles.copy(), d)
+        got = detect_intervals(scan, 0.7)
+        assert got == scan_loop_intervals(d, 0.7)
+        assert all(type(i) is int for iv in got for i in iv)
+
+
+def documented_split(intervals, scan):
+    """``split_sides`` by the rule its docstring states, each interval on
+    its own: all angles positive is left, all negative is right, else the
+    side of the shortest ray (lowest index on a distance tie) and, with that
+    ray dead ahead, the side covering more rays (left on a tie). The left
+    side keeps the smallest start and the right side the largest end."""
+    a, d = scan.angles, scan.distances
+    lhs, rhs = [], []
+    for start, end in intervals:
+        rays = range(start, end + 1)
+        if all(a[i] > 0 for i in rays):
+            left = True
+        elif all(a[i] < 0 for i in rays):
+            left = False
+        else:
+            m = min(rays, key=lambda i: (d[i], i))
+            if a[m] != 0:
+                left = a[m] > 0
+            else:
+                left = sum(a[i] > 0 for i in rays) >= sum(a[i] < 0 for i in rays)
+        (lhs if left else rhs).append((start, end))
+    return (min(lhs, key=lambda iv: iv[0], default=None),
+            max(rhs, key=lambda iv: iv[1], default=None))
+
+
+@st.composite
+def scans_with_intervals(draw):
+    """A scan and disjoint ascending intervals over it; interval distances
+    come from three values, so exact ties are common, and ray n_rays // 2 is
+    dead ahead, so straddlers and dead-ahead ties are too."""
+    n = CFG.n_rays
+    d = np.full(n, CFG.d_max)
+    intervals, at = [], draw(st.integers(0, 8))
+    for gap, length in draw(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 14)),
+                                     max_size=8)):
+        if at + length > n:
+            break
+        intervals.append((at, at + length - 1))
+        d[at : at + length] = draw(st.lists(st.sampled_from([0.2, 0.35, 0.5]),
+                                            min_size=length, max_size=length))
+        at += length + gap
+    return intervals, LidarScan(CFG.angles.copy(), d)
+
+
+DEAD_AHEAD = CFG.n_rays // 2
+
 
 class TestSplitSides:
+    @settings(max_examples=200, deadline=None)
+    @given(scans_with_intervals())
+    # shortest ray dead ahead with as many rays on each side, more on the
+    # left, more on the right; the draws rarely give these
+    @example(([(28, 32)], make_scan({**dict.fromkeys(range(28, 33), 0.5), DEAD_AHEAD: 0.2})))
+    @example(([(29, 32)], make_scan({**dict.fromkeys(range(29, 33), 0.5), DEAD_AHEAD: 0.2})))
+    @example(([(28, 31)], make_scan({**dict.fromkeys(range(28, 32), 0.5), DEAD_AHEAD: 0.2})))
+    def test_matches_the_documented_rule(self, drawn):
+        intervals, scan = drawn
+        assert split_sides(intervals, scan) == documented_split(intervals, scan)
+
     def test_single_positive_interval(self):
         scan = make_scan({i: 0.5 for i in range(40, 45)})
         lhs, rhs = split_sides([(40, 44)], scan)
@@ -413,6 +515,12 @@ class TestNeighborObservations:
         d, theta = view.broadcast[1]
         assert d == pytest.approx(2.0)
         assert theta == pytest.approx(math.pi / 2)
+
+    @pytest.mark.parametrize("bad", [Vec2(math.nan, 1.0), Vec2(2.0, -math.inf)])
+    def test_non_finite_position_raises(self, bad):
+        # a NaN position used to drop that agent's links and broadcast
+        with pytest.raises(ValueError, match=r"positions of agents \[1\] must be finite"):
+            neighbor_observations([Vec2(0, 0), bad, Vec2(1, 0)], 7.0)
 
     def test_matches_scalar_oracle_on_random_worlds(self):
         world = np.random.default_rng(40)

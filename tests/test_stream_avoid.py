@@ -23,7 +23,6 @@ from streamform.stream_avoid import (
     VirtualCylinder,
     avoidance_update,
     default_cylinder,
-    shortest_interior_ray,
     stream_bound,
     stream_value,
 )
@@ -123,31 +122,32 @@ class TestEstimateCylinder:
 
 
 class TestShortestInteriorRay:
+    """The ray a side reading measures from: shortest_ray over the rays
+    strictly inside its interval, start + 1 to end - 1."""
+
     def test_simple(self):
         scan = make_scan({4: 0.9, 5: 0.5, 6: 0.8})
-        assert shortest_interior_ray((4, 6), scan) == 5
+        assert shortest_ray(scan, 5, 6) == 5
 
     def test_tie_breaks_low(self):
         scan = make_scan({4: 0.9, 5: 0.5, 6: 0.5, 7: 0.9})
-        assert shortest_interior_ray((4, 7), scan) == 5
+        assert shortest_ray(scan, 5, 7) == 5
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(23)
+        fresh = (AvoidanceState(), AvoidanceState())
         for _ in range(300):
             start = int(rng.integers(0, 40))
             end = start + int(rng.integers(2, 15))
             d = np.full(CFG.n_rays, CFG.d_max)
             d[start : end + 1] = rng.uniform(0.1, 0.69, end - start + 1)
             scan = LidarScan(CFG.angles.copy(), d)
-            got = shortest_interior_ray((start, end), scan)
             interior = list(range(start + 1, end))
             want = min(interior, key=lambda i: (d[i], i))
-            assert got == want
-
-    def test_too_small_interval_rejected(self):
-        scan = make_scan({4: 0.5, 5: 0.5})
-        with pytest.raises(ValueError):
-            shortest_interior_ray((4, 5), scan)
+            assert shortest_ray(scan, start + 1, end) == want
+            # the one interval's reading, on whichever side, measures from it
+            (rd,) = [r for r in avoidance_update(scan, fresh, PARAMS).readings if r is not None]
+            assert rd.interval == (start, end) and rd.m_index == want
 
 
 class TestStreamBound:
@@ -181,10 +181,10 @@ class TestAvoidanceCost:
         scan = make_scan({i: 0.35 for i in range(20, 25)})
         fresh = (AvoidanceState(), AvoidanceState())
         rd = avoidance_update(scan, fresh, PARAMS).readings[Side.RHS]
-        held = AvoidanceState(avoid=True, c_desired=c_desired(rd.c_current), prev_inner_angle=0.0)
+        held = AvoidanceState(c_desired=c_desired(rd.c_current), prev_inner_angle=0.0)
         out = avoidance_update(scan, (AvoidanceState(), held), PARAMS)
         # the side held its desired value rather than re-locking
-        assert out.states[Side.RHS] == AvoidanceState(True, held.c_desired, rd.inner_angle)
+        assert out.states[Side.RHS] == AvoidanceState(held.c_desired, rd.inner_angle)
         return out
 
     def test_zero_when_on_desired_streamline(self):
@@ -203,7 +203,7 @@ class TestAvoidanceCost:
                 for _ in range(n)
             ]
             held = tuple(
-                AvoidanceState(avoid=True, c_desired=float(rng.normal()), prev_inner_angle=0.0)
+                AvoidanceState(c_desired=float(rng.normal()), prev_inner_angle=0.0)
                 for _ in range(2)
             )
             assert avoidance_update(scan_of(world), held, PARAMS).cost >= 0.0
@@ -309,13 +309,16 @@ class TestAvoidanceUpdate:
         assert rd.cylinder == default_cylinder(scan, rd.m_index)
 
     def test_missing_memory_treated_as_rising_edge(self):
+        # a state holding one memory but not the other is not avoiding, so
+        # the side re-locks, even where holding 5.0 would have applied
         scan = scan_of([(Vec2(0.8, 0.35), 0.25)])
-        broken = (AvoidanceState(avoid=True, c_desired=None), AvoidanceState())
-        out = avoidance_update(scan, broken, PARAMS)
-        rd = out.readings[Side.LHS]
-        bound = stream_bound(rd.cylinder, PARAMS.d_stop, PARAMS.flow_strength, Side.LHS)
-        expected = rd.c_current if abs(rd.c_current) >= abs(bound) else bound
-        assert out.states[Side.LHS].c_desired == expected
+        for half_set in (AvoidanceState(c_desired=5.0), AvoidanceState(prev_inner_angle=0.0)):
+            assert not half_set.avoid
+            out = avoidance_update(scan, (half_set, AvoidanceState()), PARAMS)
+            rd = out.readings[Side.LHS]
+            bound = stream_bound(rd.cylinder, PARAMS.d_stop, PARAMS.flow_strength, Side.LHS)
+            expected = rd.c_current if abs(rd.c_current) >= abs(bound) else bound
+            assert out.states[Side.LHS] == AvoidanceState(expected, rd.inner_angle)
 
     def test_two_obstacles_one_each_side(self):
         scan = scan_of([(Vec2(0.7, 0.35), 0.2), (Vec2(0.7, -0.35), 0.2)])
