@@ -7,6 +7,10 @@ across steps and scores streamline deviation on the active sides.
 ``apf_cost(side_distances)`` takes only the per-side shortest distances
 (None where a side sees nothing) and scores raw proximity, so a caller
 swapping one for the other must also change what it passes.
+
+Each side closer than the cutoff d0 adds (1/2) * (1/d - 1/d0)^2 (Khatib's
+potential with unit gain). The gain is not a setting: it would only
+multiply the cost, whose scale the caller's avoidance weight already sets.
 """
 
 from __future__ import annotations
@@ -19,17 +23,14 @@ from typing import Iterable
 @dataclass(frozen=True)
 class ApfParams:
     cutoff: float  # influence distance d0
-    gain: float = 1.0
 
     def __post_init__(self):
         if self.cutoff <= 0.0:
             raise ValueError(f"cutoff must be positive, got {self.cutoff}")
-        if self.gain <= 0.0:
-            raise ValueError(f"gain must be positive, got {self.gain}")
 
 
 def apf_cost(side_distances: Iterable[float | None], params: ApfParams) -> float:
-    """Sum over sides of (gain/2) * (1/d - 1/d0)^2 inside the cutoff.
+    """Sum over sides of (1/2) * (1/d - 1/d0)^2 inside the cutoff.
 
     Sides without a detection pass None and contribute nothing; a side
     distance that is not positive and finite raises ValueError.
@@ -42,5 +43,5 @@ def apf_cost(side_distances: Iterable[float | None], params: ApfParams) -> float
             raise ValueError(f"side distance must be positive and finite, got {d}")
         if d < params.cutoff:
             diff = 1.0 / d - 1.0 / params.cutoff
-            total += 0.5 * params.gain * diff * diff
+            total += 0.5 * diff * diff
     return total

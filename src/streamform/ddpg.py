@@ -64,7 +64,7 @@ class MlpParams:
     of their dtype, ``flat``, in arrays() order, so whole-network updates
     run on ``flat`` alone. ``layers[i]`` is the (in + 1, out) view of
     layer i in it; ``weights[i]`` is its first ``in`` rows and ``biases[i]``
-    its last.
+    its last. A weight or bias that is not finite raises ValueError.
     """
 
     weights: list[np.ndarray]
@@ -82,6 +82,9 @@ class MlpParams:
                 )
         self.flat = np.concatenate([np.ravel(a) for a in self.arrays()])
         self.layers = _split(self.flat, [(w.shape[0] + 1, w.shape[1]) for w in self.weights])
+        for i, layer in enumerate(self.layers):
+            if not np.isfinite(layer).all():
+                raise ValueError(f"layer {i} holds a weight or bias that is not finite")
         self.weights = [layer[:-1] for layer in self.layers]
         self.biases = [layer[-1] for layer in self.layers]
 
@@ -259,8 +262,13 @@ def simplex_from_controls(accel: float, angular_accel: float, limits: Limits) ->
     """Closest simplex action realizing the requested controls.
 
     Inverse of map_action for scripted policies; the turn component is
-    clipped to the simplex budget left after the acceleration share.
+    clipped to the simplex budget left after the acceleration share. A
+    non-finite control raises ValueError.
     """
+    if not math.isfinite(accel):
+        raise ValueError(f"accel must be finite, got {accel!r}")
+    if not math.isfinite(angular_accel):
+        raise ValueError(f"angular_accel must be finite, got {angular_accel!r}")
     u0 = min(max(accel / limits.a_max, 0.0), 1.0)
     budget = 1.0 - u0
     ratio = min(max(angular_accel / limits.beta_max, -budget), budget)

@@ -1,78 +1,69 @@
 """Simulated onboard sensing: lidar, relative-position links, comm graph.
 
-The lidar casts evenly spaced rays over the front semicircle against
-circular obstacles (analytic ray-circle intersection) and adds Gaussian
-range noise. Detected returns are grouped into contiguous ray intervals
-and split into left/right half-plane fields for the avoidance logic.
-Relative-position observations and the connection-zone communication graph
-model the antenna-array links between agents.
+The lidar casts one fixed fan, 61 rays 3 degrees apart over the front
+semicircle and 2 m long, against circular obstacles (analytic ray-circle
+intersection) and adds Gaussian range noise, its one setting. Detected
+returns are grouped into contiguous ray intervals and split into
+left/right half-plane fields for the avoidance logic. Relative-position
+observations and the connection-zone communication graph model the
+antenna-array links between agents.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from .geom import Angle, Vec2
 
-# contiguous detections narrower than this many rays are discarded
-# (minimum obstacle footprint guarantees at least three rays on a hit)
+# contiguous detections narrower than this many rays are discarded (3 degrees
+# apart, the minimum obstacle footprint puts at least three rays on a hit)
 MIN_INTERVAL_RAYS = 3
 
 # raycast skips circles farther than d_max + radius + REACH_MARGIN [m]. Each
 # exact hit distance on such a circle exceeds d_max + REACH_MARGIN, and
 # rounding moves a computed one by a few 1e-8 of itself at most (on a ray
-# grazing the circle). So for any d_max below about 10 km a culled circle's
-# computed distance still exceeds d_max, and the clip to d_max makes the
-# cull exact: the circle would have left the scan unchanged.
+# grazing the circle). For a d_max below about 10 km, as the fixed 2 m is, a
+# culled circle's computed distance still exceeds d_max, and the clip to
+# d_max makes the cull exact: the circle would have left the scan unchanged.
 REACH_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
 class LidarConfig:
-    resolution: float = math.radians(3.0)
-    fov_min: float = -math.pi / 2
-    fov_max: float = math.pi / 2
-    d_min: float = 0.0
-    d_max: float = 2.0
+    """A lidar's one setting, its range noise std. The fan is fixed: n_rays
+    rays resolution apart from fov_min to fov_max about the heading, ranges
+    clamped to [d_min, d_max]. ``split_sides`` needs the fan centred on the
+    heading, the cull of REACH_MARGIN a short d_max and MIN_INTERVAL_RAYS
+    the 3 degree spacing. ``angles`` is read-only and shared by every scan."""
+
+    resolution: ClassVar[float] = math.radians(3.0)
+    fov_min: ClassVar[float] = -math.pi / 2
+    fov_max: ClassVar[float] = math.pi / 2
+    d_min: ClassVar[float] = 0.0
+    d_max: ClassVar[float] = 2.0
+    n_rays: ClassVar[int] = round((fov_max - fov_min) / resolution) + 1
+    # built symmetrically about the fan center so that mirrored worlds
+    # produce exactly mirrored scans
+    angles: ClassVar[np.ndarray] = 0.5 * (fov_min + fov_max) + resolution * (
+        np.arange(n_rays) - (n_rays - 1) / 2.0
+    )
+    angles.flags.writeable = False
     noise_std: float = 0.2
 
-    def __post_init__(self):
-        if self.d_min >= self.d_max:
-            raise ValueError(f"d_min {self.d_min} must be below d_max {self.d_max}")
-        span = self.fov_max - self.fov_min
-        steps = span / self.resolution
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError(
-                f"resolution {self.resolution} must divide the field of view {span}"
-            )
 
-    @cached_property
-    def angles(self) -> np.ndarray:
-        n = round((self.fov_max - self.fov_min) / self.resolution) + 1
-        # built symmetrically about the fan center so that mirrored worlds
-        # produce exactly mirrored scans
-        mid = 0.5 * (self.fov_min + self.fov_max)
-        return mid + self.resolution * (np.arange(n) - (n - 1) / 2.0)
-
-    @cached_property
-    def ray_dirs(self) -> np.ndarray:
-        """Agent-frame unit ray directions, shape (2, n_rays)."""
-        return np.stack([np.cos(self.angles), np.sin(self.angles)])
-
-    @property
-    def n_rays(self) -> int:
-        return len(self.angles)
+# agent-frame unit ray directions, shape (2, n_rays)
+_RAY_DIRS = np.stack([np.cos(LidarConfig.angles), np.sin(LidarConfig.angles)])
 
 
 @dataclass
 class LidarScan:
-    """Per-ray angles (agent frame, strictly increasing) and distances."""
+    """Per-ray distances over the shared fan ``angles`` (agent frame, increasing)."""
 
-    angles: np.ndarray
+    angles: ClassVar[np.ndarray] = LidarConfig.angles
     distances: np.ndarray
     agent_inside: bool = False
 
@@ -107,14 +98,14 @@ class ObstacleSet:
 
     def extended(self, centers: np.ndarray, radii: np.ndarray) -> "ObstacleSet":
         """New set with extra circles appended (used to add agent bodies)."""
-        if len(centers) == 0:
-            return self
         centers = np.asarray(centers, dtype=float)
         radii = np.asarray(radii, dtype=float)
         # this set's own arrays were checked when it was built
         if centers.ndim != 2 or centers.shape[1] != 2 or radii.ndim != 1:
             raise ValueError("centers must have shape (n, 2) and radii shape (n,)")
         _check_circles(centers, radii)
+        if len(radii) == 0:
+            return self
         out = ObstacleSet.__new__(ObstacleSet)
         out.centers = np.concatenate([self.centers, centers])
         out.radii = np.concatenate([self.radii, radii])
@@ -128,7 +119,7 @@ def raycast(
     cfg: LidarConfig,
     rng: np.random.Generator | None = None,
 ) -> LidarScan:
-    """Cast the configured ray fan from a pose against circular obstacles.
+    """Cast the lidar's ray fan from a pose against circular obstacles.
 
     Each ray reports the nearest intersection distance (or d_max when the
     ray misses everything), plus Gaussian range noise when ``rng`` is given;
@@ -146,10 +137,10 @@ def raycast(
     cc = np.einsum("ij,ij->i", rel, rel)
     r2 = obstacles.radii**2
     if (cc < r2).any():
-        return LidarScan(cfg.angles.copy(), np.full(n, cfg.d_min), agent_inside=True)
+        return LidarScan(np.full(n, cfg.d_min), agent_inside=True)
     near = np.flatnonzero(cc <= (obstacles.radii + (cfg.d_max + REACH_MARGIN)) ** 2)
     c, s = math.cos(heading), math.sin(heading)
-    dirs = np.array([[c, -s], [s, c]]) @ cfg.ray_dirs
+    dirs = np.array([[c, -s], [s, c]]) @ _RAY_DIRS
     b = rel.take(near, axis=0) @ dirs  # (circles, rays) projections on rays
     # disc = b|b| - (cc - r^2): a circle behind a ray (b < 0) gets a
     # negative discriminant and misses like one off to the side. The
@@ -168,7 +159,7 @@ def raycast(
         d += rng.normal(0.0, cfg.noise_std, size=n)
         np.minimum(d, cfg.d_max, out=d)
         np.maximum(d, cfg.d_min, out=d)
-    return LidarScan(cfg.angles.copy(), d)
+    return LidarScan(d)
 
 
 def detect_intervals(scan: LidarScan, d_risk: float) -> list[tuple[int, int]]:
@@ -249,8 +240,11 @@ def neighbor_observations(positions: list[Vec2], connection_zone: float) -> Comm
     Agent 0 is the navigator; its broadcast (distance and bearing from the
     navigator to each follower) is relayed through the network, so every
     follower in the navigator's connected component receives it. A
-    non-finite position raises ValueError.
+    non-finite position, or a connection zone that is not positive, raises
+    ValueError.
     """
+    if not connection_zone > 0.0:
+        raise ValueError(f"connection_zone must be positive, got {connection_zone!r}")
     n = len(positions)
     pts = np.array([[p.x, p.y] for p in positions])
     if not np.isfinite(pts).all():

@@ -2,15 +2,21 @@
 
 Each detected obstacle interval is summarized by a virtual cylinder fitted
 through three ray endpoints (circumcenter construction). The scalar stream
-value of a uniform flow plus doublet around that cylinder,
+value of a uniform flow plus doublet around that cylinder, with the flow
+strength U = 1,
 
-    psi(x, y) = U*y - U * r^2 * y / (x^2 + y^2),
+    psi(x, y) = y - r^2 * y / (x^2 + y^2),
 
 is zero exactly on the cylinder boundary and on the flow axis; its level
 sets are smooth evasion paths around the obstacle. The avoider keeps, per
 half-field (left/right of the heading axis), a desired stream value locked
 in when avoidance engages, and scores deviation from it weighted by a
 repulsive proximity factor so the penalty fades at the engagement range.
+
+U is not a setting. It would scale the current stream value, the desired
+one and the bound alike, so the hold and relock decisions do not depend on
+it; the cost would scale by U^2, and the caller's avoidance weight already
+sets the cost's scale.
 """
 
 from __future__ import annotations
@@ -61,7 +67,6 @@ class VirtualCylinder:
 
 @dataclass(frozen=True)
 class StreamParams:
-    flow_strength: float = 1.0
     d_risk: float = 0.7
     d_stop: float = 0.4
 
@@ -70,8 +75,6 @@ class StreamParams:
             raise ValueError(
                 f"require 0 < d_stop < d_risk, got d_stop={self.d_stop}, d_risk={self.d_risk}"
             )
-        if self.flow_strength <= 0.0:
-            raise ValueError("flow_strength must be positive")
 
 
 @dataclass(frozen=True)
@@ -109,12 +112,12 @@ class AvoidanceOutcome:
     cost: float
 
 
-def stream_value(p_rel: Vec2, radius: float, flow_strength: float = 1.0) -> float:
+def stream_value(p_rel: Vec2, radius: float) -> float:
     """Stream value at a point given relative to the cylinder center."""
     rho_sq = p_rel.norm_sq()
     if rho_sq < SINGULARITY_EPS**2:
         raise StreamSingularity(f"point {p_rel} is at the doublet singularity")
-    return flow_strength * p_rel.y * (1.0 - radius * radius / rho_sq)
+    return p_rel.y * (1.0 - radius * radius / rho_sq)
 
 
 def default_cylinder(scan: LidarScan, m_index: int) -> VirtualCylinder:
@@ -125,27 +128,23 @@ def default_cylinder(scan: LidarScan, m_index: int) -> VirtualCylinder:
     return VirtualCylinder(Vec2(d * math.cos(a), d * math.sin(a)), DEFAULT_CYL_RADIUS)
 
 
-def stream_bound(
-    cyl: VirtualCylinder, d_stop: float, flow_strength: float, side: Side
-) -> float:
+def stream_bound(cyl: VirtualCylinder, d_stop: float, side: Side) -> float:
     """Stream value of the minimum-clearance evasion path for one side.
 
     Evaluated at the agent-frame point a stopping distance to the side the
     agent will swerve toward: (0, -d_stop) for the left field, (0, +d_stop)
     for the right one. If that point coincides with the cylinder center the
-    far-field fallback sign(side)*U*d_stop is returned.
+    far-field fallback sign(side)*d_stop is returned.
     """
     sign = -1.0 if side == Side.LHS else 1.0
     point = Vec2(0.0, sign * d_stop)
     rel = point - cyl.center
     if rel.norm() < SINGULARITY_EPS:
-        return sign * flow_strength * d_stop
-    return stream_value(rel, cyl.radius, flow_strength)
+        return sign * d_stop
+    return stream_value(rel, cyl.radius)
 
 
-def _read_side(
-    scan: LidarScan, interval: tuple[int, int], side: Side, params: StreamParams
-) -> SideReading:
+def _read_side(scan: LidarScan, interval: tuple[int, int], side: Side) -> SideReading:
     start, end = interval
     inner = start if side == Side.LHS else end
     # the shortest ray strictly inside; detect_intervals keeps no interval
@@ -159,7 +158,7 @@ def _read_side(
         degenerate = True
     cyl = default_cylinder(scan, m) if degenerate else VirtualCylinder(center, radius)
     # the agent sits at -center in the cylinder frame
-    c_current = stream_value(Vec2(-cyl.center.x, -cyl.center.y), cyl.radius, params.flow_strength)
+    c_current = stream_value(Vec2(-cyl.center.x, -cyl.center.y), cyl.radius)
     m_distance = max(float(scan.distances[m]), MIN_M_DISTANCE)
     return SideReading(
         interval=interval,
@@ -201,13 +200,13 @@ def avoidance_update(
         if interval is None:
             continue
         prev = states[side]
-        rd = _read_side(scan, interval, side, params)
+        rd = _read_side(scan, interval, side)
         # same obstacle sliding outward: hold the desired value; otherwise
         # (a rising edge, or a new obstacle in front) lock to the current one
         if prev.avoid and abs(rd.inner_angle) > abs(prev.prev_inner_angle):
             c_desired = prev.c_desired
         else:
-            bound = stream_bound(rd.cylinder, params.d_stop, params.flow_strength, side)
+            bound = stream_bound(rd.cylinder, params.d_stop, side)
             c_desired = bound if abs(rd.c_current) < abs(bound) else rd.c_current
         new_states[side] = AvoidanceState(c_desired, rd.inner_angle)
         readings[side] = rd

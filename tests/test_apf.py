@@ -11,9 +11,9 @@ def test_zero_outside_cutoff():
 
 
 def test_half_cutoff_value():
-    # d = d0/2: (1/d - 1/d0) = 1/d0, so cost = gain/(2*d0^2)
+    # d = d0/2: (1/d - 1/d0) = 1/d0, so cost = 1/(2*d0^2)
     d0 = 0.7
-    p = ApfParams(cutoff=d0, gain=1.0)
+    p = ApfParams(cutoff=d0)
     assert apf_cost([d0 / 2], p) == pytest.approx(1.0 / (2 * d0 * d0), rel=1e-12)
 
 
@@ -30,7 +30,7 @@ def test_continuous_at_cutoff():
 
 
 def test_sides_sum_and_none_skipped():
-    p = ApfParams(cutoff=0.7, gain=2.0)
+    p = ApfParams(cutoff=0.7)
     both = apf_cost([0.3, 0.5], p)
     assert both == pytest.approx(apf_cost([0.3, None], p) + apf_cost([None, 0.5], p))
 
@@ -51,5 +51,3 @@ def test_non_finite_distance_rejected(bad):
 def test_param_validation():
     with pytest.raises(ValueError):
         ApfParams(cutoff=-1.0)
-    with pytest.raises(ValueError):
-        ApfParams(cutoff=0.5, gain=0.0)

@@ -12,7 +12,7 @@ from scipy import stats
 
 import streamform
 from streamform.checkpoint import FORMAT_TAG, VERSION, load_checkpoint, save_checkpoint
-from streamform.dynamics import Limits
+from streamform.dynamics import AgentState, Limits, step
 from streamform.ddpg import (
     ACTION_DIM,
     DTYPE,
@@ -198,6 +198,21 @@ class TestMapAction:
             back = map_action(u, LIM)
             assert back.accel == pytest.approx(accel, abs=1e-12)
             assert back.angular_accel == pytest.approx(turn, abs=1e-12)
+
+
+    def test_nan_action_is_rejected_by_the_step(self):
+        # map_action keeps a NaN component; dynamics.step used to return v = nan
+        u = map_action(np.array([np.nan, 0.5, 0.5]), LIM)
+        with pytest.raises(ValueError, match="u.accel must be finite"):
+            step(AgentState(), u, 0.1, LIM)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_controls_rejected(self, bad):
+        # simplex_from_controls(nan, ...) used to return [nan, nan, nan]
+        with pytest.raises(ValueError, match="accel must be finite"):
+            simplex_from_controls(bad, 0.0, LIM)
+        with pytest.raises(ValueError, match="angular_accel must be finite"):
+            simplex_from_controls(0.0, bad, LIM)
 
 
 class TestCriticForward:
@@ -1080,6 +1095,19 @@ class TestCheckpoint:
         arrays = {f"actor.{k}": np.zeros(shape, DTYPE) for k, shape in shapes.items()}
         save_checkpoint(path, arrays, {})
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            ActorPolicy.from_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_actor_weight_names_the_file(self, tmp_path, bad):
+        # one NaN weight used to load, and act then returned [[nan nan nan]]
+        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(33))
+        arrays = {k: v.copy() for k, v in learner.network_arrays().items()}
+        arrays["actor.w1"][2, 1] = bad
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(path, arrays, {})
+        with pytest.raises(
+            ValueError, match=re.escape(f"{path}: layer 1 holds a weight or bias that is not finite")
+        ):
             ActorPolicy.from_checkpoint(path)
 
     def test_float16_entry_rejected(self, tmp_path):

@@ -107,3 +107,28 @@ def test_noiseless_determinism():
 def test_nonpositive_dt_rejected():
     with pytest.raises(ValueError):
         step(AgentState(), NO_U, 0.0, LIM)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_non_finite_dt_rejected(dt):
+    # used to raise "cannot wrap non-finite angle" from deep inside the step
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        step(AgentState(v=0.1, omega=0.1), NO_U, dt, LIM)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["accel", "angular_accel"])
+def test_non_finite_control_rejected(field, bad):
+    # a NaN accel used to come back as v = nan
+    u = ControlInput(**{"accel": 0.0, "angular_accel": 0.0, field: bad})
+    with pytest.raises(ValueError, match=f"u.{field} must be finite"):
+        step(AgentState(), u, 0.1, LIM)
+
+
+@pytest.mark.parametrize("field", ["accel", "angular_accel"])
+def test_nan_passes_clamp_controls_and_is_rejected_by_step(field):
+    # clamp_controls saturates an infinite control but keeps a NaN one
+    raw = {"accel": 0.0, "angular_accel": 0.0, field: math.nan}
+    u = clamp_controls(raw["accel"], raw["angular_accel"], LIM)
+    with pytest.raises(ValueError, match=f"u.{field} must be finite"):
+        step(AgentState(), u, 0.1, LIM)

@@ -64,7 +64,7 @@ def reference_raycast(position, heading, obstacles, cfg, rng=None):
         cc = np.einsum("ij,ij->i", rel, rel)
         inside = bool(np.any(cc < obstacles.radii**2))
         if inside:
-            return LidarScan(cfg.angles.copy(), np.full(n, cfg.d_min), agent_inside=True)
+            return LidarScan(np.full(n, cfg.d_min), agent_inside=True)
         world_angles = heading + cfg.angles
         dirs = np.stack([np.cos(world_angles), np.sin(world_angles)], axis=1)
         b = dirs @ rel.T  # (n_rays, n_obs) projections of centers on rays
@@ -78,7 +78,7 @@ def reference_raycast(position, heading, obstacles, cfg, rng=None):
     if rng is not None and cfg.noise_std > 0.0:
         d = d + rng.normal(0.0, cfg.noise_std, size=n)
         d = np.clip(d, cfg.d_min, cfg.d_max)
-    return LidarScan(cfg.angles.copy(), d, agent_inside=inside)
+    return LidarScan(d, agent_inside=inside)
 
 
 def random_world(gen):
@@ -112,7 +112,7 @@ def make_scan(distances, cfg=CFG):
     d = np.full(cfg.n_rays, cfg.d_max)
     for idx, val in distances.items():
         d[idx] = val
-    return LidarScan(cfg.angles.copy(), d)
+    return LidarScan(d)
 
 
 class TestRaycast:
@@ -275,6 +275,11 @@ class TestObstacleSetExtended:
         with pytest.raises(ValueError, match="shape"):
             self.BASE.extended(np.array([[0.0, 0.0, 1.0]]), np.array([0.2]))
 
+    def test_no_centers_with_radii_raises(self):
+        # empty centers used to return the set unchecked, whatever the radii
+        with pytest.raises(ValueError, match="matching length"):
+            self.BASE.extended(np.zeros((0, 2)), np.ones(3))
+
 
 # a circle no ray can hit would silently vanish from every scan
 NON_FINITE_CIRCLES = {
@@ -300,17 +305,28 @@ class TestObstacleSetRejectsNonFinite:
 
 class TestLidarConfig:
     def test_default_ray_fan(self):
-        assert CFG.n_rays == 61
-        assert CFG.angles[0] == pytest.approx(-math.pi / 2)
-        assert CFG.angles[-1] == pytest.approx(math.pi / 2)
+        angles = CFG.angles
+        assert CFG.n_rays == len(angles) == 61
+        # pinned bit for bit: 3 degrees apart, mirror-symmetric, one ray dead ahead
+        np.testing.assert_array_equal(angles, math.radians(3.0) * (np.arange(61) - 30.0))
+        assert np.array_equal(angles, -angles[::-1])
+        assert angles[30] == 0.0 and math.copysign(1.0, angles[30]) == 1.0
+        assert angles[0] == pytest.approx(-math.pi / 2, abs=1e-15)
+        assert angles[-1] == pytest.approx(math.pi / 2, abs=1e-15)
+        assert (CFG.d_min, CFG.d_max) == (0.0, 2.0)
 
-    def test_resolution_must_divide_fov(self):
-        with pytest.raises(ValueError):
-            LidarConfig(resolution=math.radians(7.0))
+    def test_fan_is_shared_and_read_only(self):
+        scan = raycast(Vec2(0, 0), 0.0, ObstacleSet([[1.0, 0.0]], [0.3]), CFG)
+        assert scan.angles is CFG.angles is LidarConfig(noise_std=0.2).angles
+        with pytest.raises(ValueError, match="read-only"):
+            CFG.angles[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            scan.angles += 1.0
 
-    def test_range_ordering_validated(self):
-        with pytest.raises(ValueError):
-            LidarConfig(d_min=2.0, d_max=1.0)
+    @pytest.mark.parametrize("field", ["resolution", "fov_min", "fov_max", "d_min", "d_max"])
+    def test_fan_geometry_is_not_settable(self, field):
+        with pytest.raises(TypeError):
+            LidarConfig(**{field: 1.0})
 
 
 def scan_loop_intervals(distances, d_risk):
@@ -348,7 +364,7 @@ class TestDetectIntervals:
         rng = np.random.default_rng(4)
         for _ in range(100):
             d = rng.uniform(0.1, 2.0, CFG.n_rays)
-            scan = LidarScan(CFG.angles.copy(), d)
+            scan = LidarScan(d)
             for start, end in detect_intervals(scan, 0.7):
                 assert end - start + 1 >= 3
                 assert np.all(d[start : end + 1] < 0.7)
@@ -364,7 +380,7 @@ class TestDetectIntervals:
                     max_size=CFG.n_rays))
     def test_matches_a_ray_by_ray_scan(self, distances):
         d = np.array(distances)
-        scan = LidarScan(CFG.angles.copy(), d)
+        scan = LidarScan(d)
         got = detect_intervals(scan, 0.7)
         assert got == scan_loop_intervals(d, 0.7)
         assert all(type(i) is int for iv in got for i in iv)
@@ -411,7 +427,7 @@ def scans_with_intervals(draw):
         d[at : at + length] = draw(st.lists(st.sampled_from([0.2, 0.35, 0.5]),
                                             min_size=length, max_size=length))
         at += length + gap
-    return intervals, LidarScan(CFG.angles.copy(), d)
+    return intervals, LidarScan(d)
 
 
 DEAD_AHEAD = CFG.n_rays // 2
@@ -521,6 +537,12 @@ class TestNeighborObservations:
         # a NaN position used to drop that agent's links and broadcast
         with pytest.raises(ValueError, match=r"positions of agents \[1\] must be finite"):
             neighbor_observations([Vec2(0, 0), bad, Vec2(1, 0)], 7.0)
+
+    @pytest.mark.parametrize("zone", [math.nan, -1.0, 0.0])
+    def test_non_positive_connection_zone_raises(self, zone):
+        # a NaN or negative zone used to drop every link and broadcast
+        with pytest.raises(ValueError, match="connection_zone must be positive"):
+            neighbor_observations([Vec2(0, 0), Vec2(1, 0)], zone)
 
     def test_matches_scalar_oracle_on_random_worlds(self):
         world = np.random.default_rng(40)

@@ -42,7 +42,7 @@ def make_scan(distances):
     d = np.full(CFG.n_rays, CFG.d_max)
     for idx, val in distances.items():
         d[idx] = val
-    return LidarScan(CFG.angles.copy(), d)
+    return LidarScan(d)
 
 
 class TestStreamValue:
@@ -59,19 +59,15 @@ class TestStreamValue:
             assert stream_value(Vec2(x, 0.0), 0.3) == 0.0
 
     def test_point_above_cylinder(self):
-        # direct substitution: psi(0, 2r) = U*2r*(1 - r^2/4r^2) = 1.5*U*r
+        # direct substitution: psi(0, 2r) = 2r*(1 - r^2/4r^2) = 1.5*r
         r = 0.4
-        assert stream_value(Vec2(0.0, 2 * r), r, 1.0) == pytest.approx(1.5 * r, rel=1e-12)
+        assert stream_value(Vec2(0.0, 2 * r), r) == pytest.approx(1.5 * r, rel=1e-12)
 
     def test_singularity_raises(self):
         with pytest.raises(StreamSingularity):
             stream_value(Vec2(0.0, 0.0), 0.3)
         with pytest.raises(StreamSingularity):
             stream_value(Vec2(1e-10, 0.0), 0.3)
-
-    def test_scales_with_flow_strength(self):
-        p = Vec2(0.5, 0.8)
-        assert stream_value(p, 0.3, 2.5) == pytest.approx(2.5 * stream_value(p, 0.3), rel=1e-12)
 
 
 class TestEstimateCylinder:
@@ -141,7 +137,7 @@ class TestShortestInteriorRay:
             end = start + int(rng.integers(2, 15))
             d = np.full(CFG.n_rays, CFG.d_max)
             d[start : end + 1] = rng.uniform(0.1, 0.69, end - start + 1)
-            scan = LidarScan(CFG.angles.copy(), d)
+            scan = LidarScan(d)
             interior = list(range(start + 1, end))
             want = min(interior, key=lambda i: (d[i], i))
             assert shortest_ray(scan, start + 1, end) == want
@@ -153,21 +149,21 @@ class TestShortestInteriorRay:
 class TestStreamBound:
     def test_far_field_limit(self):
         cyl = VirtualCylinder(Vec2(100.0, 50.0), 0.3)
-        got = stream_bound(cyl, 0.4, 1.0, Side.LHS)
-        # far from the doublet the field is just U*(y_point - y_center)
+        got = stream_bound(cyl, 0.4, Side.LHS)
+        # far from the doublet the field is just y_point - y_center
         assert got == pytest.approx(-0.4 - 50.0, rel=1e-4)
 
     def test_singular_guard_default(self):
         lhs_cyl = VirtualCylinder(Vec2(0.0, -0.4), 0.2)
-        assert stream_bound(lhs_cyl, 0.4, 1.0, Side.LHS) == -0.4
+        assert stream_bound(lhs_cyl, 0.4, Side.LHS) == -0.4
         rhs_cyl = VirtualCylinder(Vec2(0.0, 0.4), 0.2)
-        assert stream_bound(rhs_cyl, 0.4, 1.0, Side.RHS) == 0.4
+        assert stream_bound(rhs_cyl, 0.4, Side.RHS) == 0.4
 
     def test_odd_symmetry_between_sides(self):
         cyl_l = VirtualCylinder(Vec2(0.8, 0.3), 0.25)
         cyl_r = VirtualCylinder(Vec2(0.8, -0.3), 0.25)
-        bl = stream_bound(cyl_l, 0.4, 1.0, Side.LHS)
-        br = stream_bound(cyl_r, 0.4, 1.0, Side.RHS)
+        bl = stream_bound(cyl_l, 0.4, Side.LHS)
+        br = stream_bound(cyl_r, 0.4, Side.RHS)
         assert bl == pytest.approx(-br, rel=1e-12)
 
 
@@ -223,7 +219,7 @@ class TestAvoidanceUpdate:
         st, rd = out.states[Side.LHS], out.readings[Side.LHS]
         assert st.avoid and rd is not None
         assert not out.states[Side.RHS].avoid
-        bound = stream_bound(rd.cylinder, PARAMS.d_stop, PARAMS.flow_strength, Side.LHS)
+        bound = stream_bound(rd.cylinder, PARAMS.d_stop, Side.LHS)
         if abs(rd.c_current) >= abs(bound):
             assert st.c_desired == rd.c_current
             assert out.cost == 0.0
@@ -268,7 +264,7 @@ class TestAvoidanceUpdate:
         out2 = avoidance_update(s2, out1.states, PARAMS)
         rd2 = out2.readings[Side.LHS]
         assert abs(rd2.inner_angle) <= abs(out1.readings[Side.LHS].inner_angle)
-        bound = stream_bound(rd2.cylinder, PARAMS.d_stop, PARAMS.flow_strength, Side.LHS)
+        bound = stream_bound(rd2.cylinder, PARAMS.d_stop, Side.LHS)
         expected = rd2.c_current if abs(rd2.c_current) >= abs(bound) else bound
         assert out2.states[Side.LHS].c_desired == expected
 
@@ -316,7 +312,7 @@ class TestAvoidanceUpdate:
             assert not half_set.avoid
             out = avoidance_update(scan, (half_set, AvoidanceState()), PARAMS)
             rd = out.readings[Side.LHS]
-            bound = stream_bound(rd.cylinder, PARAMS.d_stop, PARAMS.flow_strength, Side.LHS)
+            bound = stream_bound(rd.cylinder, PARAMS.d_stop, Side.LHS)
             expected = rd.c_current if abs(rd.c_current) >= abs(bound) else bound
             assert out.states[Side.LHS] == AvoidanceState(expected, rd.inner_angle)
 
