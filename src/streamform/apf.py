@@ -25,8 +25,8 @@ class ApfParams:
     cutoff: float  # influence distance d0
 
     def __post_init__(self):
-        if self.cutoff <= 0.0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
+        if not 0.0 < self.cutoff < math.inf:
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
 
 
 def apf_cost(side_distances: Iterable[float | None], params: ApfParams) -> float:

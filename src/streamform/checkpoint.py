@@ -2,9 +2,10 @@
 
 Layout: one JSON header line (format tag, metadata, array directory with
 shapes/dtypes/offsets, SHA-256 digest of the body) followed by the
-concatenated row-major buffers, each in its own dtype: float32 or float64
-(anything else is written as float64). No timestamps or other run-varying
-bytes, so identical runs produce identical files.
+concatenated row-major buffers, each in its own dtype: float32 or float64.
+An array of any other dtype raises ValueError naming it, on save as on load.
+No timestamps or other run-varying bytes, so identical runs produce
+identical files.
 """
 
 from __future__ import annotations
@@ -30,7 +31,11 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
     offset = 0
     for name in sorted(arrays):
         arr = np.asarray(arrays[name])
-        arr = np.ascontiguousarray(arr, arr.dtype if arr.dtype.name in DTYPES else np.float64)
+        if arr.dtype.name not in DTYPES:
+            raise ValueError(
+                f"{path}: array {name!r} has dtype {arr.dtype.name!r}, not one of {DTYPES}"
+            )
+        arr = np.ascontiguousarray(arr)
         blob = arr.tobytes()
         entries.append(
             {

@@ -118,17 +118,12 @@ class MlpBuffers:
     ``grad`` is one flat gradient vector laid out like ``MlpParams.flat``,
     and ``layer_grads[i]`` its (in + 1, out) view for layer i. ``col`` is
     (batch, 1) scratch for row reductions and a one-column output gradient.
-
-    ``zeros[i]`` (the ReLU's second operand, all zeros) and ``mask[i]``
-    serve hidden layer i, whose input is ``fwd[i]``. They are prefix views
-    of one flat zero block and one bool block, which a ``TrainWorkspace``
-    shares between its two networks (pass both blocks, each at least as
-    long as the largest hidden ``fwd[i]``, or neither): nothing may write
-    to the zeros. ``zeros[0]`` and ``mask[0]`` are None, since layer 0 has
-    no ReLU.
+    ``zeros[i]`` (the ReLU's second operand, never written) and the bool
+    ``mask[i]`` serve hidden layer i, whose input is ``fwd[i]``; both are
+    None for layer 0, which has no ReLU.
     """
 
-    def __init__(self, params: MlpParams, batch: int, zeros=None, mask=None):
+    def __init__(self, params: MlpParams, batch: int):
         widths, dtype = params.widths, params.flat.dtype
         self.fwd = [np.empty((batch, d + 1), dtype) for d in widths[:-1]]
         self.fwd.append(np.empty((batch, widths[-1]), dtype))
@@ -137,9 +132,9 @@ class MlpBuffers:
         self.layer_grads = _split(self.grad, [layer.shape for layer in params.layers])
         self.col = np.empty((batch, 1), dtype)
         hidden = [h.shape for h in self.fwd[1:-1]]
-        if zeros is None:
-            size = max((math.prod(shape) for shape in hidden), default=0)
-            zeros, mask = np.zeros(size, dtype), np.empty(size, bool)
+        # prefix views of one block each, sized to the largest hidden input
+        size = max((math.prod(shape) for shape in hidden), default=0)
+        zeros, mask = np.zeros(size, dtype), np.empty(size, bool)
         self.zeros = [None] + [zeros[: math.prod(shape)].reshape(shape) for shape in hidden]
         self.mask = [None] + [mask[: math.prod(shape)].reshape(shape) for shape in hidden]
 
@@ -300,16 +295,20 @@ class TrainerConfig:
             problems.append(f"tau must be in (0, 1], got {self.tau}")
         if self.batch_size < 1:
             problems.append(f"batch_size must be positive, got {self.batch_size}")
-        if self.critic_lr <= 0 or self.actor_lr <= 0:
-            problems.append("learning rates must be positive")
+        for name in ("critic_lr", "actor_lr"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                problems.append(f"{name} must be positive and finite, got {value}")
         if self.buffer_capacity < self.batch_size:
             problems.append("buffer_capacity must be at least batch_size")
         if self.episodes < 0:
             problems.append(f"episodes must be nonnegative, got {self.episodes}")
         if not 0.0 <= self.sigma_anneal_frac <= 1.0:
             problems.append("sigma_anneal_frac must be in [0, 1]")
-        if self.sigma_start < 0 or self.sigma_end < 0:
-            problems.append("exploration sigmas must be nonnegative")
+        for name in ("sigma_start", "sigma_end"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                problems.append(f"{name} must be nonnegative and finite, got {value}")
         if not all(isinstance(w, (int, np.integer)) and w > 0 for w in self.hidden):
             problems.append(f"hidden widths must be positive ints, got {self.hidden}")
         if problems:
@@ -486,17 +485,13 @@ class TrainWorkspace:
     rows (one take; see ``ReplayBuffer``), ``targets`` the TD targets,
     ``err`` the TD errors, ``dlogits`` the actor's output gradient; ``vec``
     is (batch,) scratch, and ``scratch`` serves Adam and the soft update.
-    All take the params' dtype. ``zeros`` and the bool ``mask`` are the ReLU
-    blocks both networks' buffers view (see ``MlpBuffers``).
+    All take the params' dtype.
     """
 
     def __init__(self, batch: int, actor: MlpParams, critic: MlpParams):
         obs_dim, act_dim, dtype = actor.widths[0], actor.widths[-1], actor.flat.dtype
-        widest = max((*actor.widths[1:-1], *critic.widths[1:-1]), default=0)
-        self.zeros = np.zeros(batch * (widest + 1), dtype)
-        self.mask = np.empty(self.zeros.size, bool)
-        self.actor = MlpBuffers(actor, batch, self.zeros, self.mask)
-        self.critic = MlpBuffers(critic, batch, self.zeros, self.mask)
+        self.actor = MlpBuffers(actor, batch)
+        self.critic = MlpBuffers(critic, batch)
         self.sample = np.empty((batch, 2 * obs_dim + act_dim + 2), dtype)
         self.targets = np.empty(batch, dtype)
         self.err = np.empty(batch, dtype)
@@ -509,7 +504,6 @@ class DdpgLearner:
     """Owns the online/target networks, replay buffer and Adam states."""
 
     def __init__(self, obs_dim: int, cfg: TrainerConfig, rng: np.random.Generator):
-        self.obs_dim = obs_dim
         self.cfg = cfg
         self.actor = init_mlp([obs_dim, *cfg.hidden, ACTION_DIM], rng, cfg.actor_final_scale)
         self.critic = init_mlp([obs_dim + ACTION_DIM, *cfg.hidden, 1], rng)
@@ -580,7 +574,7 @@ class DdpgLearner:
     def save(self, path) -> None:
         meta = {
             "train_steps": self.train_steps,
-            "obs_dim": self.obs_dim,
+            "obs_dim": self.actor.widths[0],
             "config": asdict(self.cfg),
         }
         save_checkpoint(path, self.network_arrays(), meta)

@@ -8,7 +8,7 @@ swept during dt, then integrates v, alpha, omega.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .geom import Angle, Vec2, wrap_angle
 
@@ -19,12 +19,19 @@ OMEGA_SINGULARITY = 1e-6
 
 @dataclass(frozen=True)
 class Limits:
-    """Per-role saturation bounds."""
+    """Per-role saturation bounds, each positive and finite (else
+    ValueError): ``step``'s clamps would pass a NaN bound through."""
 
     v_max: float = 0.5
     omega_max: float = 0.2
     a_max: float = 0.5
     beta_max: float = 0.5
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{field.name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

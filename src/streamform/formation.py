@@ -34,9 +34,6 @@ class FormationSpec:
         )
         return cls(offsets)
 
-    def __len__(self) -> int:
-        return len(self.offsets)
-
 
 class TrackingWeight:
     """Symmetric positive definite 2x2 weight for the tracking cost."""

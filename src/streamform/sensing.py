@@ -38,7 +38,8 @@ class LidarConfig:
     rays resolution apart from fov_min to fov_max about the heading, ranges
     clamped to [d_min, d_max]. ``split_sides`` needs the fan centred on the
     heading, the cull of REACH_MARGIN a short d_max and MIN_INTERVAL_RAYS
-    the 3 degree spacing. ``angles`` is read-only and shared by every scan."""
+    the 3 degree spacing. ``angles`` is read-only and shared by every scan.
+    A ``noise_std`` that is negative or not finite raises ValueError."""
 
     resolution: ClassVar[float] = math.radians(3.0)
     fov_min: ClassVar[float] = -math.pi / 2
@@ -53,6 +54,10 @@ class LidarConfig:
     )
     angles.flags.writeable = False
     noise_std: float = 0.2
+
+    def __post_init__(self):
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std!r}")
 
 
 # agent-frame unit ray directions, shape (2, n_rays)
@@ -104,8 +109,6 @@ class ObstacleSet:
         if centers.ndim != 2 or centers.shape[1] != 2 or radii.ndim != 1:
             raise ValueError("centers must have shape (n, 2) and radii shape (n,)")
         _check_circles(centers, radii)
-        if len(radii) == 0:
-            return self
         out = ObstacleSet.__new__(ObstacleSet)
         out.centers = np.concatenate([self.centers, centers])
         out.radii = np.concatenate([self.radii, radii])

@@ -51,3 +51,10 @@ def test_non_finite_distance_rejected(bad):
 def test_param_validation():
     with pytest.raises(ValueError):
         ApfParams(cutoff=-1.0)
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf])
+def test_cutoff_must_be_finite(cutoff):
+    # a NaN cutoff used to make apf_cost 0.0 at every distance
+    with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+        ApfParams(cutoff=cutoff)

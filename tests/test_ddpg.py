@@ -8,7 +8,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import stats
 
 import streamform
 from streamform.checkpoint import FORMAT_TAG, VERSION, load_checkpoint, save_checkpoint
@@ -352,8 +351,14 @@ class TestReplayBuffer:
             idx, c = np.unique(obs[:, 0].astype(int), return_counts=True)
             counts[idx] += c
         assert counts.sum() == draws
-        _, p = stats.chisquare(counts)
-        assert p > 0.01
+        # Pearson's statistic against equal expected counts, tested at
+        # p > 0.01: below the 0.99 quantile of chi-squared with 99 degrees of
+        # freedom, 134.6416 (134.642 in table 1.3.6.7.4 of the NIST/SEMATECH
+        # e-Handbook of Statistical Methods; the fourth place from the
+        # regularized incomplete gamma function). At seed 11 it is 105.83
+        expected = draws / len(counts)
+        statistic = float(np.sum((counts - expected) ** 2) / expected)
+        assert statistic < 134.6416
 
     @pytest.mark.parametrize(
         "field, value",
@@ -841,15 +846,15 @@ class TestLayerLayout:
         zeros = np.zeros_like(h)
         assert np.maximum(h, zeros).tobytes() == np.maximum(h, 0.0).tobytes()
 
-    def test_train_steps_leave_the_shared_zero_block_zero(self):
+    def test_train_steps_leave_the_zero_views_zero(self):
         learner, rng = filled_learner(50)
         ws = learner.workspace
-        for bufs in (ws.actor, ws.critic):
-            assert all(np.shares_memory(z, ws.zeros) for z in bufs.zeros[1:])
-            assert all(np.shares_memory(m, ws.mask) for m in bufs.mask[1:])
         for _ in range(20):
             learner.train_step(rng)
-        assert ws.zeros.tobytes() == bytes(ws.zeros.nbytes)
+        for bufs in (ws.actor, ws.critic):
+            assert bufs.zeros[0] is None and bufs.mask[0] is None
+            for z in bufs.zeros[1:]:
+                assert z.tobytes() == bytes(z.nbytes)
 
 
 class TestNonFinite:
@@ -1124,6 +1129,18 @@ class TestCheckpoint:
         ):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.bool_])
+    def test_save_rejects_other_dtypes(self, tmp_path, dtype):
+        # an int array used to be written, and to load back, as float64
+        path = tmp_path / "other.ckpt"
+        arrays = {"actor.w0": np.zeros((2, 3), DTYPE), "steps": np.ones(3, dtype)}
+        name = np.dtype(dtype).name
+        with pytest.raises(
+            ValueError, match=f"{re.escape(str(path))}: array 'steps' has dtype '{name}'"
+        ):
+            save_checkpoint(path, arrays, {})
+        assert list(tmp_path.iterdir()) == []
+
     def _rewrite_header(self, path, **changes):
         raw = path.read_bytes()
         newline = raw.index(b"\n")
@@ -1241,6 +1258,19 @@ class TestTrainerConfig:
             TrainerConfig(tau=0.0)
         with pytest.raises(ValueError):
             TrainerConfig(batch_size=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["critic_lr", "actor_lr"])
+    def test_learning_rates_must_be_positive_and_finite(self, field, bad):
+        # "<= 0" let a NaN learning rate through
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            TrainerConfig(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    @pytest.mark.parametrize("field", ["sigma_start", "sigma_end"])
+    def test_sigmas_must_be_nonnegative_and_finite(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative and finite"):
+            TrainerConfig(**{field: bad})
 
     @pytest.mark.parametrize("hidden", [(0,), (-4,), (16, 2.5), ("8",), (16, None)])
     def test_hidden_widths_must_be_positive_ints(self, hidden):

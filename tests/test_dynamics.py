@@ -132,3 +132,12 @@ def test_nan_passes_clamp_controls_and_is_rejected_by_step(field):
     u = clamp_controls(raw["accel"], raw["angular_accel"], LIM)
     with pytest.raises(ValueError, match=f"u.{field} must be finite"):
         step(AgentState(), u, 0.1, LIM)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("field", ["v_max", "omega_max", "a_max", "beta_max"])
+def test_limits_reject_a_bound_not_positive_and_finite(field, bad):
+    # with v_max=nan a step from v = 0.3 at accel 0.5 used to return v = 0.35
+    # past the cap, and with v_max=-1.0 a negative speed
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        Limits(**{field: bad})

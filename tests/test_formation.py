@@ -108,7 +108,7 @@ class TestTrackingCost:
 class TestFormationSpec:
     def test_circle_offsets(self):
         spec = FormationSpec.circle(4, 2.1)
-        assert len(spec) == 4
+        assert len(spec.offsets) == 4
         for off in spec.offsets:
             assert off.norm() == pytest.approx(2.1)
         assert spec.offsets[0].x == pytest.approx(2.1)

@@ -259,8 +259,11 @@ class TestObstacleSetExtended:
         out.centers[0] = 99.0
         assert self.BASE.centers[0, 0] == 1.0
 
-    def test_nothing_appended_returns_the_same_set(self):
-        assert self.BASE.extended(np.empty((0, 2)), np.empty(0)) is self.BASE
+    def test_nothing_appended_gives_an_equal_set(self):
+        out = self.BASE.extended(np.empty((0, 2)), np.empty(0))
+        assert out.centers.tobytes() == self.BASE.centers.tobytes()
+        assert out.centers.shape == self.BASE.centers.shape
+        assert out.radii.tobytes() == self.BASE.radii.tobytes()
 
     @pytest.mark.parametrize("radius", [0.0, -0.2])
     def test_non_positive_radius_raises(self, radius):
@@ -327,6 +330,12 @@ class TestLidarConfig:
     def test_fan_geometry_is_not_settable(self, field):
         with pytest.raises(TypeError):
             LidarConfig(**{field: 1.0})
+
+    @pytest.mark.parametrize("noise_std", [math.nan, -0.5, math.inf])
+    def test_noise_std_must_be_nonnegative_and_finite(self, noise_std):
+        # NaN and -0.5 used to give noiseless scans with no error
+        with pytest.raises(ValueError, match="noise_std must be nonnegative and finite"):
+            LidarConfig(noise_std=noise_std)
 
 
 def scan_loop_intervals(distances, d_risk):
