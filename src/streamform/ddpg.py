@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -272,8 +273,19 @@ def simplex_from_controls(accel: float, angular_accel: float, limits: Limits) ->
     return np.array([u0, u1, u2])
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer but not a bool, which numpy refuses as a size."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainerConfig:
+    """The learner's settings. ``actor_final_scale`` is fixed at DDPG's
+    +-3e-3 (Lillicrap et al., arXiv:1509.02971), the scale ``init_mlp`` gives
+    the critic too; no caller varies it. A ``batch_size`` or
+    ``buffer_capacity`` that is not an int, or a field out of its range,
+    raises ValueError naming it."""
+
     critic_lr: float = 1e-3
     actor_lr: float = 1e-4
     batch_size: int = 1024
@@ -285,9 +297,13 @@ class TrainerConfig:
     sigma_end: float = 0.05
     sigma_anneal_frac: float = 0.5
     hidden: tuple[int, ...] = (64, 128, 128)
-    actor_final_scale: float = 3e-3
+    actor_final_scale: ClassVar[float] = 3e-3
 
     def __post_init__(self):
+        for name in ("batch_size", "buffer_capacity"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         problems = []
         if not 0.0 < self.gamma < 1.0:
             problems.append(f"gamma must be in (0, 1), got {self.gamma}")
@@ -309,7 +325,7 @@ class TrainerConfig:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 problems.append(f"{name} must be nonnegative and finite, got {value}")
-        if not all(isinstance(w, (int, np.integer)) and w > 0 for w in self.hidden):
+        if not all(_is_int(w) and w > 0 for w in self.hidden):
             problems.append(f"hidden widths must be positive ints, got {self.hidden}")
         if problems:
             raise ValueError("; ".join(problems))

@@ -74,15 +74,22 @@ def step(state: AgentState, u: ControlInput, dt: float, limits: Limits) -> Agent
 
     The position moves along the arc defined by the current (v, alpha,
     omega); v, alpha, omega then integrate the controls with saturation.
-    A dt that is not positive and finite, or a non-finite control, raises
-    ValueError.
+    A dt that is not positive and finite, or a non-finite state or control
+    value, raises ValueError naming it.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not math.isfinite(u.accel):
-        raise ValueError(f"u.accel must be finite, got {u.accel!r}")
-    if not math.isfinite(u.angular_accel):
-        raise ValueError(f"u.angular_accel must be finite, got {u.angular_accel!r}")
+    for name, value in (
+        ("state.position.x", state.position.x),
+        ("state.position.y", state.position.y),
+        ("state.v", state.v),
+        ("state.alpha", state.alpha),
+        ("state.omega", state.omega),
+        ("u.accel", u.accel),
+        ("u.angular_accel", u.angular_accel),
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     dx, dy = arc_displacement(state.v, state.alpha, state.omega, dt)
     x = state.position.x + dx
     y = state.position.y + dy

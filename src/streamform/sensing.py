@@ -169,8 +169,12 @@ def detect_intervals(scan: LidarScan, d_risk: float) -> list[tuple[int, int]]:
     """Maximal runs of consecutive rays closer than d_risk.
 
     Runs shorter than MIN_INTERVAL_RAYS are discarded. Returns inclusive
-    (start, end) ray-index pairs in ascending order.
+    (start, end) ray-index pairs in ascending order. A d_risk that is not
+    positive and finite raises ValueError: a NaN or negative one finds no
+    run, and the avoider would go blind.
     """
+    if not 0.0 < d_risk < math.inf:
+        raise ValueError(f"d_risk must be positive and finite, got {d_risk!r}")
     close = np.zeros(len(scan.distances) + 2, bool)  # padded with a clear ray each end
     np.less(scan.distances, d_risk, out=close[1:-1])
     # alternately the first close ray of a run and the first clear one after it

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-
+from typing import ClassVar
 
 from .geom import Angle, DegenerateTriangle, Vec2, circumcenter
 from .sensing import LidarScan, detect_intervals, shortest_ray, split_sides
@@ -67,14 +67,15 @@ class VirtualCylinder:
 
 @dataclass(frozen=True)
 class StreamParams:
-    d_risk: float = 0.7
-    d_stop: float = 0.4
+    """The avoider's two ranges, both fixed: it engages an obstacle closer
+    than ``d_risk`` and keeps a stopping clearance ``d_stop``. The avoider
+    needs 0 < d_stop < d_risk < LidarConfig.d_max: with d_risk at or past the
+    lidar's 2 m range, every ray of an empty scan reads closer than d_risk
+    and the free fan looks like one obstacle. No caller varies them, and a
+    test pins the condition."""
 
-    def __post_init__(self):
-        if not 0.0 < self.d_stop < self.d_risk:
-            raise ValueError(
-                f"require 0 < d_stop < d_risk, got d_stop={self.d_stop}, d_risk={self.d_risk}"
-            )
+    d_risk: ClassVar[float] = 0.7
+    d_stop: ClassVar[float] = 0.4
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -1272,11 +1273,27 @@ class TestTrainerConfig:
         with pytest.raises(ValueError, match=f"{field} must be nonnegative and finite"):
             TrainerConfig(**{field: bad})
 
-    @pytest.mark.parametrize("hidden", [(0,), (-4,), (16, 2.5), ("8",), (16, None)])
+    @pytest.mark.parametrize("hidden", [(0,), (-4,), (16, 2.5), ("8",), (16, None), (True, 8)])
     def test_hidden_widths_must_be_positive_ints(self, hidden):
         # a zero width gives an actor that ignores its input
         with pytest.raises(ValueError, match="hidden widths must be positive ints"):
             TrainerConfig(hidden=hidden)
+
+    @pytest.mark.parametrize("bad", [2.5, 1e6, "8", None, True])
+    @pytest.mark.parametrize("field", ["batch_size", "buffer_capacity"])
+    def test_sizes_must_be_ints(self, field, bad):
+        # batch_size=2.5 and buffer_capacity=1e6 used to be accepted and fail
+        # later in DdpgLearner with a TypeError naming no field; numpy
+        # refuses a bool size the same way
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            TrainerConfig(**{field: bad})
+
+    def test_actor_final_scale_is_fixed(self):
+        assert 0.0 < TrainerConfig.actor_final_scale < np.inf
+        # a NaN used to be accepted and fail later inside init_mlp
+        with pytest.raises(TypeError):
+            TrainerConfig(actor_final_scale=np.nan)
+        assert "actor_final_scale" not in asdict(TrainerConfig())
 
     def test_sigma_schedule(self):
         cfg = small_config(episodes=100, sigma_start=0.3, sigma_end=0.05, sigma_anneal_frac=0.5)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,18 @@ def test_non_finite_control_rejected(field, bad):
     u = ControlInput(**{"accel": 0.0, "angular_accel": 0.0, field: bad})
     with pytest.raises(ValueError, match=f"u.{field} must be finite"):
         step(AgentState(), u, 0.1, LIM)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["position.x", "position.y", "v", "alpha", "omega"])
+def test_non_finite_state_rejected(field, bad):
+    # v = nan used to return an all-NaN state, alpha = inf a bare "math domain error"
+    values = {"position.x": 0.3, "position.y": -0.2, "v": 0.4, "alpha": 1.1, "omega": -0.1}
+    values[field] = bad
+    x, y = values.pop("position.x"), values.pop("position.y")
+    state = AgentState(Vec2(x, y), **values)
+    with pytest.raises(ValueError, match=re.escape(f"state.{field} must be finite")):
+        step(state, NO_U, 0.1, LIM)
 
 
 @pytest.mark.parametrize("field", ["accel", "angular_accel"])

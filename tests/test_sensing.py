@@ -382,6 +382,13 @@ class TestDetectIntervals:
                 if end < CFG.n_rays - 1:
                     assert d[end + 1] >= 0.7
 
+    @pytest.mark.parametrize("d_risk", [math.nan, -1.0, 0.0, math.inf])
+    def test_d_risk_must_be_positive_and_finite(self, d_risk):
+        # with every ray at 0.1 m, NaN and -1.0 used to find no run: a blind avoider
+        scan = make_scan({i: 0.1 for i in range(CFG.n_rays)})
+        with pytest.raises(ValueError, match="d_risk must be positive and finite"):
+            detect_intervals(scan, d_risk)
+
     # few distinct values, d_risk itself among them, so runs start and end
     # everywhere, the scan edges included
     @settings(max_examples=150, deadline=None)

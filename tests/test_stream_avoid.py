@@ -45,6 +45,19 @@ def make_scan(distances):
     return LidarScan(d)
 
 
+class TestStreamParams:
+    def test_fixed_ranges_meet_their_conditions(self):
+        # a d_risk at or past the lidar's range would make an empty world
+        # read as one obstacle across the fan
+        assert 0.0 < StreamParams.d_stop < StreamParams.d_risk < LidarConfig.d_max
+
+    @pytest.mark.parametrize("field", ["d_risk", "d_stop"])
+    def test_ranges_are_not_settable(self, field):
+        # StreamParams(d_risk=5.0) used to be accepted
+        with pytest.raises(TypeError):
+            StreamParams(**{field: 5.0})
+
+
 class TestStreamValue:
     def test_zero_on_boundary(self):
         rng = np.random.default_rng(5)
