@@ -14,10 +14,11 @@ gradients together.
 
 Workspace rule: every forward, backward and update function writes into
 buffers its caller passes (an ``MlpBuffers`` per network, a whole
-``TrainWorkspace``, or an ``out`` or ``scratch`` array); there is no
-allocating variant. ``DdpgLearner.train_step`` passes the learner's own
-workspace, and the act paths build fresh ``MlpBuffers`` for their rows (a
-1-D observation is one row). ``MlpBuffers`` is the only channel between the
+``TrainWorkspace``, or an ``out`` or ``scratch`` array). The one allocating
+form is ``softmax`` without ``col``, which the act paths use on their
+float64 logits. ``DdpgLearner.train_step`` passes the learner's own
+workspace, and the act paths build fresh ``MlpBuffers`` for their (rows,
+obs_dim) observations. ``MlpBuffers`` is the only channel between the
 passes over a network: a backward pass reads the layer inputs that the last
 forward pass left in the same buffers, and writes the weight gradients into
 their one flat ``grad`` vector, which is what the gradient functions return.
@@ -240,15 +241,21 @@ def critic_forward(
 
 
 def _act_logits(params: MlpParams, observations) -> np.ndarray:
-    """float64 copy of the actor's logits for each observation row (a 1-D
-    observation is one row), through fresh buffers sized to the rows."""
-    rows = np.atleast_2d(observations)
-    return mlp_forward(params, rows, MlpBuffers(params, len(rows))).astype(np.float64)
+    """float64 copy of the actor's logits for each row of (rows, obs_dim)
+    observations, through fresh buffers sized to the rows; any other shape
+    raises ValueError, where it would be broadcast into the buffers."""
+    shape = np.shape(observations)
+    if shape[1:] != params.widths[:1]:
+        raise ValueError(f"observations have shape {shape}, not (rows, {params.widths[0]})")
+    return mlp_forward(params, observations, MlpBuffers(params, shape[0])).astype(np.float64)
 
 
 def map_action(u_raw: np.ndarray, limits: Limits) -> ControlInput:
     """Simplex action to saturated controls: accel from the first
-    component, turn from the difference of the other two."""
+    component, turn from the difference of the other two. An action that
+    does not hold exactly ACTION_DIM values raises ValueError."""
+    if len(u_raw) != ACTION_DIM:
+        raise ValueError(f"an action holds {ACTION_DIM} values, got {len(u_raw)}")
     a = float(u_raw[0]) * limits.a_max
     beta = (float(u_raw[1]) - float(u_raw[2])) * limits.beta_max
     return clamp_controls(a, beta, limits)
@@ -282,9 +289,9 @@ def _is_int(value) -> bool:
 class TrainerConfig:
     """The learner's settings. ``actor_final_scale`` is fixed at DDPG's
     +-3e-3 (Lillicrap et al., arXiv:1509.02971), the scale ``init_mlp`` gives
-    the critic too; no caller varies it. A ``batch_size`` or
-    ``buffer_capacity`` that is not an int, or a field out of its range,
-    raises ValueError naming it."""
+    the critic too; no caller varies it. A ``batch_size``,
+    ``buffer_capacity`` or ``episodes`` that is not an int, or a field out of
+    its range, raises ValueError naming it."""
 
     critic_lr: float = 1e-3
     actor_lr: float = 1e-4
@@ -300,7 +307,7 @@ class TrainerConfig:
     actor_final_scale: ClassVar[float] = 3e-3
 
     def __post_init__(self):
-        for name in ("batch_size", "buffer_capacity"):
+        for name in ("batch_size", "buffer_capacity", "episodes"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name} must be an int, got {value!r}")
@@ -369,16 +376,20 @@ class ReplayBuffer:
         return rows[:, :o], rows[:, o:e], rows[:, e], rows[:, e + 1 : -1], rows[:, -1]
 
     def add(self, obs, act, rew: float, obs_next, done: bool) -> None:
-        """Store one transition. A field whose size is not its width, or
-        that is not finite as a row holds it (1e39 is inf in float32), raises
-        ValueError and leaves the buffer as it was: one NaN sampled into a
-        batch would turn every network weight NaN."""
+        """Store one transition: ``obs`` and ``obs_next`` of shape (obs_dim,),
+        ``act`` of shape (ACTION_DIM,), scalar ``rew`` and ``done``. A field
+        of another shape, or that is not finite as a row holds it (1e39 is
+        inf in float32), raises ValueError naming it and leaves the buffer as
+        it was: one NaN sampled into a batch would turn every network weight
+        NaN."""
         values = (obs, act, rew, obs_next, float(done))
         with np.errstate(over="ignore"):  # the overflow is what is tested for
             for name, view, value in zip(self.FIELDS, self._row_fields, values):
-                n = np.size(value)
-                if n != view.size:
-                    raise ValueError(f"transition {name} has {n} values, not {view.size}")
+                # the views hold one row: (1, width) and (1,)
+                if np.shape(value) != view.shape[1:]:
+                    raise ValueError(
+                        f"transition {name} has shape {np.shape(value)}, not {view.shape[1:]}"
+                    )
                 view[...] = value
         if not np.isfinite(self._row[:-1]).all():
             for name, view, value in zip(self.FIELDS, self._row_fields, values):
@@ -389,9 +400,9 @@ class ReplayBuffer:
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator, out=None):
-        """Uniformly drawn rows as the five field views; the rows are
-        written into the (batch_size, width) array ``out`` when given."""
+    def sample(self, batch_size: int, rng: np.random.Generator, out: np.ndarray):
+        """Uniformly drawn rows, written into the (batch_size, width) array
+        ``out``, as the five field views of it."""
         if self._size < batch_size:
             raise ValueError(f"buffer holds {self._size} < batch {batch_size}")
         idx = rng.integers(0, self._size, size=batch_size)

@@ -79,36 +79,36 @@ class LidarScan:
         return Vec2(d * math.cos(a), d * math.sin(a))
 
 
-def _check_circles(centers: np.ndarray, radii: np.ndarray) -> None:
-    """Raise ValueError unless (n, 2) centers and (n,) radii describe real
-    circles: a NaN one would miss every ray and vanish from the scan."""
-    if len(centers) != len(radii):
-        raise ValueError("centers and radii must have matching length")
+def _check_circles(centers, radii) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2) centers and (n,) radii as float arrays; ValueError for other
+    shapes and for unreal circles (a NaN one would vanish from every scan)."""
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    if centers.shape[1:] != (2,) or radii.shape != centers.shape[:1]:
+        raise ValueError("obstacle centers must have shape (n, 2) and radii shape (n,)"
+                         f" of matching length, got {centers.shape} and {radii.shape}")
     if not np.isfinite(centers).all():
         raise ValueError("obstacle centers must be finite")
     if not ((radii > 0) & (radii < np.inf)).all():
         raise ValueError("obstacle radii must be positive and finite")
+    return centers, radii
 
 
 class ObstacleSet:
-    """Circular obstacles stored as flat arrays for vectorized ray casts."""
+    """Circular obstacles stored as flat arrays for vectorized ray casts:
+    both constructors take (n, 2) centers and (n,) radii, with finite
+    centers and positive finite radii, and raise ValueError otherwise."""
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray):
-        self.centers = np.asarray(centers, dtype=float).reshape(-1, 2)
-        self.radii = np.asarray(radii, dtype=float).reshape(-1)
-        _check_circles(self.centers, self.radii)
+        self.centers, self.radii = _check_circles(centers, radii)
 
     def __len__(self) -> int:
         return len(self.radii)
 
     def extended(self, centers: np.ndarray, radii: np.ndarray) -> "ObstacleSet":
         """New set with extra circles appended (used to add agent bodies)."""
-        centers = np.asarray(centers, dtype=float)
-        radii = np.asarray(radii, dtype=float)
+        centers, radii = _check_circles(centers, radii)
         # this set's own arrays were checked when it was built
-        if centers.ndim != 2 or centers.shape[1] != 2 or radii.ndim != 1:
-            raise ValueError("centers must have shape (n, 2) and radii shape (n,)")
-        _check_circles(centers, radii)
         out = ObstacleSet.__new__(ObstacleSet)
         out.centers = np.concatenate([self.centers, centers])
         out.radii = np.concatenate([self.radii, radii])
@@ -120,16 +120,17 @@ def raycast(
     heading: Angle,
     obstacles: ObstacleSet,
     cfg: LidarConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> LidarScan:
     """Cast the lidar's ray fan from a pose against circular obstacles.
 
     Each ray reports the nearest intersection distance (or d_max when the
-    ray misses everything), plus Gaussian range noise when ``rng`` is given;
-    results are clamped to [d_min, d_max]. If the agent center lies inside
-    an obstacle every ray reads d_min and ``agent_inside`` is set. Circles
-    out of reach (see REACH_MARGIN) are dropped before the ray work. A
-    non-finite position or heading raises ValueError.
+    ray misses everything), plus Gaussian range noise drawn from ``rng``
+    when ``cfg.noise_std`` is positive; results are clamped to [d_min,
+    d_max]. If the agent center lies inside an obstacle every ray reads
+    d_min and ``agent_inside`` is set. Circles out of reach (see
+    REACH_MARGIN) are dropped before the ray work. A non-finite position or
+    heading raises ValueError.
     """
     if not position.is_finite():
         raise ValueError(f"raycast position {position} must be finite")
@@ -158,7 +159,7 @@ def raycast(
     d = np.fmin.reduce(b, axis=0, initial=math.inf)
     np.fmin(d, cfg.d_max, out=d)
     np.maximum(d, cfg.d_min, out=d)
-    if rng is not None and cfg.noise_std > 0.0:
+    if cfg.noise_std > 0.0:
         d += rng.normal(0.0, cfg.noise_std, size=n)
         np.minimum(d, cfg.d_max, out=d)
         np.maximum(d, cfg.d_min, out=d)

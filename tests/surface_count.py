@@ -1,10 +1,12 @@
-"""Size of a package's surface: source lines, public names, settable values.
+"""Size of a package's surface: source lines, public names, settable values
+and optional parameters.
 
     python3 tests/surface_count.py                  # src/streamform
     python3 tests/surface_count.py path/to/package
 
-prints three lines, ``lines``, ``public_names`` and ``settable_values``,
-counted by an AST scan of the package's top-level ``*.py`` files:
+prints four lines, ``lines``, ``public_names``, ``settable_values`` and
+``optional_parameters``, counted by an AST scan of the package's top-level
+``*.py`` files:
 
 - lines: every line of those files, as ``wc -l`` counts them;
 - public names: module-level names that do not start with ``_`` (functions,
@@ -14,7 +16,9 @@ counted by an AST scan of the package's top-level ``*.py`` files:
 - settable values: the parameters (less ``self``/``cls``) of public
   module-level functions, of public methods and of ``__init__``, plus the
   fields of each ``@dataclass``; an annotation ``ClassVar[...]`` makes a
-  constant, not a field.
+  constant, not a field;
+- optional parameters: the parameters with a default among those of public
+  module-level functions, of public methods and of ``__init__``.
 """
 
 from __future__ import annotations
@@ -46,26 +50,32 @@ def _is_classvar(annotation: ast.expr) -> bool:
     return getattr(annotation, "id", getattr(annotation, "attr", None)) == "ClassVar"
 
 
-def _parameters(fn: ast.FunctionDef, method: bool) -> int:
+def _parameters(fn: ast.FunctionDef, method: bool) -> tuple[int, int]:
+    """(parameters, parameters with a default) of ``fn``."""
     args = fn.args
     names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
     names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
     if method and names and names[0] in ("self", "cls"):
         names = names[1:]
-    return len(names)
+    # kw_defaults holds None for a keyword-only parameter with no default
+    optional = len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    return len(names), optional
 
 
-def _count_class(cls: ast.ClassDef) -> tuple[int, int]:
-    """(distinct public names, settable values) of one public class."""
+def _count_class(cls: ast.ClassDef) -> tuple[int, int, int]:
+    """(distinct public names, settable values, optional parameters) of one
+    public class."""
     names: set[str] = set()
-    settable = 0
+    settable = optional = 0
     fields = _is_dataclass(cls)
     for item in cls.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if _public(item.name):
                 names.add(item.name)
             if _public(item.name) or item.name == "__init__":
-                settable += _parameters(item, method=True)
+                params, defaulted = _parameters(item, method=True)
+                settable += params
+                optional += defaulted
             for node in ast.walk(item):
                 if (
                     isinstance(node, ast.Attribute)
@@ -79,11 +89,11 @@ def _count_class(cls: ast.ClassDef) -> tuple[int, int]:
                 settable += 1
         elif isinstance(item, ast.Assign):
             names.update(t.id for t in item.targets if isinstance(t, ast.Name))
-    return sum(map(_public, names)), settable
+    return sum(map(_public, names)), settable, optional
 
 
 def count(package: Path) -> dict[str, int]:
-    lines = public = settable = 0
+    lines = public = settable = optional = 0
     for path in sorted(package.glob("*.py")):
         text = path.read_text()
         lines += text.count("\n")
@@ -91,19 +101,27 @@ def count(package: Path) -> dict[str, int]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if _public(node.name):
                     public += 1
-                    settable += _parameters(node, method=False)
+                    params, defaulted = _parameters(node, method=False)
+                    settable += params
+                    optional += defaulted
             elif isinstance(node, ast.ClassDef):
                 if _public(node.name):
-                    names, values = _count_class(node)
+                    names, values, defaulted = _count_class(node)
                     public += 1 + names
                     settable += values
+                    optional += defaulted
             elif isinstance(node, ast.Assign):
                 public += sum(
                     _public(t.id) for t in node.targets if isinstance(t, ast.Name)
                 )
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 public += _public(node.target.id)
-    return {"lines": lines, "public_names": public, "settable_values": settable}
+    return {
+        "lines": lines,
+        "public_names": public,
+        "settable_values": settable,
+        "optional_parameters": optional,
+    }
 
 
 def main(argv: list[str]) -> None:

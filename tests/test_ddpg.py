@@ -63,6 +63,11 @@ def rows_of(net, x):
     return MlpBuffers(net, len(x))
 
 
+def sample_of(buf, n, rng):
+    """``n`` rows drawn from ``buf`` into a fresh array, as the field views."""
+    return buf.sample(n, rng, np.empty_like(buf.rows[:n]))
+
+
 def split_like(flat, net):
     """``flat`` cut into arrays of the shapes of ``net.arrays()``, in order."""
     ends = np.cumsum([a.size for a in net.arrays()])[:-1]
@@ -200,6 +205,13 @@ class TestMapAction:
             assert back.angular_accel == pytest.approx(turn, abs=1e-12)
 
 
+    @pytest.mark.parametrize("action", [[0.2, 0.3], [0.2, 0.3, 0.5, 9.0]], ids=["two", "four"])
+    def test_an_action_of_another_size_raises(self, action):
+        # four entries used to map from the first three, and two raised a
+        # bare IndexError
+        with pytest.raises(ValueError, match=f"an action holds 3 values, got {len(action)}"):
+            map_action(np.array(action), LIM)
+
     def test_nan_action_is_rejected_by_the_step(self):
         # map_action keeps a NaN component; dynamics.step used to return v = nan
         u = map_action(np.array([np.nan, 0.5, 0.5]), LIM)
@@ -309,19 +321,21 @@ class TestExplorationNoise:
         expected = actor_forward(learner.actor, obs, rows_of(learner.actor, obs))
         np.testing.assert_array_equal(learner.act(obs, 0.0, rng), expected)
 
-    def test_a_one_dimensional_observation_is_one_row(self):
-        # the act paths size their buffers to the rows, so a 1-D observation
-        # is never broadcast across a larger buffer
+    def test_observations_not_of_shape_rows_by_obs_dim_raise(self):
+        # a (4, 1) observation used to be broadcast into the buffers, giving
+        # four actions, and a 1-D one was taken as one row
         learner = self.learner(15)
-        obs = np.random.default_rng(15).normal(size=(3, 6))
         policy = ActorPolicy(learner.actor)
-        for one in (obs[0], list(obs[0])):
-            u = learner.act(one, 0.0, None)
-            assert u.shape == (1, ACTION_DIM)
-            np.testing.assert_array_equal(u, learner.act(obs[:1], 0.0, None))
-            np.testing.assert_array_equal(policy.act(one), u)
-        with pytest.raises(ValueError):
-            learner.act(obs[:, :5], 0.0, None)
+        one = np.random.default_rng(15).normal(size=(1, 6))
+        np.testing.assert_array_equal(policy.act(one), learner.act(one, 0.0, None))
+        assert policy.act(one).shape == (1, ACTION_DIM)
+        for shape in [(4, 1), (6,), (3, 5), (1, 1, 6), ()]:
+            obs = np.ones(shape)
+            message = re.escape(f"observations have shape {shape}, not (rows, 6)")
+            with pytest.raises(ValueError, match=message):
+                learner.act(obs, 0.0, None)
+            with pytest.raises(ValueError, match=message):
+                policy.act(obs)
 
 
 class TestReplayBuffer:
@@ -338,7 +352,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=10, obs_dim=1)
         buf.add([0.0], [1, 0, 0], 0.0, [0.0], False)
         with pytest.raises(ValueError):
-            buf.sample(2, np.random.default_rng(0))
+            sample_of(buf, 2, np.random.default_rng(0))
 
     def test_uniform_sampling_chi_squared(self):
         buf = ReplayBuffer(capacity=100, obs_dim=1)
@@ -348,7 +362,7 @@ class TestReplayBuffer:
         counts = np.zeros(100)
         draws = 100_000
         for _ in range(draws // 100):
-            obs, *_ = buf.sample(100, rng)
+            obs, *_ = sample_of(buf, 100, rng)
             idx, c = np.unique(obs[:, 0].astype(int), return_counts=True)
             counts[idx] += c
         assert counts.sum() == draws
@@ -375,9 +389,28 @@ class TestReplayBuffer:
         buf.add(**row, done=False)
         before = buf.rows.tobytes()
         row[field] = value
-        with pytest.raises(ValueError, match=f"transition {field} has {np.size(value)} values"):
+        message = re.escape(f"transition {field} has shape {np.shape(value)}")
+        with pytest.raises(ValueError, match=message):
             buf.add(**row, done=False)
         assert buf.rows.tobytes() == before and len(buf) == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("obs", np.zeros((2, 3))), ("act", np.zeros((3, 1))), ("rew", [0.5]),
+         ("obs_next", np.zeros((1, 6)))],
+        ids=["2x3-obs", "3x1-act", "one-entry-rew", "1x6-obs_next"],
+    )
+    def test_add_rejects_a_field_of_its_size_but_another_shape(self, field, value):
+        # the size check let these through: the (2, 3) obs and (3, 1) act
+        # then failed in numpy's broadcast, naming no field, and the [0.5]
+        # rew and (1, 6) obs_next were stored
+        buf = ReplayBuffer(capacity=4, obs_dim=6)
+        row = {"obs": np.ones(6), "act": [1.0, 0.0, 0.0], "rew": 0.5, "obs_next": np.ones(6)}
+        row[field] = value
+        message = re.escape(f"transition {field} has shape {np.shape(value)}, not")
+        with pytest.raises(ValueError, match=message):
+            buf.add(**row, done=False)
+        assert not buf.rows.any() and len(buf) == 0
 
 
 # Builds six default learners (1M-row buffers), each while the previous one
@@ -422,7 +455,7 @@ class TestReplayLayout:
             )
             buf.add(*t)
             added[k] = t
-        obs, act, rew, obs_next, done = buf.sample(16, rng)
+        obs, act, rew, obs_next, done = sample_of(buf, 16, rng)
         for j in range(16):
             o, a, r, o2, d = added[int(obs[j, 0])]
             np.testing.assert_array_equal(obs[j], o.astype(DTYPE))
@@ -461,13 +494,13 @@ class TestReplayLayout:
         buf.add([5.0, 5.0], [0.0, 0.0, 1.0], 1.0, [6.0, 6.0], True)
         np.testing.assert_array_equal(buf.rows[1], [5, 5, 0, 0, 1, 1, 6, 6, 1])
 
-    def test_sample_into_workspace_equals_allocating_sample(self):
+    def test_sample_writes_the_drawn_rows_into_out(self):
         learner, _ = filled_learner(42)
-        ws, n = learner.workspace, learner.cfg.batch_size
-        fresh = learner.buffer.sample(n, np.random.default_rng(43))
-        into = learner.buffer.sample(n, np.random.default_rng(43), ws.sample)
-        for a, b in zip(fresh, into):
-            assert np.shares_memory(b, ws.sample)
+        buf, ws, n = learner.buffer, learner.workspace, learner.cfg.batch_size
+        got = buf.sample(n, np.random.default_rng(43), ws.sample)
+        idx = np.random.default_rng(43).integers(0, len(buf), size=n)
+        for a, b in zip(got, buf.fields(buf.rows[idx])):
+            assert np.shares_memory(a, ws.sample)
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
@@ -648,7 +681,7 @@ class TestWorkspaceTrainStep:
         ref_actor_opt = ReferenceAdam(ref.actor.arrays())
         for _ in range(50):
             diag = new.train_step(rng_new)
-            batch = ref.buffer.sample(cfg.batch_size, rng_ref)
+            batch = sample_of(ref.buffer, cfg.batch_size, rng_ref)
             opts = (ref_critic_opt, ref_actor_opt)
             assert diag == reference_train_step(ref, opts, batch, cfg)
         assert new.actor.flat.dtype == DTYPE
@@ -673,7 +706,7 @@ class TestWorkspaceTrainStep:
         mine, theirs = [], []
         for _ in range(50):
             mine.append(list(new.train_step(rng_new).values()))
-            batch = [f.astype(np.float64) for f in ref.buffer.sample(cfg.batch_size, rng_ref)]
+            batch = [f.astype(np.float64) for f in sample_of(ref.buffer, cfg.batch_size, rng_ref)]
             theirs.append(list(reference_train_step(nets, opts, batch, cfg).values()))
         mine, theirs = np.array(mine), np.array(theirs)
         errors = np.linalg.norm(mine - theirs, axis=0) / np.linalg.norm(theirs, axis=0)
@@ -1279,12 +1312,14 @@ class TestTrainerConfig:
         with pytest.raises(ValueError, match="hidden widths must be positive ints"):
             TrainerConfig(hidden=hidden)
 
-    @pytest.mark.parametrize("bad", [2.5, 1e6, "8", None, True])
-    @pytest.mark.parametrize("field", ["batch_size", "buffer_capacity"])
+    @pytest.mark.parametrize("bad", [2.5, 1e6, "8", None, True, np.nan])
+    @pytest.mark.parametrize("field", ["batch_size", "buffer_capacity", "episodes"])
     def test_sizes_must_be_ints(self, field, bad):
         # batch_size=2.5 and buffer_capacity=1e6 used to be accepted and fail
         # later in DdpgLearner with a TypeError naming no field; numpy
-        # refuses a bool size the same way
+        # refuses a bool size the same way. episodes=nan used to fail later
+        # in sigma_at, naming no field, and 2.5 or True to anneal over one
+        # episode
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             TrainerConfig(**{field: bad})
 

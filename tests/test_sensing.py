@@ -19,6 +19,7 @@ from streamform.sensing import (
 )
 
 CFG = LidarConfig(noise_std=0.0)
+RNG = np.random.default_rng(0)  # CFG draws no noise from it
 
 
 def scalar_neighbor_observations(positions, connection_zone):
@@ -53,7 +54,7 @@ def scalar_neighbor_observations(positions, connection_zone):
     return CommsView(adjacency, neighbors, broadcast)
 
 
-def reference_raycast(position, heading, obstacles, cfg, rng=None):
+def reference_raycast(position, heading, obstacles, cfg, rng):
     """Every ray against every circle, no culling: the oracle for ``raycast``."""
     n = cfg.n_rays
     if len(obstacles) == 0:
@@ -75,7 +76,7 @@ def reference_raycast(position, heading, obstacles, cfg, rng=None):
         true_d = t.min(axis=1)
         true_d = np.where(np.isfinite(true_d), true_d, cfg.d_max)
     d = np.clip(true_d, cfg.d_min, cfg.d_max)
-    if rng is not None and cfg.noise_std > 0.0:
+    if cfg.noise_std > 0.0:
         d = d + rng.normal(0.0, cfg.noise_std, size=n)
         d = np.clip(d, cfg.d_min, cfg.d_max)
     return LidarScan(d, agent_inside=inside)
@@ -118,13 +119,13 @@ def make_scan(distances, cfg=CFG):
 class TestRaycast:
     def test_obstacle_dead_ahead(self):
         obs = ObstacleSet([[1.0, 0.0]], [0.3])
-        scan = raycast(Vec2(0, 0), 0.0, obs, CFG)
+        scan = raycast(Vec2(0, 0), 0.0, obs, CFG, RNG)
         center_ray = CFG.n_rays // 2
         assert scan.angles[center_ray] == pytest.approx(0.0, abs=1e-12)
         assert scan.distances[center_ray] == pytest.approx(0.7, abs=1e-12)
 
     def test_empty_world_reads_d_max(self):
-        scan = raycast(Vec2(0, 0), 0.4, ObstacleSet(np.empty((0, 2)), np.empty(0)), CFG)
+        scan = raycast(Vec2(0, 0), 0.4, ObstacleSet(np.empty((0, 2)), np.empty(0)), CFG, RNG)
         assert np.all(scan.distances == CFG.d_max)
         assert not scan.agent_inside
 
@@ -139,26 +140,26 @@ class TestRaycast:
         expected = b - math.sqrt(disc)
         idx = CFG.n_rays // 2 + 10  # 0 deg + 10 * 3 deg
         assert CFG.angles[idx] == pytest.approx(ray, abs=1e-12)
-        scan = raycast(Vec2(0, 0), 0.0, ObstacleSet([[center.x, center.y]], [r]), CFG)
+        scan = raycast(Vec2(0, 0), 0.0, ObstacleSet([[center.x, center.y]], [r]), CFG, RNG)
         assert scan.distances[idx] == pytest.approx(expected, abs=1e-12)
 
     def test_heading_rotates_the_fan(self):
         obs = ObstacleSet([[0.0, 1.0]], [0.3])
-        scan = raycast(Vec2(0, 0), math.pi / 2, obs, CFG)
+        scan = raycast(Vec2(0, 0), math.pi / 2, obs, CFG, RNG)
         center_ray = CFG.n_rays // 2
         assert scan.distances[center_ray] == pytest.approx(0.7, abs=1e-12)
 
     def test_agent_inside_obstacle(self):
         obs = ObstacleSet([[0.05, 0.0]], [0.3])
-        scan = raycast(Vec2(0, 0), 0.0, obs, CFG)
+        scan = raycast(Vec2(0, 0), 0.0, obs, CFG, RNG)
         assert scan.agent_inside
         assert np.all(scan.distances == CFG.d_min)
 
     def test_mirror_symmetry(self):
         centers, radii = np.array([[1.0, 0.4], [0.8, -0.9]]), np.array([0.2, 0.3])
         mirrored = centers * [1.0, -1.0]
-        a = raycast(Vec2(0, 0), 0.0, ObstacleSet(centers, radii), CFG)
-        b = raycast(Vec2(0, 0), 0.0, ObstacleSet(mirrored, radii), CFG)
+        a = raycast(Vec2(0, 0), 0.0, ObstacleSet(centers, radii), CFG, RNG)
+        b = raycast(Vec2(0, 0), 0.0, ObstacleSet(mirrored, radii), CFG, RNG)
         np.testing.assert_array_equal(a.distances, b.distances[::-1])
 
     def test_noise_clamped_to_range(self):
@@ -179,19 +180,26 @@ class TestRaycast:
         # a NaN pose used to give a blind scan: every ray at d_max, not inside
         obs = ObstacleSet([[1.0, 0.0]], [0.3])
         with pytest.raises(ValueError, match=f"raycast {name}"):
-            raycast(position, heading, obs, CFG)
+            raycast(position, heading, obs, CFG, RNG)
 
     @pytest.mark.parametrize("heading", [math.inf, -math.inf])
     def test_infinite_heading_is_named(self, heading):
         # math.cos raised a bare "math domain error" here
         obs = ObstacleSet([[1.0, 0.0]], [0.3])
         with pytest.raises(ValueError, match="raycast heading"):
-            raycast(Vec2(0.0, 0.0), heading, obs, CFG)
+            raycast(Vec2(0.0, 0.0), heading, obs, CFG, RNG)
 
     def test_behind_obstacle_not_seen(self):
         obs = ObstacleSet([[-1.0, 0.0]], [0.3])
-        scan = raycast(Vec2(0, 0), 0.0, obs, CFG)
+        scan = raycast(Vec2(0, 0), 0.0, obs, CFG, RNG)
         assert np.all(scan.distances == CFG.d_max)
+
+    def test_rng_is_required(self):
+        # a scan under LidarConfig() (noise 0.2) with no rng used to come
+        # back noiseless, bit for bit the scan with noise_std=0.0
+        obs = ObstacleSet([[1.0, 0.0]], [0.3])
+        with pytest.raises(TypeError):
+            raycast(Vec2(0, 0), 0.0, obs, LidarConfig())
 
     @pytest.mark.parametrize("noise_std", [0.0, 0.2])
     def test_matches_reference_on_random_worlds(self, noise_std):
@@ -237,7 +245,7 @@ class TestRaycast:
             graze = math.asin(radii[0] / float(np.hypot(*rel[0]))) * (1.0 - 1e-12)
             k = int(gen.integers(CFG.n_rays))
             heading = math.atan2(rel[0, 1], rel[0, 0]) + graze - float(CFG.angles[k])
-            scan = reference_raycast(position, heading, world, CFG)
+            scan = reference_raycast(position, heading, world, CFG, RNG)
             assert np.all(scan.distances == CFG.d_max)
 
 
@@ -284,6 +292,24 @@ class TestObstacleSetExtended:
             self.BASE.extended(np.zeros((0, 2)), np.ones(3))
 
 
+# the constructor used to reshape these into other circles: the first two
+# into (1, 2) and (3, 4), and (0, 0), (0, 0), (0, 0) with six zeros read
+# row-major, the third into the one circle (1, 2)
+BAD_SHAPES = {
+    "row-of-four": ([[1, 2, 3, 4]], [0.1, 0.2]),
+    "two-by-three": (np.zeros((2, 3)), np.ones(3)),
+    "flat-pair": ([1.0, 2.0], [0.1]),
+}
+
+
+@pytest.mark.parametrize("centers, radii", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
+@pytest.mark.parametrize("build", ["constructor", "extended"])
+def test_circles_of_another_shape_raise(build, centers, radii):
+    make = ObstacleSet if build == "constructor" else TestObstacleSetExtended.BASE.extended
+    with pytest.raises(ValueError, match="shape"):
+        make(centers, radii)
+
+
 # a circle no ray can hit would silently vanish from every scan
 NON_FINITE_CIRCLES = {
     "nan-center": ([[np.nan, 0.0]], [0.3]),
@@ -319,7 +345,7 @@ class TestLidarConfig:
         assert (CFG.d_min, CFG.d_max) == (0.0, 2.0)
 
     def test_fan_is_shared_and_read_only(self):
-        scan = raycast(Vec2(0, 0), 0.0, ObstacleSet([[1.0, 0.0]], [0.3]), CFG)
+        scan = raycast(Vec2(0, 0), 0.0, ObstacleSet([[1.0, 0.0]], [0.3]), CFG, RNG)
         assert scan.angles is CFG.angles is LidarConfig(noise_std=0.2).angles
         with pytest.raises(ValueError, match="read-only"):
             CFG.angles[0] = 0.0

@@ -28,14 +28,15 @@ from streamform.stream_avoid import (
 )
 
 CFG = LidarConfig(noise_std=0.0)
+RNG = np.random.default_rng(0)  # CFG draws no noise from it
 PARAMS = StreamParams()
 
 
 def scan_of(world_obstacles, pos=Vec2(0, 0), heading=0.0):
     """Noise-free scan of a world given as (center, radius) pairs."""
-    centers = [[c.x, c.y] for c, _ in world_obstacles]
+    centers = np.reshape([[c.x, c.y] for c, _ in world_obstacles], (-1, 2))
     radii = [r for _, r in world_obstacles]
-    return raycast(pos, heading, ObstacleSet(centers, radii), CFG)
+    return raycast(pos, heading, ObstacleSet(centers, radii), CFG, RNG)
 
 
 def make_scan(distances):
@@ -387,7 +388,7 @@ def steer_along_streamlines(obstacle_y, steps=140, gain=3.0):
     headings = [heading]
     clearances = []
     for _ in range(steps):
-        scan = raycast(pos, heading, world, CFG)
+        scan = raycast(pos, heading, world, CFG, RNG)
         out = avoider.update(scan)
         err = sum(
             rd.c_current - st.c_desired

@@ -17,7 +17,7 @@ LIMIT = 3
 _HIDDEN = 4
 
 
-def public(a, b=1, *rest, c, **more):
+def public(a, b=1, *rest, c=2, d, **more):
     return a
 
 
@@ -64,16 +64,19 @@ def test_counts_a_fixture_package(tmp_path):
     # public: LIMIT, public, Config (+ SCALE, size, name, area), Holder
     # (+ KIND, value, reset, count), WIDTH; not __version__, _HIDDEN,
     # _private, _checked, _other or _Internal
-    # settable: public a, b, rest, c, more (5); Config size, name (2; SCALE
-    # is a ClassVar); Holder.__init__ value, other (2); reset value (1)
+    # settable: public a, b, rest, c, d, more (6); Config size, name (2;
+    # SCALE is a ClassVar); Holder.__init__ value, other (2); reset value (1)
+    # optional: public b, c; Holder.__init__ other (not the dataclass fields)
     lines = FIXTURE.count("\n") + 1
-    assert count(tmp_path) == {"lines": lines, "public_names": 13, "settable_values": 10}
+    assert count(tmp_path) == {
+        "lines": lines, "public_names": 13, "settable_values": 11, "optional_parameters": 3
+    }
 
 
-def test_cli_prints_the_three_counts(tmp_path):
-    (tmp_path / "mod.py").write_text("def f(x):\n    return x\n")
+def test_cli_prints_the_four_counts(tmp_path):
+    (tmp_path / "mod.py").write_text("def f(x, y=0):\n    return x\n")
     script = Path(__file__).with_name("surface_count.py")
     out = subprocess.run(
         [sys.executable, str(script), str(tmp_path)], capture_output=True, text=True, check=True
     ).stdout
-    assert out == "lines 2\npublic_names 1\nsettable_values 1\n"
+    assert out == "lines 2\npublic_names 1\nsettable_values 2\noptional_parameters 1\n"

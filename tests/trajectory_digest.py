@@ -10,6 +10,7 @@ The digest starts at the workload's construction (the replay prefill and
 warm-up updates of ``train`` included) and covers:
 
 - every agent step: the state before it, the action and the state after;
+- every lidar scan: each ray's distance and ``agent_inside``;
 - every follower observation row;
 - every ``StreamAvoider.update`` outcome: per side the avoid flag,
   ``c_desired`` and ``prev_inner_angle``, every field of the reading, and
@@ -93,7 +94,7 @@ def trajectory_digest(workload: str, seed: int, steps: int) -> str:
     """Hex sha256 of ``workload`` built at ``seed`` and run ``steps`` env
     steps past its construction."""
     sha = hashlib.sha256(f"{workload}/{seed}/{steps}".encode())
-    agent_step, stream_update = adapter.agent_step, adapter.stream_update
+    agent_step, raycast, stream_update = adapter.agent_step, adapter.raycast, adapter.stream_update
 
     def digested_step(state, action, dt, limits):
         new = agent_step(state, action, dt, limits)
@@ -102,12 +103,18 @@ def trajectory_digest(workload: str, seed: int, steps: int) -> str:
         _put_state(sha, new)
         return new
 
+    def digested_raycast(position, heading, obstacles, cfg, rng):
+        scan = raycast(position, heading, obstacles, cfg, rng)
+        _put(sha, scan.distances, scan.agent_inside)
+        return scan
+
     def digested_update(avoider, scan):
         out = stream_update(avoider, scan)
         _put_outcome(sha, out)
         return out
 
-    adapter.agent_step, adapter.stream_update = digested_step, digested_update
+    adapter.agent_step, adapter.raycast = digested_step, digested_raycast
+    adapter.stream_update = digested_update
     try:
         with tempfile.TemporaryDirectory() as tmp:
             wl = _DigestedWorkload(workload, seed, Path(tmp), sha)
@@ -118,7 +125,8 @@ def trajectory_digest(workload: str, seed: int, steps: int) -> str:
                     sha.update(name.encode())
                     _put(sha, array)
     finally:
-        adapter.agent_step, adapter.stream_update = agent_step, stream_update
+        adapter.agent_step, adapter.raycast = agent_step, raycast
+        adapter.stream_update = stream_update
     return sha.hexdigest()
 
 
