@@ -1,8 +1,9 @@
-"""Unicycle kinematics with speed and turn-rate saturation.
+"""Unicycle kinematics with control, speed and turn-rate saturation.
 
-The state is [x, y, v, alpha, omega]; controls are acceleration and angular
-acceleration. One step advances the position along the exact circular arc
-swept during dt, then integrates v, alpha, omega.
+The state is [x, y, v, alpha, omega]; the controls are the raw pair
+(acceleration, angular acceleration), which only ``step`` saturates, to
++-``a_max`` / +-``beta_max``. One step advances the position along the exact
+circular arc swept during dt, then integrates v, alpha, omega.
 """
 
 from __future__ import annotations
@@ -42,12 +43,6 @@ class AgentState:
     omega: float = 0.0
 
 
-@dataclass(frozen=True)
-class ControlInput:
-    accel: float = 0.0
-    angular_accel: float = 0.0
-
-
 def arc_displacement(v: float, alpha: float, omega: float, dt: float) -> tuple[float, float]:
     """Displacement of a unicycle moving at constant (v, omega) for dt."""
     if abs(omega) < OMEGA_SINGULARITY:
@@ -62,21 +57,16 @@ def arc_displacement(v: float, alpha: float, omega: float, dt: float) -> tuple[f
     return dx, dy
 
 
-def clamp_controls(accel: float, angular_accel: float, limits: Limits) -> ControlInput:
-    """Saturate raw controls component-wise; never rejects."""
-    a = min(max(accel, -limits.a_max), limits.a_max)
-    b = min(max(angular_accel, -limits.beta_max), limits.beta_max)
-    return ControlInput(a, b)
-
-
-def step(state: AgentState, u: ControlInput, dt: float, limits: Limits) -> AgentState:
-    """Advance one agent by dt.
+def step(state: AgentState, u: tuple[float, float], dt: float, limits: Limits) -> AgentState:
+    """Advance one agent by dt under the raw controls ``u = (accel,
+    angular_accel)``.
 
     The position moves along the arc defined by the current (v, alpha,
-    omega); v, alpha, omega then integrate the controls with saturation.
-    A dt that is not positive and finite, or a non-finite state or control
-    value, raises ValueError naming it.
+    omega); v, alpha, omega then integrate the controls, each saturated to
+    its bound in ``limits``. A dt that is not positive and finite, or a
+    non-finite state or control value, raises ValueError naming it.
     """
+    accel, angular_accel = u
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     for name, value in (
@@ -85,15 +75,17 @@ def step(state: AgentState, u: ControlInput, dt: float, limits: Limits) -> Agent
         ("state.v", state.v),
         ("state.alpha", state.alpha),
         ("state.omega", state.omega),
-        ("u.accel", u.accel),
-        ("u.angular_accel", u.angular_accel),
+        ("u.accel", accel),
+        ("u.angular_accel", angular_accel),
     ):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    accel = min(max(accel, -limits.a_max), limits.a_max)
+    angular_accel = min(max(angular_accel, -limits.beta_max), limits.beta_max)
     dx, dy = arc_displacement(state.v, state.alpha, state.omega, dt)
     x = state.position.x + dx
     y = state.position.y + dy
-    v = min(max(state.v + dt * u.accel, 0.0), limits.v_max)
+    v = min(max(state.v + dt * accel, 0.0), limits.v_max)
     alpha = wrap_angle(state.alpha + dt * state.omega)
-    omega = min(max(state.omega + dt * u.angular_accel, -limits.omega_max), limits.omega_max)
+    omega = min(max(state.omega + dt * angular_accel, -limits.omega_max), limits.omega_max)
     return AgentState(Vec2(x, y), v, alpha, omega)

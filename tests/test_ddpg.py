@@ -35,6 +35,8 @@ from streamform.ddpg import (
     mlp_forward,
     simplex_from_controls,
     soft_update,
+    softmax,
+    softmax_backward,
 )
 
 LIM = Limits(v_max=0.5, omega_max=0.2, a_max=0.5, beta_max=0.5)
@@ -153,6 +155,31 @@ def reference_actor_objective_grads(actor, critic, obs):
     return grads, float(np.mean(q[:, 0]))
 
 
+class TestSoftmaxBits:
+    """softmax and softmax_backward reduce the action columns one at a time;
+    their bits must stay those of numpy's axis-1 reductions."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["random", "saturated"])
+    def test_same_bits_as_the_axis_1_form(self, kind, dtype):
+        rng = np.random.default_rng(21)
+        if kind == "random":
+            logits = rng.normal(scale=3.0, size=(500, ACTION_DIM))
+        else:
+            logits = rng.choice([-80.0, 0.0, 80.0], size=(500, ACTION_DIM))
+        dprobs = rng.normal(size=logits.shape)
+        # in float32 this row's probabilities are [1, 0, 0], so every product
+        # dprobs * probs is -0.0, which numpy's sum turns into 0.0
+        logits[0], dprobs[0] = [80.0, -80.0, -80.0], [-0.0, -1.0, -2.0]
+        logits, dprobs = logits.astype(dtype), dprobs.astype(dtype)
+        want = reference_softmax(logits)
+        col = np.empty((len(logits), 1), dtype)
+        probs = softmax(logits.copy(), col)
+        assert probs.tobytes() == want.tobytes()
+        grad = softmax_backward(probs, dprobs, np.empty_like(probs), col)
+        assert grad.tobytes() == reference_softmax_backward(want, dprobs).tobytes()
+
+
 class TestActorForward:
     def test_simplex_invariant(self):
         rng = np.random.default_rng(0)
@@ -179,17 +206,15 @@ class TestActorForward:
 
 class TestMapAction:
     def test_full_throttle(self):
-        u = map_action(np.array([1.0, 0.0, 0.0]), LIM)
-        assert (u.accel, u.angular_accel) == (0.5, 0.0)
+        assert map_action(np.array([1.0, 0.0, 0.0]), LIM) == (0.5, 0.0)
 
     def test_symmetric_cancel(self):
-        u = map_action(np.array([0.0, 0.5, 0.5]), LIM)
-        assert (u.accel, u.angular_accel) == (0.0, 0.0)
+        assert map_action(np.array([0.0, 0.5, 0.5]), LIM) == (0.0, 0.0)
 
     def test_arithmetic(self):
-        u = map_action(np.array([0.2, 0.7, 0.1]), LIM)
-        assert u.accel == pytest.approx(0.2 * 0.5, rel=1e-12)
-        assert u.angular_accel == pytest.approx(0.6 * 0.5, rel=1e-12)
+        accel, turn = map_action(np.array([0.2, 0.7, 0.1]), LIM)
+        assert accel == pytest.approx(0.2 * 0.5, rel=1e-12)
+        assert turn == pytest.approx(0.6 * 0.5, rel=1e-12)
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(3)
@@ -201,9 +226,15 @@ class TestMapAction:
             assert u.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(u >= -1e-15)
             back = map_action(u, LIM)
-            assert back.accel == pytest.approx(accel, abs=1e-12)
-            assert back.angular_accel == pytest.approx(turn, abs=1e-12)
+            assert back == pytest.approx((accel, turn), abs=1e-12)
 
+    def test_leaves_saturation_to_the_step(self):
+        # an action off the simplex maps to controls past the limits, which
+        # only dynamics.step clamps
+        raw = map_action(np.array([3.0, 2.0, -1.0]), LIM)
+        assert raw == pytest.approx((1.5, 1.5), rel=1e-12)
+        state = AgentState(v=0.1, omega=0.05)
+        assert step(state, raw, 0.1, LIM) == step(state, (LIM.a_max, LIM.beta_max), 0.1, LIM)
 
     @pytest.mark.parametrize("action", [[0.2, 0.3], [0.2, 0.3, 0.5, 9.0]], ids=["two", "four"])
     def test_an_action_of_another_size_raises(self, action):
@@ -216,6 +247,12 @@ class TestMapAction:
         # map_action keeps a NaN component; dynamics.step used to return v = nan
         u = map_action(np.array([np.nan, 0.5, 0.5]), LIM)
         with pytest.raises(ValueError, match="u.accel must be finite"):
+            step(AgentState(), u, 0.1, LIM)
+
+    def test_infinite_action_is_rejected_by_the_step(self):
+        # an infinite component used to reach the step already saturated
+        u = map_action(np.array([0.2, np.inf, 0.5]), LIM)
+        with pytest.raises(ValueError, match="u.angular_accel must be finite"):
             step(AgentState(), u, 0.1, LIM)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -321,6 +358,14 @@ class TestExplorationNoise:
         expected = actor_forward(learner.actor, obs, rows_of(learner.actor, obs))
         np.testing.assert_array_equal(learner.act(obs, 0.0, rng), expected)
 
+    @pytest.mark.parametrize("sigma", [np.nan, -0.3, np.inf])
+    def test_sigma_not_nonnegative_and_finite_raises(self, sigma):
+        # nan and -0.3 used to return the greedy action, and inf all-NaN
+        # actions with a RuntimeWarning
+        learner = self.learner(16)
+        with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+            learner.act(np.zeros((2, 6)), sigma, np.random.default_rng(16))
+
     def test_observations_not_of_shape_rows_by_obs_dim_raise(self):
         # a (4, 1) observation used to be broadcast into the buffers, giving
         # four actions, and a 1-D one was taken as one row
@@ -339,6 +384,17 @@ class TestExplorationNoise:
 
 
 class TestReplayBuffer:
+    @pytest.mark.parametrize(
+        "capacity, obs_dim, name",
+        [(0, 6, "capacity"), (-2, 6, "capacity"), (4.0, 6, "capacity"), (True, 6, "capacity"),
+         (4, 0, "obs_dim"), (4, 1.5, "obs_dim"), (4, None, "obs_dim")],
+    )
+    def test_sizes_must_be_positive_ints(self, capacity, obs_dim, name):
+        # ReplayBuffer(0, 6) used to build and raise a bare IndexError on its
+        # first add, and ReplayBuffer(4, 0) built a 5-column store
+        with pytest.raises(ValueError, match=f"{name} must be a positive int, got"):
+            ReplayBuffer(capacity, obs_dim)
+
     def test_fifo_eviction(self):
         buf = ReplayBuffer(capacity=5, obs_dim=1)
         for k in range(7):

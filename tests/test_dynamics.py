@@ -3,19 +3,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from streamform.dynamics import (
-    AgentState,
-    ControlInput,
-    Limits,
-    arc_displacement,
-    clamp_controls,
-    step,
-)
+from streamform.dynamics import AgentState, Limits, arc_displacement, step
 from streamform.geom import Vec2
 
 LIM = Limits(v_max=0.5, omega_max=0.2, a_max=0.5, beta_max=0.5)
-NO_U = ControlInput(0.0, 0.0)
+NO_U = (0.0, 0.0)
 
 
 def test_straight_line_step():
@@ -47,18 +41,51 @@ def test_forward_at_half_pi_increases_y():
     assert out.position.y > 0.09
 
 
+def clip(value, bound):
+    return float(np.clip(value, -bound, bound))
+
+
 class TestClampControls:
+    """``step`` clamps the raw controls; a roomy v_max and omega_max let the
+    clamped values show in v and omega."""
+
+    ROOMY = Limits(v_max=10.0, omega_max=10.0, a_max=0.5, beta_max=0.5)
+    START = AgentState(Vec2(0.3, -0.2), v=1.0, alpha=0.4, omega=0.1)
+
+    def controls_seen(self, u, dt=0.1):
+        out = step(self.START, u, dt, self.ROOMY)
+        return (out.v - self.START.v) / dt, (out.omega - self.START.omega) / dt
+
     def test_zero(self):
-        u = clamp_controls(0.0, 0.0, LIM)
-        assert (u.accel, u.angular_accel) == (0.0, 0.0)
+        assert self.controls_seen((0.0, 0.0)) == (0.0, 0.0)
 
     def test_saturation(self):
-        u = clamp_controls(10.0, 0.0, LIM)
-        assert (u.accel, u.angular_accel) == (0.5, 0.0)
+        accel, turn = self.controls_seen((10.0, 0.0))
+        assert accel == pytest.approx(0.5, rel=1e-12) and turn == 0.0
 
     def test_mixed(self):
-        u = clamp_controls(-0.3, 0.7, LIM)
-        assert (u.accel, u.angular_accel) == (-0.3, 0.5)
+        accel, turn = self.controls_seen((-0.3, 0.7))
+        assert accel == pytest.approx(-0.3, rel=1e-12)
+        assert turn == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("u", [(0.5, -0.5), (-0.5, 0.5), (0.49, -0.2)])
+    def test_controls_at_or_inside_the_bounds_pass_unchanged(self, u):
+        assert self.controls_seen(u) == pytest.approx(u, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-5.0, 5.0),
+        st.floats(-5.0, 5.0),
+        st.floats(0.0, 0.5),
+        st.floats(-math.pi, math.pi),
+        st.floats(-0.2, 0.2),
+    )
+    def test_raw_controls_step_as_their_clipped_pair(self, accel, turn, v, alpha, omega):
+        # raw controls up to 10x the bounds give the same state, bit for bit,
+        # as the controls clipped to +-a_max / +-beta_max
+        state = AgentState(Vec2(0.3, -0.2), v, alpha, omega)
+        clipped = (clip(accel, LIM.a_max), clip(turn, LIM.beta_max))
+        assert step(state, (accel, turn), 0.1, LIM) == step(state, clipped, 0.1, LIM)
 
 
 def test_omega_continuity_near_zero():
@@ -90,8 +117,7 @@ def test_speed_stays_nonnegative_and_bounded():
     rng = np.random.default_rng(0)
     s = AgentState()
     for _ in range(500):
-        u = clamp_controls(rng.uniform(-2, 2), rng.uniform(-2, 2), LIM)
-        s = step(s, u, 0.1, LIM)
+        s = step(s, (rng.uniform(-2, 2), rng.uniform(-2, 2)), 0.1, LIM)
         assert 0.0 <= s.v <= LIM.v_max
         assert abs(s.omega) <= LIM.omega_max
         assert -math.pi < s.alpha <= math.pi
@@ -99,7 +125,7 @@ def test_speed_stays_nonnegative_and_bounded():
 
 def test_noiseless_determinism():
     s = AgentState(Vec2(0.3, -0.2), v=0.4, alpha=1.1, omega=-0.1)
-    u = ControlInput(0.2, -0.3)
+    u = (0.2, -0.3)
     a = step(s, u, 0.1, LIM)
     b = step(s, u, 0.1, LIM)
     assert a == b
@@ -120,8 +146,9 @@ def test_non_finite_dt_rejected(dt):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("field", ["accel", "angular_accel"])
 def test_non_finite_control_rejected(field, bad):
-    # a NaN accel used to come back as v = nan
-    u = ControlInput(**{"accel": 0.0, "angular_accel": 0.0, field: bad})
+    # a NaN accel used to come back as v = nan; an infinite one is refused
+    # too, not saturated
+    u = {"accel": (bad, 0.0), "angular_accel": (0.0, bad)}[field]
     with pytest.raises(ValueError, match=f"u.{field} must be finite"):
         step(AgentState(), u, 0.1, LIM)
 
@@ -136,15 +163,6 @@ def test_non_finite_state_rejected(field, bad):
     state = AgentState(Vec2(x, y), **values)
     with pytest.raises(ValueError, match=re.escape(f"state.{field} must be finite")):
         step(state, NO_U, 0.1, LIM)
-
-
-@pytest.mark.parametrize("field", ["accel", "angular_accel"])
-def test_nan_passes_clamp_controls_and_is_rejected_by_step(field):
-    # clamp_controls saturates an infinite control but keeps a NaN one
-    raw = {"accel": 0.0, "angular_accel": 0.0, field: math.nan}
-    u = clamp_controls(raw["accel"], raw["angular_accel"], LIM)
-    with pytest.raises(ValueError, match=f"u.{field} must be finite"):
-        step(AgentState(), u, 0.1, LIM)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from streamform.geom import Vec2
 from streamform.sensing import (
@@ -600,3 +600,32 @@ class TestNeighborObservations:
                 list(d.items()) for d in want.neighbors
             ]
             assert got.broadcast == want.broadcast
+
+
+COORD = st.floats(-20.0, 20.0)
+POINT = st.tuples(COORD, COORD)
+
+
+class TestCommsLocality:
+    """Follower k's comms observation depends only on its own links and its
+    broadcast: moving another follower j that stays outside k's connection
+    zone, while k's reach flag holds, leaves it the same bit for bit."""
+
+    ZONE = 7.0
+    MARGIN = 1e-6  # keeps j clear of the zone's edge, where rounding decides
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(POINT, min_size=3, max_size=8), POINT, st.data())
+    def test_moving_an_agent_outside_the_zone_keeps_the_row(self, points, moved, data):
+        k = data.draw(st.integers(1, len(points) - 1), label="k")
+        j = data.draw(st.integers(1, len(points) - 1).filter(lambda i: i != k), label="j")
+        for xj, yj in (points[j], moved):
+            assume(math.hypot(xj - points[k][0], yj - points[k][1]) > self.ZONE + self.MARGIN)
+        before = [Vec2(x, y) for x, y in points]
+        after = before[:j] + [Vec2(*moved)] + before[j + 1 :]
+        a = neighbor_observations(before, self.ZONE)
+        b = neighbor_observations(after, self.ZONE)
+        assume((a.broadcast[k] is None) == (b.broadcast[k] is None))
+        # repr tells -0.0 from 0.0 and keeps the dict's insertion order
+        assert repr(a.neighbors[k]) == repr(b.neighbors[k])
+        assert repr(a.broadcast[k]) == repr(b.broadcast[k])
