@@ -24,6 +24,11 @@ ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes")
 DTYPES = ("float32", "float64")
 
 
+def _is_count(value) -> bool:
+    """A non-negative int, as JSON gives one; a bool is not."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
     path = Path(path)
     entries = []
@@ -94,13 +99,22 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         start, n, dtype = entry["offset"], entry["nbytes"], entry["dtype"]
         if dtype not in DTYPES:
             raise ValueError(f"{path}: array {name!r} has dtype {dtype!r}, not one of {DTYPES}")
+        if not (isinstance(shape, list) and all(map(_is_count, shape))):
+            raise ValueError(
+                f"{path}: array {name!r} has shape {shape!r}, not a list of non-negative ints"
+            )
+        for key in ("offset", "nbytes"):
+            if not _is_count(entry[key]):
+                raise ValueError(
+                    f"{path}: array {name!r} has {key} {entry[key]!r}, not a non-negative int"
+                )
         size = math.prod(shape) * np.dtype(dtype).itemsize
         if n != size:
             raise ValueError(
                 f"{path}: array {name!r} declares {n} bytes of {dtype}"
                 f" for shape {shape}; expected {size} bytes"
             )
-        if start < 0 or start + n > len(body):
+        if start + n > len(body):
             raise ValueError(
                 f"{path}: array {name!r} needs bytes {start}..{start + n}"
                 f" but the body holds {len(body)} (truncated?)"

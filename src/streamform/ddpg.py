@@ -12,18 +12,21 @@ column, so one matmul applies the weights and adds the bias, and the
 weight-gradient matmul ``input.T @ grad`` returns the weight and bias
 gradients together.
 
-Workspace rule: every forward, backward and update function writes into
-buffers its caller passes (an ``MlpBuffers`` per network, a whole
-``TrainWorkspace``, or an ``out``, ``scratch`` or ``col`` array).
-``DdpgLearner.train_step`` passes the learner's own workspace, and the act
-paths build fresh ``MlpBuffers`` for their (rows, obs_dim) observations and
-a fresh ``col`` for the softmax of their float64 logits. ``MlpBuffers`` is the only channel between the
-passes over a network: a backward pass reads the layer inputs that the last
-forward pass left in the same buffers, and writes the weight gradients into
-their one flat ``grad`` vector, which is what the gradient functions return.
-Otherwise buffers hold no state between calls: each function overwrites
-what it reads before reading it, and what it returns is valid only until the
-next call that is given the same buffers.
+Workspace rule: the batch-sized blocks are preallocated and passed in:
+each network's ``MlpBuffers`` (its layer blocks ``fwd``, the ReLU's
+``zeros`` and ``mask``, and the flat ``grad``) and the replay ``sample``
+block, together a ``TrainWorkspace``. ``DdpgLearner.train_step`` passes the
+learner's own workspace, and the act paths build fresh ``MlpBuffers`` for
+their (rows, obs_dim) observations. Vectors, (batch, 1) and (batch,
+ACTION_DIM) arrays and the updates' flat vectors are ordinary numpy
+temporaries. ``MlpBuffers`` is the
+only channel between the passes over a network: a backward pass reads the
+layer inputs that the last forward pass left in the same buffers, and
+writes the weight gradients into their one flat ``grad`` vector, which is
+what the gradient functions return. Otherwise buffers hold no state between
+calls: each function overwrites what it reads before reading it, and what
+it returns is valid only until the next call that is given the same
+buffers.
 
 Precision rule: the learner runs in ``DTYPE`` (float32). Buffers, workspace
 and Adam moments take the parameters' dtype and the forward passes cast their
@@ -117,8 +120,7 @@ class MlpBuffers:
     and discarded there, so the mask and its product run on whole
     contiguous arrays, and each forward pass sets the ones columns again.
     ``grad`` is one flat gradient vector laid out like ``MlpParams.flat``,
-    and ``layer_grads[i]`` its (in + 1, out) view for layer i. ``col`` is
-    (batch, 1) scratch for row reductions and a one-column output gradient.
+    and ``layer_grads[i]`` its (in + 1, out) view for layer i.
     ``zeros[i]`` (the ReLU's second operand, never written) and the bool
     ``mask[i]`` serve hidden layer i, whose input is ``fwd[i]``; both are
     None for layer 0, which has no ReLU.
@@ -131,7 +133,6 @@ class MlpBuffers:
         self.inputs = self.fwd[0][:, :-1]
         self.grad = np.empty(params.flat.size, dtype)
         self.layer_grads = _split(self.grad, [layer.shape for layer in params.layers])
-        self.col = np.empty((batch, 1), dtype)
         hidden = [h.shape for h in self.fwd[1:-1]]
         # prefix views of one block each, sized to the largest hidden input
         size = max((math.prod(shape) for shape in hidden), default=0)
@@ -201,35 +202,29 @@ def mlp_backward(
     return da
 
 
-def _reduce_columns(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(a, axis=1, keepdims=True)`` bit for bit, into the
-    (rows, 1) ``out``, one column at a time: several times faster on rows as
-    short as an action. Like numpy, it starts from the ufunc's identity if it
-    has one, so ``np.add`` sums a row of -0.0 to 0.0."""
+def _reduce_columns(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1, keepdims=True)`` bit for bit, one column at
+    a time: several times faster on rows as short as an action. Like numpy,
+    it starts from the ufunc's identity if it has one, so ``np.add`` sums a
+    row of -0.0 to 0.0."""
     start = 0 if ufunc.identity is not None else 1
-    out[...] = ufunc.identity if start == 0 else a[:, :1]
+    out = np.full((len(a), 1), ufunc.identity, a.dtype) if start == 0 else a[:, :1].copy()
     for j in range(start, a.shape[1]):
         ufunc(out, a[:, j : j + 1], out=out)
     return out
 
 
-def softmax(z: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of the logits ``z``, in place; ``col`` is a (rows, 1)
-    scratch array."""
-    z -= _reduce_columns(np.maximum, z, col)
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of the logits ``z``, in place."""
+    z -= _reduce_columns(np.maximum, z)
     np.exp(z, out=z)
-    z /= _reduce_columns(np.add, z, col)
+    z /= _reduce_columns(np.add, z)
     return z
 
 
-def softmax_backward(
-    probs: np.ndarray, dprobs: np.ndarray, out: np.ndarray, col: np.ndarray
-) -> np.ndarray:
-    """d(loss)/d(logits) given d(loss)/d(probs), written into ``out``;
-    ``col`` is a (rows, 1) scratch array."""
-    prod = np.multiply(dprobs, probs, out=out)
-    inner = _reduce_columns(np.add, prod, col)
-    grad = np.subtract(dprobs, inner, out=prod)
+def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
+    """d(loss)/d(logits) given d(loss)/d(probs)."""
+    grad = dprobs - _reduce_columns(np.add, dprobs * probs)
     grad *= probs
     return grad
 
@@ -237,7 +232,7 @@ def softmax_backward(
 def actor_forward(params: MlpParams, obs: np.ndarray, bufs: MlpBuffers) -> np.ndarray:
     """Action on the probability simplex for each observation row; the
     actions overwrite the logits in ``bufs.fwd[-1]``."""
-    return softmax(mlp_forward(params, obs, bufs), bufs.col)
+    return softmax(mlp_forward(params, obs, bufs))
 
 
 def critic_forward(
@@ -253,12 +248,24 @@ def critic_forward(
 
 def _act_logits(params: MlpParams, observations) -> np.ndarray:
     """float64 copy of the actor's logits for each row of (rows, obs_dim)
-    observations, through fresh buffers sized to the rows; any other shape
-    raises ValueError, where it would be broadcast into the buffers."""
+    observations, through fresh buffers sized to the rows. Any other shape
+    raises ValueError, where it would be broadcast into the buffers, and so
+    does a row that is not finite as the buffers hold it (1e39 is inf in
+    float32), naming the first such row: it would give an all-NaN action."""
     shape = np.shape(observations)
     if shape[1:] != params.widths[:1]:
         raise ValueError(f"observations have shape {shape}, not (rows, {params.widths[0]})")
-    return mlp_forward(params, observations, MlpBuffers(params, shape[0])).astype(np.float64)
+    bufs = MlpBuffers(params, shape[0])
+    with np.errstate(over="ignore"):  # the overflow is what is tested for
+        bufs.inputs[...] = observations
+    finite = np.isfinite(bufs.inputs)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise ValueError(
+            f"observation row {row} is not finite as {bufs.inputs.dtype.name}:"
+            f" {np.asarray(observations)[row]}"
+        )
+    return mlp_forward(params, bufs.inputs, bufs).astype(np.float64)
 
 
 def map_action(u_raw: np.ndarray, limits: Limits) -> tuple[float, float]:
@@ -395,11 +402,14 @@ class ReplayBuffer:
 
     def add(self, obs, act, rew: float, obs_next, done: bool) -> None:
         """Store one transition: ``obs`` and ``obs_next`` of shape (obs_dim,),
-        ``act`` of shape (ACTION_DIM,), scalar ``rew`` and ``done``. A field
-        of another shape, or that is not finite as a row holds it (1e39 is
-        inf in float32), raises ValueError naming it and leaves the buffer as
-        it was: one NaN sampled into a batch would turn every network weight
-        NaN."""
+        ``act`` of shape (ACTION_DIM,), scalar ``rew`` and a Python or numpy
+        bool ``done``. A field of another shape, or that is not finite as a
+        row holds it (1e39 is inf in float32), or a ``done`` that is not a
+        bool, raises ValueError naming it and leaves the buffer as it was:
+        one NaN sampled into a batch would turn every network weight NaN,
+        and a ``done`` of 2.0 would flip the sign of the bootstrap."""
+        if not isinstance(done, (bool, np.bool_)):
+            raise ValueError(f"transition done must be a bool, got {done!r}")
         values = (obs, act, rew, obs_next, float(done))
         with np.errstate(over="ignore"):  # the overflow is what is tested for
             for name, view, value in zip(self.FIELDS, self._row_fields, values):
@@ -442,28 +452,26 @@ class Adam:
         self.v = np.zeros_like(param)
         self.t = 0
 
-    def step(self, param: np.ndarray, grad: np.ndarray, lr: float, scratch: np.ndarray) -> None:
-        """One in-place update of ``param``; ``scratch`` is a (2, n) array
-        with n at least ``param.size``."""
+    def step(self, param: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        """One in-place update of ``param``."""
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         corr1 = 1.0 - b1**self.t
         corr2 = 1.0 - b2**self.t
         m, v = self.m, self.v
-        s, r = scratch[0, : param.size], scratch[1, : param.size]
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
         # param -= lr (m / corr1) / (sqrt(v / corr2) + eps), rounded in this order
         m *= b1
-        m += np.multiply(grad, 1 - b1, out=s)
+        m += grad * (1 - b1)
         v *= b2
-        np.multiply(grad, 1 - b2, out=s)
-        v += np.multiply(s, grad, out=s)
-        np.divide(m, corr1, out=s)
+        v += grad * (1 - b2) * grad
+        s = m / corr1
         s *= lr
-        np.divide(v, corr2, out=r)
+        r = v / corr2
         np.sqrt(r, out=r)
         r += self.EPS
-        param -= np.divide(s, r, out=s)
+        s /= r
+        param -= s
 
 
 def compute_td_targets(
@@ -475,12 +483,11 @@ def compute_td_targets(
     gamma: float,
     ws: TrainWorkspace,
 ) -> np.ndarray:
-    """y = r + gamma * Q'(o', pi'(o')), with no bootstrap past done; written
-    into ``ws.targets``."""
+    """y = r + gamma * Q'(o', pi'(o')), with no bootstrap past done."""
     u_next = actor_forward(target_actor, obs_next, ws.actor)
     q_next = critic_forward(target_critic, obs_next, u_next, ws.critic)
-    y = np.multiply(gamma, q_next, out=ws.targets)
-    y *= np.subtract(1.0, done, out=ws.vec)
+    y = gamma * q_next
+    y *= 1.0 - done
     y += rew
     return y
 
@@ -489,12 +496,12 @@ def critic_loss_grads(
     params: MlpParams, obs, act, targets, ws: TrainWorkspace
 ) -> tuple[np.ndarray, float]:
     """Flat gradient (``ws.critic.grad``) of the mean squared TD error, and
-    that error."""
+    that error. The TD errors are rounded to the params' dtype, so float64
+    ``targets`` give the gradient of float32 ones on a float32 critic."""
     q = critic_forward(params, obs, act, ws.critic)
-    err = np.subtract(q, targets, out=ws.err)
-    loss = float(np.mean(np.multiply(err, err, out=ws.vec)))
-    dout = np.multiply(2.0 / len(err), err[:, None], out=ws.critic.col)
-    mlp_backward(params, dout, ws.critic, weight_grads=True)
+    err = (q - targets).astype(q.dtype, copy=False)
+    loss = float(np.mean(err * err))
+    mlp_backward(params, 2.0 / len(err) * err[:, None], ws.critic, weight_grads=True)
     return ws.critic.grad, loss
 
 
@@ -506,31 +513,24 @@ def actor_objective_grads(
     from the critic."""
     u = actor_forward(actor, obs, ws.actor)
     objective = float(np.mean(critic_forward(critic, obs, u, ws.critic)))
-    ws.critic.col.fill(1.0 / len(obs))  # d(objective)/dQ
-    dx = mlp_backward(critic, ws.critic.col, ws.critic, weight_grads=False)
-    du = dx[:, obs.shape[1] :]
-    dlogits = softmax_backward(u, du, ws.dlogits, ws.actor.col)
+    dq = np.full((len(obs), 1), 1.0 / len(obs), critic.flat.dtype)  # d(objective)/dQ
+    dx = mlp_backward(critic, dq, ws.critic, weight_grads=False)
+    dlogits = softmax_backward(u, dx[:, obs.shape[1] :])
     mlp_backward(actor, dlogits, ws.actor, weight_grads=True)
     return ws.actor.grad, objective
 
 
-def soft_update(target: MlpParams, online: MlpParams, tau: float, scratch: np.ndarray) -> None:
-    """target <- (1 - tau) target + tau online, over the flat vectors;
-    ``scratch`` is a 1-D array at least as long as them."""
-    step = np.multiply(online.flat, tau, out=scratch[: online.flat.size])
+def soft_update(target: MlpParams, online: MlpParams, tau: float) -> None:
+    """target <- (1 - tau) target + tau online, over the flat vectors."""
     target.flat *= 1.0 - tau
-    target.flat += step
+    target.flat += online.flat * tau
 
 
 class TrainWorkspace:
-    """Every batch-sized array one ``train_step`` writes; see the module
-    docstring for the rule.
-
-    Besides the two networks' buffers: ``sample`` receives whole replay
-    rows (one take; see ``ReplayBuffer``), ``targets`` the TD targets,
-    ``err`` the TD errors, ``dlogits`` the actor's output gradient; ``vec``
-    is (batch,) scratch, and ``scratch`` serves Adam and the soft update.
-    All take the params' dtype.
+    """The batch-sized blocks one ``train_step`` writes; see the module
+    docstring for the rule: the two networks' ``MlpBuffers``, ``actor`` and
+    ``critic``, and ``sample``, which receives whole replay rows (one take;
+    see ``ReplayBuffer``) in the params' dtype.
     """
 
     def __init__(self, batch: int, actor: MlpParams, critic: MlpParams):
@@ -538,11 +538,6 @@ class TrainWorkspace:
         self.actor = MlpBuffers(actor, batch)
         self.critic = MlpBuffers(critic, batch)
         self.sample = np.empty((batch, 2 * obs_dim + act_dim + 2), dtype)
-        self.targets = np.empty(batch, dtype)
-        self.err = np.empty(batch, dtype)
-        self.vec = np.empty(batch, dtype)
-        self.dlogits = np.empty((batch, act_dim), dtype)
-        self.scratch = np.empty((2, max(actor.flat.size, critic.flat.size)), dtype)
 
 
 class DdpgLearner:
@@ -569,7 +564,7 @@ class DdpgLearner:
         logits = _act_logits(self.actor, observations)
         if sigma > 0.0:
             logits += rng.normal(0.0, sigma, size=logits.shape)
-        return softmax(logits, np.empty((len(logits), 1)))
+        return softmax(logits)
 
     def record(self, obs, act, rew, obs_next, done: bool) -> None:
         self.buffer.add(obs, act, rew, obs_next, done)
@@ -587,13 +582,13 @@ class DdpgLearner:
         c_grad, c_loss = critic_loss_grads(self.critic, obs, act, targets, ws)
         self._require_finite(c_loss, "critic loss")
         self._require_finite(c_grad, "critic gradient")
-        self.critic_opt.step(self.critic.flat, c_grad, cfg.critic_lr, ws.scratch)
+        self.critic_opt.step(self.critic.flat, c_grad, cfg.critic_lr)
         a_grad, a_obj = actor_objective_grads(self.actor, self.critic, obs, ws)
         self._require_finite(a_obj, "actor objective")
         self._require_finite(a_grad, "actor gradient")
-        self.actor_opt.step(self.actor.flat, a_grad, cfg.actor_lr, ws.scratch)
-        soft_update(self.target_actor, self.actor, cfg.tau, ws.scratch[0])
-        soft_update(self.target_critic, self.critic, cfg.tau, ws.scratch[0])
+        self.actor_opt.step(self.actor.flat, a_grad, cfg.actor_lr)
+        soft_update(self.target_actor, self.actor, cfg.tau)
+        soft_update(self.target_critic, self.critic, cfg.tau)
         self.train_steps += 1
         return {"critic_loss": c_loss, "actor_q": a_obj}
 
@@ -657,5 +652,5 @@ class ActorPolicy:
 
     def act(self, observations: np.ndarray) -> np.ndarray:
         logits = _act_logits(self.params, observations)
-        return softmax(logits, np.empty((len(logits), 1)))
+        return softmax(logits)
 

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -173,10 +174,9 @@ class TestSoftmaxBits:
         logits[0], dprobs[0] = [80.0, -80.0, -80.0], [-0.0, -1.0, -2.0]
         logits, dprobs = logits.astype(dtype), dprobs.astype(dtype)
         want = reference_softmax(logits)
-        col = np.empty((len(logits), 1), dtype)
-        probs = softmax(logits.copy(), col)
+        probs = softmax(logits.copy())
         assert probs.tobytes() == want.tobytes()
-        grad = softmax_backward(probs, dprobs, np.empty_like(probs), col)
+        grad = softmax_backward(probs, dprobs)
         assert grad.tobytes() == reference_softmax_backward(want, dprobs).tobytes()
 
 
@@ -382,6 +382,22 @@ class TestExplorationNoise:
             with pytest.raises(ValueError, match=message):
                 policy.act(obs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+    def test_non_finite_observation_row_is_named(self, bad):
+        # a NaN entry used to return an all-NaN action row; 1e39 is inf in
+        # the float32 network
+        learner = self.learner(17)
+        policy = ActorPolicy(learner.actor)
+        obs = np.random.default_rng(17).normal(size=(5, 6))
+        obs[2, 4] = obs[4, 0] = bad
+        message = r"observation row 2 is not finite as float32: \["
+        with pytest.raises(ValueError, match=message):
+            learner.act(obs, 0.3, np.random.default_rng(17))
+        with pytest.raises(ValueError, match=message):
+            policy.act(obs)
+        with pytest.raises(ValueError, match=message):
+            policy.act(obs.tolist())
+
 
 class TestReplayBuffer:
     @pytest.mark.parametrize(
@@ -394,6 +410,27 @@ class TestReplayBuffer:
         # first add, and ReplayBuffer(4, 0) built a 5-column store
         with pytest.raises(ValueError, match=f"{name} must be a positive int, got"):
             ReplayBuffer(capacity, obs_dim)
+
+    @pytest.mark.parametrize(
+        "done", [np.nan, 2.0, -1.0, 0.5, 1.0, 1, np.int64(0), None, "yes"], ids=repr
+    )
+    def test_done_must_be_a_bool(self, done):
+        # nan, 2.0, -1.0 and 0.5 used to be stored: with 2.0 the TD target's
+        # 1 - done is -1, which flips the sign of the bootstrap
+        buf = ReplayBuffer(capacity=4, obs_dim=2)
+        row = {"obs": [0.0, 1.0], "act": [1.0, 0.0, 0.0], "rew": 0.5, "obs_next": [1.0, 1.0]}
+        buf.add(**row, done=True)
+        before = buf.rows.tobytes()
+        message = re.escape(f"transition done must be a bool, got {done!r}")
+        with pytest.raises(ValueError, match=message):
+            buf.add(**row, done=done)
+        assert buf.rows.tobytes() == before and len(buf) == 1
+
+    @pytest.mark.parametrize("done", [True, False, np.True_, np.bool_(False)])
+    def test_python_and_numpy_bools_are_stored_as_0_or_1(self, done):
+        buf = ReplayBuffer(capacity=4, obs_dim=2)
+        buf.add([0.0, 1.0], [1.0, 0.0, 0.0], 0.5, [1.0, 1.0], done)
+        assert buf.fields(buf.rows)[4][0] == float(done)
 
     def test_fifo_eviction(self):
         buf = ReplayBuffer(capacity=5, obs_dim=1)
@@ -630,7 +667,7 @@ class TestTrainStep:
         loss = first
         for _ in range(300):
             _, loss = critic_loss_grads(critic, obs, act, rew, ws)
-            opt.step(critic.flat, ws.critic.grad, 1e-3, ws.scratch)
+            opt.step(critic.flat, ws.critic.grad, 1e-3)
         assert loss < 0.5 * first
 
     def test_diagnostics_reported(self):
@@ -646,9 +683,8 @@ class TestTrainStep:
         tau = 0.1
         diff0 = np.linalg.norm(online.weights[0] - target.weights[0])
         k = 20
-        scratch = np.empty(online.flat.size, online.flat.dtype)
         for _ in range(k):
-            soft_update(target, online, tau, scratch)
+            soft_update(target, online, tau)
         diff = np.linalg.norm(online.weights[0] - target.weights[0])
         assert diff == pytest.approx(diff0 * (1 - tau) ** k, rel=1e-9)
 
@@ -748,6 +784,52 @@ class TestWorkspaceTrainStep:
             assert opt.t == ref_opt.t
             for mine, theirs in ((opt.m, ref_opt.m), (opt.v, ref_opt.v)):
                 assert mine.tobytes() == b"".join(x.tobytes() for x in theirs)
+
+    def test_train_steps_allocate_no_batch_sized_block(self):
+        # the preallocated blocks must not be allocated again in a step.
+        # After warm-up, a default-width step at batch 1024 allocates Adam's
+        # two temporaries of the critic's flat vector (207 KiB here) and a
+        # few vectors; a per-step copy of the replay sample (180 KiB here), a
+        # layer input (up to a (1024, 129) float32 block, 516 KiB) or a ReLU
+        # mask (129 KiB) takes the peak past the budget
+        cfg = TrainerConfig(buffer_capacity=1024)
+        rng = np.random.default_rng(52)
+        learner = DdpgLearner(obs_dim=20, cfg=cfg, rng=rng)
+        for _ in range(cfg.batch_size):
+            learner.record(
+                rng.normal(size=20), rng.dirichlet(np.ones(3)), rng.normal(),
+                rng.normal(size=20), False,
+            )
+        for _ in range(3):
+            learner.train_step(rng)
+        budget = 2 * learner.critic.flat.nbytes + 16 * cfg.batch_size * np.dtype(DTYPE).itemsize
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                learner.train_step(rng)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < budget < 1024 * 129 * 4
+
+    def test_float64_targets_give_float32_td_errors(self):
+        # the TD errors take the critic's dtype before they are squared and
+        # backpropagated: the learner runs in float32 whatever the targets'
+        # dtype
+        rng = np.random.default_rng(53)
+        critic = init_mlp([4 + ACTION_DIM, 16, 1], rng)
+        obs, act = rng.normal(size=(32, 4)), rng.dirichlet(np.ones(3), 32)
+        targets = rng.normal(size=32)
+        q = critic_forward(critic, obs, act, MlpBuffers(critic, 32)).copy()
+        err = (q.astype(np.float64) - targets).astype(np.float32)
+        grad, loss = critic_loss_grads(critic, obs, act, targets, critic_workspace(critic, 32))
+        assert loss == float(np.mean(err * err))
+        assert grad.dtype == np.float32
 
     def test_float32_training_tracks_a_float64_reference(self):
         # the learner against the allocating path on exact float64 copies of
@@ -1273,6 +1355,32 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*array '{name}'"):
             load_checkpoint(path)
 
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"shape": [-1, 6], "nbytes": -24}, {"shape": [-1, -6]}, {"shape": [2.5, 2]},
+            {"shape": [True, 6]}, {"shape": 6}, {"nbytes": 24.0}, {"nbytes": -24},
+            {"offset": -8}, {"offset": False},
+        ],
+        ids=str,
+    )
+    def test_malformed_entry_names_file_and_array(self, tmp_path, changes):
+        # shape [-1, 6] with nbytes -24 used to load as a (0, 6) array;
+        # [-1, -6] raised numpy's bare "can only specify one unknown
+        # dimension", and [2.5, 2] or nbytes 24.0 a bare TypeError
+        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(34))
+        path = tmp_path / "entry.ckpt"
+        learner.save(path)
+        header = self._rewrite_header(path)
+        entry = header["arrays"][1]
+        entry.update(changes)
+        self._rewrite_header(path, arrays=header["arrays"])
+        key, value = next(iter(changes.items()))  # the first field checked
+        kind = "a list of non-negative ints" if key == "shape" else "a non-negative int"
+        message = f"{path}: array {entry['name']!r} has {key} {value!r}, not {kind}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path)
 
     def test_header_without_arrays_or_meta_names_file(self, tmp_path):
         path = tmp_path / "bare.ckpt"
