@@ -1,19 +1,18 @@
 """Isolated medians of the learner's two hot calls, for comparing two trees.
 
-    python3 tests/learner_timing.py                     # batch 1024, 200 timed calls
-    python3 tests/learner_timing.py --batch 8 --calls 4
+    python3 tests/learner_timing.py
 
 prints two lines:
 
 - ``train_step_ms <median>``: ``DdpgLearner.train_step`` of a learner with
-  the default ``TrainerConfig`` (but ``batch_size``), seed 0 and the
-  benchmark's 20-wide observations, on a buffer filled with ``batch``
-  random transitions;
+  the default ``TrainerConfig`` (batch 1024), seed 0 and the benchmark's
+  20-wide observations, on a buffer filled with one batch of random
+  transitions;
 - ``act_us <median>``: ``DdpgLearner.act`` of the same learner on 4
   observation rows at the config's starting ``sigma``.
 
-Each call is timed alone with ``time.perf_counter``, after a quarter as many
-untimed warm-up calls (50 for the default 200). To compare a change with
+Each median is over ``CALLS`` calls, each timed alone with
+``time.perf_counter`` after ``WARMUP`` untimed ones. To compare a change with
 its parent, run the same copy of this script in both trees on one machine,
 several times in alternation: the medians move by several percent from run
 to run on a busy host.
@@ -21,7 +20,6 @@ to run on a busy host.
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import sys
 import time
@@ -37,46 +35,40 @@ from streamform.ddpg import ACTION_DIM, DdpgLearner, TrainerConfig  # noqa: E402
 
 OBS_DIM = 20  # the observation width of the benchmark's workloads
 ACT_ROWS = 4
+WARMUP = 50
+CALLS = 200
 
 
-def _median_seconds(call, warmup: int, calls: int) -> float:
-    for _ in range(warmup):
+def _median_seconds(call) -> float:
+    for _ in range(WARMUP):
         call()
     times = []
-    for _ in range(calls):
+    for _ in range(CALLS):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
 
 
-def measure(batch: int, calls: int) -> dict[str, float]:
+def measure() -> dict[str, float]:
     """The two medians, in ms and µs, keyed as printed."""
-    cfg = TrainerConfig(batch_size=batch)
+    cfg = TrainerConfig()
     rng = np.random.default_rng(0)
     learner = DdpgLearner(OBS_DIM, cfg, rng)
-    for _ in range(batch):
+    for _ in range(cfg.batch_size):
         learner.record(
             rng.normal(size=OBS_DIM), rng.dirichlet(np.ones(ACTION_DIM)), rng.normal(),
             rng.normal(size=OBS_DIM), False,
         )
     obs = rng.normal(size=(ACT_ROWS, OBS_DIM))
-    warmup = calls // 4
     return {
-        "train_step_ms": 1e3 * _median_seconds(lambda: learner.train_step(rng), warmup, calls),
-        "act_us": 1e6
-        * _median_seconds(lambda: learner.act(obs, cfg.sigma_start, rng), warmup, calls),
+        "train_step_ms": 1e3 * _median_seconds(lambda: learner.train_step(rng)),
+        "act_us": 1e6 * _median_seconds(lambda: learner.act(obs, cfg.sigma_start, rng)),
     }
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--batch", type=int, default=1024)
-    parser.add_argument("--calls", type=int, default=200)
-    args = parser.parse_args(argv)
-    if args.batch < 1 or args.calls < 1:
-        parser.error("need --batch >= 1 and --calls >= 1")
-    for name, value in measure(args.batch, args.calls).items():
+def main() -> None:
+    for name, value in measure().items():
         print(f"{name} {value:.3f}")
 
 

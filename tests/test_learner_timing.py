@@ -1,4 +1,4 @@
-"""The learner timing script runs end to end at a small size."""
+"""The learner timing script runs end to end, as CI runs it."""
 
 import re
 import subprocess
@@ -8,23 +8,13 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent / "learner_timing.py"
 
 
-def run(*args):
-    return subprocess.run(
-        [sys.executable, str(SCRIPT), *args], capture_output=True, text=True, timeout=120
+def test_prints_both_medians():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT)], capture_output=True, text=True, timeout=120
     )
-
-
-def test_prints_both_medians_at_a_small_size():
-    done = run("--batch", "8", "--calls", "4")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["train_step_ms", "act_us"]
     for line in lines:
         assert re.fullmatch(r"\S+ \d+\.\d{3}", line), line
         assert float(line.split()[1]) > 0.0, line
-
-
-def test_sizes_out_of_range_are_refused():
-    for args in (("--batch", "0"), ("--calls", "0")):
-        done = run(*args)
-        assert done.returncode == 2 and "need --batch >= 1 and --calls >= 1" in done.stderr
