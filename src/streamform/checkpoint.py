@@ -69,8 +69,9 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Arrays by name and the metadata; raises ValueError naming the file
-    (and the array, where one is at fault) for anything this version did
-    not write."""
+    (and the array or its entry index, where one is at fault) for anything
+    this version did not write: ``arrays`` must be a list of objects with
+    distinct string names, and ``meta`` an object."""
     raw = Path(path).read_bytes()
     newline = raw.find(b"\n")
     if newline < 0:
@@ -88,14 +89,23 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     lacking = [key for key in ("arrays", "meta", "sha256") if key not in header]
     if lacking:
         raise ValueError(f"{path}: header lacks {', '.join(lacking)}")
+    for key, kind, what in (("arrays", list, "a list"), ("meta", dict, "an object")):
+        if not isinstance(header[key], kind):
+            raise ValueError(f"{path}: header {key} is {header[key]!r}, not {what}")
     body = raw[newline + 1 :]
     arrays: dict[str, np.ndarray] = {}
     for k, entry in enumerate(header["arrays"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: array entry {k} is {entry!r}, not an object")
         lacking = [key for key in ENTRY_KEYS if key not in entry]
         if lacking:
             named = f" ({entry['name']!r})" if "name" in entry else ""
             raise ValueError(f"{path}: array entry {k}{named} lacks {', '.join(lacking)}")
         name, shape = entry["name"], entry["shape"]
+        if not isinstance(name, str):
+            raise ValueError(f"{path}: array entry {k} has name {name!r}, not a string")
+        if name in arrays:
+            raise ValueError(f"{path}: array entry {k} repeats the name {name!r}")
         start, n, dtype = entry["offset"], entry["nbytes"], entry["dtype"]
         if dtype not in DTYPES:
             raise ValueError(f"{path}: array {name!r} has dtype {dtype!r}, not one of {DTYPES}")

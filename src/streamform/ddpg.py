@@ -12,23 +12,23 @@ column, so one matmul applies the weights and adds the bias, and the
 weight-gradient matmul ``input.T @ grad`` returns the weight and bias
 gradients together.
 
-Workspace rule: the batch-sized blocks are preallocated and passed in:
-each network's ``MlpBuffers`` (its layer blocks ``fwd``, the ReLU's
-``zeros`` and ``mask``, and the flat ``grad``) and the replay ``sample``
-block, together a ``TrainWorkspace``. ``DdpgLearner.train_step`` passes the
-learner's own workspace, and the act paths build fresh ``MlpBuffers`` for
-their (rows, obs_dim) observations. Vectors, (batch, 1) and (batch,
-ACTION_DIM) arrays and the updates' flat vectors are ordinary numpy
-temporaries. ``MlpBuffers`` is the
-only channel between the passes over a network: a backward pass reads the
-layer inputs that the last forward pass left in the same buffers, and
-writes the weight gradients into their one flat ``grad`` vector, which is
-what the gradient functions return. Otherwise buffers hold no state between
-calls: each function overwrites what it reads before reading it, and what
-it returns is valid only until the next call that is given the same
-buffers.
+Workspace rule: every preallocated block has one owner, and functions take
+exactly the blocks they write. A network's ``MlpBuffers`` owns its
+batch-sized blocks (the layer blocks ``fwd``, the ReLU's ``zeros`` and
+``mask``); an ``Adam`` owns the parameter-sized ones (its moments and the
+flat ``grad`` its ``step`` applies); ``DdpgLearner`` owns its two networks'
+``MlpBuffers`` and the replay ``sample`` block. The act paths build fresh
+``MlpBuffers`` for their (rows, obs_dim) observations. Vectors, (batch, 1)
+and (batch, ACTION_DIM) arrays and the updates' flat vectors are ordinary
+numpy temporaries. ``MlpBuffers`` is the only channel between the passes
+over a network: a backward pass reads the layer inputs that the last
+forward pass left in the same buffers, and writes the weight gradients into
+the flat ``grad`` vector it is given. Otherwise buffers hold no state
+between calls: each function overwrites what it reads before reading it,
+and what it returns is valid only until the next call that is given the
+same buffers.
 
-Precision rule: the learner runs in ``DTYPE`` (float32). Buffers, workspace
+Precision rule: the learner runs in ``DTYPE`` (float32). Buffers, gradients
 and Adam moments take the parameters' dtype and the forward passes cast their
 inputs to it, so every building block also runs in float64 on float64 copies.
 The act paths softmax float64 logits: a float32 softmax misses the simplex by
@@ -119,8 +119,6 @@ class MlpBuffers:
     the ReLU mask from it; that gradient is taken for the ones column too
     and discarded there, so the mask and its product run on whole
     contiguous arrays, and each forward pass sets the ones columns again.
-    ``grad`` is one flat gradient vector laid out like ``MlpParams.flat``,
-    and ``layer_grads[i]`` its (in + 1, out) view for layer i.
     ``zeros[i]`` (the ReLU's second operand, never written) and the bool
     ``mask[i]`` serve hidden layer i, whose input is ``fwd[i]``; both are
     None for layer 0, which has no ReLU.
@@ -131,8 +129,6 @@ class MlpBuffers:
         self.fwd = [np.empty((batch, d + 1), dtype) for d in widths[:-1]]
         self.fwd.append(np.empty((batch, widths[-1]), dtype))
         self.inputs = self.fwd[0][:, :-1]
-        self.grad = np.empty(params.flat.size, dtype)
-        self.layer_grads = _split(self.grad, [layer.shape for layer in params.layers])
         hidden = [h.shape for h in self.fwd[1:-1]]
         # prefix views of one block each, sized to the largest hidden input
         size = max((math.prod(shape) for shape in hidden), default=0)
@@ -156,13 +152,10 @@ def init_mlp(sizes: list[int], rng: np.random.Generator, final_scale: float = 3e
     return MlpParams(weights, biases)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray, bufs: MlpBuffers) -> np.ndarray:
-    """Forward pass into ``bufs.fwd``; returns the output, ``bufs.fwd[-1]``.
-    ``x`` (cast to the params' dtype) may itself be ``bufs.inputs``.
-    """
+def mlp_forward(params: MlpParams, bufs: MlpBuffers) -> np.ndarray:
+    """Forward pass of the rows the caller wrote into ``bufs.inputs``, into
+    ``bufs.fwd``; returns the output, ``bufs.fwd[-1]``."""
     fwd, last = bufs.fwd, len(params.layers) - 1
-    if x is not bufs.inputs:
-        bufs.inputs[...] = x
     for i, layer in enumerate(params.layers):
         fwd[i][:, -1] = 1.0  # the backward pass writes over it
         if i == last:
@@ -172,22 +165,23 @@ def mlp_forward(params: MlpParams, x: np.ndarray, bufs: MlpBuffers) -> np.ndarra
 
 
 def mlp_backward(
-    params: MlpParams, dout: np.ndarray, bufs: MlpBuffers, weight_grads: bool
+    params: MlpParams, dout: np.ndarray, bufs: MlpBuffers, grad: np.ndarray | None
 ) -> np.ndarray | None:
     """Backpropagate d(loss)/d(output) through the forward pass last run in
     ``bufs``.
 
-    ``weight_grads=True`` writes the weight and bias gradients into
-    ``bufs.grad`` and returns None; ``False`` returns d(loss)/d(input) only
-    and leaves ``bufs.grad`` as it was. Either mode overwrites ``bufs.fwd``,
-    so one forward pass serves one backward pass.
+    Given a flat vector ``grad`` laid out like ``MlpParams.flat``, it writes
+    the weight and bias gradients there and returns None; with ``grad=None``
+    it returns d(loss)/d(input) only. Either mode overwrites ``bufs.fwd``, so
+    one forward pass serves one backward pass.
     """
     fwd = bufs.fwd
+    layer_grads = None if grad is None else _split(grad, [a.shape for a in params.layers])
     da = dout
     for i in range(len(params.layers) - 1, -1, -1):
-        if weight_grads:
+        if layer_grads is not None:
             # the input's ones column turns the bias row into sum(da, axis=0)
-            np.matmul(fwd[i].T, da, out=bufs.layer_grads[i])
+            np.matmul(fwd[i].T, da, out=layer_grads[i])
             if i == 0:
                 return None
         relu = np.greater(fwd[i], 0.0, out=bufs.mask[i]) if i > 0 else None
@@ -231,8 +225,10 @@ def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
 
 def actor_forward(params: MlpParams, obs: np.ndarray, bufs: MlpBuffers) -> np.ndarray:
     """Action on the probability simplex for each observation row; the
-    actions overwrite the logits in ``bufs.fwd[-1]``."""
-    return softmax(mlp_forward(params, obs, bufs))
+    observations are written into ``bufs.inputs`` and the actions overwrite
+    the logits in ``bufs.fwd[-1]``."""
+    bufs.inputs[...] = obs
+    return softmax(mlp_forward(params, bufs))
 
 
 def critic_forward(
@@ -243,7 +239,7 @@ def critic_forward(
     d = obs.shape[1]
     bufs.inputs[:, :d] = obs
     bufs.inputs[:, d:] = action
-    return mlp_forward(params, bufs.inputs, bufs)[:, 0]
+    return mlp_forward(params, bufs)[:, 0]
 
 
 def _act_logits(params: MlpParams, observations) -> np.ndarray:
@@ -265,7 +261,7 @@ def _act_logits(params: MlpParams, observations) -> np.ndarray:
             f"observation row {row} is not finite as {bufs.inputs.dtype.name}:"
             f" {np.asarray(observations)[row]}"
         )
-    return mlp_forward(params, bufs.inputs, bufs).astype(np.float64)
+    return mlp_forward(params, bufs).astype(np.float64)
 
 
 def map_action(u_raw: np.ndarray, limits: Limits) -> tuple[float, float]:
@@ -440,25 +436,29 @@ class ReplayBuffer:
 
 
 class Adam:
-    """Standard Adam over one flat parameter vector (``MlpParams.flat``), in
-    its dtype, so a step is a handful of whole-vector operations."""
+    """Standard Adam at rate ``lr`` on one flat parameter vector
+    (``MlpParams.flat``) in its dtype: ``step`` applies ``grad``, a flat
+    gradient laid out like it, in a handful of whole-vector operations."""
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, param: np.ndarray):
+    def __init__(self, param: np.ndarray, lr: float):
+        self.param = param
+        self.lr = lr
+        self.grad = np.empty_like(param)
         self.m = np.zeros_like(param)
         self.v = np.zeros_like(param)
         self.t = 0
 
-    def step(self, param: np.ndarray, grad: np.ndarray, lr: float) -> None:
-        """One in-place update of ``param``."""
+    def step(self) -> None:
+        """One in-place update of ``param`` by ``grad``."""
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         corr1 = 1.0 - b1**self.t
         corr2 = 1.0 - b2**self.t
-        m, v = self.m, self.v
+        m, v, grad = self.m, self.v, self.grad
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
         # param -= lr (m / corr1) / (sqrt(v / corr2) + eps), rounded in this order
         m *= b1
@@ -466,12 +466,12 @@ class Adam:
         v *= b2
         v += grad * (1 - b2) * grad
         s = m / corr1
-        s *= lr
+        s *= self.lr
         r = v / corr2
         np.sqrt(r, out=r)
         r += self.EPS
         s /= r
-        param -= s
+        self.param -= s
 
 
 def compute_td_targets(
@@ -481,11 +481,12 @@ def compute_td_targets(
     obs_next: np.ndarray,
     done: np.ndarray,
     gamma: float,
-    ws: TrainWorkspace,
+    actor_bufs: MlpBuffers,
+    critic_bufs: MlpBuffers,
 ) -> np.ndarray:
     """y = r + gamma * Q'(o', pi'(o')), with no bootstrap past done."""
-    u_next = actor_forward(target_actor, obs_next, ws.actor)
-    q_next = critic_forward(target_critic, obs_next, u_next, ws.critic)
+    u_next = actor_forward(target_actor, obs_next, actor_bufs)
+    q_next = critic_forward(target_critic, obs_next, u_next, critic_bufs)
     y = gamma * q_next
     y *= 1.0 - done
     y += rew
@@ -493,31 +494,36 @@ def compute_td_targets(
 
 
 def critic_loss_grads(
-    params: MlpParams, obs, act, targets, ws: TrainWorkspace
-) -> tuple[np.ndarray, float]:
-    """Flat gradient (``ws.critic.grad``) of the mean squared TD error, and
-    that error. The TD errors are rounded to the params' dtype, so float64
-    ``targets`` give the gradient of float32 ones on a float32 critic."""
-    q = critic_forward(params, obs, act, ws.critic)
+    params: MlpParams, obs, act, targets, bufs: MlpBuffers, grad: np.ndarray
+) -> float:
+    """The mean squared TD error; its flat gradient is written into ``grad``.
+    The TD errors are rounded to the params' dtype, so float64 ``targets``
+    give the gradient of float32 ones on a float32 critic."""
+    q = critic_forward(params, obs, act, bufs)
     err = (q - targets).astype(q.dtype, copy=False)
     loss = float(np.mean(err * err))
-    mlp_backward(params, 2.0 / len(err) * err[:, None], ws.critic, weight_grads=True)
-    return ws.critic.grad, loss
+    mlp_backward(params, 2.0 / len(err) * err[:, None], bufs, grad)
+    return loss
 
 
 def actor_objective_grads(
-    actor: MlpParams, critic: MlpParams, obs, ws: TrainWorkspace
-) -> tuple[np.ndarray, float]:
-    """Flat actor gradient (``ws.actor.grad``) of the mean critic value (a
-    cost, to be minimized), and that value; only d(Q)/d(input) is taken
-    from the critic."""
-    u = actor_forward(actor, obs, ws.actor)
-    objective = float(np.mean(critic_forward(critic, obs, u, ws.critic)))
+    actor: MlpParams,
+    critic: MlpParams,
+    obs,
+    actor_bufs: MlpBuffers,
+    critic_bufs: MlpBuffers,
+    grad: np.ndarray,
+) -> float:
+    """The mean critic value (a cost, to be minimized); its flat gradient by
+    the actor is written into ``grad``. Only d(Q)/d(input) is taken from the
+    critic."""
+    u = actor_forward(actor, obs, actor_bufs)
+    objective = float(np.mean(critic_forward(critic, obs, u, critic_bufs)))
     dq = np.full((len(obs), 1), 1.0 / len(obs), critic.flat.dtype)  # d(objective)/dQ
-    dx = mlp_backward(critic, dq, ws.critic, weight_grads=False)
+    dx = mlp_backward(critic, dq, critic_bufs, None)
     dlogits = softmax_backward(u, dx[:, obs.shape[1] :])
-    mlp_backward(actor, dlogits, ws.actor, weight_grads=True)
-    return ws.actor.grad, objective
+    mlp_backward(actor, dlogits, actor_bufs, grad)
+    return objective
 
 
 def soft_update(target: MlpParams, online: MlpParams, tau: float) -> None:
@@ -526,22 +532,11 @@ def soft_update(target: MlpParams, online: MlpParams, tau: float) -> None:
     target.flat += online.flat * tau
 
 
-class TrainWorkspace:
-    """The batch-sized blocks one ``train_step`` writes; see the module
-    docstring for the rule: the two networks' ``MlpBuffers``, ``actor`` and
-    ``critic``, and ``sample``, which receives whole replay rows (one take;
-    see ``ReplayBuffer``) in the params' dtype.
-    """
-
-    def __init__(self, batch: int, actor: MlpParams, critic: MlpParams):
-        obs_dim, act_dim, dtype = actor.widths[0], actor.widths[-1], actor.flat.dtype
-        self.actor = MlpBuffers(actor, batch)
-        self.critic = MlpBuffers(critic, batch)
-        self.sample = np.empty((batch, 2 * obs_dim + act_dim + 2), dtype)
-
-
 class DdpgLearner:
-    """Owns the online/target networks, replay buffer and Adam states."""
+    """Owns the online/target networks, replay buffer and Adam states, and
+    the batch-sized blocks one ``train_step`` writes: the two networks'
+    ``MlpBuffers``, ``actor_bufs`` and ``critic_bufs``, and ``sample``, which
+    receives whole replay rows (one take; see ``ReplayBuffer``)."""
 
     def __init__(self, obs_dim: int, cfg: TrainerConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -550,9 +545,11 @@ class DdpgLearner:
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
         self.buffer = ReplayBuffer(cfg.buffer_capacity, obs_dim)
-        self.actor_opt = Adam(self.actor.flat)
-        self.critic_opt = Adam(self.critic.flat)
-        self.workspace = TrainWorkspace(cfg.batch_size, self.actor, self.critic)
+        self.actor_opt = Adam(self.actor.flat, cfg.actor_lr)
+        self.critic_opt = Adam(self.critic.flat, cfg.critic_lr)
+        self.actor_bufs = MlpBuffers(self.actor, cfg.batch_size)
+        self.critic_bufs = MlpBuffers(self.critic, cfg.batch_size)
+        self.sample = np.empty_like(self.buffer.rows[: cfg.batch_size])
         self.train_steps = 0
 
     def act(self, observations: np.ndarray, sigma: float, rng: np.random.Generator):
@@ -573,20 +570,20 @@ class DdpgLearner:
         return len(self.buffer) >= self.cfg.batch_size
 
     def train_step(self, rng: np.random.Generator) -> dict[str, float]:
-        cfg = self.cfg
-        ws = self.workspace
-        obs, act, rew, obs_next, done = self.buffer.sample(cfg.batch_size, rng, ws.sample)
+        cfg, a_bufs, c_bufs = self.cfg, self.actor_bufs, self.critic_bufs
+        a_opt, c_opt = self.actor_opt, self.critic_opt
+        obs, act, rew, obs_next, done = self.buffer.sample(cfg.batch_size, rng, self.sample)
         targets = compute_td_targets(
-            self.target_actor, self.target_critic, rew, obs_next, done, cfg.gamma, ws
+            self.target_actor, self.target_critic, rew, obs_next, done, cfg.gamma, a_bufs, c_bufs
         )
-        c_grad, c_loss = critic_loss_grads(self.critic, obs, act, targets, ws)
+        c_loss = critic_loss_grads(self.critic, obs, act, targets, c_bufs, c_opt.grad)
         self._require_finite(c_loss, "critic loss")
-        self._require_finite(c_grad, "critic gradient")
-        self.critic_opt.step(self.critic.flat, c_grad, cfg.critic_lr)
-        a_grad, a_obj = actor_objective_grads(self.actor, self.critic, obs, ws)
+        self._require_finite(c_opt.grad, "critic gradient")
+        c_opt.step()
+        a_obj = actor_objective_grads(self.actor, self.critic, obs, a_bufs, c_bufs, a_opt.grad)
         self._require_finite(a_obj, "actor objective")
-        self._require_finite(a_grad, "actor gradient")
-        self.actor_opt.step(self.actor.flat, a_grad, cfg.actor_lr)
+        self._require_finite(a_opt.grad, "actor gradient")
+        a_opt.step()
         soft_update(self.target_actor, self.actor, cfg.tau)
         soft_update(self.target_critic, self.critic, cfg.tau)
         self.train_steps += 1

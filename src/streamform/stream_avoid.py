@@ -129,14 +129,15 @@ def default_cylinder(scan: LidarScan, m_index: int) -> VirtualCylinder:
     return VirtualCylinder(Vec2(d * math.cos(a), d * math.sin(a)), DEFAULT_CYL_RADIUS)
 
 
-def stream_bound(cyl: VirtualCylinder, d_stop: float, side: Side) -> float:
+def stream_bound(cyl: VirtualCylinder, side: Side) -> float:
     """Stream value of the minimum-clearance evasion path for one side.
 
-    Evaluated at the agent-frame point a stopping distance to the side the
-    agent will swerve toward: (0, -d_stop) for the left field, (0, +d_stop)
-    for the right one. If that point coincides with the cylinder center the
-    far-field fallback sign(side)*d_stop is returned.
+    Evaluated at the agent-frame point the clearance ``StreamParams.d_stop``
+    to the side the agent will swerve toward: (0, -d_stop) for the left
+    field, (0, +d_stop) for the right one. If that point coincides with the
+    cylinder center the far-field fallback sign(side)*d_stop is returned.
     """
+    d_stop = StreamParams.d_stop
     sign = -1.0 if side == Side.LHS else 1.0
     point = Vec2(0.0, sign * d_stop)
     rel = point - cyl.center
@@ -207,7 +208,7 @@ def avoidance_update(
         if prev.avoid and abs(rd.inner_angle) > abs(prev.prev_inner_angle):
             c_desired = prev.c_desired
         else:
-            bound = stream_bound(rd.cylinder, params.d_stop, side)
+            bound = stream_bound(rd.cylinder, side)
             c_desired = bound if abs(rd.c_current) < abs(bound) else rd.c_current
         new_states[side] = AvoidanceState(c_desired, rd.inner_angle)
         readings[side] = rd

@@ -1,15 +1,17 @@
-"""Isolated medians of the learner's two hot calls, for comparing two trees.
+"""Isolated medians of the learner's three hot calls, for comparing two trees.
 
     python3 tests/learner_timing.py
 
-prints two lines:
+prints three lines:
 
 - ``train_step_ms <median>``: ``DdpgLearner.train_step`` of a learner with
   the default ``TrainerConfig`` (batch 1024), seed 0 and the benchmark's
   20-wide observations, on a buffer filled with one batch of random
   transitions;
 - ``act_us <median>``: ``DdpgLearner.act`` of the same learner on 4
-  observation rows at the config's starting ``sigma``.
+  observation rows at the config's starting ``sigma``;
+- ``policy_act_us <median>``: ``ActorPolicy.act`` of the same learner's
+  actor on 48 observation rows, the greedy pass of the swarm workload.
 
 Each median is over ``CALLS`` calls, each timed alone with
 ``time.perf_counter`` after ``WARMUP`` untimed ones. To compare a change with
@@ -31,10 +33,11 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from streamform.ddpg import ACTION_DIM, DdpgLearner, TrainerConfig  # noqa: E402
+from streamform.ddpg import ACTION_DIM, ActorPolicy, DdpgLearner, TrainerConfig  # noqa: E402
 
 OBS_DIM = 20  # the observation width of the benchmark's workloads
 ACT_ROWS = 4
+POLICY_ROWS = 48  # the swarm workload's followers
 WARMUP = 50
 CALLS = 200
 
@@ -51,7 +54,7 @@ def _median_seconds(call) -> float:
 
 
 def measure() -> dict[str, float]:
-    """The two medians, in ms and µs, keyed as printed."""
+    """The three medians, in ms and µs, keyed as printed."""
     cfg = TrainerConfig()
     rng = np.random.default_rng(0)
     learner = DdpgLearner(OBS_DIM, cfg, rng)
@@ -61,9 +64,11 @@ def measure() -> dict[str, float]:
             rng.normal(size=OBS_DIM), False,
         )
     obs = rng.normal(size=(ACT_ROWS, OBS_DIM))
+    policy, swarm_obs = ActorPolicy(learner.actor), rng.normal(size=(POLICY_ROWS, OBS_DIM))
     return {
         "train_step_ms": 1e3 * _median_seconds(lambda: learner.train_step(rng)),
         "act_us": 1e6 * _median_seconds(lambda: learner.act(obs, cfg.sigma_start, rng)),
+        "policy_act_us": 1e6 * _median_seconds(lambda: policy.act(swarm_obs)),
     }
 
 

@@ -24,7 +24,6 @@ from streamform.ddpg import (
     MlpParams,
     ReplayBuffer,
     TrainerConfig,
-    TrainWorkspace,
     actor_forward,
     actor_objective_grads,
     compute_td_targets,
@@ -77,14 +76,10 @@ def split_like(flat, net):
     return [part.reshape(a.shape) for part, a in zip(np.split(flat, ends), net.arrays())]
 
 
-def critic_workspace(critic, batch):
-    """A workspace for ``critic`` with a small actor of its dtype beside it."""
-    obs_dim, dtype = critic.widths[0] - ACTION_DIM, critic.flat.dtype
-    actor = MlpParams(
-        [np.zeros((obs_dim, 4), dtype), np.zeros((4, ACTION_DIM), dtype)],
-        [np.zeros(4, dtype), np.zeros(ACTION_DIM, dtype)],
-    )
-    return TrainWorkspace(batch, actor, critic)
+def forward(net, x, bufs):
+    """``mlp_forward`` of the rows ``x``, written into ``bufs.inputs`` first."""
+    bufs.inputs[...] = x
+    return mlp_forward(net, bufs)
 
 
 # The network math as first written, allocating every array. Every function
@@ -589,11 +584,11 @@ class TestReplayLayout:
 
     def test_sample_writes_the_drawn_rows_into_out(self):
         learner, _ = filled_learner(42)
-        buf, ws, n = learner.buffer, learner.workspace, learner.cfg.batch_size
-        got = buf.sample(n, np.random.default_rng(43), ws.sample)
+        buf, n = learner.buffer, learner.cfg.batch_size
+        got = buf.sample(n, np.random.default_rng(43), learner.sample)
         idx = np.random.default_rng(43).integers(0, len(buf), size=n)
         for a, b in zip(got, buf.fields(buf.rows[idx])):
-            assert np.shares_memory(a, ws.sample)
+            assert np.shares_memory(a, learner.sample)
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
@@ -618,8 +613,8 @@ class TestTargets:
         rew = rng.normal(size=6)
         obs2 = rng.normal(size=(6, 4))
         done = np.ones(6)
-        ws = TrainWorkspace(6, actor, critic)
-        y = compute_td_targets(actor, critic, rew, obs2, done, 0.9, ws)
+        bufs = MlpBuffers(actor, 6), MlpBuffers(critic, 6)
+        y = compute_td_targets(actor, critic, rew, obs2, done, 0.9, *bufs)
         np.testing.assert_array_equal(y, rew.astype(DTYPE))
 
     def test_bootstrap_when_not_done(self):
@@ -628,8 +623,8 @@ class TestTargets:
         critic = init_mlp([4 + ACTION_DIM, 8, 1], rng)
         rew = np.zeros(3)
         obs2 = rng.normal(size=(3, 4))
-        ws = TrainWorkspace(3, actor, critic)
-        y = compute_td_targets(actor, critic, rew, obs2, np.zeros(3), 0.9, ws)
+        bufs = MlpBuffers(actor, 3), MlpBuffers(critic, 3)
+        y = compute_td_targets(actor, critic, rew, obs2, np.zeros(3), 0.9, *bufs)
         u2 = reference_actor(actor, obs2)
         np.testing.assert_allclose(y, 0.9 * reference_critic(critic, obs2, u2), rtol=1e-12)
 
@@ -658,16 +653,16 @@ class TestTrainStep:
         # critic must fit them ever more closely on a frozen batch
         rng = np.random.default_rng(15)
         critic = init_mlp([4 + ACTION_DIM, 32, 32, 1], rng)
-        opt = Adam(critic.flat)
-        ws = critic_workspace(critic, 64)
+        opt = Adam(critic.flat, 1e-3)
+        bufs = MlpBuffers(critic, 64)
         obs = rng.normal(size=(64, 4))
         act = rng.dirichlet(np.ones(3), 64)
         rew = rng.normal(size=64)
         _, first = reference_critic_loss_grads(critic, obs, act, rew)
         loss = first
         for _ in range(300):
-            _, loss = critic_loss_grads(critic, obs, act, rew, ws)
-            opt.step(critic.flat, ws.critic.grad, 1e-3)
+            loss = critic_loss_grads(critic, obs, act, rew, bufs, opt.grad)
+            opt.step()
         assert loss < 0.5 * first
 
     def test_diagnostics_reported(self):
@@ -817,6 +812,34 @@ class TestWorkspaceTrainStep:
                 tracemalloc.stop()
         assert peak < budget < 1024 * 129 * 4
 
+    def test_act_paths_allocate_less_than_the_actor(self):
+        # an act call builds fresh batch-sized buffers for its rows and
+        # nothing parameter-sized: a flat gradient vector in those buffers,
+        # never read on these paths, took the peak to the actor's own size
+        cfg = TrainerConfig(buffer_capacity=1024)
+        rng = np.random.default_rng(54)
+        learner = DdpgLearner(obs_dim=20, cfg=cfg, rng=rng)
+        policy = ActorPolicy(learner.actor)
+        obs = rng.normal(size=(4, 20))
+        calls = {
+            "DdpgLearner.act": lambda: learner.act(obs, cfg.sigma_start, rng),
+            "ActorPolicy.act": lambda: policy.act(obs),
+        }
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            for name, call in calls.items():
+                call()  # warm-up
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                call()
+                peak = tracemalloc.get_traced_memory()[1] - start
+                assert peak < learner.actor.flat.nbytes, name
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
     def test_float64_targets_give_float32_td_errors(self):
         # the TD errors take the critic's dtype before they are squared and
         # backpropagated: the learner runs in float32 whatever the targets'
@@ -827,7 +850,8 @@ class TestWorkspaceTrainStep:
         targets = rng.normal(size=32)
         q = critic_forward(critic, obs, act, MlpBuffers(critic, 32)).copy()
         err = (q.astype(np.float64) - targets).astype(np.float32)
-        grad, loss = critic_loss_grads(critic, obs, act, targets, critic_workspace(critic, 32))
+        grad = np.empty_like(critic.flat)
+        loss = critic_loss_grads(critic, obs, act, targets, MlpBuffers(critic, 32), grad)
         assert loss == float(np.mean(err * err))
         assert grad.dtype == np.float32
 
@@ -906,23 +930,22 @@ class TestWorkspaceTrainStep:
 
     def test_input_gradient_only_path_matches_full_backward(self):
         # the input mode returns the reference's input gradient and leaves
-        # every byte of the gradient vector as it was
+        # every byte of the parameters as it was
         critic, x, dout, _, full_dx, bufs = self.backward_case(34)
-        bufs.grad.fill(np.nan)
-        before = bufs.grad.tobytes()
-        mlp_forward(critic, x, bufs)
-        dx = mlp_backward(critic, dout, bufs, weight_grads=False)
+        before = critic.flat.tobytes()
+        forward(critic, x, bufs)
+        dx = mlp_backward(critic, dout, bufs, None)
         assert dx.tobytes() == full_dx.tobytes()
-        assert bufs.grad.tobytes() == before
+        assert critic.flat.tobytes() == before
 
     def test_weight_gradient_path_writes_the_reference_gradients(self):
         # the weight mode returns None and writes the reference's gradients,
         # in arrays() order, into the flat vector
         critic, x, dout, full_grads, _, bufs = self.backward_case(35)
-        bufs.grad.fill(np.nan)
-        mlp_forward(critic, x, bufs)
-        assert mlp_backward(critic, dout, bufs, weight_grads=True) is None
-        assert bufs.grad.tobytes() == b"".join(g.tobytes() for g in full_grads)
+        grad = np.full_like(critic.flat, np.nan)
+        forward(critic, x, bufs)
+        assert mlp_backward(critic, dout, bufs, grad) is None
+        assert grad.tobytes() == b"".join(g.tobytes() for g in full_grads)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_one_column_input_gradient_is_the_matmul_bit_for_bit(self, dtype):
@@ -933,9 +956,9 @@ class TestWorkspaceTrainStep:
             n_in, batch = int(rng.integers(1, 40)), int(rng.integers(1, 300))
             head = MlpParams([rng.normal(size=(n_in, 1)).astype(dtype)], [np.zeros(1, dtype)])
             bufs = MlpBuffers(head, batch)
-            mlp_forward(head, rng.normal(size=(batch, n_in)), bufs)
+            forward(head, rng.normal(size=(batch, n_in)), bufs)
             dout = rng.normal(size=(batch, 1)).astype(dtype)
-            dx = mlp_backward(head, dout, bufs, weight_grads=False)
+            dx = mlp_backward(head, dout, bufs, None)
             expected = np.matmul(dout, head.weights[0].T)
             assert dx.dtype == expected.dtype == dtype
             assert dx.tobytes() == expected.tobytes()
@@ -965,30 +988,39 @@ class TestLayerLayout:
         out, cache = reference_forward(net, x)
         dout = rng.normal(size=out.shape).astype(DTYPE)
         grads, _ = reference_backward(net, cache, dout)
-        bufs = MlpBuffers(net, len(x))
-        for layer, lg in zip(net.layers, bufs.layer_grads):
-            assert lg.shape == layer.shape and np.shares_memory(lg, bufs.grad)
-        mlp_forward(net, x, bufs)
-        mlp_backward(net, dout, bufs, weight_grads=True)
-        assert bufs.grad.tobytes() == b"".join(g.tobytes() for g in grads)
+        bufs, grad = MlpBuffers(net, len(x)), np.empty_like(net.flat)
+        forward(net, x, bufs)
+        mlp_backward(net, dout, bufs, grad)
+        assert grad.tobytes() == b"".join(g.tobytes() for g in grads)
         # split by the arrays() shapes, the flat vector holds each gradient
-        # where flat holds its array, and layer_grads[i] is layer i's block
-        for g, part in zip(grads, split_like(bufs.grad, net)):
+        # where flat holds its array, and the layers' (in + 1, out) blocks
+        # follow one another as net.layers do in flat
+        for g, part in zip(grads, split_like(grad, net)):
             assert g.shape == part.shape and g.tobytes() == part.tobytes()
-        for i, lg in enumerate(bufs.layer_grads):
+        at = 0
+        for i, layer in enumerate(net.layers):
+            lg = grad[at : at + layer.size].reshape(layer.shape)
+            at += layer.size
             assert lg[:-1].tobytes() == grads[2 * i].tobytes()
             assert lg[-1].tobytes() == grads[2 * i + 1].tobytes()
         # the bias gradient is the column sum of the output gradient
-        np.testing.assert_allclose(split_like(bufs.grad, net)[-1], dout.sum(axis=0), rtol=1e-5)
+        np.testing.assert_allclose(split_like(grad, net)[-1], dout.sum(axis=0), rtol=1e-5)
 
-    def test_gradient_functions_return_the_workspace_vectors(self):
+    def test_gradient_functions_write_the_given_vectors(self):
+        # each returns its scalar and writes every element of the gradient
+        # vector it is given, here the one its network's Adam applies
         learner, rng = filled_learner(51)
-        ws, n = learner.workspace, learner.cfg.batch_size
-        obs, act, rew, *_ = learner.buffer.sample(n, rng, ws.sample)
-        grad, _ = critic_loss_grads(learner.critic, obs, act, rew, ws)
-        assert grad is ws.critic.grad
-        grad, _ = actor_objective_grads(learner.actor, learner.critic, obs, ws)
-        assert grad is ws.actor.grad
+        a_bufs, c_bufs, n = learner.actor_bufs, learner.critic_bufs, learner.cfg.batch_size
+        obs, act, rew, *_ = learner.buffer.sample(n, rng, learner.sample)
+        c_grad, a_grad = learner.critic_opt.grad, learner.actor_opt.grad
+        c_grad.fill(np.nan)
+        loss = critic_loss_grads(learner.critic, obs, act, rew, c_bufs, c_grad)
+        assert type(loss) is float and np.isfinite(c_grad).all()
+        a_grad.fill(np.nan)
+        objective = actor_objective_grads(
+            learner.actor, learner.critic, obs, a_bufs, c_bufs, a_grad
+        )
+        assert type(objective) is float and np.isfinite(a_grad).all()
 
     def test_forward_after_an_input_gradient_resets_the_ones_columns(self):
         # the input-gradient backward writes over every ones column; the next
@@ -997,10 +1029,10 @@ class TestLayerLayout:
         critic = init_mlp([5 + ACTION_DIM, 16, 12, 1], rng)
         x, x2 = rng.normal(size=(2, 40, 5 + ACTION_DIM))
         bufs = MlpBuffers(critic, len(x))
-        out = mlp_forward(critic, x, bufs)
-        mlp_backward(critic, np.ones_like(out), bufs, weight_grads=False)
+        out = forward(critic, x, bufs)
+        mlp_backward(critic, np.ones_like(out), bufs, None)
         assert all(np.any(h[:, -1] != 1.0) for h in bufs.fwd[:-1])
-        out_b = mlp_forward(critic, x2, bufs)
+        out_b = forward(critic, x2, bufs)
         out_a, cache_a = reference_forward(critic, x2)
         assert out_b.tobytes() == out_a.tobytes()
         for h_b, h_a in zip(bufs.fwd[:-1], cache_a):
@@ -1020,10 +1052,9 @@ class TestLayerLayout:
 
     def test_train_steps_leave_the_zero_views_zero(self):
         learner, rng = filled_learner(50)
-        ws = learner.workspace
         for _ in range(20):
             learner.train_step(rng)
-        for bufs in (ws.actor, ws.critic):
+        for bufs in (learner.actor_bufs, learner.critic_bufs):
             assert bufs.zeros[0] is None and bufs.mask[0] is None
             for z in bufs.zeros[1:]:
                 assert z.tobytes() == bytes(z.nbytes)
@@ -1174,7 +1205,8 @@ class TestGradients:
         obs = rng.normal(size=(8, obs_dim))
         act = rng.dirichlet(np.ones(3), 8)
         y = rng.normal(size=8)
-        grad, _ = critic_loss_grads(critic, obs, act, y, critic_workspace(critic, 8))
+        grad = np.empty_like(critic.flat)
+        critic_loss_grads(critic, obs, act, y, MlpBuffers(critic, 8), grad)
         analytic = split_like(grad, critic)
         numeric = finite_difference_grads(
             lambda: reference_critic_loss_grads(critic, obs, act, y)[1], critic.arrays()
@@ -1188,7 +1220,9 @@ class TestGradients:
         actor = float64(init_mlp([obs_dim, 6, 5, ACTION_DIM], rng, final_scale=0.5))
         critic = float64(init_mlp([obs_dim + ACTION_DIM, 6, 5, 1], rng))
         obs = rng.normal(size=(8, obs_dim))
-        grad, _ = actor_objective_grads(actor, critic, obs, TrainWorkspace(8, actor, critic))
+        grad = np.empty_like(actor.flat)
+        bufs = MlpBuffers(actor, 8), MlpBuffers(critic, 8)
+        actor_objective_grads(actor, critic, obs, *bufs, grad)
         analytic = split_like(grad, actor)
         numeric = finite_difference_grads(
             lambda: float(np.mean(reference_critic(critic, obs, reference_actor(actor, obs)))),
@@ -1380,6 +1414,47 @@ class TestCheckpoint:
         kind = "a list of non-negative ints" if key == "shape" else "a non-negative int"
         message = f"{path}: array {entry['name']!r} has {key} {value!r}, not {kind}"
         with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "arrays-not-a-list", "meta-not-an-object", "entry-a-list", "entry-an-int",
+            "name-not-a-string", "name-repeated",
+        ],
+    )
+    def test_malformed_header_structure_names_file_and_entry(self, tmp_path, case):
+        # with the digest still valid, "arrays": 5 and an int entry raised a
+        # bare TypeError; a name of 5 loaded, and ActorPolicy.from_checkpoint
+        # then raised a bare AttributeError; a repeated name loaded one array
+        # for two entries, and "meta": 5 loaded
+        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(35))
+        path = tmp_path / "structure.ckpt"
+        learner.save(path)
+        header = self._rewrite_header(path)
+        entries = header["arrays"]
+        first, second = entries[0], entries[1]
+        changes, message = {
+            "arrays-not-a-list": ({"arrays": 5}, "header arrays is 5, not a list"),
+            "meta-not-an-object": ({"meta": 5}, "header meta is 5, not an object"),
+            "entry-a-list": (
+                {"arrays": [first, [second["name"], second["shape"]], *entries[2:]]},
+                "array entry 1 is ['actor.b1', [16]], not an object",
+            ),
+            "entry-an-int": (
+                {"arrays": [first, 5, *entries[2:]]}, "array entry 1 is 5, not an object"
+            ),
+            "name-not-a-string": (
+                {"arrays": [first, {**second, "name": 5}, *entries[2:]]},
+                "array entry 1 has name 5, not a string",
+            ),
+            "name-repeated": (
+                {"arrays": [first, {**second, "name": first["name"]}, *entries[2:]]},
+                "array entry 1 repeats the name 'actor.b0'",
+            ),
+        }[case]
+        self._rewrite_header(path, **changes)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_checkpoint(path)
 
     def test_header_without_arrays_or_meta_names_file(self, tmp_path):

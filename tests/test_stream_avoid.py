@@ -163,21 +163,21 @@ class TestShortestInteriorRay:
 class TestStreamBound:
     def test_far_field_limit(self):
         cyl = VirtualCylinder(Vec2(100.0, 50.0), 0.3)
-        got = stream_bound(cyl, 0.4, Side.LHS)
+        got = stream_bound(cyl, Side.LHS)
         # far from the doublet the field is just y_point - y_center
         assert got == pytest.approx(-0.4 - 50.0, rel=1e-4)
 
     def test_singular_guard_default(self):
         lhs_cyl = VirtualCylinder(Vec2(0.0, -0.4), 0.2)
-        assert stream_bound(lhs_cyl, 0.4, Side.LHS) == -0.4
+        assert stream_bound(lhs_cyl, Side.LHS) == -0.4
         rhs_cyl = VirtualCylinder(Vec2(0.0, 0.4), 0.2)
-        assert stream_bound(rhs_cyl, 0.4, Side.RHS) == 0.4
+        assert stream_bound(rhs_cyl, Side.RHS) == 0.4
 
     def test_odd_symmetry_between_sides(self):
         cyl_l = VirtualCylinder(Vec2(0.8, 0.3), 0.25)
         cyl_r = VirtualCylinder(Vec2(0.8, -0.3), 0.25)
-        bl = stream_bound(cyl_l, 0.4, Side.LHS)
-        br = stream_bound(cyl_r, 0.4, Side.RHS)
+        bl = stream_bound(cyl_l, Side.LHS)
+        br = stream_bound(cyl_r, Side.RHS)
         assert bl == pytest.approx(-br, rel=1e-12)
 
 
@@ -233,7 +233,7 @@ class TestAvoidanceUpdate:
         st, rd = out.states[Side.LHS], out.readings[Side.LHS]
         assert st.avoid and rd is not None
         assert not out.states[Side.RHS].avoid
-        bound = stream_bound(rd.cylinder, PARAMS.d_stop, Side.LHS)
+        bound = stream_bound(rd.cylinder, Side.LHS)
         if abs(rd.c_current) >= abs(bound):
             assert st.c_desired == rd.c_current
             assert out.cost == 0.0
@@ -278,7 +278,7 @@ class TestAvoidanceUpdate:
         out2 = avoidance_update(s2, out1.states, PARAMS)
         rd2 = out2.readings[Side.LHS]
         assert abs(rd2.inner_angle) <= abs(out1.readings[Side.LHS].inner_angle)
-        bound = stream_bound(rd2.cylinder, PARAMS.d_stop, Side.LHS)
+        bound = stream_bound(rd2.cylinder, Side.LHS)
         expected = rd2.c_current if abs(rd2.c_current) >= abs(bound) else bound
         assert out2.states[Side.LHS].c_desired == expected
 
@@ -326,7 +326,7 @@ class TestAvoidanceUpdate:
             assert not half_set.avoid
             out = avoidance_update(scan, (half_set, AvoidanceState()), PARAMS)
             rd = out.readings[Side.LHS]
-            bound = stream_bound(rd.cylinder, PARAMS.d_stop, Side.LHS)
+            bound = stream_bound(rd.cylinder, Side.LHS)
             expected = rd.c_current if abs(rd.c_current) >= abs(bound) else bound
             assert out.states[Side.LHS] == AvoidanceState(expected, rd.inner_angle)
 
