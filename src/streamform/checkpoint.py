@@ -1,136 +1,92 @@
-"""Self-describing checkpoint container with bit-exact round-trips.
+"""Checkpoints in numpy's ``.npz`` container, with bit-exact round-trips.
 
-Layout: one JSON header line (format tag, metadata, array directory with
-shapes/dtypes/offsets, SHA-256 digest of the body) followed by the
-concatenated row-major buffers, each in its own dtype: float32 or float64.
-An array of any other dtype raises ValueError naming it, on save as on load.
-No timestamps or other run-varying bytes, so identical runs produce
-identical files.
+Layout: a stored (uncompressed) zip of ``<name>.npy`` members written by
+``np.lib.format.write_array``: the arrays in sorted name order, each
+float32 or float64 (another dtype raises ValueError naming the array, on
+save as on load), then ``meta.npy``, the metadata as sorted-key JSON in a
+0-d str array. The metadata comes last, so that a zip directory read short
+(one flipped length byte can end it) loses it and fails to load. Every
+member is dated 1980-01-01 00:00, so identical runs give identical files.
+
+Each member's CRC-32 is checked on load. Like the earlier format's SHA-256,
+it catches accidental corruption (a flipped bit, a cut file); neither
+authenticates a file, as whoever rewrites the data can rewrite its check.
 """
 
 from __future__ import annotations
 
-import hashlib
+import io
 import json
-import math
 import os
 from pathlib import Path
+from zipfile import BadZipFile, ZipFile, ZipInfo
 
 import numpy as np
 
-FORMAT_TAG = "streamform-checkpoint"
-VERSION = 2
-ENTRY_KEYS = ("name", "shape", "dtype", "offset", "nbytes")
+META = "meta"
 DTYPES = ("float32", "float64")
-
-
-def _is_count(value) -> bool:
-    """A non-negative int, as JSON gives one; a bool is not."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+EPOCH = (1980, 1, 1, 0, 0, 0)
+# a damaged file: a check's or numpy's ValueError (TypeError: a bool in a shape), and
+# what zipfile raises for a compression method, version or flag it cannot read
+_DAMAGED = (BadZipFile, ValueError, TypeError, EOFError, NotImplementedError, RuntimeError)
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
+    """Build the zip in memory, write it to ``<path>.tmp`` and rename, so a
+    failed save leaves the previous file as it was and no temporary file."""
     path = Path(path)
-    entries = []
-    blobs = []
-    offset = 0
+    members = {}
     for name in sorted(arrays):
         arr = np.asarray(arrays[name])
+        if name == META:
+            raise ValueError(f"{path}: array name {META!r} is the metadata's member")
         if arr.dtype.name not in DTYPES:
             raise ValueError(
                 f"{path}: array {name!r} has dtype {arr.dtype.name!r}, not one of {DTYPES}"
             )
-        arr = np.ascontiguousarray(arr)
-        blob = arr.tobytes()
-        entries.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "dtype": arr.dtype.name,
-                "offset": offset,
-                "nbytes": len(blob),
-            }
-        )
-        blobs.append(blob)
-        offset += len(blob)
-    body = b"".join(blobs)
-    header = {
-        "format": FORMAT_TAG,
-        "version": VERSION,
-        "meta": meta,
-        "arrays": entries,
-        "sha256": hashlib.sha256(body).hexdigest(),
-    }
-    payload = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body
+        members[name] = arr
+    members[META] = np.array(json.dumps(meta, sort_keys=True))
+    file = io.BytesIO()
+    with ZipFile(file, "w") as zf:
+        for name, arr in members.items():
+            with zf.open(ZipInfo(f"{name}.npy", EPOCH), "w") as member:
+                np.lib.format.write_array(member, arr, allow_pickle=False)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(file.getbuffer())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Arrays by name and the metadata; raises ValueError naming the file
-    (and the array or its entry index, where one is at fault) for anything
-    this version did not write: ``arrays`` must be a list of objects with
-    distinct string names, and ``meta`` an object."""
-    raw = Path(path).read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise ValueError(f"{path} has no complete header line (truncated?)")
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-        raise ValueError(f"{path} has a header line that is not JSON: {exc}") from None
-    if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
-        raise ValueError(f"{path} is not a {FORMAT_TAG} file")
-    if header.get("version") != VERSION:
-        raise ValueError(
-            f"{path} has checkpoint version {header.get('version')!r}; expected {VERSION}"
-        )
-    lacking = [key for key in ("arrays", "meta", "sha256") if key not in header]
-    if lacking:
-        raise ValueError(f"{path}: header lacks {', '.join(lacking)}")
-    for key, kind, what in (("arrays", list, "a list"), ("meta", dict, "an object")):
-        if not isinstance(header[key], kind):
-            raise ValueError(f"{path}: header {key} is {header[key]!r}, not {what}")
-    body = raw[newline + 1 :]
+    """Arrays by name and the metadata. Anything but a checkpoint as
+    ``save_checkpoint`` writes it raises ValueError naming the file, and the
+    member where one is at fault; object arrays are refused unread. A
+    missing file raises FileNotFoundError."""
     arrays: dict[str, np.ndarray] = {}
-    for k, entry in enumerate(header["arrays"]):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: array entry {k} is {entry!r}, not an object")
-        lacking = [key for key in ENTRY_KEYS if key not in entry]
-        if lacking:
-            named = f" ({entry['name']!r})" if "name" in entry else ""
-            raise ValueError(f"{path}: array entry {k}{named} lacks {', '.join(lacking)}")
-        name, shape = entry["name"], entry["shape"]
-        if not isinstance(name, str):
-            raise ValueError(f"{path}: array entry {k} has name {name!r}, not a string")
-        if name in arrays:
-            raise ValueError(f"{path}: array entry {k} repeats the name {name!r}")
-        start, n, dtype = entry["offset"], entry["nbytes"], entry["dtype"]
-        if dtype not in DTYPES:
-            raise ValueError(f"{path}: array {name!r} has dtype {dtype!r}, not one of {DTYPES}")
-        if not (isinstance(shape, list) and all(map(_is_count, shape))):
-            raise ValueError(
-                f"{path}: array {name!r} has shape {shape!r}, not a list of non-negative ints"
-            )
-        for key in ("offset", "nbytes"):
-            if not _is_count(entry[key]):
-                raise ValueError(
-                    f"{path}: array {name!r} has {key} {entry[key]!r}, not a non-negative int"
-                )
-        size = math.prod(shape) * np.dtype(dtype).itemsize
-        if n != size:
-            raise ValueError(
-                f"{path}: array {name!r} declares {n} bytes of {dtype}"
-                f" for shape {shape}; expected {size} bytes"
-            )
-        if start + n > len(body):
-            raise ValueError(
-                f"{path}: array {name!r} needs bytes {start}..{start + n}"
-                f" but the body holds {len(body)} (truncated?)"
-            )
-        arr = np.frombuffer(body[start : start + n], dtype=dtype).copy()
-        arrays[name] = arr.reshape(shape)
-    if hashlib.sha256(body).hexdigest() != header["sha256"]:
-        raise ValueError(f"{path}: body does not match the header's sha256 digest (corrupt?)")
-    return arrays, header["meta"]
+    member = None
+    file = io.BytesIO(Path(path).read_bytes())  # a missing file raises here
+    try:
+        with ZipFile(file) as zf:
+            for info in zf.infolist():
+                member = info.filename
+                name = member.removesuffix(".npy")
+                if name in arrays:
+                    raise ValueError("repeats the name of an earlier member")
+                data = io.BytesIO(zf.read(info))  # checks the CRC-32
+                arr = np.lib.format.read_array(data, allow_pickle=False)
+                if name != META and arr.dtype.name not in DTYPES:
+                    raise ValueError(f"has dtype {arr.dtype.name!r}, not one of {DTYPES}")
+                arrays[name] = arr
+        member = f"{META}.npy"
+        if META not in arrays:
+            raise ValueError("is missing")
+        meta = json.loads(str(arrays.pop(META)[()]))
+        if not isinstance(meta, dict):
+            raise ValueError(f"holds {meta!r}, not a JSON object")
+    except _DAMAGED as err:
+        where = f" member {member!r}" if member else ""
+        raise ValueError(f"{path}{where}: {err}") from None
+    return arrays, meta

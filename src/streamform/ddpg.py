@@ -536,9 +536,12 @@ class DdpgLearner:
     """Owns the online/target networks, replay buffer and Adam states, and
     the batch-sized blocks one ``train_step`` writes: the two networks'
     ``MlpBuffers``, ``actor_bufs`` and ``critic_bufs``, and ``sample``, which
-    receives whole replay rows (one take; see ``ReplayBuffer``)."""
+    receives whole replay rows (one take; see ``ReplayBuffer``). An
+    ``obs_dim`` that is not a positive int raises ValueError naming it."""
 
     def __init__(self, obs_dim: int, cfg: TrainerConfig, rng: np.random.Generator):
+        if not (_is_int(obs_dim) and obs_dim > 0):
+            raise ValueError(f"obs_dim must be a positive int, got {obs_dim!r}")
         self.cfg = cfg
         self.actor = init_mlp([obs_dim, *cfg.hidden, ACTION_DIM], rng, cfg.actor_final_scale)
         self.critic = init_mlp([obs_dim + ACTION_DIM, *cfg.hidden, 1], rng)

@@ -1,8 +1,9 @@
-"""Isolated medians of the learner's three hot calls, for comparing two trees.
+"""Isolated medians of the learner's three hot calls and of its checkpoint,
+for comparing two trees.
 
     python3 tests/learner_timing.py
 
-prints three lines:
+prints five lines:
 
 - ``train_step_ms <median>``: ``DdpgLearner.train_step`` of a learner with
   the default ``TrainerConfig`` (batch 1024), seed 0 and the benchmark's
@@ -11,7 +12,10 @@ prints three lines:
 - ``act_us <median>``: ``DdpgLearner.act`` of the same learner on 4
   observation rows at the config's starting ``sigma``;
 - ``policy_act_us <median>``: ``ActorPolicy.act`` of the same learner's
-  actor on 48 observation rows, the greedy pass of the swarm workload.
+  actor on 48 observation rows, the greedy pass of the swarm workload;
+- ``checkpoint_save_ms <median>`` and ``checkpoint_load_ms <median>``:
+  ``save_checkpoint`` of the same learner's ``network_arrays()`` to a file in
+  a temporary directory, and ``load_checkpoint`` of that file.
 
 Each median is over ``CALLS`` calls, each timed alone with
 ``time.perf_counter`` after ``WARMUP`` untimed ones. To compare a change with
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,6 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
+from streamform.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from streamform.ddpg import ACTION_DIM, ActorPolicy, DdpgLearner, TrainerConfig  # noqa: E402
 
 OBS_DIM = 20  # the observation width of the benchmark's workloads
@@ -54,7 +60,7 @@ def _median_seconds(call) -> float:
 
 
 def measure() -> dict[str, float]:
-    """The three medians, in ms and µs, keyed as printed."""
+    """The five medians, in ms and µs, keyed as printed."""
     cfg = TrainerConfig()
     rng = np.random.default_rng(0)
     learner = DdpgLearner(OBS_DIM, cfg, rng)
@@ -65,11 +71,16 @@ def measure() -> dict[str, float]:
         )
     obs = rng.normal(size=(ACT_ROWS, OBS_DIM))
     policy, swarm_obs = ActorPolicy(learner.actor), rng.normal(size=(POLICY_ROWS, OBS_DIM))
-    return {
-        "train_step_ms": 1e3 * _median_seconds(lambda: learner.train_step(rng)),
-        "act_us": 1e6 * _median_seconds(lambda: learner.act(obs, cfg.sigma_start, rng)),
-        "policy_act_us": 1e6 * _median_seconds(lambda: policy.act(swarm_obs)),
-    }
+    arrays = learner.network_arrays()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "learner.ckpt"
+        return {
+            "train_step_ms": 1e3 * _median_seconds(lambda: learner.train_step(rng)),
+            "act_us": 1e6 * _median_seconds(lambda: learner.act(obs, cfg.sigma_start, rng)),
+            "policy_act_us": 1e6 * _median_seconds(lambda: policy.act(swarm_obs)),
+            "checkpoint_save_ms": 1e3 * _median_seconds(lambda: save_checkpoint(path, arrays, {})),
+            "checkpoint_load_ms": 1e3 * _median_seconds(lambda: load_checkpoint(path)),
+        }
 
 
 def main() -> None:

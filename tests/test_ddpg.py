@@ -1,18 +1,24 @@
+import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
+import zipfile
 from dataclasses import asdict
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import streamform
-from streamform.checkpoint import FORMAT_TAG, VERSION, load_checkpoint, save_checkpoint
+from streamform.checkpoint import load_checkpoint, save_checkpoint
 from streamform.dynamics import AgentState, Limits, step
 from streamform.ddpg import (
     ACTION_DIM,
@@ -392,6 +398,15 @@ class TestExplorationNoise:
             policy.act(obs)
         with pytest.raises(ValueError, match=message):
             policy.act(obs.tolist())
+
+
+@pytest.mark.parametrize("obs_dim", [0, -3, 2.5, True])
+def test_learner_obs_dim_must_be_a_positive_int(obs_dim):
+    # each used to raise a bare error from building the networks
+    with pytest.raises(
+        ValueError, match=re.escape(f"obs_dim must be a positive int, got {obs_dim!r}")
+    ):
+        DdpgLearner(obs_dim, small_config(), np.random.default_rng(0))
 
 
 class TestReplayBuffer:
@@ -1231,7 +1246,39 @@ class TestGradients:
         assert relative_grad_error(analytic, numeric) < 1e-4
 
 
+def read_members(path):
+    """Each member's bytes, by member name, in directory order."""
+    with zipfile.ZipFile(path) as zf:
+        return {info.filename: zf.read(info) for info in zf.infolist()}
+
+
+def write_members(path, pairs):
+    """A sound zip of the given (member name, bytes) pairs: its CRC-32s
+    match, so only what the members hold can be at fault."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in pairs:
+            zf.writestr(name, data)
+
+
+def npy_bytes(arr):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, allow_pickle=True)
+    return buf.getvalue()
+
+
 class TestCheckpoint:
+    @staticmethod
+    def saved(tmp_path, name, seed):
+        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(seed))
+        path = tmp_path / name
+        learner.save(path)
+        return path
+
+    @staticmethod
+    def raises_naming(path, member, message):
+        where = f"{path} member {member!r}" if member else f"{path}"
+        return pytest.raises(ValueError, match=re.escape(f"{where}: {message}"))
+
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = small_config()
         learner = DdpgLearner(obs_dim=7, cfg=cfg, rng=np.random.default_rng(17))
@@ -1244,12 +1291,21 @@ class TestCheckpoint:
         assert TrainerConfig(**{**echoed, "hidden": tuple(echoed["hidden"])}) == cfg
         assert_same_networks_as(learner, arrays)
 
-    def test_identical_saves_identical_bytes(self, tmp_path):
+    def test_identical_saves_identical_bytes(self, tmp_path, monkeypatch):
+        # the second save runs an hour later by the clock zipfile would read
         learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(18))
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         learner.save(p1)
+        later = time.time() + 3600.0
+        monkeypatch.setattr(time, "time", lambda: later)
         learner.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+        with zipfile.ZipFile(p1) as zf:
+            assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+            assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+            names = zf.namelist()
+        # arrays in sorted name order, then the metadata
+        assert names == [f"{k}.npy" for k in sorted(learner.network_arrays())] + ["meta.npy"]
 
     def test_policy_loads_and_acts_identically(self, tmp_path):
         learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(19))
@@ -1278,9 +1334,10 @@ class TestCheckpoint:
         path = tmp_path / "f64.ckpt"
         arrays = {k: v.astype(np.float64) for k, v in learner.network_arrays().items()}
         save_checkpoint(path, arrays, {"train_steps": 0})
-        raw = path.read_bytes()
-        entries = json.loads(raw[: raw.index(b"\n")])["arrays"]
-        assert {e["dtype"] for e in entries} == {"float64"}
+        loaded, meta = load_checkpoint(path)
+        assert meta == {"train_steps": 0}
+        for name, arr in arrays.items():
+            assert loaded[name].dtype == np.float64 and loaded[name].tobytes() == arr.tobytes()
         policy = ActorPolicy.from_checkpoint(path)
         assert policy.params.flat.dtype == np.float64
         obs = np.random.default_rng(31).normal(size=(6, 4))
@@ -1321,20 +1378,6 @@ class TestCheckpoint:
         ):
             ActorPolicy.from_checkpoint(path)
 
-    def test_float16_entry_rejected(self, tmp_path):
-        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(32))
-        path = tmp_path / "f16.ckpt"
-        learner.save(path)
-        header = self._rewrite_header(path)
-        entry = header["arrays"][0]
-        entry["dtype"], entry["nbytes"] = "float16", entry["nbytes"] // 2
-        self._rewrite_header(path, arrays=header["arrays"])
-        with pytest.raises(
-            ValueError,
-            match=f"{re.escape(str(path))}: array '{entry['name']}' has dtype 'float16'",
-        ):
-            load_checkpoint(path)
-
     @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.bool_])
     def test_save_rejects_other_dtypes(self, tmp_path, dtype):
         # an int array used to be written, and to load back, as float64
@@ -1347,180 +1390,257 @@ class TestCheckpoint:
             save_checkpoint(path, arrays, {})
         assert list(tmp_path.iterdir()) == []
 
-    def _rewrite_header(self, path, **changes):
-        raw = path.read_bytes()
-        newline = raw.index(b"\n")
-        header = json.loads(raw[:newline])
-        header.update(changes)
-        path.write_bytes(json.dumps(header, sort_keys=True).encode() + raw[newline:])
-        return header
+    def test_save_rejects_an_array_named_meta(self, tmp_path):
+        path = tmp_path / "meta.ckpt"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: array name 'meta' is the")):
+            save_checkpoint(path, {"meta": np.zeros(3, DTYPE)}, {})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_save_leaves_no_tmp_and_the_previous_file(self, tmp_path, monkeypatch):
+        # a write that raised part-way used to leave a partial <name>.tmp
+        path = self.saved(tmp_path, "prev.ckpt", 36)
+        before = path.read_bytes()
+        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(37))
+        write_array, write_bytes = np.lib.format.write_array, Path.write_bytes
+
+        def fail_after_the_first_member(member, arr, **kw):
+            write_array(member, arr, **kw)
+            raise OSError("disk full")
+
+        def write_half_then_fail(self, data):
+            write_bytes(self, bytes(data)[: len(data) // 2])
+            raise OSError("disk full")
+
+        for owner, name, failing in (
+            (np.lib.format, "write_array", fail_after_the_first_member),
+            (Path, "write_bytes", write_half_then_fail),
+        ):
+            with monkeypatch.context() as patched:
+                patched.setattr(owner, name, failing)
+                with pytest.raises(OSError, match="disk full"):
+                    learner.save(path)
+            assert list(tmp_path.iterdir()) == [path], name
+            assert path.read_bytes() == before, name
+
+    def test_missing_file_raises_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(tmp_path / "absent.ckpt")
+
+    def test_float16_entry_rejected(self, tmp_path):
+        path = self.saved(tmp_path, "f16.ckpt", 32)
+        members = read_members(path)
+        members["actor.b1.npy"] = npy_bytes(np.zeros(16, np.float16))
+        write_members(path, members.items())
+        with self.raises_naming(path, "actor.b1.npy", "has dtype 'float16'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "arr, message",
+        [
+            (np.arange(16), "has dtype 'int64'"),
+            (np.array([{"w": 1.0}], dtype=object), "Object arrays cannot be loaded"),
+        ],
+        ids=["int64", "object"],
+    )
+    def test_member_of_another_dtype_names_file_and_member(self, tmp_path, arr, message):
+        # numpy refuses an object array before it would unpickle one
+        path = self.saved(tmp_path, "other.ckpt", 38)
+        members = read_members(path)
+        members["critic.b0.npy"] = npy_bytes(arr)
+        write_members(path, members.items())
+        with self.raises_naming(path, "critic.b0.npy", message):
+            load_checkpoint(path)
 
     def test_unknown_version_rejected(self, tmp_path):
-        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(21))
-        path = tmp_path / "v99.ckpt"
-        learner.save(path)
-        self._rewrite_header(path, version=99)
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*version 99"):
+        # the earlier format, version 2: one JSON header line, then the buffers
+        body = np.zeros(3, DTYPE).tobytes()
+        header = {
+            "format": "streamform-checkpoint", "version": 2, "meta": {},
+            "arrays": [
+                {"name": "actor.b0", "shape": [3], "dtype": "float32", "offset": 0, "nbytes": 12}
+            ],
+            "sha256": hashlib.sha256(body).hexdigest(),
+        }
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+        with self.raises_naming(path, None, "File is not a zip file"):
+            load_checkpoint(path)
+
+    def test_lone_npy_file_names_the_file(self, tmp_path):
+        # np.load would return it as a plain array
+        path = tmp_path / "lone.npy"
+        np.save(path, np.zeros(3, DTYPE))
+        with self.raises_naming(path, None, "File is not a zip file"):
             load_checkpoint(path)
 
     def test_truncated_file_names_file_and_array(self, tmp_path):
-        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(22))
-        path = tmp_path / "cut.ckpt"
-        learner.save(path)
+        path = self.saved(tmp_path, "cut.ckpt", 22)
         raw = path.read_bytes()
-        header = json.loads(raw[: raw.index(b"\n")])
-        last = max(header["arrays"], key=lambda e: e["offset"])["name"]
-        path.write_bytes(raw[:-16])
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*array '{last}'"):
-            load_checkpoint(path)
-        path.write_bytes(raw[:10])
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*header"):
+        for n in (len(raw) - 16, len(raw) // 2, 10, 0):
+            path.write_bytes(raw[:n])
+            with self.raises_naming(path, None, "File is not a zip file"):
+                load_checkpoint(path)
+        # a member cut short inside a sound container
+        path.write_bytes(raw)
+        members = read_members(path)
+        members["critic.w1.npy"] = members["critic.w1.npy"][:-16]
+        write_members(path, members.items())
+        with self.raises_naming(path, "critic.w1.npy", "EOF: reading array data"):
             load_checkpoint(path)
 
     def test_size_mismatch_names_file_and_array(self, tmp_path):
-        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(23))
-        path = tmp_path / "bad.ckpt"
-        learner.save(path)
-        raw = path.read_bytes()
-        header = json.loads(raw[: raw.index(b"\n")])
-        header["arrays"][0]["shape"] = [1]
-        self._rewrite_header(path, arrays=header["arrays"])
-        name = header["arrays"][0]["name"]
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*array '{name}'"):
-            load_checkpoint(path)
-
-
-    @pytest.mark.parametrize(
-        "changes",
-        [
-            {"shape": [-1, 6], "nbytes": -24}, {"shape": [-1, -6]}, {"shape": [2.5, 2]},
-            {"shape": [True, 6]}, {"shape": 6}, {"nbytes": 24.0}, {"nbytes": -24},
-            {"offset": -8}, {"offset": False},
-        ],
-        ids=str,
-    )
-    def test_malformed_entry_names_file_and_array(self, tmp_path, changes):
-        # shape [-1, 6] with nbytes -24 used to load as a (0, 6) array;
-        # [-1, -6] raised numpy's bare "can only specify one unknown
-        # dimension", and [2.5, 2] or nbytes 24.0 a bare TypeError
-        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(34))
-        path = tmp_path / "entry.ckpt"
-        learner.save(path)
-        header = self._rewrite_header(path)
-        entry = header["arrays"][1]
-        entry.update(changes)
-        self._rewrite_header(path, arrays=header["arrays"])
-        key, value = next(iter(changes.items()))  # the first field checked
-        kind = "a list of non-negative ints" if key == "shape" else "a non-negative int"
-        message = f"{path}: array {entry['name']!r} has {key} {value!r}, not {kind}"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        path = self.saved(tmp_path, "bad.ckpt", 23)
+        members = read_members(path)
+        npy = members["actor.w0.npy"]
+        members["actor.w0.npy"] = npy.replace(b"'shape': (4, 16)", b"'shape': (5, 16)", 1)
+        assert members["actor.w0.npy"] != npy
+        write_members(path, members.items())
+        with self.raises_naming(path, "actor.w0.npy", "EOF: reading array data"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "case",
+        "shape, message",
         [
-            "arrays-not-a-list", "meta-not-an-object", "entry-a-list", "entry-an-int",
-            "name-not-a-string", "name-repeated",
+            (b"(-1, 16)", "negative dimensions are not allowed"),
+            (b"(2.5, 16)", "shape is not valid"),
+            (b"(True, 16)", "an integer is required"),
+            (b"64", "shape is not valid"),
         ],
+        ids=["negative", "float", "bool", "not-a-tuple"],
     )
-    def test_malformed_header_structure_names_file_and_entry(self, tmp_path, case):
-        # with the digest still valid, "arrays": 5 and an int entry raised a
-        # bare TypeError; a name of 5 loaded, and ActorPolicy.from_checkpoint
-        # then raised a bare AttributeError; a repeated name loaded one array
-        # for two entries, and "meta": 5 loaded
-        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(35))
-        path = tmp_path / "structure.ckpt"
-        learner.save(path)
-        header = self._rewrite_header(path)
-        entries = header["arrays"]
-        first, second = entries[0], entries[1]
-        changes, message = {
-            "arrays-not-a-list": ({"arrays": 5}, "header arrays is 5, not a list"),
-            "meta-not-an-object": ({"meta": 5}, "header meta is 5, not an object"),
-            "entry-a-list": (
-                {"arrays": [first, [second["name"], second["shape"]], *entries[2:]]},
-                "array entry 1 is ['actor.b1', [16]], not an object",
-            ),
-            "entry-an-int": (
-                {"arrays": [first, 5, *entries[2:]]}, "array entry 1 is 5, not an object"
-            ),
-            "name-not-a-string": (
-                {"arrays": [first, {**second, "name": 5}, *entries[2:]]},
-                "array entry 1 has name 5, not a string",
-            ),
-            "name-repeated": (
-                {"arrays": [first, {**second, "name": first["name"]}, *entries[2:]]},
-                "array entry 1 repeats the name 'actor.b0'",
-            ),
-        }[case]
-        self._rewrite_header(path, **changes)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
-            load_checkpoint(path)
-
-    def test_header_without_arrays_or_meta_names_file(self, tmp_path):
-        path = tmp_path / "bare.ckpt"
-        path.write_bytes(json.dumps({"format": FORMAT_TAG, "version": VERSION}).encode() + b"\n")
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*lacks arrays, meta"):
-            load_checkpoint(path)
-        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(24))
-        learner.save(path)
-        header = self._rewrite_header(path)
-        del header["meta"]
-        path.write_bytes(json.dumps(header).encode() + b"\n")
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*lacks meta"):
+    def test_malformed_shape_names_file_and_member(self, tmp_path, shape, message):
+        # an entry's shape, offset and size are now the member's .npy header
+        # and length: numpy parses the one and reads the other by it
+        path = self.saved(tmp_path, "shape.ckpt", 34)
+        members = read_members(path)
+        npy = members["actor.w0.npy"]
+        end = npy.index(b"\n")  # the header, padded with spaces to this length
+        assert b"'shape': (4, 16)," in npy[:end]
+        header = npy[:end].replace(b"(4, 16)", shape).rstrip().ljust(end)
+        members["actor.w0.npy"] = header + npy[end:]
+        write_members(path, members.items())
+        with self.raises_naming(path, "actor.w0.npy", message):
             load_checkpoint(path)
 
     def test_entry_without_field_names_file_and_entry(self, tmp_path):
-        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(25))
-        path = tmp_path / "entry.ckpt"
-        learner.save(path)
-        header = self._rewrite_header(path)
-        name = header["arrays"][0]["name"]
-        del header["arrays"][0]["nbytes"]
-        self._rewrite_header(path, arrays=header["arrays"])
-        with pytest.raises(
-            ValueError, match=f"{re.escape(str(path))}: array entry 0 \\('{name}'\\) lacks nbytes"
-        ):
+        # the entry's fields are now the member's .npy header, which numpy checks
+        path = self.saved(tmp_path, "entry.ckpt", 25)
+        members = read_members(path)
+        npy = members["actor.b0.npy"]
+        for field in (b"'shape': (16,), ", b"'descr': '<f4', "):
+            assert field in npy
+            members["actor.b0.npy"] = npy.replace(field, b" " * len(field))
+            write_members(path, members.items())
+            with self.raises_naming(
+                path, "actor.b0.npy", "Header does not contain the correct keys"
+            ):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "case", ["meta-not-an-object", "entry-an-int", "name-repeated"]
+    )
+    def test_malformed_header_structure_names_file_and_entry(self, tmp_path, case):
+        # the zip directory lists the members; each must be an .npy array
+        # under a name of its own, and the metadata a JSON object
+        path = self.saved(tmp_path, "structure.ckpt", 35)
+        pairs = list(read_members(path).items())
+        member, message = {
+            "meta-not-an-object": ("meta.npy", "holds 5, not a JSON object"),
+            "entry-an-int": ("actor.b1.npy", "the magic string is not correct"),
+            "name-repeated": ("actor.b0.npy", "repeats the name of an earlier member"),
+        }[case]
+        if case == "meta-not-an-object":
+            pairs[-1] = ("meta.npy", npy_bytes(np.array("5")))
+        elif case == "entry-an-int":
+            pairs[1] = ("actor.b1.npy", b"5" * 16)
+        else:
+            pairs.insert(1, pairs[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # zipfile's "Duplicate name"
+            write_members(path, pairs)
+        with self.raises_naming(path, member, message):
             load_checkpoint(path)
-        del header["arrays"][0]["name"]
-        self._rewrite_header(path, arrays=header["arrays"])
-        with pytest.raises(
-            ValueError, match=f"{re.escape(str(path))}: array entry 0 lacks name, nbytes"
-        ):
+
+    def test_header_without_arrays_or_meta_names_file(self, tmp_path):
+        path = self.saved(tmp_path, "bare.ckpt", 24)
+        members = read_members(path)
+        del members["meta.npy"]
+        write_members(path, members.items())
+        with self.raises_naming(path, "meta.npy", "is missing"):
+            load_checkpoint(path)
+        write_members(path, [])
+        with self.raises_naming(path, "meta.npy", "is missing"):
             load_checkpoint(path)
 
     def test_header_not_json_names_file(self, tmp_path):
-        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(26))
-        path = tmp_path / "garbled.ckpt"
-        learner.save(path)
-        raw = path.read_bytes()
-        path.write_bytes(b"{not json" + raw[raw.index(b"\n") :])
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*not JSON"):
+        # the metadata is the one JSON in the file
+        path = self.saved(tmp_path, "garbled.ckpt", 26)
+        members = read_members(path)
+        members["meta.npy"] = npy_bytes(np.array("{not json"))
+        write_members(path, members.items())
+        with self.raises_naming(path, "meta.npy", "Expecting property name"):
             load_checkpoint(path)
-        path.write_bytes(b"[]" + raw[raw.index(b"\n") :])
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))} is not a"):
+        members["meta.npy"] = npy_bytes(np.array("[]"))
+        write_members(path, members.items())
+        with self.raises_naming(path, "meta.npy", "holds [], not a JSON object"):
+            load_checkpoint(path)
+
+    def test_garbled_container_names_the_file(self, tmp_path):
+        path = self.saved(tmp_path, "zip.ckpt", 39)
+        raw = path.read_bytes()
+        end = raw.rindex(b"PK\x05\x06")  # the end-of-directory record
+        path.write_bytes(raw[:end] + b"[]" + raw[end + 2 :])
+        with self.raises_naming(path, None, "File is not a zip file"):
+            load_checkpoint(path)
+        second = raw.index(b"PK\x01\x02", raw.index(b"PK\x01\x02") + 1)  # a directory entry
+        path.write_bytes(raw[:second] + b"[]" + raw[second + 2 :])
+        with self.raises_naming(path, None, "Bad magic number for central directory"):
+            load_checkpoint(path)
+        path.write_bytes(b"{}" + raw[2:])  # the first member's local header
+        with self.raises_naming(path, "actor.b0.npy", "Bad magic number for file header"):
             load_checkpoint(path)
 
     def test_flipped_body_byte_fails_the_digest(self, tmp_path):
-        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(27))
-        path = tmp_path / "flip.ckpt"
-        learner.save(path)
+        # each member's digest is now the CRC-32 the zip directory holds
+        path = self.saved(tmp_path, "flip.ckpt", 27)
         raw = bytearray(path.read_bytes())
-        raw[raw.index(b"\n") + 1 + 100] ^= 0x01
+        raw[raw.index(b"\x93NUMPY") + 150] ^= 0x01  # a data byte of the first member
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*sha256"):
+        with self.raises_naming(path, "actor.b0.npy", "Bad CRC-32 for file 'actor.b0.npy'"):
             load_checkpoint(path)
 
     def test_missing_digest_names_file(self, tmp_path):
-        learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(28))
-        path = tmp_path / "nodigest.ckpt"
-        learner.save(path)
-        header = self._rewrite_header(path)
-        del header["sha256"]
-        raw = path.read_bytes()
-        path.write_bytes(json.dumps(header).encode() + raw[raw.index(b"\n") :])
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header lacks sha256"):
+        path = self.saved(tmp_path, "nodigest.ckpt", 28)
+        raw = bytearray(path.read_bytes())
+        entry = raw.index(b"PK\x01\x02")  # the first member's directory entry
+        raw[entry + 16 : entry + 20] = bytes(4)  # its CRC-32
+        path.write_bytes(bytes(raw))
+        with self.raises_naming(path, "actor.b0.npy", "Bad CRC-32 for file 'actor.b0.npy'"):
             load_checkpoint(path)
+
+    def test_every_flipped_bit_raises_or_loads_the_same(self, tmp_path):
+        # one flipped bit anywhere, data or zip structure, raises ValueError
+        # naming the file or loads the same arrays and metadata (a timestamp,
+        # a file mode); a directory entry whose comment length grew used to
+        # end the directory early, and the members after it went missing
+        path = tmp_path / "small.ckpt"
+        arrays = {"a": np.arange(3, dtype=np.float32), "z": np.ones((2, 2))}  # around "meta"
+        save_checkpoint(path, arrays, {"k": 1})
+        raw = path.read_bytes()
+        for i in range(len(raw)):
+            for bit in (0x01, 0x80):
+                flipped = bytearray(raw)
+                flipped[i] ^= bit
+                path.write_bytes(bytes(flipped))
+                try:
+                    loaded, meta = load_checkpoint(path)
+                except ValueError as err:
+                    assert str(err).startswith(str(path)), (i, bit, err)
+                    continue
+                assert meta == {"k": 1} and loaded.keys() == arrays.keys(), (i, bit)
+                for name, arr in arrays.items():
+                    assert loaded[name].dtype == arr.dtype, (i, bit, name)
+                    assert loaded[name].tobytes() == arr.tobytes(), (i, bit, name)
 
 
 class TestTrainerConfig:
