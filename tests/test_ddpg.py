@@ -1502,11 +1502,12 @@ class TestCheckpoint:
         "shape, message",
         [
             (b"(-1, 16)", "negative dimensions are not allowed"),
+            (b"(-1, -16)", "can only specify one unknown dimension"),
             (b"(2.5, 16)", "shape is not valid"),
             (b"(True, 16)", "an integer is required"),
             (b"64", "shape is not valid"),
         ],
-        ids=["negative", "float", "bool", "not-a-tuple"],
+        ids=["negative", "both-negative", "float", "bool", "not-a-tuple"],
     )
     def test_malformed_shape_names_file_and_member(self, tmp_path, shape, message):
         # an entry's shape, offset and size are now the member's .npy header
