@@ -60,7 +60,7 @@ def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-@dataclass
+@dataclass(eq=False)
 class MlpParams:
     """Per-layer weights (in x out) and biases.
 
@@ -354,7 +354,10 @@ class TrainerConfig:
             raise ValueError("; ".join(problems))
 
     def sigma_at(self, episode: int) -> float:
-        """Linear anneal over the first sigma_anneal_frac of training."""
+        """Linear anneal over the first sigma_anneal_frac of training. An
+        ``episode`` that is not a nonnegative int raises ValueError."""
+        if not (_is_int(episode) and episode >= 0):
+            raise ValueError(f"episode must be a nonnegative int, got {episode!r}")
         horizon = max(1, int(self.episodes * self.sigma_anneal_frac))
         frac = min(1.0, episode / horizon)
         return self.sigma_start + frac * (self.sigma_end - self.sigma_start)

@@ -42,6 +42,8 @@ class TrackingWeight:
         m = np.asarray(matrix, dtype=float)
         if m.shape != (2, 2):
             raise ValueError(f"weight must be 2x2, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"weight must be finite, got {m.tolist()}")
         if not np.allclose(m, m.T, atol=1e-12):
             raise ValueError("weight must be symmetric")
         eigvals = np.linalg.eigvalsh(m)

@@ -64,7 +64,7 @@ class LidarConfig:
 _RAY_DIRS = np.stack([np.cos(LidarConfig.angles), np.sin(LidarConfig.angles)])
 
 
-@dataclass
+@dataclass(eq=False)
 class LidarScan:
     """Per-ray distances over the shared fan ``angles`` (agent frame, increasing)."""
 
@@ -226,7 +226,7 @@ def split_sides(
     return lhs, rhs
 
 
-@dataclass
+@dataclass(eq=False)
 class CommsView:
     """One step of the communication layer.
 
@@ -247,12 +247,14 @@ def neighbor_observations(positions: list[Vec2], connection_zone: float) -> Comm
 
     Agent 0 is the navigator; its broadcast (distance and bearing from the
     navigator to each follower) is relayed through the network, so every
-    follower in the navigator's connected component receives it. A
-    non-finite position, or a connection zone that is not positive, raises
-    ValueError.
+    follower in the navigator's connected component receives it. An empty
+    ``positions``, a non-finite position, or a connection zone that is not
+    positive, raises ValueError.
     """
     if not connection_zone > 0.0:
         raise ValueError(f"connection_zone must be positive, got {connection_zone!r}")
+    if not positions:
+        raise ValueError("positions is empty: agent 0, the navigator, is required")
     n = len(positions)
     pts = np.array([[p.x, p.y] for p in positions])
     if not np.isfinite(pts).all():

@@ -49,22 +49,6 @@ class Side(IntEnum):
     RHS = 1
 
 
-class StreamSingularity(ValueError):
-    """Raised when a stream value is requested at the doublet singularity."""
-
-
-@dataclass(frozen=True)
-class VirtualCylinder:
-    """Estimated obstacle in the agent frame: center and radius."""
-
-    center: Vec2
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius) and self.center.is_finite()):
-            raise ValueError(f"invalid cylinder {self}")
-
-
 @dataclass(frozen=True)
 class StreamParams:
     """The avoider's two ranges, both fixed: it engages an obstacle closer
@@ -95,11 +79,13 @@ class AvoidanceState:
 
 @dataclass(frozen=True)
 class SideReading:
-    """What one half-field saw this step."""
+    """What one half-field saw this step: ``center`` and ``radius`` are the
+    virtual cylinder in the agent frame."""
 
     interval: tuple[int, int]
     m_index: int
-    cylinder: VirtualCylinder
+    center: Vec2
+    radius: float
     degenerate: bool
     c_current: float
     m_distance: float
@@ -117,19 +103,11 @@ def stream_value(p_rel: Vec2, radius: float) -> float:
     """Stream value at a point given relative to the cylinder center."""
     rho_sq = p_rel.norm_sq()
     if rho_sq < SINGULARITY_EPS**2:
-        raise StreamSingularity(f"point {p_rel} is at the doublet singularity")
+        raise ValueError(f"point {p_rel} is at the doublet singularity")
     return p_rel.y * (1.0 - radius * radius / rho_sq)
 
 
-def default_cylinder(scan: LidarScan, m_index: int) -> VirtualCylinder:
-    """Fallback when the endpoints fit no usable cylinder: minimum-size circle
-    pushed DEFAULT_CYL_PAD past the shortest ray endpoint along that ray."""
-    d = float(scan.distances[m_index]) + DEFAULT_CYL_PAD
-    a = float(scan.angles[m_index])
-    return VirtualCylinder(Vec2(d * math.cos(a), d * math.sin(a)), DEFAULT_CYL_RADIUS)
-
-
-def stream_bound(cyl: VirtualCylinder, side: Side) -> float:
+def stream_bound(center: Vec2, radius: float, side: Side) -> float:
     """Stream value of the minimum-clearance evasion path for one side.
 
     Evaluated at the agent-frame point the clearance ``StreamParams.d_stop``
@@ -140,10 +118,10 @@ def stream_bound(cyl: VirtualCylinder, side: Side) -> float:
     d_stop = StreamParams.d_stop
     sign = -1.0 if side == Side.LHS else 1.0
     point = Vec2(0.0, sign * d_stop)
-    rel = point - cyl.center
+    rel = point - center
     if rel.norm() < SINGULARITY_EPS:
         return sign * d_stop
-    return stream_value(rel, cyl.radius)
+    return stream_value(rel, radius)
 
 
 def _read_side(scan: LidarScan, interval: tuple[int, int], side: Side) -> SideReading:
@@ -158,14 +136,18 @@ def _read_side(scan: LidarScan, interval: tuple[int, int], side: Side) -> SideRe
         degenerate = center.norm() < SINGULARITY_EPS
     except DegenerateTriangle:
         degenerate = True
-    cyl = default_cylinder(scan, m) if degenerate else VirtualCylinder(center, radius)
+    if degenerate:
+        d = float(scan.distances[m]) + DEFAULT_CYL_PAD
+        center = Vec2(d * math.cos(scan.angles[m]), d * math.sin(scan.angles[m]))
+        radius = DEFAULT_CYL_RADIUS
     # the agent sits at -center in the cylinder frame
-    c_current = stream_value(Vec2(-cyl.center.x, -cyl.center.y), cyl.radius)
+    c_current = stream_value(Vec2(-center.x, -center.y), radius)
     m_distance = max(float(scan.distances[m]), MIN_M_DISTANCE)
     return SideReading(
         interval=interval,
         m_index=m,
-        cylinder=cyl,
+        center=center,
+        radius=radius,
         degenerate=degenerate,
         c_current=c_current,
         m_distance=m_distance,
@@ -208,7 +190,7 @@ def avoidance_update(
         if prev.avoid and abs(rd.inner_angle) > abs(prev.prev_inner_angle):
             c_desired = prev.c_desired
         else:
-            bound = stream_bound(rd.cylinder, side)
+            bound = stream_bound(rd.center, rd.radius, side)
             c_desired = bound if abs(rd.c_current) < abs(bound) else rd.c_current
         new_states[side] = AvoidanceState(c_desired, rd.inner_angle)
         readings[side] = rd

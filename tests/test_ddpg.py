@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import io
 import json
@@ -996,6 +997,13 @@ class TestLayerLayout:
             assert np.shares_memory(w, layer) and np.shares_memory(b, layer)
         assert net.flat.tobytes() == b"".join(a.tobytes() for a in net.arrays())
 
+    def test_params_compare_by_identity(self):
+        # a generated __eq__ compared the weight lists and raised "The truth
+        # value of an array with more than one element is ambiguous"
+        net = init_mlp([4, 8, 3], np.random.default_rng(47))
+        assert net == net
+        assert net != copy.deepcopy(net)
+
     def test_backward_gradients_follow_the_flat_layout(self):
         rng = np.random.default_rng(47)
         net = init_mlp([4, 9, 3], rng)
@@ -1426,7 +1434,7 @@ class TestCheckpoint:
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "absent.ckpt")
 
-    def test_float16_entry_rejected(self, tmp_path):
+    def test_float16_member_names_file_and_member(self, tmp_path):
         path = self.saved(tmp_path, "f16.ckpt", 32)
         members = read_members(path)
         members["actor.b1.npy"] = npy_bytes(np.zeros(16, np.float16))
@@ -1451,7 +1459,7 @@ class TestCheckpoint:
         with self.raises_naming(path, "critic.b0.npy", message):
             load_checkpoint(path)
 
-    def test_unknown_version_rejected(self, tmp_path):
+    def test_earlier_json_header_format_is_not_a_zip(self, tmp_path):
         # the earlier format, version 2: one JSON header line, then the buffers
         body = np.zeros(3, DTYPE).tobytes()
         header = {
@@ -1473,7 +1481,7 @@ class TestCheckpoint:
         with self.raises_naming(path, None, "File is not a zip file"):
             load_checkpoint(path)
 
-    def test_truncated_file_names_file_and_array(self, tmp_path):
+    def test_truncated_container_or_member_names_file_and_member(self, tmp_path):
         path = self.saved(tmp_path, "cut.ckpt", 22)
         raw = path.read_bytes()
         for n in (len(raw) - 16, len(raw) // 2, 10, 0):
@@ -1488,7 +1496,7 @@ class TestCheckpoint:
         with self.raises_naming(path, "critic.w1.npy", "EOF: reading array data"):
             load_checkpoint(path)
 
-    def test_size_mismatch_names_file_and_array(self, tmp_path):
+    def test_npy_shape_past_the_data_names_file_and_member(self, tmp_path):
         path = self.saved(tmp_path, "bad.ckpt", 23)
         members = read_members(path)
         npy = members["actor.w0.npy"]
@@ -1523,7 +1531,7 @@ class TestCheckpoint:
         with self.raises_naming(path, "actor.w0.npy", message):
             load_checkpoint(path)
 
-    def test_entry_without_field_names_file_and_entry(self, tmp_path):
+    def test_npy_header_without_a_key_names_file_and_member(self, tmp_path):
         # the entry's fields are now the member's .npy header, which numpy checks
         path = self.saved(tmp_path, "entry.ckpt", 25)
         members = read_members(path)
@@ -1538,21 +1546,21 @@ class TestCheckpoint:
                 load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "case", ["meta-not-an-object", "entry-an-int", "name-repeated"]
+        "case", ["meta-not-an-object", "member-not-npy", "name-repeated"]
     )
-    def test_malformed_header_structure_names_file_and_entry(self, tmp_path, case):
+    def test_container_structure_names_file_and_member(self, tmp_path, case):
         # the zip directory lists the members; each must be an .npy array
         # under a name of its own, and the metadata a JSON object
         path = self.saved(tmp_path, "structure.ckpt", 35)
         pairs = list(read_members(path).items())
         member, message = {
             "meta-not-an-object": ("meta.npy", "holds 5, not a JSON object"),
-            "entry-an-int": ("actor.b1.npy", "the magic string is not correct"),
+            "member-not-npy": ("actor.b1.npy", "the magic string is not correct"),
             "name-repeated": ("actor.b0.npy", "repeats the name of an earlier member"),
         }[case]
         if case == "meta-not-an-object":
             pairs[-1] = ("meta.npy", npy_bytes(np.array("5")))
-        elif case == "entry-an-int":
+        elif case == "member-not-npy":
             pairs[1] = ("actor.b1.npy", b"5" * 16)
         else:
             pairs.insert(1, pairs[0])
@@ -1562,7 +1570,7 @@ class TestCheckpoint:
         with self.raises_naming(path, member, message):
             load_checkpoint(path)
 
-    def test_header_without_arrays_or_meta_names_file(self, tmp_path):
+    def test_missing_meta_member_names_file(self, tmp_path):
         path = self.saved(tmp_path, "bare.ckpt", 24)
         members = read_members(path)
         del members["meta.npy"]
@@ -1573,7 +1581,7 @@ class TestCheckpoint:
         with self.raises_naming(path, "meta.npy", "is missing"):
             load_checkpoint(path)
 
-    def test_header_not_json_names_file(self, tmp_path):
+    def test_meta_not_a_json_object_names_file(self, tmp_path):
         # the metadata is the one JSON in the file
         path = self.saved(tmp_path, "garbled.ckpt", 26)
         members = read_members(path)
@@ -1601,7 +1609,7 @@ class TestCheckpoint:
         with self.raises_naming(path, "actor.b0.npy", "Bad magic number for file header"):
             load_checkpoint(path)
 
-    def test_flipped_body_byte_fails_the_digest(self, tmp_path):
+    def test_flipped_data_byte_fails_the_member_crc(self, tmp_path):
         # each member's digest is now the CRC-32 the zip directory holds
         path = self.saved(tmp_path, "flip.ckpt", 27)
         raw = bytearray(path.read_bytes())
@@ -1610,7 +1618,7 @@ class TestCheckpoint:
         with self.raises_naming(path, "actor.b0.npy", "Bad CRC-32 for file 'actor.b0.npy'"):
             load_checkpoint(path)
 
-    def test_missing_digest_names_file(self, tmp_path):
+    def test_zeroed_directory_crc_names_file_and_member(self, tmp_path):
         path = self.saved(tmp_path, "nodigest.ckpt", 28)
         raw = bytearray(path.read_bytes())
         entry = raw.index(b"PK\x01\x02")  # the first member's directory entry
@@ -1696,3 +1704,10 @@ class TestTrainerConfig:
         assert cfg.sigma_at(25) == pytest.approx(0.175)
         assert cfg.sigma_at(50) == pytest.approx(0.05)
         assert cfg.sigma_at(99) == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("bad", [-5, -1, np.nan, 2.5, True, "3"])
+    def test_sigma_at_needs_a_nonnegative_int_episode(self, bad):
+        # sigma_at(-5) used to return 0.30008, above sigma_start, and
+        # sigma_at(nan) sigma_end
+        with pytest.raises(ValueError, match="episode must be a nonnegative int"):
+            small_config().sigma_at(bad)

@@ -104,6 +104,14 @@ class TestTrackingCost:
         with pytest.raises(ValueError):
             TrackingWeight([[-1.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_rejected(self, bad):
+        # an inf diagonal entry used to be accepted (np.allclose calls equal
+        # infinities close), and tracking_cost then returned NaN (inf * 0);
+        # a NaN entry raised, but said "weight must be symmetric"
+        with pytest.raises(ValueError, match="weight must be finite"):
+            TrackingWeight([[bad, 0.0], [0.0, 1.0]])
+
 
 class TestFormationSpec:
     def test_circle_offsets(self):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -580,6 +581,11 @@ class TestNeighborObservations:
         with pytest.raises(ValueError, match=r"positions of agents \[1\] must be finite"):
             neighbor_observations([Vec2(0, 0), bad, Vec2(1, 0)], 7.0)
 
+    def test_no_agents_raises(self):
+        # an empty list used to raise a bare IndexError
+        with pytest.raises(ValueError, match="agent 0, the navigator, is required"):
+            neighbor_observations([], 7.0)
+
     @pytest.mark.parametrize("zone", [math.nan, -1.0, 0.0])
     def test_non_positive_connection_zone_raises(self, zone):
         # a NaN or negative zone used to drop every link and broadcast
@@ -600,6 +606,22 @@ class TestNeighborObservations:
                 list(d.items()) for d in want.neighbors
             ]
             assert got.broadcast == want.broadcast
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LidarScan(np.linspace(0.5, 2.0, LidarConfig.n_rays)),
+        lambda: neighbor_observations([Vec2(0, 0), Vec2(1, 0), Vec2(9, 0)], 7.0),
+    ],
+    ids=["LidarScan", "CommsView"],
+)
+def test_array_records_compare_by_identity(make):
+    # a generated __eq__ compared the array fields and raised "The truth
+    # value of an array with more than one element is ambiguous"
+    record = make()
+    assert record == record
+    assert record != copy.deepcopy(record)
 
 
 COORD = st.floats(-20.0, 20.0)

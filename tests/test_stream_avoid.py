@@ -14,15 +14,14 @@ from streamform.sensing import (
     shortest_ray,
 )
 from streamform.stream_avoid import (
+    DEFAULT_CYL_PAD,
+    DEFAULT_CYL_RADIUS,
     SINGULARITY_EPS,
     AvoidanceState,
     Side,
     StreamAvoider,
     StreamParams,
-    StreamSingularity,
-    VirtualCylinder,
     avoidance_update,
-    default_cylinder,
     stream_bound,
     stream_value,
 )
@@ -37,6 +36,13 @@ def scan_of(world_obstacles, pos=Vec2(0, 0), heading=0.0):
     centers = np.reshape([[c.x, c.y] for c, _ in world_obstacles], (-1, 2))
     radii = [r for _, r in world_obstacles]
     return raycast(pos, heading, ObstacleSet(centers, radii), CFG, RNG)
+
+
+def fallback_cylinder(scan, m):
+    """(center, radius) of the minimum-size circle pushed DEFAULT_CYL_PAD
+    past ray m's endpoint along that ray."""
+    d = scan.distances[m] + DEFAULT_CYL_PAD
+    return Vec2(d * math.cos(scan.angles[m]), d * math.sin(scan.angles[m])), DEFAULT_CYL_RADIUS
 
 
 def make_scan(distances):
@@ -78,9 +84,9 @@ class TestStreamValue:
         assert stream_value(Vec2(0.0, 2 * r), r) == pytest.approx(1.5 * r, rel=1e-12)
 
     def test_singularity_raises(self):
-        with pytest.raises(StreamSingularity):
+        with pytest.raises(ValueError, match="doublet singularity"):
             stream_value(Vec2(0.0, 0.0), 0.3)
-        with pytest.raises(StreamSingularity):
+        with pytest.raises(ValueError, match="doublet singularity"):
             stream_value(Vec2(1e-10, 0.0), 0.3)
 
 
@@ -162,22 +168,17 @@ class TestShortestInteriorRay:
 
 class TestStreamBound:
     def test_far_field_limit(self):
-        cyl = VirtualCylinder(Vec2(100.0, 50.0), 0.3)
-        got = stream_bound(cyl, Side.LHS)
+        got = stream_bound(Vec2(100.0, 50.0), 0.3, Side.LHS)
         # far from the doublet the field is just y_point - y_center
         assert got == pytest.approx(-0.4 - 50.0, rel=1e-4)
 
     def test_singular_guard_default(self):
-        lhs_cyl = VirtualCylinder(Vec2(0.0, -0.4), 0.2)
-        assert stream_bound(lhs_cyl, Side.LHS) == -0.4
-        rhs_cyl = VirtualCylinder(Vec2(0.0, 0.4), 0.2)
-        assert stream_bound(rhs_cyl, Side.RHS) == 0.4
+        assert stream_bound(Vec2(0.0, -0.4), 0.2, Side.LHS) == -0.4
+        assert stream_bound(Vec2(0.0, 0.4), 0.2, Side.RHS) == 0.4
 
     def test_odd_symmetry_between_sides(self):
-        cyl_l = VirtualCylinder(Vec2(0.8, 0.3), 0.25)
-        cyl_r = VirtualCylinder(Vec2(0.8, -0.3), 0.25)
-        bl = stream_bound(cyl_l, Side.LHS)
-        br = stream_bound(cyl_r, Side.RHS)
+        bl = stream_bound(Vec2(0.8, 0.3), 0.25, Side.LHS)
+        br = stream_bound(Vec2(0.8, -0.3), 0.25, Side.RHS)
         assert bl == pytest.approx(-br, rel=1e-12)
 
 
@@ -233,7 +234,7 @@ class TestAvoidanceUpdate:
         st, rd = out.states[Side.LHS], out.readings[Side.LHS]
         assert st.avoid and rd is not None
         assert not out.states[Side.RHS].avoid
-        bound = stream_bound(rd.cylinder, Side.LHS)
+        bound = stream_bound(rd.center, rd.radius, Side.LHS)
         if abs(rd.c_current) >= abs(bound):
             assert st.c_desired == rd.c_current
             assert out.cost == 0.0
@@ -278,7 +279,7 @@ class TestAvoidanceUpdate:
         out2 = avoidance_update(s2, out1.states, PARAMS)
         rd2 = out2.readings[Side.LHS]
         assert abs(rd2.inner_angle) <= abs(out1.readings[Side.LHS].inner_angle)
-        bound = stream_bound(rd2.cylinder, Side.LHS)
+        bound = stream_bound(rd2.center, rd2.radius, Side.LHS)
         expected = rd2.c_current if abs(rd2.c_current) >= abs(bound) else bound
         assert out2.states[Side.LHS].c_desired == expected
 
@@ -291,7 +292,7 @@ class TestAvoidanceUpdate:
         assert out2.states[Side.LHS] == AvoidanceState()
         assert out2.cost == 0.0
 
-    def test_degenerate_triangle_uses_default_cylinder(self):
+    def test_degenerate_triangle_uses_the_fallback_cylinder(self):
         # vertical wall at x=0.5: all endpoints share an x coordinate
         idx = range(28, 33)
         scan = make_scan({i: 0.5 / math.cos(CFG.angles[i]) for i in idx})
@@ -300,11 +301,9 @@ class TestAvoidanceUpdate:
         assert len(active) == 1
         rd = out.readings[active[0]]
         assert rd.degenerate
-        assert rd.cylinder.radius == 0.1
-        expected_center = default_cylinder(scan, rd.m_index).center
-        assert rd.cylinder.center == expected_center
+        assert (rd.center, rd.radius) == fallback_cylinder(scan, rd.m_index)
 
-    def test_cylinder_centred_on_agent_uses_default_cylinder(self):
+    def test_agent_centred_cylinder_uses_the_fallback_cylinder(self):
         # a concentric arc: the circumcenter of its endpoints is the agent
         scan = make_scan({i: 0.5 for i in range(26, 31)})
         out = avoidance_update(scan, (AvoidanceState(), AvoidanceState()), PARAMS)
@@ -316,7 +315,7 @@ class TestAvoidanceUpdate:
         center, _ = circumcenter(*ends)
         assert center.norm() < SINGULARITY_EPS
         assert rd.degenerate
-        assert rd.cylinder == default_cylinder(scan, rd.m_index)
+        assert (rd.center, rd.radius) == fallback_cylinder(scan, rd.m_index)
 
     def test_missing_memory_treated_as_rising_edge(self):
         # a state holding one memory but not the other is not avoiding, so
@@ -326,7 +325,7 @@ class TestAvoidanceUpdate:
             assert not half_set.avoid
             out = avoidance_update(scan, (half_set, AvoidanceState()), PARAMS)
             rd = out.readings[Side.LHS]
-            bound = stream_bound(rd.cylinder, Side.LHS)
+            bound = stream_bound(rd.center, rd.radius, Side.LHS)
             expected = rd.c_current if abs(rd.c_current) >= abs(bound) else bound
             assert out.states[Side.LHS] == AvoidanceState(expected, rd.inner_angle)
 

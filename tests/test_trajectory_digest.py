@@ -5,9 +5,12 @@ updates) takes about 0.5 s per digest. The CI step that runs the digest
 CLI under two hash seeds covers it.
 """
 
+import dataclasses
+import hashlib
+
 import pytest
 
-from trajectory_digest import trajectory_digest
+from trajectory_digest import _put, _put_fields, trajectory_digest
 
 
 @pytest.mark.parametrize("workload, steps", [("obstacle_course", 40), ("swarm", 10)])
@@ -15,3 +18,35 @@ def test_digest_repeats_for_a_seed_and_differs_between_seeds(workload, steps):
     first = trajectory_digest(workload, 7, steps)
     assert trajectory_digest(workload, 7, steps) == first
     assert trajectory_digest(workload, 8, steps) != first
+
+
+def test_records_hash_as_their_fields_in_declared_order():
+    # a reading hashes alike whether its cylinder is one record or two fields
+    @dataclasses.dataclass
+    class Cylinder:
+        center: tuple
+        radius: float
+
+    @dataclasses.dataclass
+    class Nested:
+        interval: tuple
+        cylinder: Cylinder
+        degenerate: bool
+
+    @dataclasses.dataclass
+    class Flat:
+        interval: tuple
+        center: tuple
+        radius: float
+        degenerate: bool
+
+    def digest(put, *values):
+        sha = hashlib.sha256()
+        put(sha, *values)
+        return sha.hexdigest()
+
+    nested = Nested((3, 9), Cylinder((0.5, -0.25), 0.1), True)
+    flat = Flat((3, 9), (0.5, -0.25), 0.1, True)
+    want = digest(_put, 3, 9, 0.5, -0.25, 0.1, True)
+    assert digest(_put_fields, nested) == digest(_put_fields, flat) == want
+    assert digest(_put_fields, None) == digest(_put, None)

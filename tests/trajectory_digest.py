@@ -24,6 +24,7 @@ Checkpoints go to a temporary directory that is removed afterwards.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import struct
 import sys
@@ -65,15 +66,25 @@ def _put_state(sha, s) -> None:
     _put(sha, s.position.x, s.position.y, s.v, s.alpha, s.omega)
 
 
+def _put_fields(sha, value) -> None:
+    """Feed ``value`` to ``sha``: a dataclass field by field in declared
+    order and a tuple item by item, each recursively, anything else whole.
+    So a reading hashes alike whether it holds its cylinder as one record
+    or as the record's fields."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            _put_fields(sha, getattr(value, field.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            _put_fields(sha, item)
+    else:
+        _put(sha, value)
+
+
 def _put_outcome(sha, out) -> None:
     for state, rd in zip(out.states, out.readings):
         _put(sha, state.avoid, state.c_desired, state.prev_inner_angle)
-        if rd is None:
-            _put(sha, None)
-            continue
-        cyl = rd.cylinder
-        _put(sha, *rd.interval, rd.m_index, cyl.center.x, cyl.center.y, cyl.radius,
-             rd.degenerate, rd.c_current, rd.m_distance, rd.inner_angle)
+        _put_fields(sha, rd)
     _put(sha, out.cost)
 
 
