@@ -38,6 +38,7 @@ about 1e-7, and an action must sum to one far more closely than that.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import ClassVar
 
@@ -306,8 +307,11 @@ class TrainerConfig:
     """The learner's settings. ``actor_final_scale`` is fixed at DDPG's
     +-3e-3 (Lillicrap et al., arXiv:1509.02971), the scale ``init_mlp`` gives
     the critic too; no caller varies it. A ``batch_size``,
-    ``buffer_capacity`` or ``episodes`` that is not an int, or a field out of
-    its range, raises ValueError naming it."""
+    ``buffer_capacity`` or ``episodes`` that is not an int, a rate, discount
+    or sigma that is not a real number, a ``hidden`` that is not a sequence,
+    or a field out of its range, raises ValueError naming it. The fields
+    hold plain ``int``, ``float`` and a tuple of ``int``, so a config built
+    from numpy scalars or a list hashes and saves like any other."""
 
     critic_lr: float = 1e-3
     actor_lr: float = 1e-4
@@ -327,6 +331,17 @@ class TrainerConfig:
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("critic_lr", "actor_lr", "gamma", "tau", "sigma_start", "sigma_end",
+                     "sigma_anneal_frac"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        try:
+            hidden = tuple(self.hidden)
+        except TypeError:
+            raise ValueError(f"hidden must be a sequence of widths, got {self.hidden!r}") from None
         problems = []
         if not 0.0 < self.gamma < 1.0:
             problems.append(f"gamma must be in (0, 1), got {self.gamma}")
@@ -348,10 +363,11 @@ class TrainerConfig:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 problems.append(f"{name} must be nonnegative and finite, got {value}")
-        if not all(_is_int(w) and w > 0 for w in self.hidden):
+        if not all(_is_int(w) and w > 0 for w in hidden):
             problems.append(f"hidden widths must be positive ints, got {self.hidden}")
         if problems:
             raise ValueError("; ".join(problems))
+        object.__setattr__(self, "hidden", tuple(map(int, hidden)))
 
     def sigma_at(self, episode: int) -> float:
         """Linear anneal over the first sigma_anneal_frac of training. An

@@ -11,7 +11,7 @@ import time
 import tracemalloc
 import warnings
 import zipfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1295,8 +1295,7 @@ class TestCheckpoint:
         arrays, meta = load_checkpoint(path)
         assert meta["train_steps"] == 0
         assert meta["obs_dim"] == 7
-        echoed = meta["config"]
-        assert TrainerConfig(**{**echoed, "hidden": tuple(echoed["hidden"])}) == cfg
+        assert TrainerConfig(**meta["config"]) == cfg
         assert_same_networks_as(learner, arrays)
 
     def test_identical_saves_identical_bytes(self, tmp_path, monkeypatch):
@@ -1689,6 +1688,42 @@ class TestTrainerConfig:
         # in sigma_at, naming no field, and 2.5 or True to anneal over one
         # episode
         with pytest.raises(ValueError, match=f"{field} must be an int"):
+            TrainerConfig(**{field: bad})
+
+    def test_numpy_scalars_and_a_list_hidden_give_plain_values_that_save(self, tmp_path):
+        # save used to raise "Object of type int64 is not JSON serializable"
+        # from the config echo, and a list hidden made hash(cfg) raise
+        cfg = TrainerConfig(batch_size=np.int64(2), buffer_capacity=np.int64(4),
+                            episodes=np.int64(5), hidden=[np.int64(8)], gamma=np.float32(0.9))
+        plain = TrainerConfig(batch_size=2, buffer_capacity=4, episodes=5, hidden=(8,),
+                              gamma=float(np.float32(0.9)))
+        assert cfg == plain and hash(cfg) == hash(plain)
+        for field in fields(cfg):
+            assert type(getattr(cfg, field.name)) in (int, float, tuple), field.name
+        assert type(cfg.hidden[0]) is int
+        learner = DdpgLearner(obs_dim=3, cfg=cfg, rng=np.random.default_rng(23))
+        path = tmp_path / "numpy.ckpt"
+        learner.save(path)
+        arrays, meta = load_checkpoint(path)
+        assert TrainerConfig(**meta["config"]) == cfg  # JSON gives hidden as a list
+        assert_same_networks_as(learner, arrays)
+        reloaded = ActorPolicy.from_checkpoint(path)
+        obs = np.random.default_rng(24).standard_normal((2, 3))
+        assert reloaded.act(obs).tobytes() == ActorPolicy(learner.actor).act(obs).tobytes()
+
+    @pytest.mark.parametrize("hidden", [8, None, 2.5])
+    def test_hidden_must_be_a_sequence(self, hidden):
+        # hidden=8 used to raise a bare "'int' object is not iterable"
+        with pytest.raises(ValueError, match="hidden must be a sequence of widths"):
+            TrainerConfig(hidden=hidden)
+
+    @pytest.mark.parametrize("bad", ["0.1", None, True])
+    @pytest.mark.parametrize("field", ["critic_lr", "actor_lr", "gamma", "tau", "sigma_start",
+                                       "sigma_end", "sigma_anneal_frac"])
+    def test_rates_discount_and_sigmas_must_be_real_numbers(self, field, bad):
+        # a str raised a bare TypeError from the range check, and tau=True
+        # was accepted as 1
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
             TrainerConfig(**{field: bad})
 
     def test_actor_final_scale_is_fixed(self):

@@ -1,0 +1,209 @@
+"""``streamform.env`` steps bit for bit like the benchmark's episode loop.
+
+The benchmark under perfbench/ still runs its own copy of the episode loop
+(``episode.Workload``). Until it drives ``streamform.env``, these tests hold
+the two copies equal: at seed 7, over the digest's windows, every step's
+observation rows, costs, episode end, actions and agent states, and for
+``train`` the four networks after a learner driven in ``Workload``'s order.
+"""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from streamform import env
+from streamform.ddpg import ACTION_DIM, ActorPolicy, DdpgLearner, TrainerConfig, init_mlp
+from trajectory_digest import DEFAULT_SEED, DEFAULT_STEPS
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import adapter  # noqa: E402
+import episode  # noqa: E402
+
+
+def _states(agents) -> bytes:
+    return np.array([(s.position.x, s.position.y, s.v, s.alpha, s.omega) for s in agents]).tobytes()
+
+
+def _step_record(obs, costs, end, actions, agents) -> tuple:
+    """What one env step produced: ``end`` is None, or whether the episode
+    ended in a collision; a step that ends moves no agent."""
+    if end is not None:
+        return obs.tobytes(), costs.tobytes(), end, None, None
+    return obs.tobytes(), costs.tobytes(), None, actions.tobytes(), _states(agents)
+
+
+def _workload_run(name, steps, tmp_path, monkeypatch):
+    """Per-step records of ``episode.Workload``, from its construction on,
+    read through the adapter calls it makes; and the learner, if any."""
+    records, cur = [], {}
+
+    def begin():
+        cur.clear()
+        cur.update(inside=[], avoid=[], track=[], states=[], end=None)
+
+    def finish():
+        # the cost line of Workload.step, from the parts its adapter calls returned
+        costs = np.array([
+            episode.W_TRACK * c_track + episode.W_AVOID * c_avoid
+            + (episode.COLLISION_COST if inside else 0.0)
+            for inside, c_avoid, c_track in zip(cur["inside"], cur["avoid"], cur["track"], strict=True)
+        ])
+        states = np.array(cur["states"]).tobytes() if cur["states"] else None
+        actions = None if cur["end"] is not None else cur["actions"].tobytes()
+        records.append((cur["observations"].tobytes(), costs.tobytes(), cur["end"], actions, states))
+
+    def wrap(fn, keep):
+        def wrapped(*args):
+            out = fn(*args)
+            keep(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(adapter, "raycast", wrap(adapter.raycast,
+                                                 lambda scan: cur["inside"].append(scan.agent_inside)))
+    monkeypatch.setattr(adapter, "stream_update", wrap(adapter.stream_update,
+                                                       lambda out: cur["avoid"].append(out.cost)))
+    monkeypatch.setattr(adapter, "apf_cost", wrap(adapter.apf_cost, lambda c: cur["avoid"].append(c)))
+    monkeypatch.setattr(adapter, "formation_cost", wrap(adapter.formation_cost,
+                                                        lambda out: cur["track"].append(out[1])))
+    monkeypatch.setattr(adapter, "agent_step", wrap(adapter.agent_step, lambda s: cur["states"].append(
+        (s.position.x, s.position.y, s.v, s.alpha, s.omega))))
+    check_finite = episode._check_finite
+
+    def keep_checked(values, what, stats):
+        cur[what] = np.array(values)
+        check_finite(values, what, stats)
+
+    monkeypatch.setattr(episode, "_check_finite", keep_checked)
+
+    class Recorded(episode.Workload):
+        def step(self):
+            begin()
+            super().step()
+            finish()
+
+        def end_episode(self, collided):
+            cur["end"] = bool(collided)
+            super().end_episode(collided)
+
+    wl = Recorded(name, DEFAULT_SEED, tmp_path)
+    for _ in range(steps):
+        wl.step()
+    return records, wl.learner
+
+
+def _env_run(name, steps):
+    """The same records from ``streamform.env``, with the controller and the
+    learner driven in ``Workload``'s order: prefill, warm-up updates, then
+    per step sense, record, act, move and train."""
+    e = env.Env(env.SPECS[name], DEFAULT_SEED)
+    cfg = TrainerConfig()
+    learner = policy = None
+    if e.spec.controller == "learner":
+        learner = DdpgLearner(env.OBS_DIM, cfg, e.init_rng)
+    elif e.spec.controller == "actor":
+        policy = ActorPolicy(init_mlp([env.OBS_DIM, *cfg.hidden, ACTION_DIM], e.init_rng,
+                                      cfg.actor_final_scale))
+    records = []
+    episode_no, prev, training = 0, None, False
+
+    def one_step():
+        nonlocal episode_no, prev
+        obs, costs, collided, ended = e.sense()
+        if learner is not None and prev is not None:
+            prev_obs, prev_actions = prev
+            for k in range(e.n_followers):
+                learner.record(prev_obs[k], prev_actions[k], costs[k], obs[k], collided)
+        if ended:
+            records.append(_step_record(obs, costs, bool(collided), None, None))
+            episode_no += 1
+            prev = None
+            e.reset()
+            return
+        if learner is not None:
+            actions = learner.act(obs, cfg.sigma_at(episode_no), e.policy_rng)
+        elif policy is not None:
+            actions = policy.act(obs)
+        else:
+            actions = e.scripted_actions(obs)
+        e.move(actions)
+        prev = obs, actions
+        records.append(_step_record(obs, costs, None, actions, e.agents))
+        if training:
+            learner.train_step(e.train_rng)
+
+    if learner is not None:
+        while not learner.ready():
+            one_step()
+        for _ in range(episode.WARMUP_TRAIN_STEPS):
+            learner.train_step(e.train_rng)
+        training = True
+    for _ in range(steps):
+        one_step()
+    return records, learner
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_STEPS))
+def test_env_steps_bit_for_bit_like_the_benchmark_workload(name, tmp_path, monkeypatch):
+    steps = DEFAULT_STEPS[name]
+    want, want_learner = _workload_run(name, steps, tmp_path, monkeypatch)
+    got, got_learner = _env_run(name, steps)
+    assert len(got) == len(want)
+    fields = ("observation rows", "costs", "episode end", "actions", "agent states")
+    for i, (g, w) in enumerate(zip(got, want)):
+        for field, gv, wv in zip(fields, g, w):
+            assert gv == wv, f"{name}: step {i} differs in its {field}"
+    # the window past construction holds at least one episode end
+    assert any(end is not None for _, _, end, _, _ in got[-steps:])
+    if want_learner is not None:
+        want_nets, got_nets = want_learner.network_arrays(), got_learner.network_arrays()
+        assert sorted(got_nets) == sorted(want_nets)
+        for key, w in want_nets.items():
+            g = got_nets[key]
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), key
+
+
+def _loaded_modules(code: str) -> set:
+    """Names in ``sys.modules`` after ``code`` runs in a fresh, isolated
+    interpreter whose only added path is ``src/``."""
+    setup = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+    report = "\nprint('\\n'.join(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", setup + code + report],
+                         capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def _adapter_package_imports() -> list:
+    """The ``streamform`` modules that perfbench/adapter.py imports, read
+    from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "adapter.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            if node.module == "streamform":
+                names.update(f"streamform.{a.name}" for a in node.names)
+    return sorted(n for n in names if n.split(".")[0] == "streamform")
+
+
+def test_env_loads_no_benchmark_module():
+    loaded = _loaded_modules("import streamform.env")
+    assert "streamform.env" in loaded
+    assert not loaded & {"adapter", "episode", "run", "spans"}
+
+
+def test_the_benchmarks_package_imports_do_not_load_the_env():
+    # loading the env there would add to the benchmark's import time
+    modules = _adapter_package_imports()
+    assert "streamform.ddpg" in modules and "streamform.sensing" in modules
+    loaded = _loaded_modules("\n".join(f"import {m}" for m in modules))
+    assert set(modules) <= loaded
+    assert "streamform.env" not in loaded

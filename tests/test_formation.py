@@ -122,6 +122,29 @@ class TestFormationSpec:
         assert spec.offsets[0].x == pytest.approx(2.1)
         assert spec.offsets[1].y == pytest.approx(2.1)
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, "4", None])
+    def test_circle_needs_an_int_count_of_at_least_one(self, n):
+        # 0 and -3 gave a formation with no followers, 2.5 a bare TypeError
+        with pytest.raises(ValueError, match="n_followers must be an int of at least 1"):
+            FormationSpec.circle(n, 1.0)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan, "1", None])
+    def test_circle_needs_a_positive_finite_radius(self, radius):
+        # radius -1.0 put follower k of 4 in follower k+2's slot
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            FormationSpec.circle(4, radius)
+
+    @pytest.mark.parametrize("n, radius", [(4, 1.0), (8, 1.2)])
+    def test_circle_keeps_its_bits_and_plain_values(self, n, radius):
+        want = [
+            (radius * math.cos(2 * math.pi * k / n)).hex() + (radius * math.sin(2 * math.pi * k / n)).hex()
+            for k in range(n)
+        ]
+        for args in ((n, radius), (np.int64(n), np.float64(radius))):
+            offsets = FormationSpec.circle(*args).offsets
+            assert [o.x.hex() + o.y.hex() for o in offsets] == want
+            assert all(type(o.x) is float and type(o.y) is float for o in offsets)
+
     def test_duplicate_offsets_rejected(self):
         with pytest.raises(ValueError):
             FormationSpec((Vec2(1, 0), Vec2(1, 0)))
