@@ -306,12 +306,17 @@ def _is_int(value) -> bool:
 class TrainerConfig:
     """The learner's settings. ``actor_final_scale`` is fixed at DDPG's
     +-3e-3 (Lillicrap et al., arXiv:1509.02971), the scale ``init_mlp`` gives
-    the critic too; no caller varies it. A ``batch_size``,
-    ``buffer_capacity`` or ``episodes`` that is not an int, a rate, discount
-    or sigma that is not a real number, a ``hidden`` that is not a sequence,
-    or a field out of its range, raises ValueError naming it. The fields
-    hold plain ``int``, ``float`` and a tuple of ``int``, so a config built
-    from numpy scalars or a list hashes and saves like any other."""
+    the critic too. The exploration schedule is fixed as well: ``sigma_at``
+    anneals the noise scale from ``sigma_start`` to ``sigma_end`` over the
+    first ``sigma_anneal_frac`` of the episodes, as DDPG and TD3 (Fujimoto
+    et al., arXiv:1802.09477) fix their exploration noise rather than tune it
+    per run. No caller varies these four; they satisfy 0 <= sigma_end <=
+    sigma_start < inf and 0 < sigma_anneal_frac <= 1, which a test pins. A
+    ``batch_size``, ``buffer_capacity`` or ``episodes`` that is not an int, a
+    rate or discount that is not a real number, a ``hidden`` that is not a
+    sequence, or a field out of its range, raises ValueError naming it. The
+    fields hold plain ``int``, ``float`` and a tuple of ``int``, so a config
+    built from numpy scalars or a list hashes and saves like any other."""
 
     critic_lr: float = 1e-3
     actor_lr: float = 1e-4
@@ -320,11 +325,11 @@ class TrainerConfig:
     tau: float = 0.005
     buffer_capacity: int = 1_000_000
     episodes: int = 30_000
-    sigma_start: float = 0.3
-    sigma_end: float = 0.05
-    sigma_anneal_frac: float = 0.5
     hidden: tuple[int, ...] = (64, 128, 128)
     actor_final_scale: ClassVar[float] = 3e-3
+    sigma_start: ClassVar[float] = 0.3
+    sigma_end: ClassVar[float] = 0.05
+    sigma_anneal_frac: ClassVar[float] = 0.5
 
     def __post_init__(self):
         for name in ("batch_size", "buffer_capacity", "episodes"):
@@ -332,8 +337,7 @@ class TrainerConfig:
             if not _is_int(value):
                 raise ValueError(f"{name} must be an int, got {value!r}")
             object.__setattr__(self, name, int(value))
-        for name in ("critic_lr", "actor_lr", "gamma", "tau", "sigma_start", "sigma_end",
-                     "sigma_anneal_frac"):
+        for name in ("critic_lr", "actor_lr", "gamma", "tau"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and not isinstance(value, bool)):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
@@ -357,12 +361,6 @@ class TrainerConfig:
             problems.append("buffer_capacity must be at least batch_size")
         if self.episodes < 0:
             problems.append(f"episodes must be nonnegative, got {self.episodes}")
-        if not 0.0 <= self.sigma_anneal_frac <= 1.0:
-            problems.append("sigma_anneal_frac must be in [0, 1]")
-        for name in ("sigma_start", "sigma_end"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                problems.append(f"{name} must be nonnegative and finite, got {value}")
         if not all(_is_int(w) and w > 0 for w in hidden):
             problems.append(f"hidden widths must be positive ints, got {self.hidden}")
         if problems:
@@ -386,11 +384,14 @@ class ReplayBuffer:
     done]``, in ``DTYPE``; ``fields`` gives the column views. One
     allocation, not five: at the default capacity (about 180 MB) it is far
     above glibc's mmap threshold (at most 32 MB), so it is mapped lazily and
-    only written rows become resident. Per-field arrays of 4-12 MB could fall
-    below a threshold raised by a freed learner and come from reused heap,
-    where calloc zero-fills, and so makes resident, every page. A
-    ``capacity`` or ``obs_dim`` that is not a positive int raises ValueError
-    naming it.
+    pages become resident as rows are written: 2 MB at a time where
+    transparent huge pages honour numpy's huge-page advice on blocks of 4 MB
+    and more, so the resident size steps by 2 MB as the rows cross each
+    huge-page boundary, wherever the block's offset puts it. Per-field
+    arrays of 4-12 MB could fall below a threshold raised by a freed learner
+    and come from reused heap, where calloc zero-fills, and so makes
+    resident, every page. A ``capacity`` or ``obs_dim`` that is not a
+    positive int raises ValueError naming it.
     """
 
     FIELDS = ("obs", "act", "rew", "obs_next", "done")

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -95,37 +94,45 @@ OBSTACLE_RADII = (0.1, 0.25)
 # formation slot
 STREAM_GAIN, HEADING_GAIN, LOOKAHEAD, ACCEL_SHARE = 3.0, 2.0, 1.0, 0.4
 
-def stream_sides(scan: LidarScan, avoider: StreamAvoider) -> tuple[list, float]:
-    """Four features per side, left then right, and the avoidance cost, from
-    the stream avoider, which keeps each side's desired stream value across
-    steps."""
-    out = avoider.update(scan)
-    feats = []
-    for state, rd in zip(out.states, out.readings):
-        if rd is None:
-            feats += [0.0, 0.0, 0.0, 0.0]
-            continue
-        e = rd.c_current - state.c_desired
-        feats += [1.0, e, 1.0 / rd.m_distance - 1.0 / STREAM.d_risk, rd.inner_angle]
-    return feats, out.cost
+class StreamSides:
+    """One follower's stream side reading. It owns the StreamAvoider that
+    keeps each side's desired stream value across steps, so a fresh reading
+    starts with both sides clear."""
+
+    def __init__(self):
+        self._avoider = StreamAvoider(STREAM)
+
+    def read(self, scan: LidarScan) -> tuple[list, float]:
+        """Four features per side, left then right, and the avoidance cost."""
+        out = self._avoider.update(scan)
+        feats = []
+        for state, rd in zip(out.states, out.readings):
+            if rd is None:
+                feats += [0.0, 0.0, 0.0, 0.0]
+                continue
+            e = rd.c_current - state.c_desired
+            feats += [1.0, e, 1.0 / rd.m_distance - 1.0 / STREAM.d_risk, rd.inner_angle]
+        return feats, out.cost
 
 
-def apf_sides(scan: LidarScan, avoider: StreamAvoider) -> tuple[list, float]:
-    """Four features per side, left then right, and the avoidance cost, from
-    the APF baseline, which reads each side's shortest ray and keeps no
-    memory: ``avoider`` is left untouched."""
-    lhs, rhs = split_sides(detect_intervals(scan, STREAM.d_risk), scan)
-    feats, dists = [], []
-    for interval, inner in ((lhs, 0), (rhs, 1)):
-        if interval is None:
-            feats += [0.0, 0.0, 0.0, 0.0]
-            dists.append(None)
-            continue
-        start, end = interval
-        d = max(float(scan.distances[start : end + 1].min()), MIN_SIDE_DISTANCE)
-        dists.append(d)
-        feats += [1.0, 0.0, 1.0 / d - 1.0 / STREAM.d_risk, float(scan.angles[interval[inner]])]
-    return feats, apf_cost(dists, APF)
+class ApfSides:
+    """One follower's APF side reading, the baseline: it reads each side's
+    shortest ray and keeps no memory."""
+
+    def read(self, scan: LidarScan) -> tuple[list, float]:
+        """Four features per side, left then right, and the avoidance cost."""
+        lhs, rhs = split_sides(detect_intervals(scan, STREAM.d_risk), scan)
+        feats, dists = [], []
+        for interval, inner in ((lhs, 0), (rhs, 1)):
+            if interval is None:
+                feats += [0.0, 0.0, 0.0, 0.0]
+                dists.append(None)
+                continue
+            start, end = interval
+            d = max(float(scan.distances[start : end + 1].min()), MIN_SIDE_DISTANCE)
+            dists.append(d)
+            feats += [1.0, 0.0, 1.0 / d - 1.0 / STREAM.d_risk, float(scan.angles[interval[inner]])]
+        return feats, apf_cost(dists, APF)
 
 
 def _lattice(side: int, spacing: float) -> tuple:
@@ -148,23 +155,23 @@ class Spec:
     n_obstacles: int
     field_box: tuple[float, float, float]  # x_min, x_max, |y| max of obstacle centres
     connection_zone: float
-    avoidance: Callable[[LidarScan, StreamAvoider], tuple[list, float]]  # stream_sides or apf_sides
+    avoidance: type[StreamSides | ApfSides]  # Env.reset builds one per follower
     controller: str  # "learner", "scripted" or "actor"; the caller's to run
 
 
 SPECS = {
     "train": Spec(FormationSpec.circle(4, 1.0).offsets, 40, (2.0, 10.0, 4.0), 3.0,
-                  stream_sides, "learner"),
+                  StreamSides, "learner"),
     "obstacle_course": Spec(FormationSpec.circle(8, 1.2).offsets, 120, (2.0, 10.0, 4.0), 3.0,
-                            stream_sides, "scripted"),
+                            StreamSides, "scripted"),
     # 7x7 lattice, 0.8 m apart; a 1.2 m zone links lattice and diagonal
     # neighbours, so the corners hear the navigator only by relay
-    "swarm": Spec(_lattice(7, 0.8), 20, (4.0, 12.0, 6.0), 1.2, apf_sides, "actor"),
+    "swarm": Spec(_lattice(7, 0.8), 20, (4.0, 12.0, 6.0), 1.2, ApfSides, "actor"),
 }
 
 
 class Env:
-    """One formation's world, agents and side memories.
+    """One formation's world, agents and side readings.
 
     ``SeedSequence(seed).spawn(5)`` gives five generators, in this order:
     ``world_rng`` draws each episode's obstacles and ``noise_rng`` the lidar
@@ -182,11 +189,11 @@ class Env:
         self.policy_rng = np.random.default_rng(policy_ss)
         self.train_rng = np.random.default_rng(train_ss)
         self.init_rng = np.random.default_rng(init_ss)
-        self.avoiders = [StreamAvoider(STREAM) for _ in range(self.n_followers)]
         self.reset()
 
     def reset(self) -> None:
-        """Start an episode: a fresh obstacle field, agents in their slots."""
+        """Start an episode: a fresh obstacle field, agents in their slots,
+        and a fresh side reading per follower."""
         x0, x1, y_max = self.spec.field_box
         n = self.spec.n_obstacles
         radii = self.world_rng.uniform(*OBSTACLE_RADII, n)
@@ -198,8 +205,7 @@ class Env:
         self.agents = [AgentState(Vec2(0.0, 0.0), v0, 0.0, 0.0)] + [
             AgentState(off, v0, 0.0, 0.0) for off in self.spec.offsets
         ]
-        for av in self.avoiders:
-            av.reset()
+        self.sides = [self.spec.avoidance() for _ in range(self.n_followers)]
         self.prev_actions = np.tile(NAV_ACTION, (self.n_followers, 1))
         self.t = 0
 
@@ -220,7 +226,7 @@ class Env:
             world_k = self.world.extended(np.delete(centers, k + 1, axis=0), body_radii)
             scan = raycast(a.position, a.alpha, world_k, LIDAR, self.noise_rng)
             collided |= scan.agent_inside
-            sides, c_avoid = spec.avoidance(scan, self.avoiders[k])
+            sides, c_avoid = self.sides[k].read(scan)
             e = tracking_error(a.position - nav, spec.offsets[k])
             costs[k] = (W_TRACK * tracking_cost(e, TRACKING) + W_AVOID * c_avoid
                         + (COLLISION_COST if scan.agent_inside else 0.0))

@@ -3,7 +3,7 @@ for comparing two trees.
 
     python3 tests/learner_timing.py
 
-prints five lines:
+prints five medians, then the machine they ran on:
 
 - ``train_step_ms <median>``: ``DdpgLearner.train_step`` of a learner with
   the default ``TrainerConfig`` (batch 1024), seed 0 and the benchmark's
@@ -15,7 +15,11 @@ prints five lines:
   actor on 48 observation rows, the greedy pass of the swarm workload;
 - ``checkpoint_save_ms <median>`` and ``checkpoint_load_ms <median>``:
   ``save_checkpoint`` of the same learner's ``network_arrays()`` to a file in
-  a temporary directory, and ``load_checkpoint`` of that file.
+  a temporary directory, and ``load_checkpoint`` of that file;
+- ``machine.<key> <value>`` lines: the Python and numpy versions, the BLAS
+  numpy was built with and its version, ``os.cpu_count()``, the
+  ``OPENBLAS_NUM_THREADS`` setting (``unset`` when it is not set) and the
+  learner's ``DTYPE``, so that two trees' medians show what each ran on.
 
 Each median is over ``CALLS`` calls, each timed alone with
 ``time.perf_counter`` after ``WARMUP`` untimed ones. To compare a change with
@@ -26,6 +30,8 @@ to run on a busy host.
 
 from __future__ import annotations
 
+import os
+import platform
 import statistics
 import sys
 import tempfile
@@ -39,7 +45,7 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from streamform.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
-from streamform.ddpg import ACTION_DIM, ActorPolicy, DdpgLearner, TrainerConfig  # noqa: E402
+from streamform.ddpg import ACTION_DIM, DTYPE, ActorPolicy, DdpgLearner, TrainerConfig  # noqa: E402
 
 OBS_DIM = 20  # the observation width of the benchmark's workloads
 ACT_ROWS = 4
@@ -83,9 +89,25 @@ def measure() -> dict[str, float]:
         }
 
 
+def machine() -> dict[str, str]:
+    """The machine the medians ran on, keyed as printed."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "machine.python": platform.python_version(),
+        "machine.numpy": np.__version__,
+        "machine.blas": str(blas.get("name")),
+        "machine.blas_version": str(blas.get("version")),
+        "machine.cpu_count": str(os.cpu_count()),
+        "machine.openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+        "machine.dtype": np.dtype(DTYPE).name,
+    }
+
+
 def main() -> None:
     for name, value in measure().items():
         print(f"{name} {value:.3f}")
+    for name, value in machine().items():
+        print(f"{name} {value}")
 
 
 if __name__ == "__main__":

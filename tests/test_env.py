@@ -1,4 +1,6 @@
-"""``streamform.env`` steps bit for bit like the benchmark's episode loop.
+"""``streamform.env`` steps bit for bit like the benchmark's episode loop,
+builds only the side memory its reading uses, and keeps a follower's row
+local to its own lidar reach.
 
 The benchmark under perfbench/ still runs its own copy of the episode loop
 (``episode.Workload``). Until it drives ``streamform.env``, these tests hold
@@ -8,15 +10,19 @@ observation rows, costs, episode end, actions and agent states, and for
 """
 
 import ast
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamform import env
 from streamform.ddpg import ACTION_DIM, ActorPolicy, DdpgLearner, TrainerConfig, init_mlp
+from streamform.sensing import REACH_MARGIN, LidarConfig, ObstacleSet
+from streamform.stream_avoid import StreamAvoider
 from trajectory_digest import DEFAULT_SEED, DEFAULT_STEPS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -167,6 +173,58 @@ def test_env_steps_bit_for_bit_like_the_benchmark_workload(name, tmp_path, monke
         for key, w in want_nets.items():
             g = got_nets[key]
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), key
+
+
+@pytest.mark.parametrize("name, per_reading", [("swarm", 0), ("train", 1)])
+def test_env_builds_an_avoider_only_for_a_stream_reading(name, per_reading, monkeypatch):
+    # an APF spec used to build a StreamAvoider per follower (48 on swarm)
+    # that apf_sides never read; a stream reading gets a fresh one per episode
+    built = []
+
+    class Counted(StreamAvoider):
+        def __init__(self, params):
+            built.append(self)
+            super().__init__(params)
+
+    monkeypatch.setattr(env, "StreamAvoider", Counted)
+    e = env.Env(env.SPECS[name], DEFAULT_SEED)
+    e.sense()
+    e.reset()
+    assert len(built) == 2 * per_reading * e.n_followers
+
+
+CIRCLE_RADIUS = st.floats(0.05, 1.0)
+
+
+@pytest.mark.parametrize("name", ["train", "obstacle_course"])
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_circles_out_of_reach_leave_a_followers_row_and_cost(name, seed, data):
+    # with the lidar noise off, circles farther than d_max + r + REACH_MARGIN
+    # from follower k are outside its inputs: its first row and cost are the
+    # same bit for bit. Both worlds share circles drawn near the formation,
+    # so k's sides may be engaged; the far world lists the out-of-reach
+    # circles first, so that an index into the wrong circle list shows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(env, "LIDAR", LidarConfig(noise_std=0.0))
+        near, far = env.Env(env.SPECS[name], seed), env.Env(env.SPECS[name], seed)
+        k = data.draw(st.integers(0, near.n_followers - 1), label="k")
+        shared = data.draw(st.lists(st.tuples(st.floats(-3.0, 4.0), st.floats(-3.0, 3.0),
+                                              CIRCLE_RADIUS), max_size=3), label="shared")
+        outside = data.draw(st.lists(st.tuples(st.floats(-math.pi, math.pi),
+                                               st.floats(1e-6, 3.0), CIRCLE_RADIUS),
+                                     min_size=1, max_size=4), label="outside")
+        p, added = near.agents[k + 1].position, []
+        for theta, gap, r in outside:
+            dist = LidarConfig.d_max + r + REACH_MARGIN + gap
+            added.append((p.x + dist * math.cos(theta), p.y + dist * math.sin(theta), r))
+        world = np.column_stack([near.world.centers, near.world.radii])
+        for e, circles in ((near, [*world, *shared]), (far, [*added, *world, *shared])):
+            circles = np.array(circles)
+            e.world = ObstacleSet(circles[:, :2], circles[:, 2])
+        (obs_a, costs_a, _, _), (obs_b, costs_b, _, _) = near.sense(), far.sense()
+    assert obs_b[k].tobytes() == obs_a[k].tobytes()
+    assert costs_b[k].tobytes() == costs_a[k].tobytes()
 
 
 def _loaded_modules(code: str) -> set:

@@ -1,9 +1,14 @@
-"""The learner timing script runs end to end, as CI runs it."""
+"""The learner timing script runs end to end, as CI runs it, and names its
+machine."""
 
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from streamform.ddpg import DTYPE
 
 SCRIPT = Path(__file__).resolve().parent / "learner_timing.py"
 
@@ -14,9 +19,17 @@ def test_prints_the_five_medians():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == [
+    medians, machine = lines[:5], lines[5:]
+    assert [line.split()[0] for line in medians] == [
         "train_step_ms", "act_us", "policy_act_us", "checkpoint_save_ms", "checkpoint_load_ms"
     ]
-    for line in lines:
+    for line in medians:
         assert re.fullmatch(r"\S+ \d+\.\d{3}", line), line
         assert float(line.split()[1]) > 0.0, line
+    assert [line.split()[0] for line in machine] == [
+        "machine.python", "machine.numpy", "machine.blas", "machine.blas_version",
+        "machine.cpu_count", "machine.openblas_num_threads", "machine.dtype"
+    ]
+    for line in machine:
+        assert re.fullmatch(r"\S+ \S.*", line), line
+    assert machine[-1] == f"machine.dtype {np.dtype(DTYPE).name}"
