@@ -37,10 +37,19 @@ class Limits:
 
 @dataclass(frozen=True)
 class AgentState:
+    """One agent's pose and rates. A ``v``, ``alpha`` or ``omega`` that is not
+    finite raises ValueError naming it; ``position`` is a Vec2, finite too."""
+
     position: Vec2 = Vec2(0.0, 0.0)
     v: float = 0.0
     alpha: Angle = 0.0
     omega: float = 0.0
+
+    def __post_init__(self):
+        for name in ("v", "alpha", "omega"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"AgentState.{name} must be finite, got {value!r}")
 
 
 def arc_displacement(v: float, alpha: float, omega: float, dt: float) -> tuple[float, float]:
@@ -64,20 +73,12 @@ def step(state: AgentState, u: tuple[float, float], dt: float, limits: Limits) -
     The position moves along the arc defined by the current (v, alpha,
     omega); v, alpha, omega then integrate the controls, each saturated to
     its bound in ``limits``. A dt that is not positive and finite, or a
-    non-finite state or control value, raises ValueError naming it.
+    non-finite control value, raises ValueError naming it.
     """
     accel, angular_accel = u
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    for name, value in (
-        ("state.position.x", state.position.x),
-        ("state.position.y", state.position.y),
-        ("state.v", state.v),
-        ("state.alpha", state.alpha),
-        ("state.omega", state.omega),
-        ("u.accel", accel),
-        ("u.angular_accel", angular_accel),
-    ):
+    for name, value in (("u.accel", accel), ("u.angular_accel", angular_accel)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     accel = min(max(accel, -limits.a_max), limits.a_max)

@@ -18,9 +18,6 @@ class FormationSpec:
     offsets: tuple[Vec2, ...]
 
     def __post_init__(self):
-        for off in self.offsets:
-            if not off.is_finite():
-                raise ValueError(f"offset {off} must be finite")
         seen = {(o.x, o.y) for o in self.offsets}
         if len(seen) != len(self.offsets):
             raise ValueError("follower offsets must be distinct")

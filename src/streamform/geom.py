@@ -27,10 +27,17 @@ COLLINEAR_AREA_EPS = 1e-9
 
 @dataclass(frozen=True)
 class Vec2:
-    """Immutable 2-D vector in meters."""
+    """Immutable 2-D vector in meters. A coordinate that is not finite
+    raises ValueError naming it, so no function re-checks a Vec2."""
 
     x: float
     y: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.x):
+            raise ValueError(f"Vec2.x must be finite, got {self.x!r}")
+        if not math.isfinite(self.y):
+            raise ValueError(f"Vec2.y must be finite, got {self.y!r}")
 
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
@@ -40,9 +47,6 @@ class Vec2:
 
     def norm_sq(self) -> float:
         return self.x * self.x + self.y * self.y
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y)
 
 
 def wrap_angle(raw: float) -> Angle:

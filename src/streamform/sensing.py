@@ -129,11 +129,9 @@ def raycast(
     when ``cfg.noise_std`` is positive; results are clamped to [d_min,
     d_max]. If the agent center lies inside an obstacle every ray reads
     d_min and ``agent_inside`` is set. Circles out of reach (see
-    REACH_MARGIN) are dropped before the ray work. A non-finite position or
-    heading raises ValueError.
+    REACH_MARGIN) are dropped before the ray work. A non-finite heading
+    raises ValueError; a Vec2 position is finite when it is built.
     """
-    if not position.is_finite():
-        raise ValueError(f"raycast position {position} must be finite")
     if not math.isfinite(heading):
         raise ValueError(f"raycast heading {heading!r} must be finite")
     n = cfg.n_rays
@@ -248,8 +246,8 @@ def neighbor_observations(positions: list[Vec2], connection_zone: float) -> Comm
     Agent 0 is the navigator; its broadcast (distance and bearing from the
     navigator to each follower) is relayed through the network, so every
     follower in the navigator's connected component receives it. An empty
-    ``positions``, a non-finite position, or a connection zone that is not
-    positive, raises ValueError.
+    ``positions``, or a connection zone that is not positive, raises
+    ValueError.
     """
     if not connection_zone > 0.0:
         raise ValueError(f"connection_zone must be positive, got {connection_zone!r}")
@@ -257,9 +255,6 @@ def neighbor_observations(positions: list[Vec2], connection_zone: float) -> Comm
         raise ValueError("positions is empty: agent 0, the navigator, is required")
     n = len(positions)
     pts = np.array([[p.x, p.y] for p in positions])
-    if not np.isfinite(pts).all():
-        bad = [i for i, p in enumerate(positions) if not p.is_finite()]
-        raise ValueError(f"positions of agents {bad} must be finite")
     diff = pts[None, :, :] - pts[:, None, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     adjacency = (dist <= connection_zone) & ~np.eye(n, dtype=bool)

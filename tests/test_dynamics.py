@@ -156,13 +156,14 @@ def test_non_finite_control_rejected(field, bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("field", ["position.x", "position.y", "v", "alpha", "omega"])
 def test_non_finite_state_rejected(field, bad):
-    # v = nan used to return an all-NaN state, alpha = inf a bare "math domain error"
+    # v = nan used to step to an all-NaN state, alpha = inf to a bare "math
+    # domain error"; such a state is now refused as it is built
     values = {"position.x": 0.3, "position.y": -0.2, "v": 0.4, "alpha": 1.1, "omega": -0.1}
     values[field] = bad
     x, y = values.pop("position.x"), values.pop("position.y")
-    state = AgentState(Vec2(x, y), **values)
-    with pytest.raises(ValueError, match=re.escape(f"state.{field} must be finite")):
-        step(state, NO_U, 0.1, LIM)
+    name = {"position.x": "Vec2.x", "position.y": "Vec2.y"}.get(field, f"AgentState.{field}")
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")):
+        AgentState(Vec2(x, y), **values)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])

@@ -7,6 +7,17 @@ from hypothesis import given, strategies as st
 from streamform.geom import DegenerateTriangle, Vec2, circumcenter, wrap_angle
 
 
+class TestVec2:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_non_finite_coordinate_names_its_field(self, field, bad):
+        # raycast, neighbor_observations, FormationSpec and dynamics.step
+        # each used to re-check their positions
+        xy = {"x": 1.0, "y": -2.0, field: bad}
+        with pytest.raises(ValueError, match=rf"Vec2\.{field} must be finite"):
+            Vec2(**xy)
+
+
 class TestWrapAngle:
     def test_identity(self):
         assert wrap_angle(0.0) == 0.0

@@ -174,14 +174,16 @@ class TestRaycast:
 
     @pytest.mark.parametrize(
         "position, heading, name",
-        [(Vec2(math.nan, 0.0), 0.0, "position"), (Vec2(0.0, math.inf), 0.0, "position"),
-         (Vec2(0.0, 0.0), math.nan, "heading")],
+        [((math.nan, 0.0), 0.0, "position"), ((0.0, math.inf), 0.0, "position"),
+         ((0.0, 0.0), math.nan, "heading")],
     )
     def test_non_finite_position_or_nan_heading_raises(self, position, heading, name):
-        # a NaN pose used to give a blind scan: every ray at d_max, not inside
+        # a NaN pose used to give a blind scan: every ray at d_max, not inside.
+        # The position is refused as a Vec2 is built, the heading by raycast
         obs = ObstacleSet([[1.0, 0.0]], [0.3])
-        with pytest.raises(ValueError, match=f"raycast {name}"):
-            raycast(position, heading, obs, CFG, RNG)
+        match = {"position": r"Vec2\.[xy] must be finite", "heading": "raycast heading"}[name]
+        with pytest.raises(ValueError, match=match):
+            raycast(Vec2(*position), heading, obs, CFG, RNG)
 
     @pytest.mark.parametrize("heading", [math.inf, -math.inf])
     def test_infinite_heading_is_named(self, heading):
@@ -575,11 +577,12 @@ class TestNeighborObservations:
         assert d == pytest.approx(2.0)
         assert theta == pytest.approx(math.pi / 2)
 
-    @pytest.mark.parametrize("bad", [Vec2(math.nan, 1.0), Vec2(2.0, -math.inf)])
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (2.0, -math.inf)])
     def test_non_finite_position_raises(self, bad):
-        # a NaN position used to drop that agent's links and broadcast
-        with pytest.raises(ValueError, match=r"positions of agents \[1\] must be finite"):
-            neighbor_observations([Vec2(0, 0), bad, Vec2(1, 0)], 7.0)
+        # a NaN position used to drop that agent's links and broadcast; it
+        # is now refused as its Vec2 is built, before any call
+        with pytest.raises(ValueError, match=r"Vec2\.[xy] must be finite"):
+            neighbor_observations([Vec2(0, 0), Vec2(*bad), Vec2(1, 0)], 7.0)
 
     def test_no_agents_raises(self):
         # an empty list used to raise a bare IndexError
