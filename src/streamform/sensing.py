@@ -128,13 +128,17 @@ def raycast(
     ray misses everything), plus Gaussian range noise drawn from ``rng``
     when ``cfg.noise_std`` is positive; results are clamped to [d_min,
     d_max]. If the agent center lies inside an obstacle every ray reads
-    d_min and ``agent_inside`` is set. Circles out of reach (see
-    REACH_MARGIN) are dropped before the ray work. A non-finite heading
-    raises ValueError; a Vec2 position is finite when it is built.
+    d_min and ``agent_inside`` is set. Every scan with noise on draws its
+    n_rays values, an inside one too, so that one agent's collision leaves
+    the noise of later scans from the same ``rng`` unchanged. Circles out
+    of reach (see REACH_MARGIN) are dropped before the ray work. A
+    non-finite heading raises ValueError; a Vec2 position is finite when
+    it is built.
     """
     if not math.isfinite(heading):
         raise ValueError(f"raycast heading {heading!r} must be finite")
     n = cfg.n_rays
+    noise = rng.normal(0.0, cfg.noise_std, size=n) if cfg.noise_std > 0.0 else None
     rel = obstacles.centers - (position.x, position.y)
     cc = np.einsum("ij,ij->i", rel, rel)
     r2 = obstacles.radii**2
@@ -157,8 +161,8 @@ def raycast(
     d = np.fmin.reduce(b, axis=0, initial=math.inf)
     np.fmin(d, cfg.d_max, out=d)
     np.maximum(d, cfg.d_min, out=d)
-    if cfg.noise_std > 0.0:
-        d += rng.normal(0.0, cfg.noise_std, size=n)
+    if noise is not None:
+        d += noise
         np.minimum(d, cfg.d_max, out=d)
         np.maximum(d, cfg.d_min, out=d)
     return LidarScan(d)

@@ -200,29 +200,37 @@ CIRCLE_RADIUS = st.floats(0.05, 1.0)
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**16), data=st.data())
 def test_circles_out_of_reach_leave_a_followers_row_and_cost(name, seed, data):
-    # with the lidar noise off, circles farther than d_max + r + REACH_MARGIN
-    # from follower k are outside its inputs: its first row and cost are the
-    # same bit for bit. Both worlds share circles drawn near the formation,
-    # so k's sides may be engaged; the far world lists the out-of-reach
-    # circles first, so that an index into the wrong circle list shows
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(env, "LIDAR", LidarConfig(noise_std=0.0))
-        near, far = env.Env(env.SPECS[name], seed), env.Env(env.SPECS[name], seed)
-        k = data.draw(st.integers(0, near.n_followers - 1), label="k")
-        shared = data.draw(st.lists(st.tuples(st.floats(-3.0, 4.0), st.floats(-3.0, 3.0),
-                                              CIRCLE_RADIUS), max_size=3), label="shared")
-        outside = data.draw(st.lists(st.tuples(st.floats(-math.pi, math.pi),
-                                               st.floats(1e-6, 3.0), CIRCLE_RADIUS),
-                                     min_size=1, max_size=4), label="outside")
-        p, added = near.agents[k + 1].position, []
-        for theta, gap, r in outside:
-            dist = LidarConfig.d_max + r + REACH_MARGIN + gap
-            added.append((p.x + dist * math.cos(theta), p.y + dist * math.sin(theta), r))
-        world = np.column_stack([near.world.centers, near.world.radii])
-        for e, circles in ((near, [*world, *shared]), (far, [*added, *world, *shared])):
-            circles = np.array(circles)
-            e.world = ObstacleSet(circles[:, :2], circles[:, 2])
-        (obs_a, costs_a, _, _), (obs_b, costs_b, _, _) = near.sense(), far.sense()
+    # circles farther than d_max + r + REACH_MARGIN from follower k are
+    # outside its inputs: its first row and cost are the same bit for bit,
+    # with the lidar noise on. Some of them swallow another follower out of
+    # k's reach, whose scan then reads inside; an earlier one used to skip
+    # its noise draw and shift k's. Both worlds share circles drawn near the
+    # formation, so k's sides may be engaged; the far world lists the
+    # out-of-reach circles first, so that an index into the wrong circle
+    # list shows
+    near, far = env.Env(env.SPECS[name], seed), env.Env(env.SPECS[name], seed)
+    k = data.draw(st.integers(0, near.n_followers - 1), label="k")
+    shared = data.draw(st.lists(st.tuples(st.floats(-3.0, 4.0), st.floats(-3.0, 3.0),
+                                          CIRCLE_RADIUS), max_size=3), label="shared")
+    outside = data.draw(st.lists(st.tuples(st.floats(-math.pi, math.pi),
+                                           st.floats(1e-6, 3.0), CIRCLE_RADIUS),
+                                 min_size=1, max_size=4), label="outside")
+    p, added = near.agents[k + 1].position, []
+    for theta, gap, r in outside:
+        dist = LidarConfig.d_max + r + REACH_MARGIN + gap
+        added.append((p.x + dist * math.cos(theta), p.y + dist * math.sin(theta), r))
+    swallowed = data.draw(st.sets(st.integers(0, near.n_followers - 1), max_size=2),
+                          label="swallowed")
+    for j in swallowed:
+        q = near.agents[j + 1].position
+        slack = (q - p).norm() - LidarConfig.d_max - REACH_MARGIN
+        if slack > 0.0:
+            added.append((q.x, q.y, 0.5 * slack))
+    world = np.column_stack([near.world.centers, near.world.radii])
+    for e, circles in ((near, [*world, *shared]), (far, [*added, *world, *shared])):
+        circles = np.array(circles)
+        e.world = ObstacleSet(circles[:, :2], circles[:, 2])
+    (obs_a, costs_a, _, _), (obs_b, costs_b, _, _) = near.sense(), far.sense()
     assert obs_b[k].tobytes() == obs_a[k].tobytes()
     assert costs_b[k].tobytes() == costs_a[k].tobytes()
 

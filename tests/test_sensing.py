@@ -56,8 +56,10 @@ def scalar_neighbor_observations(positions, connection_zone):
 
 
 def reference_raycast(position, heading, obstacles, cfg, rng):
-    """Every ray against every circle, no culling: the oracle for ``raycast``."""
+    """Every ray against every circle, no culling: the oracle for ``raycast``.
+    With noise on, every scan draws n_rays values, an inside one too."""
     n = cfg.n_rays
+    noise = rng.normal(0.0, cfg.noise_std, size=n) if cfg.noise_std > 0.0 else 0.0
     if len(obstacles) == 0:
         true_d = np.full(n, cfg.d_max)
         inside = False
@@ -77,9 +79,7 @@ def reference_raycast(position, heading, obstacles, cfg, rng):
         true_d = t.min(axis=1)
         true_d = np.where(np.isfinite(true_d), true_d, cfg.d_max)
     d = np.clip(true_d, cfg.d_min, cfg.d_max)
-    if cfg.noise_std > 0.0:
-        d = d + rng.normal(0.0, cfg.noise_std, size=n)
-        d = np.clip(d, cfg.d_min, cfg.d_max)
+    d = np.clip(d + noise, cfg.d_min, cfg.d_max)
     return LidarScan(d, agent_inside=inside)
 
 
