@@ -444,12 +444,13 @@ class ReplayBuffer:
         self._next = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator, out: np.ndarray):
-        """Uniformly drawn rows, written into the (batch_size, width) array
-        ``out``, as the five field views of it."""
-        if self._size < batch_size:
-            raise ValueError(f"buffer holds {self._size} < batch {batch_size}")
-        idx = rng.integers(0, self._size, size=batch_size)
+    def sample(self, rng: np.random.Generator, out: np.ndarray):
+        """Uniformly drawn rows, written into the (batch, width) array
+        ``out``, as the five field views of it; ``len(out)`` is the batch."""
+        batch = len(out)
+        if self._size < batch:
+            raise ValueError(f"buffer holds {self._size} < batch {batch}")
+        idx = rng.integers(0, self._size, size=batch)
         # every index is in range, and mode="clip" lets take write straight
         # into ``out`` where the default mode would copy through a temporary
         return self.fields(np.take(self.rows, idx, axis=0, out=out, mode="clip"))
@@ -595,7 +596,7 @@ class DdpgLearner:
     def train_step(self, rng: np.random.Generator) -> dict[str, float]:
         cfg, a_bufs, c_bufs = self.cfg, self.actor_bufs, self.critic_bufs
         a_opt, c_opt = self.actor_opt, self.critic_opt
-        obs, act, rew, obs_next, done = self.buffer.sample(cfg.batch_size, rng, self.sample)
+        obs, act, rew, obs_next, done = self.buffer.sample(rng, self.sample)
         targets = compute_td_targets(
             self.target_actor, self.target_critic, rew, obs_next, done, cfg.gamma, a_bufs, c_bufs
         )

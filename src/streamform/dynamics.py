@@ -37,8 +37,8 @@ class Limits:
 
 @dataclass(frozen=True)
 class AgentState:
-    """One agent's pose and rates. A ``v``, ``alpha`` or ``omega`` that is not
-    finite raises ValueError naming it; ``position`` is a Vec2, finite too."""
+    """One agent's pose and rates; a non-finite ``v``, ``alpha`` or ``omega``
+    raises ValueError naming it, as Vec2 does for the position."""
 
     position: Vec2 = Vec2(0.0, 0.0)
     v: float = 0.0

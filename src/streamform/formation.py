@@ -26,11 +26,12 @@ class FormationSpec:
     def circle(cls, n_followers: int, radius: float) -> "FormationSpec":
         """Followers evenly spaced on a circle around the navigator. An
         ``n_followers`` that is not an int of at least 1, or a ``radius`` that
-        is not positive and finite, raises ValueError naming it."""
+        is not a positive finite real, raises ValueError naming it."""
         if not (isinstance(n_followers, (int, np.integer)) and not isinstance(n_followers, bool)
                 and n_followers >= 1):
             raise ValueError(f"n_followers must be an int of at least 1, got {n_followers!r}")
-        if not (isinstance(radius, numbers.Real) and 0.0 < radius < math.inf):
+        if not (isinstance(radius, numbers.Real) and not isinstance(radius, bool)
+                and 0.0 < radius < math.inf):
             raise ValueError(f"radius must be positive and finite, got {radius!r}")
         n_followers, radius = int(n_followers), float(radius)
         offsets = tuple(

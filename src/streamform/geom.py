@@ -27,8 +27,7 @@ COLLINEAR_AREA_EPS = 1e-9
 
 @dataclass(frozen=True)
 class Vec2:
-    """Immutable 2-D vector in meters. A coordinate that is not finite
-    raises ValueError naming it, so no function re-checks a Vec2."""
+    """Immutable 2-D vector in meters; a non-finite coordinate raises ValueError."""
 
     x: float
     y: float

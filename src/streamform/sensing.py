@@ -128,12 +128,10 @@ def raycast(
     ray misses everything), plus Gaussian range noise drawn from ``rng``
     when ``cfg.noise_std`` is positive; results are clamped to [d_min,
     d_max]. If the agent center lies inside an obstacle every ray reads
-    d_min and ``agent_inside`` is set. Every scan with noise on draws its
-    n_rays values, an inside one too, so that one agent's collision leaves
-    the noise of later scans from the same ``rng`` unchanged. Circles out
-    of reach (see REACH_MARGIN) are dropped before the ray work. A
-    non-finite heading raises ValueError; a Vec2 position is finite when
-    it is built.
+    d_min and ``agent_inside`` is set; its noise is drawn all the same, so
+    a collision leaves the noise of later scans from ``rng`` as it was.
+    Circles out of reach (see REACH_MARGIN) are dropped before the ray
+    work. A non-finite heading raises ValueError.
     """
     if not math.isfinite(heading):
         raise ValueError(f"raycast heading {heading!r} must be finite")
@@ -250,8 +248,7 @@ def neighbor_observations(positions: list[Vec2], connection_zone: float) -> Comm
     Agent 0 is the navigator; its broadcast (distance and bearing from the
     navigator to each follower) is relayed through the network, so every
     follower in the navigator's connected component receives it. An empty
-    ``positions``, or a connection zone that is not positive, raises
-    ValueError.
+    ``positions`` or a connection zone that is not positive raises ValueError.
     """
     if not connection_zone > 0.0:
         raise ValueError(f"connection_zone must be positive, got {connection_zone!r}")

@@ -74,7 +74,7 @@ def rows_of(net, x):
 
 def sample_of(buf, n, rng):
     """``n`` rows drawn from ``buf`` into a fresh array, as the field views."""
-    return buf.sample(n, rng, np.empty_like(buf.rows[:n]))
+    return buf.sample(rng, np.empty_like(buf.rows[:n]))
 
 
 def split_like(flat, net):
@@ -601,7 +601,7 @@ class TestReplayLayout:
     def test_sample_writes_the_drawn_rows_into_out(self):
         learner, _ = filled_learner(42)
         buf, n = learner.buffer, learner.cfg.batch_size
-        got = buf.sample(n, np.random.default_rng(43), learner.sample)
+        got = buf.sample(np.random.default_rng(43), learner.sample)
         idx = np.random.default_rng(43).integers(0, len(buf), size=n)
         for a, b in zip(got, buf.fields(buf.rows[idx])):
             assert np.shares_memory(a, learner.sample)
@@ -1033,8 +1033,8 @@ class TestLayerLayout:
         # each returns its scalar and writes every element of the gradient
         # vector it is given, here the one its network's Adam applies
         learner, rng = filled_learner(51)
-        a_bufs, c_bufs, n = learner.actor_bufs, learner.critic_bufs, learner.cfg.batch_size
-        obs, act, rew, *_ = learner.buffer.sample(n, rng, learner.sample)
+        a_bufs, c_bufs = learner.actor_bufs, learner.critic_bufs
+        obs, act, rew, *_ = learner.buffer.sample(rng, learner.sample)
         c_grad, a_grad = learner.critic_opt.grad, learner.actor_opt.grad
         c_grad.fill(np.nan)
         loss = critic_loss_grads(learner.critic, obs, act, rew, c_bufs, c_grad)

@@ -134,6 +134,11 @@ class TestFormationSpec:
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             FormationSpec.circle(4, radius)
 
+    def test_circle_refuses_a_bool_radius(self):
+        # True used to build a 1 m circle, as numbers.Real admits a bool
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            FormationSpec.circle(4, True)
+
     @pytest.mark.parametrize("n, radius", [(4, 1.0), (8, 1.2)])
     def test_circle_keeps_its_bits_and_plain_values(self, n, radius):
         want = [
