@@ -128,16 +128,12 @@ class TestFormationSpec:
         with pytest.raises(ValueError, match="n_followers must be an int of at least 1"):
             FormationSpec.circle(n, 1.0)
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan, "1", None])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan, "1", None, True])
     def test_circle_needs_a_positive_finite_radius(self, radius):
-        # radius -1.0 put follower k of 4 in follower k+2's slot
+        # radius -1.0 put follower k of 4 in follower k+2's slot, and True
+        # (numbers.Real admits a bool) built a 1 m circle
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             FormationSpec.circle(4, radius)
-
-    def test_circle_refuses_a_bool_radius(self):
-        # True used to build a 1 m circle, as numbers.Real admits a bool
-        with pytest.raises(ValueError, match="radius must be positive and finite"):
-            FormationSpec.circle(4, True)
 
     @pytest.mark.parametrize("n, radius", [(4, 1.0), (8, 1.2)])
     def test_circle_keeps_its_bits_and_plain_values(self, n, radius):

@@ -11,8 +11,6 @@ class TestVec2:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["x", "y"])
     def test_non_finite_coordinate_names_its_field(self, field, bad):
-        # raycast, neighbor_observations, FormationSpec and dynamics.step
-        # each used to re-check their positions
         xy = {"x": 1.0, "y": -2.0, field: bad}
         with pytest.raises(ValueError, match=rf"Vec2\.{field} must be finite"):
             Vec2(**xy)
