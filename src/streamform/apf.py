@@ -19,14 +19,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ApfParams:
-    cutoff: float  # influence distance d0
+    cutoff: float  # influence distance d0, positive and finite and not a bool
 
     def __post_init__(self):
-        if not 0.0 < self.cutoff < math.inf:
-            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
+        if isinstance(self.cutoff, (bool, np.bool_)) or not 0.0 < self.cutoff < math.inf:
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff!r}")
 
 
 def apf_cost(side_distances: Iterable[float | None], params: ApfParams) -> float:

@@ -579,8 +579,9 @@ class DdpgLearner:
     def act(self, observations: np.ndarray, sigma: float, rng: np.random.Generator):
         """The one shared policy on every follower's observation row, with
         exploration noise of scale ``sigma`` added to the float64 logits. A
-        ``sigma`` that is not nonnegative and finite raises ValueError."""
-        if not 0.0 <= sigma < math.inf:
+        ``sigma`` that is a bool or not nonnegative and finite raises
+        ValueError."""
+        if isinstance(sigma, (bool, np.bool_)) or not 0.0 <= sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative and finite, got {sigma!r}")
         logits = _act_logits(self.actor, observations)
         if sigma > 0.0:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .geom import Angle, Vec2, wrap_angle
 
 # Below this |omega| the arc displacement switches to its second-order
@@ -20,8 +22,9 @@ OMEGA_SINGULARITY = 1e-6
 
 @dataclass(frozen=True)
 class Limits:
-    """Per-role saturation bounds, each positive and finite (else
-    ValueError): ``step``'s clamps would pass a NaN bound through."""
+    """Per-role saturation bounds, each positive and finite and not a bool
+    (else ValueError): ``step``'s clamps would pass a NaN bound through, and
+    a bool one as the state's value."""
 
     v_max: float = 0.5
     omega_max: float = 0.2
@@ -31,7 +34,7 @@ class Limits:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if not 0.0 < value < math.inf:
+            if isinstance(value, (bool, np.bool_)) or not 0.0 < value < math.inf:
                 raise ValueError(f"{field.name} must be positive and finite, got {value!r}")
 
 

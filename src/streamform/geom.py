@@ -1,8 +1,8 @@
 """Planar geometry primitives shared by the whole simulator.
 
 Everything here is a pure function of its inputs: 2-D vectors, angle
-wrapping into (-pi, pi], and the circumcenter of a triangle (used to fit
-virtual cylinders to lidar returns).
+wrapping into (-pi, pi], and the circumcenter of a triangle given as
+(x, y) pairs (used to fit virtual cylinders to lidar returns).
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ TWO_PI = 2.0 * math.pi
 
 # Radians in (-pi, pi]; plain float, kept wrapped via wrap_angle().
 Angle = float
-
-
-class DegenerateTriangle(ValueError):
-    """Raised when three points are too close to collinear to circumscribe."""
 
 
 # Twice-signed-area threshold below which a triangle is treated as a line.
@@ -41,12 +37,6 @@ class Vec2:
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
 
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def norm_sq(self) -> float:
-        return self.x * self.x + self.y * self.y
-
 
 def wrap_angle(raw: float) -> Angle:
     """Wrap an angle into (-pi, pi]; pi maps to itself, -pi maps to pi.
@@ -66,23 +56,25 @@ def wrap_angle(raw: float) -> Angle:
     return a
 
 
-def circumcenter(p1: Vec2, p2: Vec2, p3: Vec2) -> tuple[Vec2, float]:
-    """Center and radius of the circle through three points.
+def circumcenter(
+    p1: tuple[float, float], p2: tuple[float, float], p3: tuple[float, float]
+) -> tuple[tuple[float, float], float] | None:
+    """Center and radius of the circle through three (x, y) points, as
+    ((x, y), radius).
 
-    Solved relative to p1 to limit cancellation. Raises DegenerateTriangle
-    when the twice-signed area falls below COLLINEAR_AREA_EPS.
+    Solved relative to p1 to limit cancellation. Returns None when the
+    twice-signed area falls below COLLINEAR_AREA_EPS.
     """
-    bx, by = p2.x - p1.x, p2.y - p1.y
-    cx, cy = p3.x - p1.x, p3.y - p1.y
+    (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
+    bx, by = x2 - x1, y2 - y1
+    cx, cy = x3 - x1, y3 - y1
     cross = bx * cy - by * cx  # twice the signed triangle area
     if abs(cross) < COLLINEAR_AREA_EPS:
-        raise DegenerateTriangle(
-            f"points {p1}, {p2}, {p3} are collinear within area eps {COLLINEAR_AREA_EPS}"
-        )
+        return None
     b_sq = bx * bx + by * by
     c_sq = cx * cx + cy * cy
     d = 2.0 * cross
     ux = (cy * b_sq - by * c_sq) / d
     uy = (bx * c_sq - cx * b_sq) / d
     radius = math.hypot(ux, uy)
-    return Vec2(p1.x + ux, p1.y + uy), radius
+    return (x1 + ux, y1 + uy), radius

@@ -39,7 +39,7 @@ class LidarConfig:
     clamped to [d_min, d_max]. ``split_sides`` needs the fan centred on the
     heading, the cull of REACH_MARGIN a short d_max and MIN_INTERVAL_RAYS
     the 3 degree spacing. ``angles`` is read-only and shared by every scan.
-    A ``noise_std`` that is negative or not finite raises ValueError."""
+    A ``noise_std`` that is negative, not finite or a bool raises ValueError."""
 
     resolution: ClassVar[float] = math.radians(3.0)
     fov_min: ClassVar[float] = -math.pi / 2
@@ -56,7 +56,7 @@ class LidarConfig:
     noise_std: float = 0.2
 
     def __post_init__(self):
-        if not 0.0 <= self.noise_std < math.inf:
+        if isinstance(self.noise_std, (bool, np.bool_)) or not 0.0 <= self.noise_std < math.inf:
             raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std!r}")
 
 
@@ -71,12 +71,6 @@ class LidarScan:
     angles: ClassVar[np.ndarray] = LidarConfig.angles
     distances: np.ndarray
     agent_inside: bool = False
-
-    def endpoint(self, index: int) -> Vec2:
-        """Agent-frame endpoint of ray ``index``."""
-        d = float(self.distances[index])
-        a = float(self.angles[index])
-        return Vec2(d * math.cos(a), d * math.sin(a))
 
 
 def _check_circles(centers, radii) -> tuple[np.ndarray, np.ndarray]:

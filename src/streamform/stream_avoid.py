@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import ClassVar
 
-from .geom import Angle, DegenerateTriangle, Vec2, circumcenter
+from .geom import Angle, circumcenter
 from .sensing import LidarScan, detect_intervals, shortest_ray, split_sides
 
 # doublet singularity guard: points closer than this to the cylinder
@@ -79,12 +79,12 @@ class AvoidanceState:
 
 @dataclass(frozen=True)
 class SideReading:
-    """What one half-field saw this step: ``center`` and ``radius`` are the
-    virtual cylinder in the agent frame."""
+    """What one half-field saw this step: ``center``, an (x, y) pair, and
+    ``radius`` are the virtual cylinder in the agent frame."""
 
     interval: tuple[int, int]
     m_index: int
-    center: Vec2
+    center: tuple[float, float]
     radius: float
     degenerate: bool
     c_current: float
@@ -99,29 +99,34 @@ class AvoidanceOutcome:
     cost: float
 
 
-def stream_value(p_rel: Vec2, radius: float) -> float:
-    """Stream value at a point given relative to the cylinder center."""
-    rho_sq = p_rel.norm_sq()
+def stream_value(x: float, y: float, radius: float) -> float:
+    """Stream value at the point (x, y) relative to the cylinder center."""
+    rho_sq = x * x + y * y
     if rho_sq < SINGULARITY_EPS**2:
-        raise ValueError(f"point {p_rel} is at the doublet singularity")
-    return p_rel.y * (1.0 - radius * radius / rho_sq)
+        raise ValueError(f"point ({x}, {y}) is at the doublet singularity")
+    return y * (1.0 - radius * radius / rho_sq)
 
 
-def stream_bound(center: Vec2, radius: float, side: Side) -> float:
+def stream_bound(center: tuple[float, float], radius: float, side: Side) -> float:
     """Stream value of the minimum-clearance evasion path for one side.
 
-    Evaluated at the agent-frame point the clearance ``StreamParams.d_stop``
-    to the side the agent will swerve toward: (0, -d_stop) for the left
-    field, (0, +d_stop) for the right one. If that point coincides with the
-    cylinder center the far-field fallback sign(side)*d_stop is returned.
+    ``center`` is the cylinder's agent-frame (x, y). Evaluated at the
+    agent-frame point the clearance ``StreamParams.d_stop`` to the side the
+    agent will swerve toward: (0, -d_stop) for the left field, (0, +d_stop)
+    for the right one. If that point coincides with the cylinder center the
+    far-field fallback sign(side)*d_stop is returned.
     """
     d_stop = StreamParams.d_stop
     sign = -1.0 if side == Side.LHS else 1.0
-    point = Vec2(0.0, sign * d_stop)
-    rel = point - center
-    if rel.norm() < SINGULARITY_EPS:
+    x, y = -center[0], sign * d_stop - center[1]
+    if math.hypot(x, y) < SINGULARITY_EPS:
         return sign * d_stop
-    return stream_value(rel, radius)
+    return stream_value(x, y, radius)
+
+
+def _ray_point(angle: float, d: float) -> tuple[float, float]:
+    """Agent-frame point ``d`` along the ray at ``angle``."""
+    return d * math.cos(angle), d * math.sin(angle)
 
 
 def _read_side(scan: LidarScan, interval: tuple[int, int], side: Side) -> SideReading:
@@ -130,18 +135,15 @@ def _read_side(scan: LidarScan, interval: tuple[int, int], side: Side) -> SideRe
     # the shortest ray strictly inside; detect_intervals keeps no interval
     # of fewer than MIN_INTERVAL_RAYS (3) rays, so there is one
     m = shortest_ray(scan, start + 1, end)
-    try:
-        center, radius = circumcenter(scan.endpoint(start), scan.endpoint(m), scan.endpoint(end))
-        # a cylinder centred on the agent itself is as unusable as no triangle
-        degenerate = center.norm() < SINGULARITY_EPS
-    except DegenerateTriangle:
-        degenerate = True
+    dist, ang = scan.distances, scan.angles
+    fit = circumcenter(*(_ray_point(ang[i], float(dist[i])) for i in (start, m, end)))
+    # a cylinder centred on the agent itself is as unusable as no triangle
+    degenerate = fit is None or math.hypot(*fit[0]) < SINGULARITY_EPS
     if degenerate:
-        d = float(scan.distances[m]) + DEFAULT_CYL_PAD
-        center = Vec2(d * math.cos(scan.angles[m]), d * math.sin(scan.angles[m]))
-        radius = DEFAULT_CYL_RADIUS
+        fit = _ray_point(ang[m], float(dist[m]) + DEFAULT_CYL_PAD), DEFAULT_CYL_RADIUS
+    center, radius = fit
     # the agent sits at -center in the cylinder frame
-    c_current = stream_value(Vec2(-center.x, -center.y), radius)
+    c_current = stream_value(-center[0], -center[1], radius)
     m_distance = max(float(scan.distances[m]), MIN_M_DISTANCE)
     return SideReading(
         interval=interval,

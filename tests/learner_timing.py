@@ -1,9 +1,9 @@
-"""Isolated medians of the learner's three hot calls and of its checkpoint,
-for comparing two trees.
+"""Isolated medians of the learner's three hot calls, of its checkpoint and
+of the stream avoider's update, for comparing two trees.
 
     python3 tests/learner_timing.py
 
-prints five medians, then the machine they ran on:
+prints six medians, then the machine they ran on:
 
 - ``train_step_ms <median>``: ``DdpgLearner.train_step`` of a learner with
   the default ``TrainerConfig`` (batch 1024), seed 0 and the benchmark's
@@ -16,6 +16,9 @@ prints five medians, then the machine they ran on:
 - ``checkpoint_save_ms <median>`` and ``checkpoint_load_ms <median>``:
   ``save_checkpoint`` of the same learner's ``network_arrays()`` to a file in
   a temporary directory, and ``load_checkpoint`` of that file;
+- ``stream_update_us <median>``: ``StreamAvoider.update`` on one fixed
+  noiseless scan of two circles, one each side of the heading, so that both
+  sides engage, fit a cylinder and re-lock on every call;
 - ``machine.<key> <value>`` lines: the Python and numpy versions, the BLAS
   numpy was built with and its version, ``os.cpu_count()``, the
   ``OPENBLAS_NUM_THREADS`` setting (``unset`` when it is not set) and the
@@ -46,10 +49,15 @@ if str(ROOT / "src") not in sys.path:
 
 from streamform.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from streamform.ddpg import ACTION_DIM, DTYPE, ActorPolicy, DdpgLearner, TrainerConfig  # noqa: E402
+from streamform.geom import Vec2  # noqa: E402
+from streamform.sensing import LidarConfig, ObstacleSet, raycast  # noqa: E402
+from streamform.stream_avoid import StreamAvoider, StreamParams  # noqa: E402
 
 OBS_DIM = 20  # the observation width of the benchmark's workloads
 ACT_ROWS = 4
 POLICY_ROWS = 48  # the swarm workload's followers
+# two circles ahead, left and right of the heading: (x, y, radius) [m]
+STREAM_CIRCLES = ((0.7, 0.35, 0.2), (0.7, -0.35, 0.2))
 WARMUP = 50
 CALLS = 200
 
@@ -66,7 +74,7 @@ def _median_seconds(call) -> float:
 
 
 def measure() -> dict[str, float]:
-    """The five medians, in ms and µs, keyed as printed."""
+    """The six medians, in ms and µs, keyed as printed."""
     cfg = TrainerConfig()
     rng = np.random.default_rng(0)
     learner = DdpgLearner(OBS_DIM, cfg, rng)
@@ -78,6 +86,10 @@ def measure() -> dict[str, float]:
     obs = rng.normal(size=(ACT_ROWS, OBS_DIM))
     policy, swarm_obs = ActorPolicy(learner.actor), rng.normal(size=(POLICY_ROWS, OBS_DIM))
     arrays = learner.network_arrays()
+    circles = np.array(STREAM_CIRCLES)
+    world = ObstacleSet(circles[:, :2], circles[:, 2])
+    scan = raycast(Vec2(0.0, 0.0), 0.0, world, LidarConfig(noise_std=0.0), rng)
+    avoider = StreamAvoider(StreamParams())
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "learner.ckpt"
         return {
@@ -86,6 +98,7 @@ def measure() -> dict[str, float]:
             "policy_act_us": 1e6 * _median_seconds(lambda: policy.act(swarm_obs)),
             "checkpoint_save_ms": 1e3 * _median_seconds(lambda: save_checkpoint(path, arrays, {})),
             "checkpoint_load_ms": 1e3 * _median_seconds(lambda: load_checkpoint(path)),
+            "stream_update_us": 1e6 * _median_seconds(lambda: avoider.update(scan)),
         }
 
 

@@ -223,7 +223,7 @@ def test_circles_out_of_reach_leave_a_followers_row_and_cost(name, seed, data):
                           label="swallowed")
     for j in swallowed:
         q = near.agents[j + 1].position
-        slack = (q - p).norm() - LidarConfig.d_max - REACH_MARGIN
+        slack = math.hypot(q.x - p.x, q.y - p.y) - LidarConfig.d_max - REACH_MARGIN
         if slack > 0.0:
             added.append((q.x, q.y, 0.5 * slack))
     world = np.column_stack([near.world.centers, near.world.radii])

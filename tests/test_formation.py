@@ -63,9 +63,10 @@ class TestTrackingError:
             eta = Vec2(*rng.uniform(-3, 3, 2))
             direct = (pi - p0) - eta
             rel = pi - p0
-            d, theta = rel.norm(), math.atan2(rel.y, rel.x)
+            d, theta = math.hypot(rel.x, rel.y), math.atan2(rel.y, rel.x)
             via_broadcast = tracking_error(relative_displacement(d, theta), eta)
-            assert (via_broadcast - direct).norm() < 1e-12
+            err = via_broadcast - direct
+            assert math.hypot(err.x, err.y) < 1e-12
 
 
 class TestTrackingCost:
@@ -118,7 +119,7 @@ class TestFormationSpec:
         spec = FormationSpec.circle(4, 2.1)
         assert len(spec.offsets) == 4
         for off in spec.offsets:
-            assert off.norm() == pytest.approx(2.1)
+            assert math.hypot(off.x, off.y) == pytest.approx(2.1)
         assert spec.offsets[0].x == pytest.approx(2.1)
         assert spec.offsets[1].y == pytest.approx(2.1)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from streamform.geom import DegenerateTriangle, Vec2, circumcenter, wrap_angle
+from streamform.geom import COLLINEAR_AREA_EPS, Vec2, circumcenter, wrap_angle
 
 
 class TestVec2:
@@ -54,56 +54,71 @@ def oracle_circumcenter(p1, p2, p3):
 
     The center c satisfies 2(p2-p1).c = |p2|^2-|p1|^2 and the same for p3.
     """
+    (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
     a = np.array(
         [
-            [2 * (p2.x - p1.x), 2 * (p2.y - p1.y)],
-            [2 * (p3.x - p1.x), 2 * (p3.y - p1.y)],
+            [2 * (x2 - x1), 2 * (y2 - y1)],
+            [2 * (x3 - x1), 2 * (y3 - y1)],
         ]
     )
     b = np.array(
         [
-            p2.x**2 + p2.y**2 - p1.x**2 - p1.y**2,
-            p3.x**2 + p3.y**2 - p1.x**2 - p1.y**2,
+            x2**2 + y2**2 - x1**2 - y1**2,
+            x3**2 + y3**2 - x1**2 - y1**2,
         ]
     )
     cx, cy = np.linalg.solve(a, b)
-    return Vec2(cx, cy), math.hypot(cx - p1.x, cy - p1.y)
+    return (cx, cy), math.hypot(cx - x1, cy - y1)
 
 
 class TestCircumcenter:
     def test_right_triangle(self):
-        center, radius = circumcenter(Vec2(0, 0), Vec2(2, 0), Vec2(0, 2))
-        assert center.x == pytest.approx(1.0, abs=1e-12)
-        assert center.y == pytest.approx(1.0, abs=1e-12)
+        (x, y), radius = circumcenter((0, 0), (2, 0), (0, 2))
+        assert x == pytest.approx(1.0, abs=1e-12)
+        assert y == pytest.approx(1.0, abs=1e-12)
         assert radius == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_equilateral_matches_bisector_oracle(self):
-        pts = (Vec2(0, 0), Vec2(1, 0), Vec2(0.5, math.sqrt(3) / 2))
+        pts = ((0, 0), (1, 0), (0.5, math.sqrt(3) / 2))
         center, radius = circumcenter(*pts)
         # frozen values from the 2x2 bisector solve: (0.5, sqrt(3)/6), 1/sqrt(3)
-        assert center.x == pytest.approx(0.5, abs=1e-12)
-        assert center.y == pytest.approx(math.sqrt(3) / 6, abs=1e-12)
+        assert center[0] == pytest.approx(0.5, abs=1e-12)
+        assert center[1] == pytest.approx(math.sqrt(3) / 6, abs=1e-12)
         assert radius == pytest.approx(1 / math.sqrt(3), abs=1e-12)
         oc, orad = oracle_circumcenter(*pts)
-        assert (center - oc).norm() < 1e-12
+        assert math.dist(center, oc) < 1e-12
         assert radius == pytest.approx(orad, abs=1e-12)
 
-    def test_collinear_raises(self):
-        with pytest.raises(DegenerateTriangle):
-            circumcenter(Vec2(0, 0), Vec2(1, 1), Vec2(2, 2))
+    def test_collinear_returns_none(self):
+        assert circumcenter((0, 0), (1, 1), (2, 2)) is None
+
+    # (0, 0), (1, 0), (0, h) has twice-signed area exactly h; the triangle
+    # is a line below COLLINEAR_AREA_EPS in either orientation
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_area_just_below_eps_is_a_line(self, sign):
+        h = sign * math.nextafter(COLLINEAR_AREA_EPS, 0.0)
+        assert circumcenter((0.0, 0.0), (1.0, 0.0), (0.0, h)) is None
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_area_just_above_eps_is_a_circle(self, sign):
+        h = sign * math.nextafter(COLLINEAR_AREA_EPS, 1.0)
+        (x, y), radius = circumcenter((0.0, 0.0), (1.0, 0.0), (0.0, h))
+        assert x == 0.5
+        assert y == pytest.approx(h / 2, rel=1e-12)
+        assert radius == pytest.approx(0.5, rel=1e-12)
 
     def test_equidistance_on_random_triangles(self):
         rng = np.random.default_rng(7)
         worst = 0.0
         n = 0
         while n < 1000:
-            p = [Vec2(*xy) for xy in rng.uniform(-5, 5, size=(3, 2))]
-            try:
-                center, radius = circumcenter(*p)
-            except DegenerateTriangle:
+            p = [tuple(xy) for xy in rng.uniform(-5, 5, size=(3, 2))]
+            fit = circumcenter(*p)
+            if fit is None:
                 continue
             n += 1
-            dists = [(center - q).norm() for q in p]
+            center, radius = fit
+            dists = [math.dist(center, q) for q in p]
             worst = max(worst, max(dists) - min(dists))
         assert worst < 1e-9
 
@@ -111,13 +126,13 @@ class TestCircumcenter:
         rng = np.random.default_rng(11)
         n = 0
         while n < 1000:
-            p = [Vec2(*xy) for xy in rng.uniform(-5, 5, size=(3, 2))]
-            bx, by = p[1].x - p[0].x, p[1].y - p[0].y
-            cx, cy = p[2].x - p[0].x, p[2].y - p[0].y
+            p = [tuple(xy) for xy in rng.uniform(-5, 5, size=(3, 2))]
+            (x1, y1), (x2, y2), (x3, y3) = p
+            bx, by = x2 - x1, y2 - y1
+            cx, cy = x3 - x1, y3 - y1
             if abs(bx * cy - by * cx) < 1e-3:  # keep the oracle well conditioned
                 continue
             n += 1
             center, _ = circumcenter(*p)
             oc, _ = oracle_circumcenter(*p)
-            assert (center - oc).norm() < 1e-9
-
+            assert math.dist(center, oc) < 1e-9

@@ -13,15 +13,16 @@ from streamform.ddpg import DTYPE
 SCRIPT = Path(__file__).resolve().parent / "learner_timing.py"
 
 
-def test_prints_the_five_medians():
+def test_prints_the_six_medians():
     done = subprocess.run(
         [sys.executable, str(SCRIPT)], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    medians, machine = lines[:5], lines[5:]
+    medians, machine = lines[:6], lines[6:]
     assert [line.split()[0] for line in medians] == [
-        "train_step_ms", "act_us", "policy_act_us", "checkpoint_save_ms", "checkpoint_load_ms"
+        "train_step_ms", "act_us", "policy_act_us", "checkpoint_save_ms", "checkpoint_load_ms",
+        "stream_update_us",
     ]
     for line in medians:
         assert re.fullmatch(r"\S+ \d+\.\d{3}", line), line

@@ -137,7 +137,7 @@ class TestRaycast:
         ray = math.radians(30)
         ux, uy = math.cos(ray), math.sin(ray)
         b = ux * center.x + uy * center.y
-        disc = b * b - (center.norm_sq() - r * r)
+        disc = b * b - (center.x * center.x + center.y * center.y - r * r)
         expected = b - math.sqrt(disc)
         idx = CFG.n_rays // 2 + 10  # 0 deg + 10 * 3 deg
         assert CFG.angles[idx] == pytest.approx(ray, abs=1e-12)

@@ -38,11 +38,17 @@ def scan_of(world_obstacles, pos=Vec2(0, 0), heading=0.0):
     return raycast(pos, heading, ObstacleSet(centers, radii), CFG, RNG)
 
 
+def endpoint(scan, i):
+    """Agent-frame (x, y) endpoint of ray i."""
+    d, a = float(scan.distances[i]), float(scan.angles[i])
+    return d * math.cos(a), d * math.sin(a)
+
+
 def fallback_cylinder(scan, m):
-    """(center, radius) of the minimum-size circle pushed DEFAULT_CYL_PAD
+    """((x, y), radius) of the minimum-size circle pushed DEFAULT_CYL_PAD
     past ray m's endpoint along that ray."""
     d = scan.distances[m] + DEFAULT_CYL_PAD
-    return Vec2(d * math.cos(scan.angles[m]), d * math.sin(scan.angles[m])), DEFAULT_CYL_RADIUS
+    return (d * math.cos(scan.angles[m]), d * math.sin(scan.angles[m])), DEFAULT_CYL_RADIUS
 
 
 def make_scan(distances):
@@ -71,40 +77,36 @@ class TestStreamValue:
         for _ in range(1000):
             r = rng.uniform(0.1, 5.0)
             phi = rng.uniform(-math.pi, math.pi)
-            p = Vec2(r * math.cos(phi), r * math.sin(phi))
-            assert abs(stream_value(p, r)) < 1e-12 * r
+            assert abs(stream_value(r * math.cos(phi), r * math.sin(phi), r)) < 1e-12 * r
 
     def test_zero_on_axis(self):
         for x in (-3.0, -0.5, 0.7, 10.0):
-            assert stream_value(Vec2(x, 0.0), 0.3) == 0.0
+            assert stream_value(x, 0.0, 0.3) == 0.0
 
     def test_point_above_cylinder(self):
         # direct substitution: psi(0, 2r) = 2r*(1 - r^2/4r^2) = 1.5*r
         r = 0.4
-        assert stream_value(Vec2(0.0, 2 * r), r) == pytest.approx(1.5 * r, rel=1e-12)
+        assert stream_value(0.0, 2 * r, r) == pytest.approx(1.5 * r, rel=1e-12)
 
     def test_singularity_raises(self):
         with pytest.raises(ValueError, match="doublet singularity"):
-            stream_value(Vec2(0.0, 0.0), 0.3)
+            stream_value(0.0, 0.0, 0.3)
         with pytest.raises(ValueError, match="doublet singularity"):
-            stream_value(Vec2(1e-10, 0.0), 0.3)
+            stream_value(1e-10, 0.0, 0.3)
 
 
 class TestEstimateCylinder:
     """The cylinder fit: the circumcenter of an interval's three endpoints."""
 
     def test_symmetric_endpoints_center_on_axis(self):
-        center, _ = circumcenter(Vec2(1, 0.25), Vec2(0.7, 0.0), Vec2(1, -0.25))
-        assert center.y == pytest.approx(0.0, abs=1e-12)
+        (_, y), _ = circumcenter((1, 0.25), (0.7, 0.0), (1, -0.25))
+        assert y == pytest.approx(0.0, abs=1e-12)
 
     def test_three_points_on_circle_recover_it(self):
-        center, r = Vec2(1.2, -0.4), 0.35
-        pts = [
-            Vec2(center.x + r * math.cos(a), center.y + r * math.sin(a))
-            for a in (2.6, 3.1, 3.7)
-        ]
-        got, radius = circumcenter(*pts)
-        assert (got - center).norm() < 1e-12
+        (x, y), r = (1.2, -0.4), 0.35
+        pts = [(x + r * math.cos(a), y + r * math.sin(a)) for a in (2.6, 3.1, 3.7)]
+        (gx, gy), radius = circumcenter(*pts)
+        assert math.hypot(gx - x, gy - y) < 1e-12
         assert radius == pytest.approx(r, abs=1e-12)
 
     def test_noisy_circle_monte_carlo(self):
@@ -112,13 +114,13 @@ class TestEstimateCylinder:
         # fitted radius must stay centered on the truth within the
         # Monte-Carlo propagated spread of the construction
         rng = np.random.default_rng(17)
-        center, r, sigma = Vec2(1.0, 0.0), 0.3, 0.005
+        (x, y), r, sigma = (1.0, 0.0), 0.3, 0.005
 
         def sample(angles):
             pts = [
-                Vec2(
-                    center.x + r * math.cos(a) + rng.normal(0, sigma),
-                    center.y + r * math.sin(a) + rng.normal(0, sigma),
+                (
+                    x + r * math.cos(a) + rng.normal(0, sigma),
+                    y + r * math.sin(a) + rng.normal(0, sigma),
                 )
                 for a in angles
             ]
@@ -168,17 +170,17 @@ class TestShortestInteriorRay:
 
 class TestStreamBound:
     def test_far_field_limit(self):
-        got = stream_bound(Vec2(100.0, 50.0), 0.3, Side.LHS)
+        got = stream_bound((100.0, 50.0), 0.3, Side.LHS)
         # far from the doublet the field is just y_point - y_center
         assert got == pytest.approx(-0.4 - 50.0, rel=1e-4)
 
     def test_singular_guard_default(self):
-        assert stream_bound(Vec2(0.0, -0.4), 0.2, Side.LHS) == -0.4
-        assert stream_bound(Vec2(0.0, 0.4), 0.2, Side.RHS) == 0.4
+        assert stream_bound((0.0, -0.4), 0.2, Side.LHS) == -0.4
+        assert stream_bound((0.0, 0.4), 0.2, Side.RHS) == 0.4
 
     def test_odd_symmetry_between_sides(self):
-        bl = stream_bound(Vec2(0.8, 0.3), 0.25, Side.LHS)
-        br = stream_bound(Vec2(0.8, -0.3), 0.25, Side.RHS)
+        bl = stream_bound((0.8, 0.3), 0.25, Side.LHS)
+        br = stream_bound((0.8, -0.3), 0.25, Side.RHS)
         assert bl == pytest.approx(-br, rel=1e-12)
 
 
@@ -265,8 +267,8 @@ class TestAvoidanceUpdate:
         # independent recomputation of the cost pieces from the raw scan
         start, end = rd2.interval
         m = rd2.m_index
-        center, radius = circumcenter(s2.endpoint(start), s2.endpoint(m), s2.endpoint(end))
-        c_now = 1.0 * (-center.y) * (1 - radius**2 / center.norm_sq())
+        (cx, cy), radius = circumcenter(endpoint(s2, start), endpoint(s2, m), endpoint(s2, end))
+        c_now = 1.0 * (-cy) * (1 - radius**2 / (cx * cx + cy * cy))
         d_m = float(s2.distances[m])
         expected = (c_now - out1.states[Side.LHS].c_desired) ** 2 * (1 / d_m - 1 / 0.7)
         assert out2.cost == pytest.approx(expected, rel=1e-12)
@@ -311,9 +313,9 @@ class TestAvoidanceUpdate:
         assert len(active) == 1
         rd = out.readings[active[0]]
         start, end = rd.interval
-        ends = (scan.endpoint(start), scan.endpoint(rd.m_index), scan.endpoint(end))
+        ends = (endpoint(scan, start), endpoint(scan, rd.m_index), endpoint(scan, end))
         center, _ = circumcenter(*ends)
-        assert center.norm() < SINGULARITY_EPS
+        assert math.hypot(*center) < SINGULARITY_EPS
         assert rd.degenerate
         assert (rd.center, rd.radius) == fallback_cylinder(scan, rd.m_index)
 
@@ -402,7 +404,7 @@ def steer_along_streamlines(obstacle_y, steps=140, gain=3.0):
         heading += omega * dt
         pos = Vec2(pos.x + v * dt * math.cos(heading), pos.y + v * dt * math.sin(heading))
         headings.append(heading)
-        clearances.append((pos - center).norm() - r)
+        clearances.append(math.hypot(pos.x - center.x, pos.y - center.y) - r)
     return np.array(headings), np.array(clearances)
 
 

@@ -10,6 +10,8 @@ import hashlib
 
 import pytest
 
+from streamform.geom import Vec2
+from streamform.stream_avoid import SideReading
 from trajectory_digest import _put, _put_fields, trajectory_digest
 
 
@@ -50,3 +52,11 @@ def test_records_hash_as_their_fields_in_declared_order():
     want = digest(_put, 3, 9, 0.5, -0.25, 0.1, True)
     assert digest(_put_fields, nested) == digest(_put_fields, flat) == want
     assert digest(_put_fields, None) == digest(_put, None)
+    # and alike whether its center is a Vec2 or an (x, y) pair, so the
+    # seed-7 digests span the change of SideReading.center to a pair
+    fields = dict(interval=(3, 9), m_index=5, radius=0.1, degenerate=False, c_current=-0.3,
+                  m_distance=0.4, inner_angle=0.2)
+    as_vec2 = SideReading(center=Vec2(0.5, -0.25), **fields)
+    as_pair = SideReading(center=(0.5, -0.25), **fields)
+    want = digest(_put, 3, 9, 5, 0.5, -0.25, 0.1, False, -0.3, 0.4, 0.2)
+    assert digest(_put_fields, as_vec2) == digest(_put_fields, as_pair) == want
