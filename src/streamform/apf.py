@@ -19,16 +19,17 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
+from .geom import _real
 
 
 @dataclass(frozen=True)
 class ApfParams:
-    cutoff: float  # influence distance d0, positive and finite and not a bool
+    """The influence distance d0, a positive setting by ``geom._real``."""
+
+    cutoff: float
 
     def __post_init__(self):
-        if isinstance(self.cutoff, (bool, np.bool_)) or not 0.0 < self.cutoff < math.inf:
-            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff!r}")
+        object.__setattr__(self, "cutoff", _real("cutoff", self.cutoff))
 
 
 def apf_cost(side_distances: Iterable[float | None], params: ApfParams) -> float:

@@ -38,7 +38,6 @@ about 1e-7, and an action must sum to one far more closely than that.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import ClassVar
 
@@ -46,6 +45,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dynamics import Limits
+from .geom import _count, _real
 
 ACTION_DIM = 3
 DTYPE = np.float32
@@ -297,11 +297,6 @@ def simplex_from_controls(accel: float, angular_accel: float, limits: Limits) ->
     return np.array([u0, u1, u2])
 
 
-def _is_int(value) -> bool:
-    """An int or numpy integer but not a bool, which numpy refuses as a size."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class TrainerConfig:
     """The learner's settings. ``actor_final_scale`` is fixed at DDPG's
@@ -311,12 +306,13 @@ class TrainerConfig:
     first ``sigma_anneal_frac`` of the episodes, as DDPG and TD3 (Fujimoto
     et al., arXiv:1802.09477) fix their exploration noise rather than tune it
     per run. No caller varies these four; they satisfy 0 <= sigma_end <=
-    sigma_start < inf and 0 < sigma_anneal_frac <= 1, which a test pins. A
-    ``batch_size``, ``buffer_capacity`` or ``episodes`` that is not an int, a
-    rate or discount that is not a real number, a ``hidden`` that is not a
-    sequence, or a field out of its range, raises ValueError naming it. The
-    fields hold plain ``int``, ``float`` and a tuple of ``int``, so a config
-    built from numpy scalars or a list hashes and saves like any other."""
+    sigma_start < inf and 0 < sigma_anneal_frac <= 1, which a test pins.
+    Each rate, discount, size and ``hidden`` width is a setting by
+    ``geom._real`` or ``geom._count``; besides, gamma < 1, tau <= 1 and
+    ``buffer_capacity`` >= ``batch_size``, and the first field that fails
+    raises ValueError naming it. The fields hold plain ``int``, ``float`` and
+    a tuple of ``int``, so a config built from numpy scalars or a list
+    hashes and saves like any other."""
 
     critic_lr: float = 1e-3
     actor_lr: float = 1e-4
@@ -332,46 +328,28 @@ class TrainerConfig:
     sigma_anneal_frac: ClassVar[float] = 0.5
 
     def __post_init__(self):
-        for name in ("batch_size", "buffer_capacity", "episodes"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            object.__setattr__(self, name, int(value))
         for name in ("critic_lr", "actor_lr", "gamma", "tau"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        for name in ("batch_size", "buffer_capacity", "episodes"):
+            value = _count(name, getattr(self, name), zero_ok=name == "episodes")
+            object.__setattr__(self, name, value)
         try:
             hidden = tuple(self.hidden)
         except TypeError:
             raise ValueError(f"hidden must be a sequence of widths, got {self.hidden!r}") from None
-        problems = []
-        if not 0.0 < self.gamma < 1.0:
-            problems.append(f"gamma must be in (0, 1), got {self.gamma}")
-        if not 0.0 < self.tau <= 1.0:
-            problems.append(f"tau must be in (0, 1], got {self.tau}")
-        if self.batch_size < 1:
-            problems.append(f"batch_size must be positive, got {self.batch_size}")
-        for name in ("critic_lr", "actor_lr"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                problems.append(f"{name} must be positive and finite, got {value}")
+        hidden = tuple(_count(f"hidden[{i}]", w) for i, w in enumerate(hidden))
+        object.__setattr__(self, "hidden", hidden)
+        if not self.gamma < 1.0:
+            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
+        if not self.tau <= 1.0:
+            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
         if self.buffer_capacity < self.batch_size:
-            problems.append("buffer_capacity must be at least batch_size")
-        if self.episodes < 0:
-            problems.append(f"episodes must be nonnegative, got {self.episodes}")
-        if not all(_is_int(w) and w > 0 for w in hidden):
-            problems.append(f"hidden widths must be positive ints, got {self.hidden}")
-        if problems:
-            raise ValueError("; ".join(problems))
-        object.__setattr__(self, "hidden", tuple(map(int, hidden)))
+            raise ValueError("buffer_capacity must be at least batch_size")
 
     def sigma_at(self, episode: int) -> float:
-        """Linear anneal over the first sigma_anneal_frac of training. An
-        ``episode`` that is not a nonnegative int raises ValueError."""
-        if not (_is_int(episode) and episode >= 0):
-            raise ValueError(f"episode must be a nonnegative int, got {episode!r}")
+        """Linear anneal over the first sigma_anneal_frac of training;
+        ``episode`` is a nonnegative setting by ``geom._count``."""
+        episode = _count("episode", episode, zero_ok=True)
         horizon = max(1, int(self.episodes * self.sigma_anneal_frac))
         frac = min(1.0, episode / horizon)
         return self.sigma_start + frac * (self.sigma_end - self.sigma_start)
@@ -390,18 +368,15 @@ class ReplayBuffer:
     huge-page boundary, wherever the block's offset puts it. Per-field
     arrays of 4-12 MB could fall below a threshold raised by a freed learner
     and come from reused heap, where calloc zero-fills, and so makes
-    resident, every page. A ``capacity`` or ``obs_dim`` that is not a
-    positive int raises ValueError naming it.
+    resident, every page. ``capacity`` and ``obs_dim`` are positive
+    settings by ``geom._count``.
     """
 
     FIELDS = ("obs", "act", "rew", "obs_next", "done")
 
     def __init__(self, capacity: int, obs_dim: int):
-        for name, value in (("capacity", capacity), ("obs_dim", obs_dim)):
-            if not (_is_int(value) and value > 0):
-                raise ValueError(f"{name} must be a positive int, got {value!r}")
-        self.capacity = capacity
-        self.obs_dim = obs_dim
+        self.capacity = capacity = _count("capacity", capacity)
+        self.obs_dim = obs_dim = _count("obs_dim", obs_dim)
         self.rows = np.zeros((capacity, 2 * obs_dim + ACTION_DIM + 2), DTYPE)
         self._row = np.empty(self.rows.shape[1], DTYPE)  # add() builds a row here
         self._row_fields = self.fields(self._row[None])
@@ -557,12 +532,11 @@ class DdpgLearner:
     """Owns the online/target networks, replay buffer and Adam states, and
     the batch-sized blocks one ``train_step`` writes: the two networks'
     ``MlpBuffers``, ``actor_bufs`` and ``critic_bufs``, and ``sample``, which
-    receives whole replay rows (one take; see ``ReplayBuffer``). An
-    ``obs_dim`` that is not a positive int raises ValueError naming it."""
+    receives whole replay rows (one take; see ``ReplayBuffer``). ``obs_dim``
+    is a positive setting by ``geom._count``."""
 
     def __init__(self, obs_dim: int, cfg: TrainerConfig, rng: np.random.Generator):
-        if not (_is_int(obs_dim) and obs_dim > 0):
-            raise ValueError(f"obs_dim must be a positive int, got {obs_dim!r}")
+        obs_dim = _count("obs_dim", obs_dim)
         self.cfg = cfg
         self.actor = init_mlp([obs_dim, *cfg.hidden, ACTION_DIM], rng, cfg.actor_final_scale)
         self.critic = init_mlp([obs_dim + ACTION_DIM, *cfg.hidden, 1], rng)
@@ -578,11 +552,9 @@ class DdpgLearner:
 
     def act(self, observations: np.ndarray, sigma: float, rng: np.random.Generator):
         """The one shared policy on every follower's observation row, with
-        exploration noise of scale ``sigma`` added to the float64 logits. A
-        ``sigma`` that is a bool or not nonnegative and finite raises
-        ValueError."""
-        if isinstance(sigma, (bool, np.bool_)) or not 0.0 <= sigma < math.inf:
-            raise ValueError(f"sigma must be nonnegative and finite, got {sigma!r}")
+        exploration noise of scale ``sigma``, a nonnegative setting by
+        ``geom._real``, added to the float64 logits."""
+        sigma = _real("sigma", sigma, zero_ok=True)
         logits = _act_logits(self.actor, observations)
         if sigma > 0.0:
             logits += rng.normal(0.0, sigma, size=logits.shape)

@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-from .geom import Angle, Vec2, wrap_angle
+from .geom import Angle, Vec2, _real, wrap_angle
 
 # Below this |omega| the arc displacement switches to its second-order
 # Taylor form to avoid dividing by a vanishing turn rate.
@@ -22,9 +20,9 @@ OMEGA_SINGULARITY = 1e-6
 
 @dataclass(frozen=True)
 class Limits:
-    """Per-role saturation bounds, each positive and finite and not a bool
-    (else ValueError): ``step``'s clamps would pass a NaN bound through, and
-    a bool one as the state's value."""
+    """Per-role saturation bounds, each a positive setting by ``geom._real``,
+    stored as a plain float: ``step``'s clamps would pass a NaN bound
+    through, and a bool or an array one as the state's value."""
 
     v_max: float = 0.5
     omega_max: float = 0.2
@@ -33,9 +31,7 @@ class Limits:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, (bool, np.bool_)) or not 0.0 < value < math.inf:
-                raise ValueError(f"{field.name} must be positive and finite, got {value!r}")
+            object.__setattr__(self, field.name, _real(field.name, getattr(self, field.name)))
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Angle, Vec2
+from .geom import Angle, Vec2, _count, _real
 
 
 @dataclass(frozen=True)
@@ -24,16 +23,10 @@ class FormationSpec:
 
     @classmethod
     def circle(cls, n_followers: int, radius: float) -> "FormationSpec":
-        """Followers evenly spaced on a circle around the navigator. An
-        ``n_followers`` that is not an int of at least 1, or a ``radius`` that
-        is not a positive finite real, raises ValueError naming it."""
-        if not (isinstance(n_followers, (int, np.integer)) and not isinstance(n_followers, bool)
-                and n_followers >= 1):
-            raise ValueError(f"n_followers must be an int of at least 1, got {n_followers!r}")
-        if not (isinstance(radius, numbers.Real) and not isinstance(radius, bool)
-                and 0.0 < radius < math.inf):
-            raise ValueError(f"radius must be positive and finite, got {radius!r}")
-        n_followers, radius = int(n_followers), float(radius)
+        """Followers evenly spaced on a circle around the navigator;
+        ``n_followers`` and ``radius`` are positive settings by
+        ``geom._count`` and ``geom._real``."""
+        n_followers, radius = _count("n_followers", n_followers), _real("radius", radius)
         offsets = tuple(
             Vec2(radius * math.cos(2 * math.pi * k / n_followers),
                  radius * math.sin(2 * math.pi * k / n_followers))

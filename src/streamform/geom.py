@@ -1,13 +1,15 @@
 """Planar geometry primitives shared by the whole simulator.
 
 Everything here is a pure function of its inputs: 2-D vectors, angle
-wrapping into (-pi, pi], and the circumcenter of a triangle given as
-(x, y) pairs (used to fit virtual cylinders to lidar returns).
+wrapping into (-pi, pi], the circumcenter of a triangle given as (x, y)
+pairs (used to fit virtual cylinders to lidar returns), and the one rule
+every setting of the package is checked by (``_real`` and ``_count``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
@@ -19,6 +21,29 @@ Angle = float
 # Twice-signed-area threshold below which a triangle is treated as a line.
 # Smaller values risk catastrophic cancellation in the bisector solve.
 COLLINEAR_AREA_EPS = 1e-9
+
+
+def _real(name: str, value, zero_ok: bool = False) -> float:
+    """``value`` as a plain float if it is a real number but not a bool, and
+    positive (nonnegative with ``zero_ok``) and finite; else ValueError
+    naming it. A NaN, a str and a one-element array all fail."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+        0.0 <= value < math.inf if zero_ok else 0.0 < value < math.inf
+    ):
+        return float(value)
+    bound = "nonnegative" if zero_ok else "positive"
+    raise ValueError(f"{name} must be {bound} and finite, got {value!r}")
+
+
+def _count(name: str, value, zero_ok: bool = False) -> int:
+    """``value`` as a plain int if it is an integer but not a bool, and
+    positive (nonnegative with ``zero_ok``); else ValueError naming it."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and (
+        value >= 0 if zero_ok else value >= 1
+    ):
+        return int(value)
+    bound = "nonnegative" if zero_ok else "positive"
+    raise ValueError(f"{name} must be a {bound} int, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geom import Angle, Vec2
+from .geom import Angle, Vec2, _real
 
 # contiguous detections narrower than this many rays are discarded (3 degrees
 # apart, the minimum obstacle footprint puts at least three rays on a hit)
@@ -39,7 +39,7 @@ class LidarConfig:
     clamped to [d_min, d_max]. ``split_sides`` needs the fan centred on the
     heading, the cull of REACH_MARGIN a short d_max and MIN_INTERVAL_RAYS
     the 3 degree spacing. ``angles`` is read-only and shared by every scan.
-    A ``noise_std`` that is negative, not finite or a bool raises ValueError."""
+    ``noise_std`` is a nonnegative setting by ``geom._real``."""
 
     resolution: ClassVar[float] = math.radians(3.0)
     fov_min: ClassVar[float] = -math.pi / 2
@@ -56,8 +56,7 @@ class LidarConfig:
     noise_std: float = 0.2
 
     def __post_init__(self):
-        if isinstance(self.noise_std, (bool, np.bool_)) or not 0.0 <= self.noise_std < math.inf:
-            raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std!r}")
+        object.__setattr__(self, "noise_std", _real("noise_std", self.noise_std, zero_ok=True))
 
 
 # agent-frame unit ray directions, shape (2, n_rays)
@@ -242,10 +241,10 @@ def neighbor_observations(positions: list[Vec2], connection_zone: float) -> Comm
     Agent 0 is the navigator; its broadcast (distance and bearing from the
     navigator to each follower) is relayed through the network, so every
     follower in the navigator's connected component receives it. An empty
-    ``positions`` or a connection zone that is not positive raises ValueError.
+    ``positions`` raises ValueError, and so does a ``connection_zone`` that
+    is not a positive setting by ``geom._real``.
     """
-    if not connection_zone > 0.0:
-        raise ValueError(f"connection_zone must be positive, got {connection_zone!r}")
+    connection_zone = _real("connection_zone", connection_zone)
     if not positions:
         raise ValueError("positions is empty: agent 0, the navigator, is required")
     n = len(positions)

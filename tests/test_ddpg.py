@@ -1670,7 +1670,7 @@ class TestTrainerConfig:
     @pytest.mark.parametrize("hidden", [(0,), (-4,), (16, 2.5), ("8",), (16, None), (True, 8)])
     def test_hidden_widths_must_be_positive_ints(self, hidden):
         # a zero width gives an actor that ignores its input
-        with pytest.raises(ValueError, match="hidden widths must be positive ints"):
+        with pytest.raises(ValueError, match=r"^hidden\[\d\] must be a positive int, got"):
             TrainerConfig(hidden=hidden)
 
     @pytest.mark.parametrize("bad", [2.5, 1e6, "8", None, True, np.nan])
@@ -1681,7 +1681,8 @@ class TestTrainerConfig:
         # refuses a bool size the same way. episodes=nan used to fail later
         # in sigma_at, naming no field, and 2.5 or True to anneal over one
         # episode
-        with pytest.raises(ValueError, match=f"{field} must be an int"):
+        message = rf"^{field} must be a (positive|nonnegative) int, got"
+        with pytest.raises(ValueError, match=message):
             TrainerConfig(**{field: bad})
 
     def test_numpy_scalars_and_a_list_hidden_give_plain_values_that_save(self, tmp_path):
@@ -1716,7 +1717,7 @@ class TestTrainerConfig:
     def test_rates_discount_and_sigmas_must_be_real_numbers(self, field, bad):
         # a str raised a bare TypeError from the range check, and tau=True
         # was accepted as 1
-        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got"):
             TrainerConfig(**{field: bad})
 
     def test_actor_final_scale_is_fixed(self):

@@ -126,7 +126,7 @@ class TestFormationSpec:
     @pytest.mark.parametrize("n", [0, -3, 2.5, True, "4", None])
     def test_circle_needs_an_int_count_of_at_least_one(self, n):
         # 0 and -3 gave a formation with no followers, 2.5 a bare TypeError
-        with pytest.raises(ValueError, match="n_followers must be an int of at least 1"):
+        with pytest.raises(ValueError, match="^n_followers must be a positive int, got"):
             FormationSpec.circle(n, 1.0)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan, "1", None, True])

@@ -589,9 +589,10 @@ class TestNeighborObservations:
         with pytest.raises(ValueError, match="agent 0, the navigator, is required"):
             neighbor_observations([], 7.0)
 
-    @pytest.mark.parametrize("zone", [math.nan, -1.0, 0.0])
+    @pytest.mark.parametrize("zone", [math.nan, -1.0, 0.0, True, np.array([3.0])])
     def test_non_positive_connection_zone_raises(self, zone):
-        # a NaN or negative zone used to drop every link and broadcast
+        # a NaN or negative zone used to drop every link and broadcast, True
+        # built a 1 m zone and a one-element array passed
         with pytest.raises(ValueError, match="connection_zone must be positive"):
             neighbor_observations([Vec2(0, 0), Vec2(1, 0)], zone)
 

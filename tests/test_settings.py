@@ -1,30 +1,60 @@
-"""Every float setting a caller passes refuses a bool, as TrainerConfig and
-FormationSpec.circle do, with a ValueError naming the setting."""
+"""Every setting a caller passes is checked by one rule, ``geom._real`` for a
+real number or ``geom._count`` for an int: a bool, a numpy bool, a
+one-element array or a str raises a ValueError naming the setting, and a
+numpy scalar is stored as a plain float or int."""
+
+import re
+from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import pytest
 
 from streamform.apf import ApfParams
-from streamform.ddpg import DdpgLearner, TrainerConfig
+from streamform.ddpg import DdpgLearner, ReplayBuffer, TrainerConfig
 from streamform.dynamics import Limits
-from streamform.sensing import LidarConfig
+from streamform.formation import FormationSpec
+from streamform.geom import Vec2
+from streamform.sensing import LidarConfig, neighbor_observations
+
+SMALL = TrainerConfig(batch_size=16, buffer_capacity=512, episodes=10, hidden=(16, 16))
 
 
 def act(sigma):
-    cfg = TrainerConfig(batch_size=16, buffer_capacity=512, episodes=10, hidden=(16, 16))
-    learner = DdpgLearner(obs_dim=6, cfg=cfg, rng=np.random.default_rng(0))
+    learner = DdpgLearner(obs_dim=6, cfg=SMALL, rng=np.random.default_rng(0))
     return learner.act(np.zeros((2, 6)), sigma, np.random.default_rng(1))
 
 
+def config(name, value):
+    return TrainerConfig(**{name: value})
+
+
 SETTINGS = {
-    "v_max": lambda flag: Limits(v_max=flag, omega_max=1.0, a_max=0.5, beta_max=2.0),
-    "omega_max": lambda flag: Limits(omega_max=flag),
-    "a_max": lambda flag: Limits(a_max=flag),
-    "beta_max": lambda flag: Limits(beta_max=flag),
-    "cutoff": lambda flag: ApfParams(cutoff=flag),
-    "noise_std": lambda flag: LidarConfig(noise_std=flag),
+    "v_max": lambda value: Limits(v_max=value, omega_max=1.0, a_max=0.5, beta_max=2.0),
+    "omega_max": lambda value: Limits(omega_max=value),
+    "a_max": lambda value: Limits(a_max=value),
+    "beta_max": lambda value: Limits(beta_max=value),
+    "cutoff": lambda value: ApfParams(cutoff=value),
+    "noise_std": lambda value: LidarConfig(noise_std=value),
     "sigma": act,
+    **{name: partial(config, name) for name in (
+        "critic_lr", "actor_lr", "batch_size", "gamma", "tau", "buffer_capacity", "episodes")},
+    "hidden": lambda value: TrainerConfig(hidden=(16, value)),
+    "capacity": lambda value: ReplayBuffer(value, 6),
+    "obs_dim": lambda value: ReplayBuffer(4, value),
+    "learner_obs_dim": lambda value: DdpgLearner(value, SMALL, np.random.default_rng(0)),
+    "n_followers": lambda value: FormationSpec.circle(value, 1.0),
+    "radius": lambda value: FormationSpec.circle(4, value),
+    "episode": lambda value: SMALL.sigma_at(value),
+    "connection_zone": lambda value: neighbor_observations([Vec2(0.0, 0.0)], value),
 }
+# the name the message gives, where it is not the table's key
+NAMES = {"hidden": "hidden[1]", "learner_obs_dim": "obs_dim"}
+
+
+def raises_naming(key, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(NAMES.get(key, key))} must be"):
+        SETTINGS[key](value)
 
 
 @pytest.mark.parametrize("flag", [True, False, np.True_], ids=["True", "False", "np.True_"])
@@ -33,5 +63,23 @@ def test_a_bool_setting_raises_naming_it(name, flag):
     # Limits(v_max=True) used to build, and a step from v = 0.99 at accel
     # 0.5 returned v = True; LidarConfig(noise_std=True) gave 1 m of range
     # noise and act(obs, True, rng) explored at sigma 1
-    with pytest.raises(ValueError, match=rf"^{name} must be"):
-        SETTINGS[name](flag)
+    raises_naming(name, flag)
+
+
+@pytest.mark.parametrize("value", [np.array([2]), "2"], ids=["array", "str"])
+@pytest.mark.parametrize("name", list(SETTINGS))
+def test_an_array_or_str_setting_raises_naming_it(name, value):
+    # ApfParams(cutoff=np.array([0.7])) used to build and make apf_cost
+    # return an array, act(obs, np.array([0.3]), rng) explored, and a str
+    # raised a bare TypeError from the range check
+    raises_naming(name, value)
+
+
+def test_numpy_scalar_settings_are_stored_plain():
+    # Limits, ApfParams, LidarConfig and ReplayBuffer used to keep them as given
+    limits = Limits(*map(np.float32, (0.5, 0.25, 0.5, 0.5)))
+    buffer = ReplayBuffer(np.int64(4), np.int64(6))
+    stored = [*astuple(limits), ApfParams(np.float64(0.7)).cutoff,
+              LidarConfig(np.float32(0.25)).noise_std, buffer.capacity, buffer.obs_dim]
+    assert stored == [0.5, 0.25, 0.5, 0.5, 0.7, 0.25, 4, 6]
+    assert [type(value) for value in stored] == [float] * 6 + [int] * 2
