@@ -15,7 +15,6 @@ multiply the cost, whose scale the caller's avoidance weight already sets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -42,8 +41,7 @@ def apf_cost(side_distances: Iterable[float | None], params: ApfParams) -> float
     for d in side_distances:
         if d is None:
             continue
-        if not 0.0 < d < math.inf:
-            raise ValueError(f"side distance must be positive and finite, got {d}")
+        d = _real("side distance", d)
         if d < params.cutoff:
             diff = 1.0 / d - 1.0 / params.cutoff
             total += 0.5 * diff * diff

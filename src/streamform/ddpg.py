@@ -45,7 +45,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dynamics import Limits
-from .geom import _count, _real
+from .geom import _count, _finite, _real
 
 ACTION_DIM = 3
 DTYPE = np.float32
@@ -283,12 +283,9 @@ def simplex_from_controls(accel: float, angular_accel: float, limits: Limits) ->
 
     Inverse of map_action for scripted policies; the turn component is
     clipped to the simplex budget left after the acceleration share. A
-    non-finite control raises ValueError.
+    control that is not a finite real raises ValueError naming it.
     """
-    if not math.isfinite(accel):
-        raise ValueError(f"accel must be finite, got {accel!r}")
-    if not math.isfinite(angular_accel):
-        raise ValueError(f"angular_accel must be finite, got {angular_accel!r}")
+    accel, angular_accel = _finite("accel", accel), _finite("angular_accel", angular_accel)
     u0 = min(max(accel / limits.a_max, 0.0), 1.0)
     budget = 1.0 - u0
     ratio = min(max(angular_accel / limits.beta_max, -budget), budget)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .geom import Angle, Vec2, _real, wrap_angle
+from .geom import Angle, Vec2, _finite, _real, wrap_angle
 
 # Below this |omega| the arc displacement switches to its second-order
 # Taylor form to avoid dividing by a vanishing turn rate.
@@ -36,8 +36,8 @@ class Limits:
 
 @dataclass(frozen=True)
 class AgentState:
-    """One agent's pose and rates; a non-finite ``v``, ``alpha`` or ``omega``
-    raises ValueError naming it, as Vec2 does for the position."""
+    """One agent's pose and rates, stored as given; a ``v``, ``alpha`` or
+    ``omega`` that is not finite raises ValueError naming it, as Vec2 does."""
 
     position: Vec2 = Vec2(0.0, 0.0)
     v: float = 0.0
@@ -45,10 +45,9 @@ class AgentState:
     omega: float = 0.0
 
     def __post_init__(self):
-        for name in ("v", "alpha", "omega"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"AgentState.{name} must be finite, got {value!r}")
+        _finite("AgentState.v", self.v)
+        _finite("AgentState.alpha", self.alpha)
+        _finite("AgentState.omega", self.omega)
 
 
 def arc_displacement(v: float, alpha: float, omega: float, dt: float) -> tuple[float, float]:
@@ -72,14 +71,11 @@ def step(state: AgentState, u: tuple[float, float], dt: float, limits: Limits) -
     The position moves along the arc defined by the current (v, alpha,
     omega); v, alpha, omega then integrate the controls, each saturated to
     its bound in ``limits``. A dt that is not positive and finite, or a
-    non-finite control value, raises ValueError naming it.
+    control value that is not finite, raises ValueError naming it.
     """
     accel, angular_accel = u
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    for name, value in (("u.accel", accel), ("u.angular_accel", angular_accel)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    dt = _real("dt", dt)
+    accel, angular_accel = _finite("u.accel", accel), _finite("u.angular_accel", angular_accel)
     accel = min(max(accel, -limits.a_max), limits.a_max)
     angular_accel = min(max(angular_accel, -limits.beta_max), limits.beta_max)
     dx, dy = arc_displacement(state.v, state.alpha, state.omega, dt)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Angle, Vec2, _count, _real
+from .geom import Angle, Vec2, _count, _finite, _real
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,7 @@ def relative_displacement(d_0i: float, theta_0i: Angle) -> Vec2:
     """Follower displacement from the navigator, rebuilt from the broadcast
     distance and world-frame bearing, each of which must be finite (and the
     distance nonnegative), or ValueError names it."""
-    if not 0.0 <= d_0i < math.inf:
-        raise ValueError(f"distance d_0i must be finite and nonnegative, got {d_0i}")
-    if not math.isfinite(theta_0i):
-        raise ValueError(f"bearing theta_0i must be finite, got {theta_0i}")
+    d_0i, theta_0i = _real("d_0i", d_0i, zero_ok=True), _finite("theta_0i", theta_0i)
     return Vec2(d_0i * math.cos(theta_0i), d_0i * math.sin(theta_0i))
 
 

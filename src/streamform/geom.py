@@ -3,7 +3,7 @@
 Everything here is a pure function of its inputs: 2-D vectors, angle
 wrapping into (-pi, pi], the circumcenter of a triangle given as (x, y)
 pairs (used to fit virtual cylinders to lidar returns), and the one rule
-every setting of the package is checked by (``_real`` and ``_count``).
+every scalar of the package is checked by (``_real``, ``_finite``, ``_count``).
 """
 
 from __future__ import annotations
@@ -26,54 +26,62 @@ COLLINEAR_AREA_EPS = 1e-9
 def _real(name: str, value, zero_ok: bool = False) -> float:
     """``value`` as a plain float if it is a real number but not a bool, and
     positive (nonnegative with ``zero_ok``) and finite; else ValueError
-    naming it. A NaN, a str and a one-element array all fail."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
-        0.0 <= value < math.inf if zero_ok else 0.0 < value < math.inf
-    ):
-        return float(value)
+    naming it. A NaN, a str and a one-element array all fail. A plain float
+    skips the slow ``numbers.Real`` test."""
+    if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if 0.0 <= value < math.inf if zero_ok else 0.0 < value < math.inf:
+            return float(value)
     bound = "nonnegative" if zero_ok else "positive"
     raise ValueError(f"{name} must be {bound} and finite, got {value!r}")
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a plain float if it is a finite real number of either
+    sign but not a bool; else ValueError naming it. It checks every agent
+    step's pose and controls, so a plain float takes a path of its own."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _count(name: str, value, zero_ok: bool = False) -> int:
     """``value`` as a plain int if it is an integer but not a bool, and
-    positive (nonnegative with ``zero_ok``); else ValueError naming it."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and (
-        value >= 0 if zero_ok else value >= 1
-    ):
-        return int(value)
+    positive (nonnegative with ``zero_ok``); else ValueError naming it. An
+    int skips the slow ``numbers.Integral`` test."""
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        if value >= 0 if zero_ok else value >= 1:
+            return int(value)
     bound = "nonnegative" if zero_ok else "positive"
     raise ValueError(f"{name} must be a {bound} int, got {value!r}")
 
 
 @dataclass(frozen=True)
 class Vec2:
-    """Immutable 2-D vector in meters; a non-finite coordinate raises ValueError."""
+    """Immutable 2-D vector in meters; each coordinate a finite real, else ValueError."""
 
     x: float
     y: float
 
     def __post_init__(self):
-        if not math.isfinite(self.x):
-            raise ValueError(f"Vec2.x must be finite, got {self.x!r}")
-        if not math.isfinite(self.y):
-            raise ValueError(f"Vec2.y must be finite, got {self.y!r}")
+        _finite("Vec2.x", self.x)
+        _finite("Vec2.y", self.y)
 
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
 
 
-def wrap_angle(raw: float) -> Angle:
+def wrap_angle(angle: float) -> Angle:
     """Wrap an angle into (-pi, pi]; pi maps to itself, -pi maps to pi.
 
     Exactly idempotent: values already in range are returned unchanged.
     """
-    if not math.isfinite(raw):
-        raise ValueError(f"cannot wrap non-finite angle {raw!r}")
-    if -math.pi < raw <= math.pi:
-        return raw
+    angle = _finite("angle", angle)
+    if -math.pi < angle <= math.pi:
+        return angle
     # fmod is exact; the +-2pi correction is exact by Sterbenz's lemma.
-    a = math.fmod(raw, TWO_PI)
+    a = math.fmod(angle, TWO_PI)
     if a > math.pi:
         a -= TWO_PI
     elif a <= -math.pi:

@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geom import Angle, Vec2, _real
+from .geom import Angle, Vec2, _finite, _real
 
 # contiguous detections narrower than this many rays are discarded (3 degrees
 # apart, the minimum obstacle footprint puts at least three rays on a hit)
@@ -126,8 +126,7 @@ def raycast(
     Circles out of reach (see REACH_MARGIN) are dropped before the ray
     work. A non-finite heading raises ValueError.
     """
-    if not math.isfinite(heading):
-        raise ValueError(f"raycast heading {heading!r} must be finite")
+    heading = _finite("heading", heading)
     n = cfg.n_rays
     noise = rng.normal(0.0, cfg.noise_std, size=n) if cfg.noise_std > 0.0 else None
     rel = obstacles.centers - (position.x, position.y)
@@ -167,8 +166,7 @@ def detect_intervals(scan: LidarScan, d_risk: float) -> list[tuple[int, int]]:
     positive and finite raises ValueError: a NaN or negative one finds no
     run, and the avoider would go blind.
     """
-    if not 0.0 < d_risk < math.inf:
-        raise ValueError(f"d_risk must be positive and finite, got {d_risk!r}")
+    d_risk = _real("d_risk", d_risk)
     close = np.zeros(len(scan.distances) + 2, bool)  # padded with a clear ray each end
     np.less(scan.distances, d_risk, out=close[1:-1])
     # alternately the first close ray of a run and the first clear one after it

@@ -1,9 +1,10 @@
-"""Isolated medians of the learner's three hot calls, of its checkpoint and
-of the stream avoider's update, for comparing two trees.
+"""Isolated medians of the learner's three hot calls, of its checkpoint, of
+the stream avoider's update and of one follower's step and scan, for
+comparing two trees.
 
     python3 tests/learner_timing.py
 
-prints six medians, then the machine they ran on:
+prints eight medians, then the machine they ran on:
 
 - ``train_step_ms <median>``: ``DdpgLearner.train_step`` of a learner with
   the default ``TrainerConfig`` (batch 1024), seed 0 and the benchmark's
@@ -19,6 +20,13 @@ prints six medians, then the machine they ran on:
 - ``stream_update_us <median>``: ``StreamAvoider.update`` on one fixed
   noiseless scan of two circles, one each side of the heading, so that both
   sides engage, fit a cylinder and re-lock on every call;
+- ``agent_step_us <median>``: ``map_action`` and ``dynamics.step`` of one
+  follower at the ``env`` limits and time step, the per-follower move of
+  every workload;
+- ``raycast_us <median>``: one noisy ``raycast`` (the ``env`` lidar, range
+  noise 0.2 m) from the middle follower of the swarm workload's seed-0
+  start, against its 68 circles (20 obstacles and the other 48 followers'
+  bodies, 20 of them within reach), as ``Env.sense`` casts it;
 - ``machine.<key> <value>`` lines: the Python and numpy versions, the BLAS
   numpy was built with and its version, ``os.cpu_count()``, the
   ``OPENBLAS_NUM_THREADS`` setting (``unset`` when it is not set) and the
@@ -48,7 +56,16 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from streamform.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
-from streamform.ddpg import ACTION_DIM, DTYPE, ActorPolicy, DdpgLearner, TrainerConfig  # noqa: E402
+from streamform.ddpg import (  # noqa: E402
+    ACTION_DIM,
+    DTYPE,
+    ActorPolicy,
+    DdpgLearner,
+    TrainerConfig,
+    map_action,
+)
+from streamform.dynamics import step  # noqa: E402
+from streamform.env import BODY_RADIUS, DT, LIDAR, LIMITS, SPECS, Env  # noqa: E402
 from streamform.geom import Vec2  # noqa: E402
 from streamform.sensing import LidarConfig, ObstacleSet, raycast  # noqa: E402
 from streamform.stream_avoid import StreamAvoider, StreamParams  # noqa: E402
@@ -58,6 +75,7 @@ ACT_ROWS = 4
 POLICY_ROWS = 48  # the swarm workload's followers
 # two circles ahead, left and right of the heading: (x, y, radius) [m]
 STREAM_CIRCLES = ((0.7, 0.35, 0.2), (0.7, -0.35, 0.2))
+STEP_ACTION = np.array([0.2, 0.5, 0.3])  # accelerate and turn left
 WARMUP = 50
 CALLS = 200
 
@@ -74,7 +92,7 @@ def _median_seconds(call) -> float:
 
 
 def measure() -> dict[str, float]:
-    """The six medians, in ms and µs, keyed as printed."""
+    """The eight medians, in ms and µs, keyed as printed."""
     cfg = TrainerConfig()
     rng = np.random.default_rng(0)
     learner = DdpgLearner(OBS_DIM, cfg, rng)
@@ -90,6 +108,12 @@ def measure() -> dict[str, float]:
     world = ObstacleSet(circles[:, :2], circles[:, 2])
     scan = raycast(Vec2(0.0, 0.0), 0.0, world, LidarConfig(noise_std=0.0), rng)
     avoider = StreamAvoider(StreamParams())
+    swarm = Env(SPECS["swarm"], 0)
+    k = swarm.n_followers // 2
+    follower = swarm.agents[k + 1]
+    centers = np.array([(a.position.x, a.position.y) for a in swarm.agents])
+    bodies = np.full(len(centers) - 1, BODY_RADIUS)
+    swarm_world = swarm.world.extended(np.delete(centers, k + 1, axis=0), bodies)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "learner.ckpt"
         return {
@@ -99,6 +123,12 @@ def measure() -> dict[str, float]:
             "checkpoint_save_ms": 1e3 * _median_seconds(lambda: save_checkpoint(path, arrays, {})),
             "checkpoint_load_ms": 1e3 * _median_seconds(lambda: load_checkpoint(path)),
             "stream_update_us": 1e6 * _median_seconds(lambda: avoider.update(scan)),
+            "agent_step_us": 1e6 * _median_seconds(
+                lambda: step(follower, map_action(STEP_ACTION, LIMITS), DT, LIMITS)
+            ),
+            "raycast_us": 1e6 * _median_seconds(
+                lambda: raycast(follower.position, follower.alpha, swarm_world, LIDAR, rng)
+            ),
         }
 
 

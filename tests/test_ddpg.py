@@ -49,6 +49,19 @@ from streamform.ddpg import (
 LIM = Limits(v_max=0.5, omega_max=0.2, a_max=0.5, beta_max=0.5)
 
 
+def first_bit_difference(got: np.ndarray, want: np.ndarray) -> str:
+    """Where two arrays of one float dtype and shape first differ in their
+    bits, with both values as bits and as float.hex."""
+    bits = f"u{got.itemsize}"
+    got_bits = np.ascontiguousarray(got).view(bits)
+    want_bits = np.ascontiguousarray(want).view(bits)
+    index = tuple(int(i) for i in np.argwhere(got_bits != want_bits)[0])
+    return (
+        f"first differing index {index}: {int(got_bits[index]):#x} "
+        f"({float(got[index]).hex()}) != {int(want_bits[index]):#x} ({float(want[index]).hex()})"
+    )
+
+
 def small_config(**kw):
     defaults = dict(
         batch_size=16,
@@ -977,7 +990,9 @@ class TestWorkspaceTrainStep:
             dx = mlp_backward(head, dout, bufs, None)
             expected = np.matmul(dout, head.weights[0].T)
             assert dx.dtype == expected.dtype == dtype
-            assert dx.tobytes() == expected.tobytes()
+            assert dx.tobytes() == expected.tobytes(), (
+                f"batch={batch} n_in={n_in}: {first_bit_difference(dx, expected)}"
+            )
 
 
 class TestLayerLayout:

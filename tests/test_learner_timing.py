@@ -13,16 +13,16 @@ from streamform.ddpg import DTYPE
 SCRIPT = Path(__file__).resolve().parent / "learner_timing.py"
 
 
-def test_prints_the_six_medians():
+def test_prints_every_median():
     done = subprocess.run(
         [sys.executable, str(SCRIPT)], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    medians, machine = lines[:6], lines[6:]
+    medians, machine = lines[:8], lines[8:]
     assert [line.split()[0] for line in medians] == [
         "train_step_ms", "act_us", "policy_act_us", "checkpoint_save_ms", "checkpoint_load_ms",
-        "stream_update_us",
+        "stream_update_us", "agent_step_us", "raycast_us",
     ]
     for line in medians:
         assert re.fullmatch(r"\S+ \d+\.\d{3}", line), line

@@ -181,7 +181,7 @@ class TestRaycast:
         # a NaN pose used to give a blind scan: every ray at d_max, not inside.
         # The position is refused as a Vec2 is built, the heading by raycast
         obs = ObstacleSet([[1.0, 0.0]], [0.3])
-        match = {"position": r"Vec2\.[xy] must be finite", "heading": "raycast heading"}[name]
+        match = {"position": r"Vec2\.[xy] must be finite", "heading": "heading must be finite"}[name]
         with pytest.raises(ValueError, match=match):
             raycast(Vec2(*position), heading, obs, CFG, RNG)
 
@@ -189,7 +189,7 @@ class TestRaycast:
     def test_infinite_heading_is_named(self, heading):
         # math.cos raised a bare "math domain error" here
         obs = ObstacleSet([[1.0, 0.0]], [0.3])
-        with pytest.raises(ValueError, match="raycast heading"):
+        with pytest.raises(ValueError, match="heading must be finite"):
             raycast(Vec2(0.0, 0.0), heading, obs, CFG, RNG)
 
     def test_behind_obstacle_not_seen(self):

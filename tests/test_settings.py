@@ -1,7 +1,11 @@
-"""Every setting a caller passes is checked by one rule, ``geom._real`` for a
-real number or ``geom._count`` for an int: a bool, a numpy bool, a
-one-element array or a str raises a ValueError naming the setting, and a
-numpy scalar is stored as a plain float or int."""
+"""Every scalar a caller passes is checked by one rule: ``geom._real`` for a
+positive real, ``geom._count`` for an int and ``geom._finite`` for a finite
+real of either sign. That covers the settings, the arguments that change on
+every step (``dt``, the controls, the heading, ``d_risk``, the APF side
+distances, the broadcast distance and bearing, an angle to wrap) and the
+fields of ``Vec2`` and ``AgentState``. A bool, a numpy bool, a one-element
+array or a str raises a ValueError naming the value; a numpy scalar setting
+is stored as a plain float or int."""
 
 import re
 from dataclasses import astuple
@@ -10,12 +14,19 @@ from functools import partial
 import numpy as np
 import pytest
 
-from streamform.apf import ApfParams
-from streamform.ddpg import DdpgLearner, ReplayBuffer, TrainerConfig
-from streamform.dynamics import Limits
-from streamform.formation import FormationSpec
-from streamform.geom import Vec2
-from streamform.sensing import LidarConfig, neighbor_observations
+from streamform.apf import ApfParams, apf_cost
+from streamform.ddpg import DdpgLearner, ReplayBuffer, TrainerConfig, simplex_from_controls
+from streamform.dynamics import AgentState, Limits, step
+from streamform.formation import FormationSpec, relative_displacement
+from streamform.geom import Vec2, wrap_angle
+from streamform.sensing import (
+    LidarConfig,
+    LidarScan,
+    ObstacleSet,
+    detect_intervals,
+    neighbor_observations,
+    raycast,
+)
 
 SMALL = TrainerConfig(batch_size=16, buffer_capacity=512, episodes=10, hidden=(16, 16))
 
@@ -83,3 +94,54 @@ def test_numpy_scalar_settings_are_stored_plain():
               LidarConfig(np.float32(0.25)).noise_std, buffer.capacity, buffer.obs_dim]
     assert stored == [0.5, 0.25, 0.5, 0.5, 0.7, 0.25, 4, 6]
     assert [type(value) for value in stored] == [float] * 6 + [int] * 2
+
+
+def cast(heading):
+    world = ObstacleSet([[1.0, 0.0]], [0.3])
+    return raycast(Vec2(0.0, 0.0), heading, world, LidarConfig(noise_std=0.0),
+                   np.random.default_rng(0))
+
+
+# per-step arguments and record fields, keyed by the name the message gives
+SCALARS = {
+    "dt": lambda value: step(AgentState(), (0.0, 0.0), value, Limits()),
+    "u.accel": lambda value: step(AgentState(), (value, 0.0), 0.1, Limits()),
+    "u.angular_accel": lambda value: step(AgentState(), (0.0, value), 0.1, Limits()),
+    "accel": lambda value: simplex_from_controls(value, 0.0, Limits()),
+    "angular_accel": lambda value: simplex_from_controls(0.0, value, Limits()),
+    "heading": cast,
+    "d_risk": lambda value: detect_intervals(LidarScan(np.full(61, 0.5)), value),
+    "side distance": lambda value: apf_cost([value], ApfParams(cutoff=0.7)),
+    "d_0i": lambda value: relative_displacement(value, 0.3),
+    "theta_0i": lambda value: relative_displacement(1.0, value),
+    "angle": wrap_angle,
+    "Vec2.x": lambda value: Vec2(value, 0.0),
+    "Vec2.y": lambda value: Vec2(0.0, value),
+    "AgentState.v": lambda value: AgentState(v=value),
+    "AgentState.alpha": lambda value: AgentState(alpha=value),
+    "AgentState.omega": lambda value: AgentState(omega=value),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.True_, "0.5", np.array([0.5])], ids=["True", "np.True_", "str", "array"]
+)
+@pytest.mark.parametrize("name", list(SCALARS))
+def test_a_bool_str_or_array_scalar_raises_naming_it(name, value):
+    # these checks were written out inline and let a bool and a one-element
+    # array through: step(AgentState(v=0.1), (0.1, 0.0), True, Limits())
+    # advanced a full second, and a str raised a bare TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+        SCALARS[name](value)
+
+
+def test_a_numpy_dt_steps_the_same_bits_as_a_float():
+    state = AgentState(Vec2(1.0, 2.0), 0.3, 0.1, 0.05)
+
+    def bits(dt):
+        out = step(state, (0.4, -0.2), dt, Limits())
+        values = (out.position.x, out.position.y, out.v, out.alpha, out.omega)
+        assert [type(value) for value in values] == [float] * 5
+        return [value.hex() for value in values]
+
+    assert bits(np.float64(0.1)) == bits(0.1)
