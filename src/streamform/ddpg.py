@@ -296,37 +296,35 @@ def simplex_from_controls(accel: float, angular_accel: float, limits: Limits) ->
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """The learner's settings. ``actor_final_scale`` is fixed at DDPG's
-    +-3e-3 (Lillicrap et al., arXiv:1509.02971), the scale ``init_mlp`` gives
-    the critic too. The exploration schedule is fixed as well: ``sigma_at``
-    anneals the noise scale from ``sigma_start`` to ``sigma_end`` over the
-    first ``sigma_anneal_frac`` of the episodes, as DDPG and TD3 (Fujimoto
-    et al., arXiv:1802.09477) fix their exploration noise rather than tune it
-    per run. No caller varies these four; they satisfy 0 <= sigma_end <=
-    sigma_start < inf and 0 < sigma_anneal_frac <= 1, which a test pins.
-    Each rate, discount, size and ``hidden`` width is a setting by
-    ``geom._real`` or ``geom._count``; besides, gamma < 1, tau <= 1 and
-    ``buffer_capacity`` >= ``batch_size``, and the first field that fails
-    raises ValueError naming it. The fields hold plain ``int``, ``float`` and
-    a tuple of ``int``, so a config built from numpy scalars or a list
-    hashes and saves like any other."""
+    """What a run varies: the learner's sizes and hidden widths.
 
-    critic_lr: float = 1e-3
-    actor_lr: float = 1e-4
+    The update rule is fixed as DDPG fixes it on every task (Lillicrap et
+    al., arXiv:1509.02971): Adam rates ``critic_lr`` = 1e-3 and ``actor_lr``
+    = 1e-4, discount ``gamma`` = 0.99 and the final actor layer at +-3e-3
+    (``actor_final_scale``, the scale ``init_mlp`` gives the critic too);
+    ``tau`` = 0.005 is TD3's (Fujimoto et al., arXiv:1802.09477). Both fix
+    their exploration noise too: ``sigma_at`` anneals it from ``sigma_start``
+    to ``sigma_end`` over the first ``sigma_anneal_frac`` of the episodes. A
+    test pins the ranges these constants need. Each size and ``hidden`` width
+    is a setting by ``geom._count``, ``buffer_capacity`` >= ``batch_size``, and
+    the first field that fails raises ValueError naming it. The fields hold
+    plain ints, so a config built from numpy scalars or a list hashes and
+    saves like any other."""
+
     batch_size: int = 1024
-    gamma: float = 0.99
-    tau: float = 0.005
     buffer_capacity: int = 1_000_000
     episodes: int = 30_000
     hidden: tuple[int, ...] = (64, 128, 128)
+    critic_lr: ClassVar[float] = 1e-3
+    actor_lr: ClassVar[float] = 1e-4
+    gamma: ClassVar[float] = 0.99
+    tau: ClassVar[float] = 0.005
     actor_final_scale: ClassVar[float] = 3e-3
     sigma_start: ClassVar[float] = 0.3
     sigma_end: ClassVar[float] = 0.05
     sigma_anneal_frac: ClassVar[float] = 0.5
 
     def __post_init__(self):
-        for name in ("critic_lr", "actor_lr", "gamma", "tau"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
         for name in ("batch_size", "buffer_capacity", "episodes"):
             value = _count(name, getattr(self, name), zero_ok=name == "episodes")
             object.__setattr__(self, name, value)
@@ -336,10 +334,6 @@ class TrainerConfig:
             raise ValueError(f"hidden must be a sequence of widths, got {self.hidden!r}") from None
         hidden = tuple(_count(f"hidden[{i}]", w) for i, w in enumerate(hidden))
         object.__setattr__(self, "hidden", hidden)
-        if not self.gamma < 1.0:
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if not self.tau <= 1.0:
-            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
         if self.buffer_capacity < self.batch_size:
             raise ValueError("buffer_capacity must be at least batch_size")
 

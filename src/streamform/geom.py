@@ -23,14 +23,23 @@ Angle = float
 COLLINEAR_AREA_EPS = 1e-9
 
 
+def _as_float(value) -> float:
+    """A real ``value``, not a bool, as a plain float; else NaN, for 10**400 too."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        return float(value) if real else math.nan
+    except OverflowError:
+        return math.nan
+
+
 def _real(name: str, value, zero_ok: bool = False) -> float:
     """``value`` as a plain float if it is a real number but not a bool, and
     positive (nonnegative with ``zero_ok``) and finite; else ValueError
-    naming it. A NaN, a str and a one-element array all fail. A plain float
-    skips the slow ``numbers.Real`` test."""
-    if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if 0.0 <= value < math.inf if zero_ok else 0.0 < value < math.inf:
-            return float(value)
+    naming it. A NaN, a str, a one-element array and an int past the float
+    range all fail. A plain float skips the slow ``numbers.Real`` test."""
+    x = value if type(value) is float else _as_float(value)
+    if 0.0 <= x < math.inf if zero_ok else 0.0 < x < math.inf:
+        return x
     bound = "nonnegative" if zero_ok else "positive"
     raise ValueError(f"{name} must be {bound} and finite, got {value!r}")
 
@@ -41,8 +50,8 @@ def _finite(name: str, value) -> float:
     step's pose and controls, so a plain float takes a path of its own."""
     if type(value) is float and math.isfinite(value):
         return value
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-        return float(value)
+    if math.isfinite(x := _as_float(value)):
+        return x
     raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -74,12 +83,8 @@ class Vec2:
 
 def wrap_angle(angle: float) -> Angle:
     """Wrap an angle into (-pi, pi]; pi maps to itself, -pi maps to pi.
-
-    Exactly idempotent: values already in range are returned unchanged.
-    """
+    Exactly idempotent: fmod returns an angle already in range unchanged."""
     angle = _finite("angle", angle)
-    if -math.pi < angle <= math.pi:
-        return angle
     # fmod is exact; the +-2pi correction is exact by Sterbenz's lemma.
     a = math.fmod(angle, TWO_PI)
     if a > math.pi:

@@ -32,11 +32,14 @@ prints eight medians, then the machine they ran on:
   ``OPENBLAS_NUM_THREADS`` setting (``unset`` when it is not set) and the
   learner's ``DTYPE``, so that two trees' medians show what each ran on.
 
-Each median is over ``CALLS`` calls, each timed alone with
-``time.perf_counter`` after ``WARMUP`` untimed ones. To compare a change with
-its parent, run the same copy of this script in both trees on one machine,
-several times in alternation: the medians move by several percent from run
-to run on a busy host.
+Each call is timed alone with ``time.perf_counter`` after ``WARMUP``
+untimed ones. A busy host switches between speed levels every second or so,
+so one 200-call window reads whichever level it fell on. The ``CALLS`` timed
+calls of each median therefore run as ``WINDOWS`` windows of consecutive
+calls, taken in turn with the other medians' windows so that they spread
+over the whole run, and the value printed is the smallest window median. To
+compare a change with its parent, run the same copy of this script in both
+trees on one machine, several times in alternation.
 """
 
 from __future__ import annotations
@@ -78,17 +81,25 @@ STREAM_CIRCLES = ((0.7, 0.35, 0.2), (0.7, -0.35, 0.2))
 STEP_ACTION = np.array([0.2, 0.5, 0.3])  # accelerate and turn left
 WARMUP = 50
 CALLS = 200
+WINDOWS = 10
 
 
-def _median_seconds(call) -> float:
-    for _ in range(WARMUP):
-        call()
-    times = []
-    for _ in range(CALLS):
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+def _fastest_window_medians(calls: dict) -> dict[str, float]:
+    """Seconds per call of each of ``calls``: the smallest median of its
+    ``WINDOWS`` windows, which run in turn with the other calls' windows."""
+    for call in calls.values():
+        for _ in range(WARMUP):
+            call()
+    medians = {name: [] for name in calls}
+    for _ in range(WINDOWS):
+        for name, call in calls.items():
+            times = []
+            for _ in range(CALLS // WINDOWS):
+                start = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - start)
+            medians[name].append(statistics.median(times))
+    return {name: min(values) for name, values in medians.items()}
 
 
 def measure() -> dict[str, float]:
@@ -115,21 +126,20 @@ def measure() -> dict[str, float]:
     bodies = np.full(len(centers) - 1, BODY_RADIUS)
     swarm_world = swarm.world.extended(np.delete(centers, k + 1, axis=0), bodies)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "learner.ckpt"
-        return {
-            "train_step_ms": 1e3 * _median_seconds(lambda: learner.train_step(rng)),
-            "act_us": 1e6 * _median_seconds(lambda: learner.act(obs, cfg.sigma_start, rng)),
-            "policy_act_us": 1e6 * _median_seconds(lambda: policy.act(swarm_obs)),
-            "checkpoint_save_ms": 1e3 * _median_seconds(lambda: save_checkpoint(path, arrays, {})),
-            "checkpoint_load_ms": 1e3 * _median_seconds(lambda: load_checkpoint(path)),
-            "stream_update_us": 1e6 * _median_seconds(lambda: avoider.update(scan)),
-            "agent_step_us": 1e6 * _median_seconds(
-                lambda: step(follower, map_action(STEP_ACTION, LIMITS), DT, LIMITS)
+        path = Path(tmp) / "learner.ckpt"  # saved before it is loaded, warm-up included
+        seconds = _fastest_window_medians({
+            "train_step_ms": lambda: learner.train_step(rng),
+            "act_us": lambda: learner.act(obs, cfg.sigma_start, rng),
+            "policy_act_us": lambda: policy.act(swarm_obs),
+            "checkpoint_save_ms": lambda: save_checkpoint(path, arrays, {}),
+            "checkpoint_load_ms": lambda: load_checkpoint(path),
+            "stream_update_us": lambda: avoider.update(scan),
+            "agent_step_us": lambda: step(follower, map_action(STEP_ACTION, LIMITS), DT, LIMITS),
+            "raycast_us": lambda: raycast(
+                follower.position, follower.alpha, swarm_world, LIDAR, rng
             ),
-            "raycast_us": 1e6 * _median_seconds(
-                lambda: raycast(follower.position, follower.alpha, swarm_world, LIDAR, rng)
-            ),
-        }
+        })
+    return {name: (1e3 if name.endswith("_ms") else 1e6) * t for name, t in seconds.items()}
 
 
 def machine() -> dict[str, str]:

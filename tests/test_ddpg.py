@@ -659,8 +659,8 @@ class TestTargets:
 
 
 class TestTrainStep:
-    def _seeded_learner(self, tau=0.005, gamma=0.9):
-        cfg = small_config(tau=tau, gamma=gamma)
+    def _seeded_learner(self):
+        cfg = small_config()
         rng = np.random.default_rng(14)
         learner = DdpgLearner(obs_dim=5, cfg=cfg, rng=rng)
         for _ in range(64):
@@ -669,8 +669,9 @@ class TestTrainStep:
             learner.record(o, a, rng.normal(), rng.normal(size=5), False)
         return learner, rng
 
-    def test_tau_one_copies_targets(self):
-        learner, rng = self._seeded_learner(tau=1.0)
+    def test_tau_one_copies_targets(self, monkeypatch):
+        monkeypatch.setattr(TrainerConfig, "tau", 1.0)
+        learner, rng = self._seeded_learner()
         learner.train_step(rng)
         for t, o in zip(learner.target_actor.arrays(), learner.actor.arrays()):
             np.testing.assert_array_equal(t, o)
@@ -1185,13 +1186,13 @@ class TestLearningSignal:
     BOUND = 0.25
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_training_lowers_the_greedy_cost_of_a_contextual_bandit(self, seed):
+    def test_training_lowers_the_greedy_cost_of_a_contextual_bandit(self, seed, monkeypatch):
         # one-step episodes of 4 rows with 4 normal features; every
-        # transition is terminal, so the TD target is the cost itself
-        cfg = TrainerConfig(
-            batch_size=64, hidden=(32, 32), critic_lr=1e-3, actor_lr=1e-3, tau=0.05,
-            buffer_capacity=6000,
-        )
+        # transition is terminal, so the TD target is the cost itself and
+        # tau does not matter. The actor learns at the critic's rate: at
+        # DDPG's 1e-4 the shares were 0.149-0.198, a thinner margin
+        monkeypatch.setattr(TrainerConfig, "actor_lr", 1e-3)
+        cfg = TrainerConfig(batch_size=64, hidden=(32, 32), buffer_capacity=6000)
         rng = np.random.default_rng(seed)
         learner = DdpgLearner(obs_dim=4, cfg=cfg, rng=rng)
         policy = ActorPolicy(learner.actor)  # the learner's live actor, greedy
@@ -1669,18 +1670,7 @@ class TestCheckpoint:
 class TestTrainerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrainerConfig(gamma=1.0)
-        with pytest.raises(ValueError):
-            TrainerConfig(tau=0.0)
-        with pytest.raises(ValueError):
             TrainerConfig(batch_size=0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("field", ["critic_lr", "actor_lr"])
-    def test_learning_rates_must_be_positive_and_finite(self, field, bad):
-        # "<= 0" let a NaN learning rate through
-        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-            TrainerConfig(**{field: bad})
 
     @pytest.mark.parametrize("hidden", [(0,), (-4,), (16, 2.5), ("8",), (16, None), (True, 8)])
     def test_hidden_widths_must_be_positive_ints(self, hidden):
@@ -1704,12 +1694,11 @@ class TestTrainerConfig:
         # save used to raise "Object of type int64 is not JSON serializable"
         # from the config echo, and a list hidden made hash(cfg) raise
         cfg = TrainerConfig(batch_size=np.int64(2), buffer_capacity=np.int64(4),
-                            episodes=np.int64(5), hidden=[np.int64(8)], gamma=np.float32(0.9))
-        plain = TrainerConfig(batch_size=2, buffer_capacity=4, episodes=5, hidden=(8,),
-                              gamma=float(np.float32(0.9)))
+                            episodes=np.int64(5), hidden=[np.int64(8)])
+        plain = TrainerConfig(batch_size=2, buffer_capacity=4, episodes=5, hidden=(8,))
         assert cfg == plain and hash(cfg) == hash(plain)
         for field in fields(cfg):
-            assert type(getattr(cfg, field.name)) in (int, float, tuple), field.name
+            assert type(getattr(cfg, field.name)) in (int, tuple), field.name
         assert type(cfg.hidden[0]) is int
         learner = DdpgLearner(obs_dim=3, cfg=cfg, rng=np.random.default_rng(23))
         path = tmp_path / "numpy.ckpt"
@@ -1727,13 +1716,15 @@ class TestTrainerConfig:
         with pytest.raises(ValueError, match="hidden must be a sequence of widths"):
             TrainerConfig(hidden=hidden)
 
-    @pytest.mark.parametrize("bad", ["0.1", None, True])
-    @pytest.mark.parametrize("field", ["critic_lr", "actor_lr", "gamma", "tau"])
-    def test_rates_discount_and_sigmas_must_be_real_numbers(self, field, bad):
-        # a str raised a bare TypeError from the range check, and tau=True
-        # was accepted as 1
-        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got"):
-            TrainerConfig(**{field: bad})
+    def test_update_rule_is_fixed(self):
+        for name in ("critic_lr", "actor_lr"):
+            assert 0.0 < getattr(TrainerConfig, name) < np.inf
+        assert 0.0 < TrainerConfig.gamma < 1.0
+        assert 0.0 < TrainerConfig.tau <= 1.0
+        for name in ("critic_lr", "actor_lr", "gamma", "tau"):
+            with pytest.raises(TypeError):
+                TrainerConfig(**{name: getattr(TrainerConfig, name)})
+            assert name not in asdict(TrainerConfig())
 
     def test_actor_final_scale_is_fixed(self):
         assert 0.0 < TrainerConfig.actor_final_scale < np.inf

@@ -48,8 +48,7 @@ SETTINGS = {
     "cutoff": lambda value: ApfParams(cutoff=value),
     "noise_std": lambda value: LidarConfig(noise_std=value),
     "sigma": act,
-    **{name: partial(config, name) for name in (
-        "critic_lr", "actor_lr", "batch_size", "gamma", "tau", "buffer_capacity", "episodes")},
+    **{name: partial(config, name) for name in ("batch_size", "buffer_capacity", "episodes")},
     "hidden": lambda value: TrainerConfig(hidden=(16, value)),
     "capacity": lambda value: ReplayBuffer(value, 6),
     "obs_dim": lambda value: ReplayBuffer(4, value),
@@ -61,6 +60,9 @@ SETTINGS = {
 }
 # the name the message gives, where it is not the table's key
 NAMES = {"hidden": "hidden[1]", "learner_obs_dim": "obs_dim"}
+# the rows checked by geom._real; a huge int count is still an int
+REALS = ["v_max", "omega_max", "a_max", "beta_max", "cutoff", "noise_std", "sigma", "radius",
+         "connection_zone"]
 
 
 def raises_naming(key, value):
@@ -84,6 +86,12 @@ def test_an_array_or_str_setting_raises_naming_it(name, value):
     # return an array, act(obs, np.array([0.3]), rng) explored, and a str
     # raised a bare TypeError from the range check
     raises_naming(name, value)
+
+
+@pytest.mark.parametrize("name", REALS)
+def test_an_int_past_the_float_range_raises_naming_it(name):
+    # Limits(v_max=10**400) raised a bare OverflowError from float()
+    raises_naming(name, 10**400)
 
 
 def test_numpy_scalar_settings_are_stored_plain():
@@ -124,13 +132,16 @@ SCALARS = {
 
 
 @pytest.mark.parametrize(
-    "value", [True, np.True_, "0.5", np.array([0.5])], ids=["True", "np.True_", "str", "array"]
+    "value", [True, np.True_, "0.5", np.array([0.5]), 10**400, -10**400],
+    ids=["True", "np.True_", "str", "array", "1e400", "-1e400"],
 )
 @pytest.mark.parametrize("name", list(SCALARS))
 def test_a_bool_str_or_array_scalar_raises_naming_it(name, value):
     # these checks were written out inline and let a bool and a one-element
     # array through: step(AgentState(v=0.1), (0.1, 0.0), True, Limits())
-    # advanced a full second, and a str raised a bare TypeError
+    # advanced a full second, and a str raised a bare TypeError. An int past
+    # the float range, Vec2(10**400, 0.0) or wrap_angle(10**400), raised a
+    # bare OverflowError
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
         SCALARS[name](value)
 
