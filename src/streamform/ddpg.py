@@ -138,9 +138,9 @@ class MlpBuffers:
         self.mask = [None] + [mask[: math.prod(shape)].reshape(shape) for shape in hidden]
 
 
-def init_mlp(sizes: list[int], rng: np.random.Generator, final_scale: float = 3e-3) -> MlpParams:
-    """He-initialized hidden layers; small uniform final layer (float64
-    draws, rounded to ``DTYPE``)."""
+def init_mlp(sizes: list[int], rng: np.random.Generator, final_scale: float) -> MlpParams:
+    """He-initialized hidden layers; a final layer uniform in
+    +-``final_scale`` (float64 draws, rounded to ``DTYPE``)."""
     weights, biases = [], []
     for i in range(len(sizes) - 1):
         fan_in, fan_out = sizes[i], sizes[i + 1]
@@ -298,18 +298,18 @@ def simplex_from_controls(accel: float, angular_accel: float, limits: Limits) ->
 class TrainerConfig:
     """What a run varies: the learner's sizes and hidden widths.
 
-    The update rule is fixed as DDPG fixes it on every task (Lillicrap et
-    al., arXiv:1509.02971): Adam rates ``critic_lr`` = 1e-3 and ``actor_lr``
-    = 1e-4, discount ``gamma`` = 0.99 and the final actor layer at +-3e-3
-    (``actor_final_scale``, the scale ``init_mlp`` gives the critic too);
-    ``tau`` = 0.005 is TD3's (Fujimoto et al., arXiv:1802.09477). Both fix
-    their exploration noise too: ``sigma_at`` anneals it from ``sigma_start``
-    to ``sigma_end`` over the first ``sigma_anneal_frac`` of the episodes. A
-    test pins the ranges these constants need. Each size and ``hidden`` width
-    is a setting by ``geom._count``, ``buffer_capacity`` >= ``batch_size``, and
-    the first field that fails raises ValueError naming it. The fields hold
-    plain ints, so a config built from numpy scalars or a list hashes and
-    saves like any other."""
+    The update rule is fixed as DDPG fixes it on every task (Lillicrap et al.,
+    arXiv:1509.02971): Adam rates ``critic_lr`` = 1e-3 and ``actor_lr`` =
+    1e-4, discount ``gamma`` = 0.99 and the final layers of both networks at
+    +-3e-3 (``actor_final_scale``); ``tau`` = 0.005 is TD3's (Fujimoto et
+    al., arXiv:1802.09477). Both fix their exploration noise too:
+    ``sigma_at`` anneals it from ``sigma_start`` to ``sigma_end`` over the
+    first ``sigma_anneal_frac`` of the episodes. A test pins the ranges
+    these constants need. ``hidden`` is a list or tuple, each size and
+    ``hidden`` width is a setting by ``geom._count``, ``buffer_capacity`` >=
+    ``batch_size``, and the first field that fails raises ValueError naming
+    it. The fields hold plain ints, so a config built from numpy scalars or
+    a list hashes and saves like any other."""
 
     batch_size: int = 1024
     buffer_capacity: int = 1_000_000
@@ -328,11 +328,10 @@ class TrainerConfig:
         for name in ("batch_size", "buffer_capacity", "episodes"):
             value = _count(name, getattr(self, name), zero_ok=name == "episodes")
             object.__setattr__(self, name, value)
-        try:
-            hidden = tuple(self.hidden)
-        except TypeError:
-            raise ValueError(f"hidden must be a sequence of widths, got {self.hidden!r}") from None
-        hidden = tuple(_count(f"hidden[{i}]", w) for i, w in enumerate(hidden))
+        # a set or dict would give its widths in hash order, a str its characters
+        if not isinstance(self.hidden, (list, tuple)):
+            raise ValueError(f"hidden must be a sequence of widths, got {self.hidden!r}")
+        hidden = tuple(_count(f"hidden[{i}]", w) for i, w in enumerate(self.hidden))
         object.__setattr__(self, "hidden", hidden)
         if self.buffer_capacity < self.batch_size:
             raise ValueError("buffer_capacity must be at least batch_size")
@@ -384,14 +383,16 @@ class ReplayBuffer:
 
     def add(self, obs, act, rew: float, obs_next, done: bool) -> None:
         """Store one transition: ``obs`` and ``obs_next`` of shape (obs_dim,),
-        ``act`` of shape (ACTION_DIM,), scalar ``rew`` and a Python or numpy
-        bool ``done``. A field of another shape, or that is not finite as a
-        row holds it (1e39 is inf in float32), or a ``done`` that is not a
-        bool, raises ValueError naming it and leaves the buffer as it was:
-        one NaN sampled into a batch would turn every network weight NaN,
-        and a ``done`` of 2.0 would flip the sign of the bootstrap."""
+        ``act`` of shape (ACTION_DIM,), ``rew`` a finite real by
+        ``geom._finite`` and a Python or numpy bool ``done``. A field of
+        another shape, or that is not finite as a row holds it (1e39 is inf
+        in float32), or a ``done`` that is not a bool, raises ValueError
+        naming it and leaves the buffer as it was: one NaN sampled into a
+        batch would turn every network weight NaN, and a ``done`` of 2.0
+        would flip the sign of the bootstrap."""
         if not isinstance(done, (bool, np.bool_)):
             raise ValueError(f"transition done must be a bool, got {done!r}")
+        rew = _finite("transition rew", rew)
         values = (obs, act, rew, obs_next, float(done))
         with np.errstate(over="ignore"):  # the overflow is what is tested for
             for name, view, value in zip(self.FIELDS, self._row_fields, values):
@@ -467,14 +468,13 @@ def compute_td_targets(
     rew: np.ndarray,
     obs_next: np.ndarray,
     done: np.ndarray,
-    gamma: float,
     actor_bufs: MlpBuffers,
     critic_bufs: MlpBuffers,
 ) -> np.ndarray:
-    """y = r + gamma * Q'(o', pi'(o')), with no bootstrap past done."""
+    """y = r + gamma * Q'(o', pi'(o')), no bootstrap past done; TrainerConfig.gamma."""
     u_next = actor_forward(target_actor, obs_next, actor_bufs)
     q_next = critic_forward(target_critic, obs_next, u_next, critic_bufs)
-    y = gamma * q_next
+    y = TrainerConfig.gamma * q_next
     y *= 1.0 - done
     y += rew
     return y
@@ -513,8 +513,9 @@ def actor_objective_grads(
     return objective
 
 
-def soft_update(target: MlpParams, online: MlpParams, tau: float) -> None:
-    """target <- (1 - tau) target + tau online, over the flat vectors."""
+def soft_update(target: MlpParams, online: MlpParams) -> None:
+    """target <- (1 - tau) target + tau online on the flat vectors; TrainerConfig.tau."""
+    tau = TrainerConfig.tau
     target.flat *= 1.0 - tau
     target.flat += online.flat * tau
 
@@ -530,7 +531,7 @@ class DdpgLearner:
         obs_dim = _count("obs_dim", obs_dim)
         self.cfg = cfg
         self.actor = init_mlp([obs_dim, *cfg.hidden, ACTION_DIM], rng, cfg.actor_final_scale)
-        self.critic = init_mlp([obs_dim + ACTION_DIM, *cfg.hidden, 1], rng)
+        self.critic = init_mlp([obs_dim + ACTION_DIM, *cfg.hidden, 1], rng, cfg.actor_final_scale)
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
         self.buffer = ReplayBuffer(cfg.buffer_capacity, obs_dim)
@@ -558,11 +559,11 @@ class DdpgLearner:
         return len(self.buffer) >= self.cfg.batch_size
 
     def train_step(self, rng: np.random.Generator) -> dict[str, float]:
-        cfg, a_bufs, c_bufs = self.cfg, self.actor_bufs, self.critic_bufs
+        a_bufs, c_bufs = self.actor_bufs, self.critic_bufs
         a_opt, c_opt = self.actor_opt, self.critic_opt
         obs, act, rew, obs_next, done = self.buffer.sample(rng, self.sample)
         targets = compute_td_targets(
-            self.target_actor, self.target_critic, rew, obs_next, done, cfg.gamma, a_bufs, c_bufs
+            self.target_actor, self.target_critic, rew, obs_next, done, a_bufs, c_bufs
         )
         c_loss = critic_loss_grads(self.critic, obs, act, targets, c_bufs, c_opt.grad)
         self._require_finite(c_loss, "critic loss")
@@ -572,8 +573,8 @@ class DdpgLearner:
         self._require_finite(a_obj, "actor objective")
         self._require_finite(a_opt.grad, "actor gradient")
         a_opt.step()
-        soft_update(self.target_actor, self.actor, cfg.tau)
-        soft_update(self.target_critic, self.critic, cfg.tau)
+        soft_update(self.target_actor, self.actor)
+        soft_update(self.target_critic, self.critic)
         self.train_steps += 1
         return {"critic_loss": c_loss, "actor_q": a_obj}
 

@@ -241,7 +241,7 @@ class Env:
         for a, u in zip(self.agents[1:], actions, strict=True):
             new.append(step(a, map_action(u, LIMITS), DT, LIMITS))
         self.agents = new
-        self.prev_actions = actions
+        self.prev_actions = np.array(actions)  # the caller may write into its array
 
     def scripted_actions(self, obs: np.ndarray) -> np.ndarray:
         """Each follower's action under the scripted law, from its own row:

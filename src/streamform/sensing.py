@@ -72,11 +72,21 @@ class LidarScan:
     agent_inside: bool = False
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _check_circles(centers, radii) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, 2) centers and (n,) radii as float arrays; ValueError for other
-    shapes and for unreal circles (a NaN one would vanish from every scan)."""
-    centers = np.asarray(centers, dtype=float)
-    radii = np.asarray(radii, dtype=float)
+    """The (n, 2) centers and (n,) radii as float arrays, a float64 array as
+    given; ValueError for arrays of bools, strs or objects (an int past the
+    float range makes one), other shapes and unreal circles (a NaN one would
+    vanish from every scan)."""
+    centers, radii = np.asarray(centers), np.asarray(radii)
+    # the per-follower extended call passes float64 arrays: no test, no copy
+    if centers.dtype is not _FLOAT64 or radii.dtype is not _FLOAT64:
+        for name, a in (("centers", centers), ("radii", radii)):
+            if a.dtype.kind not in "fiu":
+                raise ValueError(f"obstacle {name} must be real numbers, got {a.dtype}: {a!r}")
+        centers, radii = centers.astype(float, copy=False), radii.astype(float, copy=False)
     if centers.shape[1:] != (2,) or radii.shape != centers.shape[:1]:
         raise ValueError("obstacle centers must have shape (n, 2) and radii shape (n,)"
                          f" of matching length, got {centers.shape} and {radii.shape}")
@@ -89,8 +99,9 @@ def _check_circles(centers, radii) -> tuple[np.ndarray, np.ndarray]:
 
 class ObstacleSet:
     """Circular obstacles stored as flat arrays for vectorized ray casts:
-    both constructors take (n, 2) centers and (n,) radii, with finite
-    centers and positive finite radii, and raise ValueError otherwise."""
+    both constructors take (n, 2) centers and (n,) radii of ints or floats,
+    with finite centers and positive finite radii, and raise ValueError
+    otherwise."""
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray):
         self.centers, self.radii = _check_circles(centers, radii)

@@ -157,61 +157,54 @@ def _read_side(scan: LidarScan, interval: tuple[int, int], side: Side) -> SideRe
     )
 
 
-def avoidance_update(
-    scan: LidarScan,
-    states: tuple[AvoidanceState, AvoidanceState],
-    params: StreamParams,
-) -> AvoidanceOutcome:
-    """One step of the per-side avoidance decision policy.
-
-    Per side: the avoid flag tracks whether a detection interval exists. On
-    a rising edge the desired stream value locks to the agent's current
-    stream value, floored in magnitude to the side's bound (the
-    minimum-clearance streamline). While avoiding, the desired value is held
-    as long as the interval's inner angle keeps growing in magnitude (the
-    same obstacle sliding outward as it is passed); if a new obstacle appears
-    in front the desired value re-locks to the current one. A side with no
-    detection resets its memory.
-
-    The cost is the squared stream-value error times the repulsive proximity
-    factor, summed over the active sides:
-    (c_current - c_desired)^2 * (1/m_distance - 1/d_risk).
-    """
-    per_side = split_sides(detect_intervals(scan, params.d_risk), scan)
-    new_states = [AvoidanceState(), AvoidanceState()]
-    readings: list[SideReading | None] = [None, None]
-    cost = 0.0
-    for side in (Side.LHS, Side.RHS):
-        interval = per_side[side]
-        if interval is None:
-            continue
-        prev = states[side]
-        rd = _read_side(scan, interval, side)
-        # same obstacle sliding outward: hold the desired value; otherwise
-        # (a rising edge, or a new obstacle in front) lock to the current one
-        if prev.avoid and abs(rd.inner_angle) > abs(prev.prev_inner_angle):
-            c_desired = prev.c_desired
-        else:
-            bound = stream_bound(rd.center, rd.radius, side)
-            c_desired = bound if abs(rd.c_current) < abs(bound) else rd.c_current
-        new_states[side] = AvoidanceState(c_desired, rd.inner_angle)
-        readings[side] = rd
-        err = rd.c_current - c_desired
-        cost += err * err * (1.0 / rd.m_distance - 1.0 / params.d_risk)
-    return AvoidanceOutcome(tuple(new_states), tuple(readings), cost)
-
-
 class StreamAvoider:
-    """Stateful per-agent wrapper around avoidance_update."""
+    """One agent's avoider: ``update`` runs the per-side decision on a scan
+    and carries ``states``, the per-side memory, to the next step.
+    ``params`` is not read: ``StreamParams`` has no field."""
 
     def __init__(self, params: StreamParams):
-        self.params = params
         self.reset()
 
     def reset(self) -> None:
         self.states: tuple[AvoidanceState, AvoidanceState] = (AvoidanceState(), AvoidanceState())
 
     def update(self, scan: LidarScan) -> AvoidanceOutcome:
-        outcome = avoidance_update(scan, self.states, self.params)
-        self.states = outcome.states
-        return outcome
+        """One step of the per-side avoidance decision policy.
+
+        Per side: the avoid flag tracks whether a detection interval exists.
+        On a rising edge the desired stream value locks to the agent's
+        current stream value, floored in magnitude to the side's bound (the
+        minimum-clearance streamline). While avoiding, the desired value is
+        held as long as the interval's inner angle keeps growing in magnitude
+        (the same obstacle sliding outward as it is passed); if a new
+        obstacle appears in front the desired value re-locks to the current
+        one. A side with no detection resets its memory.
+
+        The cost is the squared stream-value error times the repulsive
+        proximity factor, summed over the active sides:
+        (c_current - c_desired)^2 * (1/m_distance - 1/StreamParams.d_risk).
+        """
+        d_risk = StreamParams.d_risk
+        per_side = split_sides(detect_intervals(scan, d_risk), scan)
+        new_states = [AvoidanceState(), AvoidanceState()]
+        readings: list[SideReading | None] = [None, None]
+        cost = 0.0
+        for side in (Side.LHS, Side.RHS):
+            interval = per_side[side]
+            if interval is None:
+                continue
+            prev = self.states[side]
+            rd = _read_side(scan, interval, side)
+            # same obstacle sliding outward: hold the desired value; otherwise
+            # (a rising edge, or a new obstacle in front) lock to the current one
+            if prev.avoid and abs(rd.inner_angle) > abs(prev.prev_inner_angle):
+                c_desired = prev.c_desired
+            else:
+                bound = stream_bound(rd.center, rd.radius, side)
+                c_desired = bound if abs(rd.c_current) < abs(bound) else rd.c_current
+            new_states[side] = AvoidanceState(c_desired, rd.inner_angle)
+            readings[side] = rd
+            err = rd.c_current - c_desired
+            cost += err * err * (1.0 / rd.m_distance - 1.0 / d_risk)
+        self.states = tuple(new_states)
+        return AvoidanceOutcome(self.states, tuple(readings), cost)

@@ -62,6 +62,9 @@ def first_bit_difference(got: np.ndarray, want: np.ndarray) -> str:
     )
 
 
+SCALE = TrainerConfig.actor_final_scale  # both learner networks' final-layer scale
+
+
 def small_config(**kw):
     defaults = dict(
         batch_size=16,
@@ -198,7 +201,7 @@ class TestSoftmaxBits:
 class TestActorForward:
     def test_simplex_invariant(self):
         rng = np.random.default_rng(0)
-        net = float64(init_mlp([6, 16, ACTION_DIM], rng))
+        net = float64(init_mlp([6, 16, ACTION_DIM], rng, SCALE))
         obs = rng.normal(size=(50, 6))
         u = actor_forward(net, obs, rows_of(net, obs))
         assert np.all(u >= 0)
@@ -206,7 +209,7 @@ class TestActorForward:
 
     def test_zero_final_layer_gives_uniform(self):
         rng = np.random.default_rng(1)
-        net = init_mlp([4, 8, ACTION_DIM], rng)
+        net = init_mlp([4, 8, ACTION_DIM], rng, SCALE)
         net.weights[-1][:] = 0.0
         net.biases[-1][:] = 0.0
         obs = rng.normal(size=(5, 4))
@@ -282,7 +285,7 @@ class TestMapAction:
 class TestCriticForward:
     def test_deterministic(self):
         rng = np.random.default_rng(4)
-        net = init_mlp([8 + ACTION_DIM, 16, 1], rng)
+        net = init_mlp([8 + ACTION_DIM, 16, 1], rng, SCALE)
         obs, act = rng.normal(size=(3, 8)), rng.dirichlet(np.ones(3), 3)
         bufs = rows_of(net, obs)
         a = critic_forward(net, obs, act, bufs).copy()
@@ -291,7 +294,7 @@ class TestCriticForward:
 
     def test_zero_weights_depend_only_on_bias(self):
         rng = np.random.default_rng(5)
-        net = init_mlp([5 + ACTION_DIM, 8, 1], rng)
+        net = init_mlp([5 + ACTION_DIM, 8, 1], rng, SCALE)
         for w in net.weights:
             w[:] = 0.0
         net.biases[0][:] = 0.7
@@ -304,7 +307,7 @@ class TestCriticForward:
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(6)
-        net = init_mlp([5 + ACTION_DIM, 8, 1], rng)
+        net = init_mlp([5 + ACTION_DIM, 8, 1], rng, SCALE)
         with pytest.raises(ValueError):
             critic_forward(
                 net, rng.normal(size=(2, 9)), rng.dirichlet(np.ones(3), 2), MlpBuffers(net, 2)
@@ -507,6 +510,8 @@ class TestReplayBuffer:
         before = buf.rows.tobytes()
         row[field] = value
         message = re.escape(f"transition {field} has shape {np.shape(value)}")
+        if field == "rew":  # a reward is a scalar by geom._finite
+            message = re.escape(f"transition rew must be finite, got {value!r}")
         with pytest.raises(ValueError, match=message):
             buf.add(**row, done=False)
         assert buf.rows.tobytes() == before and len(buf) == 1
@@ -525,6 +530,8 @@ class TestReplayBuffer:
         row = {"obs": np.ones(6), "act": [1.0, 0.0, 0.0], "rew": 0.5, "obs_next": np.ones(6)}
         row[field] = value
         message = re.escape(f"transition {field} has shape {np.shape(value)}, not")
+        if field == "rew":  # a reward is a scalar by geom._finite
+            message = re.escape(f"transition rew must be finite, got {value!r}")
         with pytest.raises(ValueError, match=message):
             buf.add(**row, done=False)
         assert not buf.rows.any() and len(buf) == 0
@@ -605,7 +612,8 @@ class TestReplayLayout:
         before = buf.rows.tobytes()
         row = {"obs": [9.0, 9.0], "act": [0.0, 1.0, 0.0], "rew": 9.0, "obs_next": [9.0, 9.0]}
         row[field] = np.nan if field == "rew" else [9.0] * (len(row[field]) - 1) + [np.nan]
-        with pytest.raises(ValueError, match=f"non-finite {field}:"):
+        message = "transition rew must be finite" if field == "rew" else f"non-finite {field}:"
+        with pytest.raises(ValueError, match=message):
             buf.add(**row, done=True)
         assert buf.rows.tobytes() == before and len(buf) == 3
         buf.add([5.0, 5.0], [0.0, 0.0, 1.0], 1.0, [6.0, 6.0], True)
@@ -637,25 +645,26 @@ class TestReplayLayout:
 class TestTargets:
     def test_done_masks_bootstrap(self):
         rng = np.random.default_rng(12)
-        actor = init_mlp([4, 8, ACTION_DIM], rng)
-        critic = init_mlp([4 + ACTION_DIM, 8, 1], rng)
+        actor = init_mlp([4, 8, ACTION_DIM], rng, SCALE)
+        critic = init_mlp([4 + ACTION_DIM, 8, 1], rng, SCALE)
         rew = rng.normal(size=6)
         obs2 = rng.normal(size=(6, 4))
         done = np.ones(6)
         bufs = MlpBuffers(actor, 6), MlpBuffers(critic, 6)
-        y = compute_td_targets(actor, critic, rew, obs2, done, 0.9, *bufs)
+        y = compute_td_targets(actor, critic, rew, obs2, done, *bufs)
         np.testing.assert_array_equal(y, rew.astype(DTYPE))
 
     def test_bootstrap_when_not_done(self):
         rng = np.random.default_rng(13)
-        actor = init_mlp([4, 8, ACTION_DIM], rng)
-        critic = init_mlp([4 + ACTION_DIM, 8, 1], rng)
+        actor = init_mlp([4, 8, ACTION_DIM], rng, SCALE)
+        critic = init_mlp([4 + ACTION_DIM, 8, 1], rng, SCALE)
         rew = np.zeros(3)
         obs2 = rng.normal(size=(3, 4))
         bufs = MlpBuffers(actor, 3), MlpBuffers(critic, 3)
-        y = compute_td_targets(actor, critic, rew, obs2, np.zeros(3), 0.9, *bufs)
+        y = compute_td_targets(actor, critic, rew, obs2, np.zeros(3), *bufs)
         u2 = reference_actor(actor, obs2)
-        np.testing.assert_allclose(y, 0.9 * reference_critic(critic, obs2, u2), rtol=1e-12)
+        gamma = TrainerConfig.gamma
+        np.testing.assert_allclose(y, gamma * reference_critic(critic, obs2, u2), rtol=1e-12)
 
 
 class TestTrainStep:
@@ -682,7 +691,7 @@ class TestTrainStep:
         # terminal transitions make the targets equal the raw costs; the
         # critic must fit them ever more closely on a frozen batch
         rng = np.random.default_rng(15)
-        critic = init_mlp([4 + ACTION_DIM, 32, 32, 1], rng)
+        critic = init_mlp([4 + ACTION_DIM, 32, 32, 1], rng, SCALE)
         opt = Adam(critic.flat, 1e-3)
         bufs = MlpBuffers(critic, 64)
         obs = rng.normal(size=(64, 4))
@@ -701,15 +710,16 @@ class TestTrainStep:
         assert set(diag) == {"critic_loss", "actor_q"}
         assert np.isfinite(diag["critic_loss"])
 
-    def test_target_convergence_rate(self):
+    def test_target_convergence_rate(self, monkeypatch):
         rng = np.random.default_rng(16)
-        online = init_mlp([4, 8, 2], rng)
-        target = init_mlp([4, 8, 2], rng)
+        online = init_mlp([4, 8, 2], rng, SCALE)
+        target = init_mlp([4, 8, 2], rng, SCALE)
         tau = 0.1
+        monkeypatch.setattr(TrainerConfig, "tau", tau)
         diff0 = np.linalg.norm(online.weights[0] - target.weights[0])
         k = 20
         for _ in range(k):
-            soft_update(target, online, tau)
+            soft_update(target, online)
         diff = np.linalg.norm(online.weights[0] - target.weights[0])
         assert diff == pytest.approx(diff0 * (1 - tau) ** k, rel=1e-9)
 
@@ -875,7 +885,7 @@ class TestWorkspaceTrainStep:
         # backpropagated: the learner runs in float32 whatever the targets'
         # dtype
         rng = np.random.default_rng(53)
-        critic = init_mlp([4 + ACTION_DIM, 16, 1], rng)
+        critic = init_mlp([4 + ACTION_DIM, 16, 1], rng, SCALE)
         obs, act = rng.normal(size=(32, 4)), rng.dirichlet(np.ones(3), 32)
         targets = rng.normal(size=32)
         q = critic_forward(critic, obs, act, MlpBuffers(critic, 32)).copy()
@@ -951,7 +961,7 @@ class TestWorkspaceTrainStep:
         """A critic, its input rows, an output gradient, the reference's
         gradients and input gradient, and buffers for the rows."""
         rng = np.random.default_rng(seed)
-        critic = init_mlp([5 + ACTION_DIM, 16, 12, 1], rng)
+        critic = init_mlp([5 + ACTION_DIM, 16, 12, 1], rng, SCALE)
         x = rng.normal(size=(40, 5 + ACTION_DIM))
         out, cache = reference_forward(critic, x)
         dout = rng.normal(size=out.shape).astype(out.dtype)
@@ -1016,13 +1026,13 @@ class TestLayerLayout:
     def test_params_compare_by_identity(self):
         # a generated __eq__ compared the weight lists and raised "The truth
         # value of an array with more than one element is ambiguous"
-        net = init_mlp([4, 8, 3], np.random.default_rng(47))
+        net = init_mlp([4, 8, 3], np.random.default_rng(47), SCALE)
         assert net == net
         assert net != copy.deepcopy(net)
 
     def test_backward_gradients_follow_the_flat_layout(self):
         rng = np.random.default_rng(47)
-        net = init_mlp([4, 9, 3], rng)
+        net = init_mlp([4, 9, 3], rng, SCALE)
         x = rng.normal(size=(30, 4))
         out, cache = reference_forward(net, x)
         dout = rng.normal(size=out.shape).astype(DTYPE)
@@ -1065,7 +1075,7 @@ class TestLayerLayout:
         # the input-gradient backward writes over every ones column; the next
         # forward must set them again and match the reference bit for bit
         rng = np.random.default_rng(48)
-        critic = init_mlp([5 + ACTION_DIM, 16, 12, 1], rng)
+        critic = init_mlp([5 + ACTION_DIM, 16, 12, 1], rng, SCALE)
         x, x2 = rng.normal(size=(2, 40, 5 + ACTION_DIM))
         bufs = MlpBuffers(critic, len(x))
         out = forward(critic, x, bufs)
@@ -1108,7 +1118,8 @@ class TestNonFinite:
         row = {"obs": [0.0, 1.0], "act": [1.0, 0.0, 0.0], "rew": 0.5, "obs_next": [1.0, 1.0]}
         buf.add(**row, done=False)
         row[field] = np.nan if field == "rew" else [np.inf] * len(row[field])
-        with pytest.raises(ValueError, match=f"non-finite {field}:"):
+        message = "transition rew must be finite" if field == "rew" else f"non-finite {field}:"
+        with pytest.raises(ValueError, match=message):
             buf.add(**row, done=False)
         assert len(buf) == 1
         assert np.isfinite(buf.rows).all()
@@ -1128,7 +1139,7 @@ class TestNonFinite:
     def test_nan_reward_leaves_the_networks_finite(self):
         learner, rng = filled_learner(38)
         before = {k: v.copy() for k, v in learner.network_arrays().items()}
-        with pytest.raises(ValueError, match="non-finite rew"):
+        with pytest.raises(ValueError, match="transition rew must be finite"):
             learner.record(np.zeros(6), np.full(3, 1 / 3), np.nan, np.zeros(6), False)
         learner.train_step(rng)
         for name, arr in learner.network_arrays().items():
@@ -1240,7 +1251,7 @@ class TestGradients:
     def test_critic_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(100 + seed)
         obs_dim = int(rng.integers(2, 6))
-        critic = float64(init_mlp([obs_dim + ACTION_DIM, 6, 5, 1], rng))
+        critic = float64(init_mlp([obs_dim + ACTION_DIM, 6, 5, 1], rng, SCALE))
         obs = rng.normal(size=(8, obs_dim))
         act = rng.dirichlet(np.ones(3), 8)
         y = rng.normal(size=8)
@@ -1257,7 +1268,7 @@ class TestGradients:
         rng = np.random.default_rng(200 + seed)
         obs_dim = int(rng.integers(2, 6))
         actor = float64(init_mlp([obs_dim, 6, 5, ACTION_DIM], rng, final_scale=0.5))
-        critic = float64(init_mlp([obs_dim + ACTION_DIM, 6, 5, 1], rng))
+        critic = float64(init_mlp([obs_dim + ACTION_DIM, 6, 5, 1], rng, SCALE))
         obs = rng.normal(size=(8, obs_dim))
         grad = np.empty_like(actor.flat)
         bufs = MlpBuffers(actor, 8), MlpBuffers(critic, 8)
@@ -1710,9 +1721,14 @@ class TestTrainerConfig:
         obs = np.random.default_rng(24).standard_normal((2, 3))
         assert reloaded.act(obs).tobytes() == ActorPolicy(learner.actor).act(obs).tobytes()
 
-    @pytest.mark.parametrize("hidden", [8, None, 2.5])
+    @pytest.mark.parametrize(
+        "hidden", [8, None, 2.5, {128, 64, 32}, {64: 0, 8: 1}, "64"],
+        ids=["8", "None", "2.5", "set", "dict", "str"],
+    )
     def test_hidden_must_be_a_sequence(self, hidden):
-        # hidden=8 used to raise a bare "'int' object is not iterable"
+        # hidden=8 used to raise a bare "'int' object is not iterable"; a set
+        # built its widths in hash order, (128, 32, 64), a dict from its keys,
+        # and "64" failed on hidden[0], reporting '6'
         with pytest.raises(ValueError, match="hidden must be a sequence of widths"):
             TrainerConfig(hidden=hidden)
 

@@ -273,3 +273,17 @@ def test_the_benchmarks_package_imports_do_not_load_the_env():
     loaded = _loaded_modules("\n".join(f"import {m}" for m in modules))
     assert set(modules) <= loaded
     assert "streamform.env" not in loaded
+
+
+def test_move_keeps_a_copy_of_the_actions():
+    # move kept the caller's array, so zeroing it after the step made the
+    # previous-action features 17-19 of the next rows read [0, 0, 0]
+    e = env.Env(env.SPECS["obstacle_course"], DEFAULT_SEED)
+    obs, _, _, ended = e.sense()
+    assert not ended
+    actions = e.scripted_actions(obs)
+    moved = actions.copy()
+    e.move(actions)
+    actions[:] = 0.0
+    obs, *_ = e.sense()
+    assert obs[:, 17:].tobytes() == moved.tobytes()

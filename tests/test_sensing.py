@@ -295,21 +295,29 @@ class TestObstacleSetExtended:
             self.BASE.extended(np.zeros((0, 2)), np.ones(3))
 
 
-# the constructor used to reshape these into other circles: the first two
-# into (1, 2) and (3, 4), and (0, 0), (0, 0), (0, 0) with six zeros read
-# row-major, the third into the one circle (1, 2)
+# the constructor used to reshape the first three into other circles: the
+# first two into (1, 2) and (3, 4), and (0, 0), (0, 0), (0, 0) with six zeros
+# read row-major, the third into the one circle (1, 2). Both constructors
+# used to read the arrays of another kind as floats: a True radius as a 1 m
+# circle and a "0.3" one as 0.3 m; an int past the float range raised a
+# bare OverflowError
 BAD_SHAPES = {
-    "row-of-four": ([[1, 2, 3, 4]], [0.1, 0.2]),
-    "two-by-three": (np.zeros((2, 3)), np.ones(3)),
-    "flat-pair": ([1.0, 2.0], [0.1]),
+    "row-of-four": ([[1, 2, 3, 4]], [0.1, 0.2], "shape"),
+    "two-by-three": (np.zeros((2, 3)), np.ones(3), "shape"),
+    "flat-pair": ([1.0, 2.0], [0.1], "shape"),
+    "bool-radius": ([[1.0, 1.0]], [True], "^obstacle radii must be real numbers, got bool"),
+    "str-radius": ([[1.0, 1.0]], ["0.3"], "^obstacle radii must be real numbers, got <U3"),
+    "object-radius": ([[1.0, 1.0]], np.array([0.3], object), "^obstacle radii must be real"),
+    "bool-centers": ([[True, False]], [0.3], "^obstacle centers must be real numbers, got bool"),
+    "huge-int-center": ([[10**400, 1]], [0.3], "^obstacle centers must be real numbers, got obj"),
 }
 
 
-@pytest.mark.parametrize("centers, radii", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
+@pytest.mark.parametrize("centers, radii, match", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
 @pytest.mark.parametrize("build", ["constructor", "extended"])
-def test_circles_of_another_shape_raise(build, centers, radii):
+def test_circles_of_another_shape_raise(build, centers, radii, match):
     make = ObstacleSet if build == "constructor" else TestObstacleSetExtended.BASE.extended
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match=match):
         make(centers, radii)
 
 

@@ -128,6 +128,8 @@ SCALARS = {
     "AgentState.v": lambda value: AgentState(v=value),
     "AgentState.alpha": lambda value: AgentState(alpha=value),
     "AgentState.omega": lambda value: AgentState(omega=value),
+    "transition rew": lambda value: ReplayBuffer(4, 2).add([0.0, 0.0], [1.0, 0.0, 0.0], value,
+                                                           [0.0, 0.0], False),
 }
 
 
@@ -141,7 +143,8 @@ def test_a_bool_str_or_array_scalar_raises_naming_it(name, value):
     # array through: step(AgentState(v=0.1), (0.1, 0.0), True, Limits())
     # advanced a full second, and a str raised a bare TypeError. An int past
     # the float range, Vec2(10**400, 0.0) or wrap_angle(10**400), raised a
-    # bare OverflowError
+    # bare OverflowError. ReplayBuffer.add stored a True reward as a cost of
+    # 1.0 and a "0.5" one as 0.5
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
         SCALARS[name](value)
 

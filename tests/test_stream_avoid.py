@@ -21,7 +21,6 @@ from streamform.stream_avoid import (
     Side,
     StreamAvoider,
     StreamParams,
-    avoidance_update,
     stream_bound,
     stream_value,
 )
@@ -49,6 +48,13 @@ def fallback_cylinder(scan, m):
     past ray m's endpoint along that ray."""
     d = scan.distances[m] + DEFAULT_CYL_PAD
     return (d * math.cos(scan.angles[m]), d * math.sin(scan.angles[m])), DEFAULT_CYL_RADIUS
+
+
+def update(scan, states):
+    """``StreamAvoider.update`` on ``scan`` from the per-side memory ``states``."""
+    avoider = StreamAvoider(PARAMS)
+    avoider.states = states
+    return avoider.update(scan)
 
 
 def make_scan(distances):
@@ -164,7 +170,7 @@ class TestShortestInteriorRay:
             want = min(interior, key=lambda i: (d[i], i))
             assert shortest_ray(scan, start + 1, end) == want
             # the one interval's reading, on whichever side, measures from it
-            (rd,) = [r for r in avoidance_update(scan, fresh, PARAMS).readings if r is not None]
+            (rd,) = [r for r in update(scan, fresh).readings if r is not None]
             assert rd.interval == (start, end) and rd.m_index == want
 
 
@@ -185,7 +191,7 @@ class TestStreamBound:
 
 
 class TestAvoidanceCost:
-    """The cost avoidance_update returns for a side that holds a given
+    """The cost StreamAvoider.update returns for a side that holds a given
     desired stream value: an arc of returns at 0.35 m on the right side,
     whose inner angle is larger in magnitude than the held 0.0."""
 
@@ -193,9 +199,9 @@ class TestAvoidanceCost:
     def held(c_desired):
         scan = make_scan({i: 0.35 for i in range(20, 25)})
         fresh = (AvoidanceState(), AvoidanceState())
-        rd = avoidance_update(scan, fresh, PARAMS).readings[Side.RHS]
+        rd = update(scan, fresh).readings[Side.RHS]
         held = AvoidanceState(c_desired=c_desired(rd.c_current), prev_inner_angle=0.0)
-        out = avoidance_update(scan, (AvoidanceState(), held), PARAMS)
+        out = update(scan, (AvoidanceState(), held))
         # the side held its desired value rather than re-locking
         assert out.states[Side.RHS] == AvoidanceState(held.c_desired, rd.inner_angle)
         return out
@@ -219,20 +225,20 @@ class TestAvoidanceCost:
                 AvoidanceState(c_desired=float(rng.normal()), prev_inner_angle=0.0)
                 for _ in range(2)
             )
-            assert avoidance_update(scan_of(world), held, PARAMS).cost >= 0.0
+            assert update(scan_of(world), held).cost >= 0.0
 
 
 class TestAvoidanceUpdate:
     def test_empty_world(self):
         scan = scan_of([])
-        out = avoidance_update(scan, (AvoidanceState(), AvoidanceState()), PARAMS)
+        out = update(scan, (AvoidanceState(), AvoidanceState()))
         assert not out.states[0].avoid and not out.states[1].avoid
         assert out.cost == 0.0
         assert out.readings == (None, None)
 
     def test_rising_edge_locks_floored_stream_value(self):
         scan = scan_of([(Vec2(0.8, 0.35), 0.25)])
-        out = avoidance_update(scan, (AvoidanceState(), AvoidanceState()), PARAMS)
+        out = update(scan, (AvoidanceState(), AvoidanceState()))
         st, rd = out.states[Side.LHS], out.readings[Side.LHS]
         assert st.avoid and rd is not None
         assert not out.states[Side.RHS].avoid
@@ -249,20 +255,30 @@ class TestAvoidanceUpdate:
     def test_identity_hold_keeps_desired_bitwise(self):
         world = [(Vec2(0.8, 0.3), 0.25)]
         s1 = scan_of(world, pos=Vec2(0, 0))
-        out1 = avoidance_update(s1, (AvoidanceState(), AvoidanceState()), PARAMS)
+        out1 = update(s1, (AvoidanceState(), AvoidanceState()))
         # agent advances, obstacle slides outward: inner angle magnitude grows
         s2 = scan_of(world, pos=Vec2(0.25, -0.1))
-        out2 = avoidance_update(s2, out1.states, PARAMS)
+        out2 = update(s2, out1.states)
         rd1, rd2 = out1.readings[Side.LHS], out2.readings[Side.LHS]
         assert abs(rd2.inner_angle) > abs(rd1.inner_angle)
         assert out2.states[Side.LHS].c_desired == out1.states[Side.LHS].c_desired
 
+    def test_avoider_carries_its_memory_between_updates(self):
+        world = [(Vec2(0.8, 0.3), 0.25)]
+        s1, s2 = scan_of(world), scan_of(world, pos=Vec2(0.25, -0.1))
+        avoider = StreamAvoider(PARAMS)
+        out1 = avoider.update(s1)
+        assert avoider.states == out1.states and out1.states[Side.LHS].avoid
+        assert avoider.update(s2) == update(s2, out1.states)
+        avoider.reset()
+        assert avoider.states == (AvoidanceState(), AvoidanceState())
+
     def test_cost_matches_hand_formula_when_displaced(self):
         world = [(Vec2(0.8, 0.3), 0.25)]
-        out1 = avoidance_update(scan_of(world), (AvoidanceState(), AvoidanceState()), PARAMS)
+        out1 = update(scan_of(world), (AvoidanceState(), AvoidanceState()))
         pos2 = Vec2(0.25, -0.1)
         s2 = scan_of(world, pos=pos2)
-        out2 = avoidance_update(s2, out1.states, PARAMS)
+        out2 = update(s2, out1.states)
         rd2 = out2.readings[Side.LHS]
         # independent recomputation of the cost pieces from the raw scan
         start, end = rd2.interval
@@ -276,9 +292,9 @@ class TestAvoidanceUpdate:
     def test_new_obstacle_relocks(self):
         # first a wide-angle obstacle, then one closer to the axis
         s1 = scan_of([(Vec2(0.5, 0.45), 0.2)])
-        out1 = avoidance_update(s1, (AvoidanceState(), AvoidanceState()), PARAMS)
+        out1 = update(s1, (AvoidanceState(), AvoidanceState()))
         s2 = scan_of([(Vec2(0.65, 0.15), 0.2)])
-        out2 = avoidance_update(s2, out1.states, PARAMS)
+        out2 = update(s2, out1.states)
         rd2 = out2.readings[Side.LHS]
         assert abs(rd2.inner_angle) <= abs(out1.readings[Side.LHS].inner_angle)
         bound = stream_bound(rd2.center, rd2.radius, Side.LHS)
@@ -286,11 +302,9 @@ class TestAvoidanceUpdate:
         assert out2.states[Side.LHS].c_desired == expected
 
     def test_side_resets_when_clear(self):
-        out1 = avoidance_update(
-            scan_of([(Vec2(0.6, 0.3), 0.2)]), (AvoidanceState(), AvoidanceState()), PARAMS
-        )
+        out1 = update(scan_of([(Vec2(0.6, 0.3), 0.2)]), (AvoidanceState(), AvoidanceState()))
         assert out1.states[Side.LHS].avoid
-        out2 = avoidance_update(scan_of([]), out1.states, PARAMS)
+        out2 = update(scan_of([]), out1.states)
         assert out2.states[Side.LHS] == AvoidanceState()
         assert out2.cost == 0.0
 
@@ -298,7 +312,7 @@ class TestAvoidanceUpdate:
         # vertical wall at x=0.5: all endpoints share an x coordinate
         idx = range(28, 33)
         scan = make_scan({i: 0.5 / math.cos(CFG.angles[i]) for i in idx})
-        out = avoidance_update(scan, (AvoidanceState(), AvoidanceState()), PARAMS)
+        out = update(scan, (AvoidanceState(), AvoidanceState()))
         active = [s for s in (Side.LHS, Side.RHS) if out.readings[s] is not None]
         assert len(active) == 1
         rd = out.readings[active[0]]
@@ -308,7 +322,7 @@ class TestAvoidanceUpdate:
     def test_agent_centred_cylinder_uses_the_fallback_cylinder(self):
         # a concentric arc: the circumcenter of its endpoints is the agent
         scan = make_scan({i: 0.5 for i in range(26, 31)})
-        out = avoidance_update(scan, (AvoidanceState(), AvoidanceState()), PARAMS)
+        out = update(scan, (AvoidanceState(), AvoidanceState()))
         active = [s for s in (Side.LHS, Side.RHS) if out.readings[s] is not None]
         assert len(active) == 1
         rd = out.readings[active[0]]
@@ -325,7 +339,7 @@ class TestAvoidanceUpdate:
         scan = scan_of([(Vec2(0.8, 0.35), 0.25)])
         for half_set in (AvoidanceState(c_desired=5.0), AvoidanceState(prev_inner_angle=0.0)):
             assert not half_set.avoid
-            out = avoidance_update(scan, (half_set, AvoidanceState()), PARAMS)
+            out = update(scan, (half_set, AvoidanceState()))
             rd = out.readings[Side.LHS]
             bound = stream_bound(rd.center, rd.radius, Side.LHS)
             expected = rd.c_current if abs(rd.c_current) >= abs(bound) else bound
@@ -333,7 +347,7 @@ class TestAvoidanceUpdate:
 
     def test_two_obstacles_one_each_side(self):
         scan = scan_of([(Vec2(0.7, 0.35), 0.2), (Vec2(0.7, -0.35), 0.2)])
-        out = avoidance_update(scan, (AvoidanceState(), AvoidanceState()), PARAMS)
+        out = update(scan, (AvoidanceState(), AvoidanceState()))
         assert out.states[Side.LHS].avoid and out.states[Side.RHS].avoid
         assert out.readings[Side.LHS] is not None
         assert out.readings[Side.RHS] is not None
@@ -372,8 +386,8 @@ class TestMirrorProperty:
         mirrored = scan_of([(Vec2(x, -y), r) for x, y, r in obstacles])
         assume(not decided_by_a_tie_rule(scan))
         fresh = (AvoidanceState(), AvoidanceState())
-        out = avoidance_update(scan, fresh, PARAMS)
-        out_m = avoidance_update(mirrored, fresh, PARAMS)
+        out = update(scan, fresh)
+        out_m = update(mirrored, fresh)
         flags = [s.avoid for s in out.states]
         assert flags == [s.avoid for s in reversed(out_m.states)]
         assert out.cost >= 0.0
