@@ -24,10 +24,10 @@ class Limits:
     stored as a plain float: ``step``'s clamps would pass a NaN bound
     through, and a bool or an array one as the state's value."""
 
-    v_max: float = 0.5
-    omega_max: float = 0.2
-    a_max: float = 0.5
-    beta_max: float = 0.5
+    v_max: float
+    omega_max: float
+    a_max: float
+    beta_max: float
 
     def __post_init__(self):
         for field in fields(self):
@@ -39,10 +39,10 @@ class AgentState:
     """One agent's pose and rates, stored as given; a ``v``, ``alpha`` or
     ``omega`` that is not finite raises ValueError naming it, as Vec2 does."""
 
-    position: Vec2 = Vec2(0.0, 0.0)
-    v: float = 0.0
-    alpha: Angle = 0.0
-    omega: float = 0.0
+    position: Vec2
+    v: float
+    alpha: Angle
+    omega: float
 
     def __post_init__(self):
         _finite("AgentState.v", self.v)

@@ -34,7 +34,7 @@ Observation layout (per follower, agent frame unless noted):
   17-19 the follower's previous simplex action
 
 Per-follower cost (a learner minimizes it):
-  W_TRACK * e^T I e + W_AVOID * avoidance cost (stream or APF)
+  W_TRACK * |e|² + W_AVOID * avoidance cost (stream or APF)
   + COLLISION_COST when the follower's scan reports a collision.
 The side readings follow Waydo & Murray, "Vehicle Motion Planning Using
 Stream Functions" (ICRA 2003), and Khatib, "Real-Time Obstacle Avoidance

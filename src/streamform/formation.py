@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geom import Angle, Vec2, _count, _finite, _real
 
 
@@ -36,24 +34,11 @@ class FormationSpec:
 
 
 class TrackingWeight:
-    """Symmetric positive definite 2x2 weight for the tracking cost."""
-
-    def __init__(self, matrix) -> None:
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError(f"weight must be 2x2, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError(f"weight must be finite, got {m.tolist()}")
-        if not np.allclose(m, m.T, atol=1e-12):
-            raise ValueError("weight must be symmetric")
-        eigvals = np.linalg.eigvalsh(m)
-        if eigvals.min() <= 0.0:
-            raise ValueError(f"weight must be positive definite, eigenvalues {eigvals}")
-        self.matrix = m
+    """The identity weight of the tracking cost, the only one a run uses."""
 
     @classmethod
     def identity(cls) -> "TrackingWeight":
-        return cls(np.eye(2))
+        return cls()
 
 
 def relative_displacement(d_0i: float, theta_0i: Angle) -> Vec2:
@@ -70,10 +55,5 @@ def tracking_error(z_i: Vec2, eta_i: Vec2) -> Vec2:
 
 
 def tracking_cost(e_i: Vec2, weight: TrackingWeight) -> float:
-    """Quadratic form e^T Q e."""
-    q = weight.matrix
-    return (
-        q[0, 0] * e_i.x * e_i.x
-        + (q[0, 1] + q[1, 0]) * e_i.x * e_i.y
-        + q[1, 1] * e_i.y * e_i.y
-    )
+    """Quadratic form e^T I e = |e|^2; ``weight`` is the identity and not read."""
+    return e_i.x * e_i.x + e_i.y * e_i.y

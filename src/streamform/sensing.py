@@ -77,9 +77,15 @@ _FLOAT64 = np.dtype(np.float64)
 
 def _check_circles(centers, radii) -> tuple[np.ndarray, np.ndarray]:
     """The (n, 2) centers and (n,) radii as float arrays, a float64 array as
-    given; ValueError for arrays of bools, strs or objects (an int past the
-    float range makes one), other shapes and unreal circles (a NaN one would
-    vanish from every scan)."""
+    given; ValueError for bools (in an array or a list of numbers), strs or
+    objects (an int past the float range makes one), other shapes and unreal
+    circles (a NaN one would vanish from every scan)."""
+    for name, given in (("centers", centers), ("radii", radii)):
+        # numpy reads a bool among numbers as 0 or 1: [0.3, True] is float64
+        if not isinstance(given, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(given, dtype=object).flat
+        ):
+            raise ValueError(f"obstacle {name} must be real numbers, got bool: {given!r}")
     centers, radii = np.asarray(centers), np.asarray(radii)
     # the per-follower extended call passes float64 arrays: no test, no copy
     if centers.dtype is not _FLOAT64 or radii.dtype is not _FLOAT64:

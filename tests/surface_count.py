@@ -18,7 +18,9 @@ prints four lines, ``lines``, ``public_names``, ``settable_values`` and
   fields of each ``@dataclass``; an annotation ``ClassVar[...]`` makes a
   constant, not a field;
 - optional parameters: the parameters with a default among those of public
-  module-level functions, of public methods and of ``__init__``.
+  module-level functions, of public methods and of ``__init__``, plus the
+  fields of each ``@dataclass`` that have a default, since the generated
+  ``__init__`` takes each as an optional parameter.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ def _count_class(cls: ast.ClassDef) -> tuple[int, int, int]:
             names.add(item.target.id)
             if fields and not _is_classvar(item.annotation):
                 settable += 1
+                optional += item.value is not None
         elif isinstance(item, ast.Assign):
             names.update(t.id for t in item.targets if isinstance(t, ast.Name))
     return sum(map(_public, names)), settable, optional

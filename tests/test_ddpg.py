@@ -21,6 +21,7 @@ import pytest
 import streamform
 from streamform.checkpoint import load_checkpoint, save_checkpoint
 from streamform.dynamics import AgentState, Limits, step
+from streamform.geom import Vec2
 from streamform.ddpg import (
     ACTION_DIM,
     DTYPE,
@@ -47,6 +48,7 @@ from streamform.ddpg import (
 )
 
 LIM = Limits(v_max=0.5, omega_max=0.2, a_max=0.5, beta_max=0.5)
+REST = AgentState(Vec2(0.0, 0.0), v=0.0, alpha=0.0, omega=0.0)
 
 
 def first_bit_difference(got: np.ndarray, want: np.ndarray) -> str:
@@ -251,7 +253,7 @@ class TestMapAction:
         # only dynamics.step clamps
         raw = map_action(np.array([3.0, 2.0, -1.0]), LIM)
         assert raw == pytest.approx((1.5, 1.5), rel=1e-12)
-        state = AgentState(v=0.1, omega=0.05)
+        state = AgentState(Vec2(0.0, 0.0), v=0.1, alpha=0.0, omega=0.05)
         assert step(state, raw, 0.1, LIM) == step(state, (LIM.a_max, LIM.beta_max), 0.1, LIM)
 
     @pytest.mark.parametrize("action", [[0.2, 0.3], [0.2, 0.3, 0.5, 9.0]], ids=["two", "four"])
@@ -265,13 +267,13 @@ class TestMapAction:
         # map_action keeps a NaN component; dynamics.step used to return v = nan
         u = map_action(np.array([np.nan, 0.5, 0.5]), LIM)
         with pytest.raises(ValueError, match="u.accel must be finite"):
-            step(AgentState(), u, 0.1, LIM)
+            step(REST, u, 0.1, LIM)
 
     def test_infinite_action_is_rejected_by_the_step(self):
         # an infinite component used to reach the step already saturated
         u = map_action(np.array([0.2, np.inf, 0.5]), LIM)
         with pytest.raises(ValueError, match="u.angular_accel must be finite"):
-            step(AgentState(), u, 0.1, LIM)
+            step(REST, u, 0.1, LIM)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_controls_rejected(self, bad):

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from streamform.dynamics import AgentState, Limits, arc_displacement, step
 from streamform.geom import Vec2
 
 LIM = Limits(v_max=0.5, omega_max=0.2, a_max=0.5, beta_max=0.5)
+# LIM with room for the 1 m/s the straight-line cases start at
+FAST = replace(LIM, v_max=1.0)
+REST = AgentState(Vec2(0.0, 0.0), v=0.0, alpha=0.0, omega=0.0)
 NO_U = (0.0, 0.0)
 
 
 def test_straight_line_step():
     s = AgentState(Vec2(0, 0), v=1.0, alpha=0.0, omega=0.0)
-    out = step(s, NO_U, 0.1, Limits(v_max=1.0))
+    out = step(s, NO_U, 0.1, FAST)
     assert out.position.x == pytest.approx(0.1, abs=1e-15)
     assert out.position.y == pytest.approx(0.0, abs=1e-15)
 
@@ -22,9 +26,8 @@ def test_straight_line_step():
 def test_tiny_omega_matches_zero_omega():
     s0 = AgentState(Vec2(0, 0), v=1.0, alpha=0.3, omega=0.0)
     s1 = AgentState(Vec2(0, 0), v=1.0, alpha=0.3, omega=1e-9)
-    lim = Limits(v_max=1.0)
-    p0 = step(s0, NO_U, 0.1, lim).position
-    p1 = step(s1, NO_U, 0.1, lim).position
+    p0 = step(s0, NO_U, 0.1, FAST).position
+    p1 = step(s1, NO_U, 0.1, FAST).position
     assert math.hypot(p0.x - p1.x, p0.y - p1.y) < 1e-6
 
 
@@ -37,7 +40,7 @@ def test_pure_rotation():
 
 def test_forward_at_half_pi_increases_y():
     s = AgentState(Vec2(0, 0), v=1.0, alpha=math.pi / 2, omega=0.05)
-    out = step(s, NO_U, 0.1, Limits(v_max=1.0))
+    out = step(s, NO_U, 0.1, FAST)
     assert out.position.y > 0.09
 
 
@@ -90,7 +93,6 @@ class TestClampControls:
 
 def test_omega_continuity_near_zero():
     rng = np.random.default_rng(42)
-    lim = Limits(v_max=10.0)
     for _ in range(1000):
         v = rng.uniform(0, 5)
         alpha = rng.uniform(-math.pi, math.pi)
@@ -115,7 +117,7 @@ def test_arc_taylor_agrees_with_exact_at_threshold():
 
 def test_speed_stays_nonnegative_and_bounded():
     rng = np.random.default_rng(0)
-    s = AgentState()
+    s = REST
     for _ in range(500):
         s = step(s, (rng.uniform(-2, 2), rng.uniform(-2, 2)), 0.1, LIM)
         assert 0.0 <= s.v <= LIM.v_max
@@ -133,14 +135,14 @@ def test_noiseless_determinism():
 
 def test_nonpositive_dt_rejected():
     with pytest.raises(ValueError):
-        step(AgentState(), NO_U, 0.0, LIM)
+        step(REST, NO_U, 0.0, LIM)
 
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf])
 def test_non_finite_dt_rejected(dt):
     # used to raise "cannot wrap non-finite angle" from deep inside the step
     with pytest.raises(ValueError, match="dt must be positive and finite"):
-        step(AgentState(v=0.1, omega=0.1), NO_U, dt, LIM)
+        step(replace(REST, v=0.1, omega=0.1), NO_U, dt, LIM)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -150,7 +152,7 @@ def test_non_finite_control_rejected(field, bad):
     # too, not saturated
     u = {"accel": (bad, 0.0), "angular_accel": (0.0, bad)}[field]
     with pytest.raises(ValueError, match=f"u.{field} must be finite"):
-        step(AgentState(), u, 0.1, LIM)
+        step(REST, u, 0.1, LIM)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -172,4 +174,4 @@ def test_limits_reject_a_bound_not_positive_and_finite(field, bad):
     # with v_max=nan a step from v = 0.3 at accel 0.5 used to return v = 0.35
     # past the cap, and with v_max=-1.0 a negative speed
     with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-        Limits(**{field: bad})
+        replace(LIM, **{field: bad})

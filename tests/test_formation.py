@@ -76,42 +76,21 @@ class TestTrackingCost:
     def test_identity_pythagorean(self):
         assert tracking_cost(Vec2(3, 4), TrackingWeight.identity()) == pytest.approx(25.0)
 
-    def test_matches_expanded_quadratic_form(self):
-        rng = np.random.default_rng(13)
-        for _ in range(1000):
-            a = rng.uniform(-2, 2, (2, 2))
-            q = a.T @ a + 0.1 * np.eye(2)
-            w = TrackingWeight(q)
-            e = Vec2(*rng.uniform(-5, 5, 2))
-            # scalar expansion oracle
-            expected = (
-                q[0, 0] * e.x**2 + 2 * q[0, 1] * e.x * e.y + q[1, 1] * e.y**2
-            )
-            assert tracking_cost(e, w) == pytest.approx(expected, rel=1e-12)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_is_a_plain_float_bit_equal_to_the_squared_norm(self, ex, ey):
+        # the general weight returned a numpy.float64 from its 2x2 matrix
+        e = Vec2(ex, ey)
+        cost = tracking_cost(e, TrackingWeight.identity())
+        assert type(cost) is float
+        assert cost.hex() == (e.x * e.x + e.y * e.y).hex()
 
     @given(st.floats(-100, 100), st.floats(-100, 100))
     def test_positive_for_nonzero_error(self, ex, ey):
         # components so tiny their squares underflow to zero are excluded
         if abs(ex) < 1e-100 and abs(ey) < 1e-100:
             return
-        w = TrackingWeight([[2.0, 0.3], [0.3, 1.0]])
-        assert tracking_cost(Vec2(ex, ey), w) > 0.0
-
-    def test_non_pd_rejected(self):
-        with pytest.raises(ValueError):
-            TrackingWeight([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            TrackingWeight([[1.0, 2.0], [0.5, 1.0]])
-        with pytest.raises(ValueError):
-            TrackingWeight([[-1.0, 0.0], [0.0, 1.0]])
-
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_non_finite_entry_rejected(self, bad):
-        # an inf diagonal entry used to be accepted (np.allclose calls equal
-        # infinities close), and tracking_cost then returned NaN (inf * 0);
-        # a NaN entry raised, but said "weight must be symmetric"
-        with pytest.raises(ValueError, match="weight must be finite"):
-            TrackingWeight([[bad, 0.0], [0.0, 1.0]])
+        assert tracking_cost(Vec2(ex, ey), TrackingWeight.identity()) > 0.0
 
 
 class TestFormationSpec:

@@ -309,6 +309,13 @@ BAD_SHAPES = {
     "str-radius": ([[1.0, 1.0]], ["0.3"], "^obstacle radii must be real numbers, got <U3"),
     "object-radius": ([[1.0, 1.0]], np.array([0.3], object), "^obstacle radii must be real"),
     "bool-centers": ([[True, False]], [0.3], "^obstacle centers must be real numbers, got bool"),
+    # numpy reads these lists as float64, the bool as 1.0
+    "bool-among-radii": ([[0.0, 0.0], [1.0, 1.0]], [0.3, True],
+                         "^obstacle radii must be real numbers, got bool"),
+    "bool-among-centers": ([[0.0, True], [1.0, 1.0]], [0.3, 0.3],
+                           "^obstacle centers must be real numbers, got bool"),
+    "numpy-bool-among-radii": ([[0.0, 0.0], [1.0, 1.0]], [0.3, np.True_],
+                               "^obstacle radii must be real numbers, got bool"),
     "huge-int-center": ([[10**400, 1]], [0.3], "^obstacle centers must be real numbers, got obj"),
 }
 

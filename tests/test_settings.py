@@ -8,7 +8,7 @@ array or a str raises a ValueError naming the value; a numpy scalar setting
 is stored as a plain float or int."""
 
 import re
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from functools import partial
 
 import numpy as np
@@ -29,6 +29,8 @@ from streamform.sensing import (
 )
 
 SMALL = TrainerConfig(batch_size=16, buffer_capacity=512, episodes=10, hidden=(16, 16))
+LIM = Limits(v_max=0.5, omega_max=0.2, a_max=0.5, beta_max=0.5)
+REST = AgentState(Vec2(0.0, 0.0), v=0.0, alpha=0.0, omega=0.0)
 
 
 def act(sigma):
@@ -40,11 +42,12 @@ def config(name, value):
     return TrainerConfig(**{name: value})
 
 
+def limits(name, value):
+    return replace(LIM, **{name: value})
+
+
 SETTINGS = {
-    "v_max": lambda value: Limits(v_max=value, omega_max=1.0, a_max=0.5, beta_max=2.0),
-    "omega_max": lambda value: Limits(omega_max=value),
-    "a_max": lambda value: Limits(a_max=value),
-    "beta_max": lambda value: Limits(beta_max=value),
+    **{name: partial(limits, name) for name in ("v_max", "omega_max", "a_max", "beta_max")},
     "cutoff": lambda value: ApfParams(cutoff=value),
     "noise_std": lambda value: LidarConfig(noise_std=value),
     "sigma": act,
@@ -112,11 +115,11 @@ def cast(heading):
 
 # per-step arguments and record fields, keyed by the name the message gives
 SCALARS = {
-    "dt": lambda value: step(AgentState(), (0.0, 0.0), value, Limits()),
-    "u.accel": lambda value: step(AgentState(), (value, 0.0), 0.1, Limits()),
-    "u.angular_accel": lambda value: step(AgentState(), (0.0, value), 0.1, Limits()),
-    "accel": lambda value: simplex_from_controls(value, 0.0, Limits()),
-    "angular_accel": lambda value: simplex_from_controls(0.0, value, Limits()),
+    "dt": lambda value: step(REST, (0.0, 0.0), value, LIM),
+    "u.accel": lambda value: step(REST, (value, 0.0), 0.1, LIM),
+    "u.angular_accel": lambda value: step(REST, (0.0, value), 0.1, LIM),
+    "accel": lambda value: simplex_from_controls(value, 0.0, LIM),
+    "angular_accel": lambda value: simplex_from_controls(0.0, value, LIM),
     "heading": cast,
     "d_risk": lambda value: detect_intervals(LidarScan(np.full(61, 0.5)), value),
     "side distance": lambda value: apf_cost([value], ApfParams(cutoff=0.7)),
@@ -125,9 +128,9 @@ SCALARS = {
     "angle": wrap_angle,
     "Vec2.x": lambda value: Vec2(value, 0.0),
     "Vec2.y": lambda value: Vec2(0.0, value),
-    "AgentState.v": lambda value: AgentState(v=value),
-    "AgentState.alpha": lambda value: AgentState(alpha=value),
-    "AgentState.omega": lambda value: AgentState(omega=value),
+    "AgentState.v": lambda value: replace(REST, v=value),
+    "AgentState.alpha": lambda value: replace(REST, alpha=value),
+    "AgentState.omega": lambda value: replace(REST, omega=value),
     "transition rew": lambda value: ReplayBuffer(4, 2).add([0.0, 0.0], [1.0, 0.0, 0.0], value,
                                                            [0.0, 0.0], False),
 }
@@ -153,7 +156,7 @@ def test_a_numpy_dt_steps_the_same_bits_as_a_float():
     state = AgentState(Vec2(1.0, 2.0), 0.3, 0.1, 0.05)
 
     def bits(dt):
-        out = step(state, (0.4, -0.2), dt, Limits())
+        out = step(state, (0.4, -0.2), dt, LIM)
         values = (out.position.x, out.position.y, out.v, out.alpha, out.omega)
         assert [type(value) for value in values] == [float] * 5
         return [value.hex() for value in values]

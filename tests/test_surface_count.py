@@ -66,10 +66,11 @@ def test_counts_a_fixture_package(tmp_path):
     # _private, _checked, _other or _Internal
     # settable: public a, b, rest, c, d, more (6); Config size, name (2;
     # SCALE is a ClassVar); Holder.__init__ value, other (2); reset value (1)
-    # optional: public b, c; Holder.__init__ other (not the dataclass fields)
+    # optional: public b, c; Config size, name (defaults the generated
+    # __init__ takes; not SCALE); Holder.__init__ other
     lines = FIXTURE.count("\n") + 1
     assert count(tmp_path) == {
-        "lines": lines, "public_names": 13, "settable_values": 11, "optional_parameters": 3
+        "lines": lines, "public_names": 13, "settable_values": 11, "optional_parameters": 5
     }
 
 
