@@ -37,6 +37,7 @@ about 1e-7, and an action must sum to one far more closely than that.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import ClassVar
@@ -197,29 +198,18 @@ def mlp_backward(
     return da
 
 
-def _reduce_columns(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(a, axis=1, keepdims=True)`` bit for bit, one column at
-    a time: several times faster on rows as short as an action. Like numpy,
-    it starts from the ufunc's identity if it has one, so ``np.add`` sums a
-    row of -0.0 to 0.0."""
-    start = 0 if ufunc.identity is not None else 1
-    out = np.full((len(a), 1), ufunc.identity, a.dtype) if start == 0 else a[:, :1].copy()
-    for j in range(start, a.shape[1]):
-        ufunc(out, a[:, j : j + 1], out=out)
-    return out
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of the logits ``z``, in place."""
-    z -= _reduce_columns(np.maximum, z)
+    """Row-wise softmax of the logits ``z``, in place; one ufunc call folds in
+    each action column, bit for bit numpy's axis-1 max and sum but faster."""
+    z -= functools.reduce(np.maximum, z.T)[:, None]
     np.exp(z, out=z)
-    z /= _reduce_columns(np.add, z)
+    z /= sum(z.T)[:, None]  # the int start sums a row of -0.0 to 0.0, as numpy does
     return z
 
 
 def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     """d(loss)/d(logits) given d(loss)/d(probs)."""
-    grad = dprobs - _reduce_columns(np.add, dprobs * probs)
+    grad = dprobs - sum((dprobs * probs).T)[:, None]
     grad *= probs
     return grad
 

@@ -177,27 +177,33 @@ def reference_actor_objective_grads(actor, critic, obs):
 
 
 class TestSoftmaxBits:
-    """softmax and softmax_backward reduce the action columns one at a time;
-    their bits must stay those of numpy's axis-1 reductions."""
+    """softmax and softmax_backward fold the action columns in one ufunc call
+    each; their bits must stay those of numpy's axis-1 reductions at the row
+    counts of every caller: 4 (``act``), 48 (``ActorPolicy.act`` on the
+    swarm), 1024 (the train batch) and 500."""
+
+    ROWS = (4, 48, 500, 1024)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["random", "saturated"])
     def test_same_bits_as_the_axis_1_form(self, kind, dtype):
-        rng = np.random.default_rng(21)
-        if kind == "random":
-            logits = rng.normal(scale=3.0, size=(500, ACTION_DIM))
-        else:
-            logits = rng.choice([-80.0, 0.0, 80.0], size=(500, ACTION_DIM))
-        dprobs = rng.normal(size=logits.shape)
-        # in float32 this row's probabilities are [1, 0, 0], so every product
-        # dprobs * probs is -0.0, which numpy's sum turns into 0.0
-        logits[0], dprobs[0] = [80.0, -80.0, -80.0], [-0.0, -1.0, -2.0]
-        logits, dprobs = logits.astype(dtype), dprobs.astype(dtype)
-        want = reference_softmax(logits)
-        probs = softmax(logits.copy())
-        assert probs.tobytes() == want.tobytes()
-        grad = softmax_backward(probs, dprobs)
-        assert grad.tobytes() == reference_softmax_backward(want, dprobs).tobytes()
+        for rows in self.ROWS:
+            rng = np.random.default_rng(21)
+            if kind == "random":
+                logits = rng.normal(scale=3.0, size=(rows, ACTION_DIM))
+            else:
+                logits = rng.choice([-80.0, 0.0, 80.0], size=(rows, ACTION_DIM))
+            dprobs = rng.normal(size=logits.shape)
+            # in float32 this row's probabilities are [1, 0, 0], so every
+            # product dprobs * probs is -0.0, which numpy's sum turns into 0.0
+            logits[0], dprobs[0] = [80.0, -80.0, -80.0], [-0.0, -1.0, -2.0]
+            logits, dprobs = logits.astype(dtype), dprobs.astype(dtype)
+            want = reference_softmax(logits)
+            probs = softmax(logits.copy())
+            assert probs.tobytes() == want.tobytes(), f"softmax, {rows} rows"
+            grad = softmax_backward(probs, dprobs)
+            want_grad = reference_softmax_backward(want, dprobs)
+            assert grad.tobytes() == want_grad.tobytes(), f"softmax_backward, {rows} rows"
 
 
 class TestActorForward:
