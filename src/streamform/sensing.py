@@ -148,25 +148,24 @@ def raycast(
     noise = rng.normal(0.0, cfg.noise_std, size=n) if cfg.noise_std > 0.0 else None
     rel = obstacles.centers - (position.x, position.y)
     cc = np.einsum("ij,ij->i", rel, rel)
-    r2 = obstacles.radii**2
-    if (cc < r2).any():
+    gap = cc - obstacles.radii**2  # negative inside a circle
+    if (gap < 0.0).any():
         return LidarScan(np.full(n, cfg.d_min), agent_inside=True)
-    near = np.flatnonzero(cc <= (obstacles.radii + (cfg.d_max + REACH_MARGIN)) ** 2)
+    near = cc <= (obstacles.radii + (cfg.d_max + REACH_MARGIN)) ** 2
     c, s = math.cos(heading), math.sin(heading)
     dirs = np.array([[c, -s], [s, c]]) @ _RAY_DIRS
-    b = rel.take(near, axis=0) @ dirs  # (circles, rays) projections on rays
-    # disc = b|b| - (cc - r^2): a circle behind a ray (b < 0) gets a
-    # negative discriminant and misses like one off to the side. The
-    # inside test leaves cc - r^2 >= 0, so b >= 0 gives a root t >= 0
+    b = rel[near] @ dirs  # (circles, rays) projections on rays
+    # disc = b|b| - gap: a circle behind a ray (b < 0) gets a negative
+    # discriminant and misses like one off to the side. The inside test
+    # leaves gap >= 0, so a hit's b >= 0 gives a root t >= 0
     disc = np.abs(b)
     disc *= b
-    disc -= (cc - r2).take(near)[:, None]
-    with np.errstate(invalid="ignore"):
-        np.sqrt(disc, out=disc)  # NaN marks a miss
+    disc -= gap[near][:, None]
+    hit = disc >= 0.0
+    np.sqrt(disc, out=disc, where=hit)
     b -= disc
-    # nearest hit per ray; inf where none (also with no circle in reach)
-    d = np.fmin.reduce(b, axis=0, initial=math.inf)
-    np.fmin(d, cfg.d_max, out=d)
+    # nearest hit per ray, d_max where none (also with no circle in reach)
+    d = np.fmin.reduce(b, axis=0, initial=cfg.d_max, where=hit)
     np.maximum(d, cfg.d_min, out=d)
     if noise is not None:
         d += noise
@@ -240,9 +239,9 @@ class CommsView:
 
     adjacency[i, j] is True when agents i and j are inside each other's
     connection zone. neighbors[i] maps agent id j to (distance, world-frame
-    bearing from i to j). broadcast[i] carries the navigator's broadcast
-    (d_0i, theta_0i) for follower i, or None when i has no communication
-    path to the navigator this step.
+    bearing from i to j), its ids j in ascending order. broadcast[i] carries
+    the navigator's broadcast (d_0i, theta_0i) for follower i, or None when
+    i has no communication path to the navigator this step.
     """
 
     adjacency: np.ndarray
@@ -251,7 +250,7 @@ class CommsView:
 
 
 def neighbor_observations(positions: list[Vec2], connection_zone: float) -> CommsView:
-    """Relative-position links between agents within the connection zone.
+    """Relative-position observations between agents within the connection zone.
 
     Agent 0 is the navigator; its broadcast (distance and bearing from the
     navigator to each follower) is relayed through the network, so every
@@ -274,22 +273,15 @@ def neighbor_observations(positions: list[Vec2], connection_zone: float) -> Comm
     while size != (size := np.count_nonzero(reached)):
         reached |= adjacency[reached].any(axis=0)
 
-    # every link i -> j in row order, then the broadcast links 0 -> i
     rows, cols = np.nonzero(adjacency)
-    heard = np.flatnonzero(reached[1:]) + 1
-    src = np.concatenate([rows, np.zeros_like(heard)])
-    dst = np.concatenate([cols, heard])
-    links = [
-        (d, math.atan2(dy, dx))
-        for d, dx, dy in zip(
-            dist[src, dst].tolist(), diff[src, dst, 0].tolist(), diff[src, dst, 1].tolist()
-        )
-    ]
-
     neighbors: list[dict[int, tuple[float, float]]] = [{} for _ in range(n)]
-    for i, j, link in zip(rows.tolist(), cols.tolist(), links):
-        neighbors[i][j] = link
+    for i, j, d, dx, dy in zip(rows.tolist(), cols.tolist(), dist[rows, cols].tolist(),
+                               *diff[rows, cols].T.tolist()):
+        neighbors[i][j] = (d, math.atan2(dy, dx))
+    # the navigator's row holds its broadcast link to each follower
     broadcast: list[tuple[float, float] | None] = [None] * n
-    for i, link in zip(heard.tolist(), links[len(rows) :]):
-        broadcast[i] = link
+    for i, (hears, d, dx, dy) in enumerate(zip(reached.tolist(), dist[0].tolist(),
+                                               *diff[0].T.tolist())):
+        if i and hears:
+            broadcast[i] = (d, math.atan2(dy, dx))
     return CommsView(adjacency, neighbors, broadcast)

@@ -1,10 +1,10 @@
 """Isolated medians of the learner's three hot calls, of its checkpoint, of
-the stream avoider's update and of one follower's step and scan, for
-comparing two trees.
+the stream avoider's update, of one follower's step and scan and of the
+comms graph, for comparing two trees.
 
     python3 tests/learner_timing.py
 
-prints eight medians, then the machine they ran on:
+prints nine medians, then the machine they ran on:
 
 - ``train_step_ms <median>``: ``DdpgLearner.train_step`` of a learner with
   the default ``TrainerConfig`` (batch 1024), seed 0 and the benchmark's
@@ -27,6 +27,9 @@ prints eight medians, then the machine they ran on:
   noise 0.2 m) from the middle follower of the swarm workload's seed-0
   start, against its 68 circles (20 obstacles and the other 48 followers'
   bodies, 20 of them within reach), as ``Env.sense`` casts it;
+- ``comms_us <median>``: ``neighbor_observations`` over the 49 agents of the
+  swarm workload's seed-0 start at that workload's connection zone, as
+  ``Env.sense`` calls it;
 - ``machine.<key> <value>`` lines: the Python and numpy versions, the BLAS
   numpy was built with and its version, ``os.cpu_count()``, the
   ``OPENBLAS_NUM_THREADS`` setting (``unset`` when it is not set) and the
@@ -70,7 +73,12 @@ from streamform.ddpg import (  # noqa: E402
 from streamform.dynamics import step  # noqa: E402
 from streamform.env import BODY_RADIUS, DT, LIDAR, LIMITS, SPECS, Env  # noqa: E402
 from streamform.geom import Vec2  # noqa: E402
-from streamform.sensing import LidarConfig, ObstacleSet, raycast  # noqa: E402
+from streamform.sensing import (  # noqa: E402
+    LidarConfig,
+    ObstacleSet,
+    neighbor_observations,
+    raycast,
+)
 from streamform.stream_avoid import StreamAvoider, StreamParams  # noqa: E402
 
 OBS_DIM = 20  # the observation width of the benchmark's workloads
@@ -103,7 +111,7 @@ def _fastest_window_medians(calls: dict) -> dict[str, float]:
 
 
 def measure() -> dict[str, float]:
-    """The eight medians, in ms and µs, keyed as printed."""
+    """The nine medians, in ms and µs, keyed as printed."""
     cfg = TrainerConfig()
     rng = np.random.default_rng(0)
     learner = DdpgLearner(OBS_DIM, cfg, rng)
@@ -125,6 +133,7 @@ def measure() -> dict[str, float]:
     centers = np.array([(a.position.x, a.position.y) for a in swarm.agents])
     bodies = np.full(len(centers) - 1, BODY_RADIUS)
     swarm_world = swarm.world.extended(np.delete(centers, k + 1, axis=0), bodies)
+    positions = [a.position for a in swarm.agents]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "learner.ckpt"  # saved before it is loaded, warm-up included
         seconds = _fastest_window_medians({
@@ -138,6 +147,7 @@ def measure() -> dict[str, float]:
             "raycast_us": lambda: raycast(
                 follower.position, follower.alpha, swarm_world, LIDAR, rng
             ),
+            "comms_us": lambda: neighbor_observations(positions, swarm.spec.connection_zone),
         })
     return {name: (1e3 if name.endswith("_ms") else 1e6) * t for name, t in seconds.items()}
 
