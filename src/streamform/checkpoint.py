@@ -26,14 +26,14 @@ import numpy as np
 META = "meta"
 DTYPES = ("float32", "float64")
 EPOCH = (1980, 1, 1, 0, 0, 0)
-# a damaged file: a check's or numpy's ValueError (TypeError: a bool in a shape), and
-# what zipfile raises for a compression method, version or flag it cannot read
-_DAMAGED = (BadZipFile, ValueError, TypeError, EOFError, NotImplementedError, RuntimeError)
+# a damaged file: a check's or numpy's ValueError (TypeError: a bool in a shape), what
+# zipfile raises for a method, version or flag it cannot read, and a negative seek's OSError
+_DAMAGED = (BadZipFile, ValueError, TypeError, EOFError, NotImplementedError, RuntimeError, OSError)
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Build the zip in memory, write it to ``<path>.tmp`` and rename, so a
-    failed save leaves the previous file as it was and no temporary file."""
+    """Write the zip to ``<path>.tmp`` and rename, so a failed save leaves
+    the previous file as it was and no temporary file."""
     path = Path(path)
     members = {}
     for name in sorted(arrays):
@@ -46,14 +46,12 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
             )
         members[name] = arr
     members[META] = np.array(json.dumps(meta, sort_keys=True))
-    file = io.BytesIO()
-    with ZipFile(file, "w") as zf:
-        for name, arr in members.items():
-            with zf.open(ZipInfo(f"{name}.npy", EPOCH), "w") as member:
-                np.lib.format.write_array(member, arr, allow_pickle=False)
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        tmp.write_bytes(file.getbuffer())
+        with ZipFile(tmp, "w") as zf:
+            for name, arr in members.items():
+                with zf.open(ZipInfo(f"{name}.npy", EPOCH), "w") as member:
+                    np.lib.format.write_array(member, arr, allow_pickle=False)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -67,9 +65,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     missing file raises FileNotFoundError."""
     arrays: dict[str, np.ndarray] = {}
     member = None
-    file = io.BytesIO(Path(path).read_bytes())  # a missing file raises here
+    file = open(path, "rb")  # a missing file raises here
     try:
-        with ZipFile(file) as zf:
+        with file, ZipFile(file) as zf:
             for info in zf.infolist():
                 member = info.filename
                 name = member.removesuffix(".npy")

@@ -1443,19 +1443,18 @@ class TestCheckpoint:
         path = self.saved(tmp_path, "prev.ckpt", 36)
         before = path.read_bytes()
         learner = DdpgLearner(obs_dim=4, cfg=small_config(), rng=np.random.default_rng(37))
-        write_array, write_bytes = np.lib.format.write_array, Path.write_bytes
+        write_array = np.lib.format.write_array
 
         def fail_after_the_first_member(member, arr, **kw):
             write_array(member, arr, **kw)
             raise OSError("disk full")
 
-        def write_half_then_fail(self, data):
-            write_bytes(self, bytes(data)[: len(data) // 2])
+        def fail_to_rename(src, dst):
             raise OSError("disk full")
 
         for owner, name, failing in (
             (np.lib.format, "write_array", fail_after_the_first_member),
-            (Path, "write_bytes", write_half_then_fail),
+            (os, "replace", fail_to_rename),
         ):
             with monkeypatch.context() as patched:
                 patched.setattr(owner, name, failing)

@@ -4,9 +4,10 @@ local to its own lidar reach.
 
 The benchmark under perfbench/ still runs its own copy of the episode loop
 (``episode.Workload``). Until it drives ``streamform.env``, these tests hold
-the two copies equal: at seed 7, over the digest's windows, every step's
+the two copies equal: the trajectory digest's runner (``drive``) against
+``Workload``, at seed 7 over the digest's windows, in every step's
 observation rows, costs, episode end, actions and agent states, and for
-``train`` the four networks after a learner driven in ``Workload``'s order.
+``train`` in the four networks after the last step.
 """
 
 import ast
@@ -20,10 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamform import env
-from streamform.ddpg import ACTION_DIM, ActorPolicy, DdpgLearner, TrainerConfig, init_mlp
 from streamform.sensing import REACH_MARGIN, LidarConfig, ObstacleSet
 from streamform.stream_avoid import StreamAvoider
-from trajectory_digest import DEFAULT_SEED, DEFAULT_STEPS
+from trajectory_digest import DEFAULT_SEED, DEFAULT_STEPS, drive
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -32,16 +32,13 @@ import adapter  # noqa: E402
 import episode  # noqa: E402
 
 
-def _states(agents) -> bytes:
-    return np.array([(s.position.x, s.position.y, s.v, s.alpha, s.omega) for s in agents]).tobytes()
-
-
 def _step_record(obs, costs, end, actions, agents) -> tuple:
     """What one env step produced: ``end`` is None, or whether the episode
     ended in a collision; a step that ends moves no agent."""
     if end is not None:
         return obs.tobytes(), costs.tobytes(), end, None, None
-    return obs.tobytes(), costs.tobytes(), None, actions.tobytes(), _states(agents)
+    states = np.array([(s.position.x, s.position.y, s.v, s.alpha, s.omega) for s in agents])
+    return obs.tobytes(), costs.tobytes(), None, actions.tobytes(), states.tobytes()
 
 
 def _workload_run(name, steps, tmp_path, monkeypatch):
@@ -104,62 +101,13 @@ def _workload_run(name, steps, tmp_path, monkeypatch):
     return records, wl.learner
 
 
-def _env_run(name, steps):
-    """The same records from ``streamform.env``, with the controller and the
-    learner driven in ``Workload``'s order: prefill, warm-up updates, then
-    per step sense, record, act, move and train."""
-    e = env.Env(env.SPECS[name], DEFAULT_SEED)
-    cfg = TrainerConfig()
-    learner = policy = None
-    if e.spec.controller == "learner":
-        learner = DdpgLearner(env.OBS_DIM, cfg, e.init_rng)
-    elif e.spec.controller == "actor":
-        policy = ActorPolicy(init_mlp([env.OBS_DIM, *cfg.hidden, ACTION_DIM], e.init_rng,
-                                      cfg.actor_final_scale))
-    records = []
-    episode_no, prev, training = 0, None, False
-
-    def one_step():
-        nonlocal episode_no, prev
-        obs, costs, collided, ended = e.sense()
-        if learner is not None and prev is not None:
-            prev_obs, prev_actions = prev
-            for k in range(e.n_followers):
-                learner.record(prev_obs[k], prev_actions[k], costs[k], obs[k], collided)
-        if ended:
-            records.append(_step_record(obs, costs, bool(collided), None, None))
-            episode_no += 1
-            prev = None
-            e.reset()
-            return
-        if learner is not None:
-            actions = learner.act(obs, cfg.sigma_at(episode_no), e.policy_rng)
-        elif policy is not None:
-            actions = policy.act(obs)
-        else:
-            actions = e.scripted_actions(obs)
-        e.move(actions)
-        prev = obs, actions
-        records.append(_step_record(obs, costs, None, actions, e.agents))
-        if training:
-            learner.train_step(e.train_rng)
-
-    if learner is not None:
-        while not learner.ready():
-            one_step()
-        for _ in range(episode.WARMUP_TRAIN_STEPS):
-            learner.train_step(e.train_rng)
-        training = True
-    for _ in range(steps):
-        one_step()
-    return records, learner
-
-
 @pytest.mark.parametrize("name", sorted(DEFAULT_STEPS))
 def test_env_steps_bit_for_bit_like_the_benchmark_workload(name, tmp_path, monkeypatch):
     steps = DEFAULT_STEPS[name]
     want, want_learner = _workload_run(name, steps, tmp_path, monkeypatch)
-    got, got_learner = _env_run(name, steps)
+    got = []
+    got_learner = drive(name, DEFAULT_SEED, steps,
+                        on_step=lambda *step: got.append(_step_record(*step)))
     assert len(got) == len(want)
     fields = ("observation rows", "costs", "episode end", "actions", "agent states")
     for i, (g, w) in enumerate(zip(got, want)):
@@ -264,6 +212,15 @@ def test_env_loads_no_benchmark_module():
     loaded = _loaded_modules("import streamform.env")
     assert "streamform.env" in loaded
     assert not loaded & {"adapter", "episode", "run", "spans"}
+
+
+def test_trajectory_digest_loads_no_benchmark_module():
+    # it drove perfbench's episode copy through patched adapter calls
+    loaded = _loaded_modules(f"sys.path.insert(0, {str(ROOT / 'tests')!r})\n"
+                             "import trajectory_digest\n"
+                             "trajectory_digest.trajectory_digest('swarm', 7, 2)")
+    assert not loaded & {"adapter", "episode", "run", "spans"}
+    assert {"trajectory_digest", "streamform.env"} <= loaded
 
 
 def test_the_benchmarks_package_imports_do_not_load_the_env():

@@ -1,4 +1,4 @@
-"""sha256 over a benchmark workload's whole trajectory, for bit-identity checks.
+"""sha256 over a run of ``streamform.env``'s whole trajectory, for bit-identity checks.
 
 A change that claims to keep behaviour bit-identical runs this at its parent
 commit and at the change, on one machine, and compares the printed lines:
@@ -6,10 +6,14 @@ commit and at the change, on one machine, and compares the printed lines:
     python3 tests/trajectory_digest.py                  # seed 7, all three workloads
     python3 tests/trajectory_digest.py --seed 8 --workload swarm --steps 50
 
-The digest starts at the workload's construction (the replay prefill and
-warm-up updates of ``train`` included) and covers:
+``drive`` runs an ``env.SPECS`` entry and the controller it names in the
+order of the benchmark's ``perfbench/episode.Workload``: the learner's
+replay prefill until ``ready()``, WARMUP_TRAIN_STEPS updates, then per step
+``sense``, ``record``, act, ``move`` and ``train_step``, with ``reset`` on
+the step that ends an episode. ``test_env.py``'s tie test pins that order
+to the benchmark's. The digest starts at the env's construction and covers:
 
-- every agent step: the state before it, the action and the state after;
+- every agent step: the state before it, the simplex action and the state after;
 - every lidar scan: each ray's distance and ``agent_inside``;
 - every follower observation row;
 - every ``StreamAvoider.update`` outcome: per side the avoid flag,
@@ -18,7 +22,8 @@ warm-up updates of ``train`` included) and covers:
 - for ``train``, the four networks after the last step.
 
 Floats enter by their bits, so a change of the last bit changes the digest.
-Checkpoints go to a temporary directory that is removed afterwards.
+CI runs a change's copy of this script on its parent's tree too, so it may
+call only API that the parent already has.
 """
 
 from __future__ import annotations
@@ -28,21 +33,67 @@ import dataclasses
 import hashlib
 import struct
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
-for _path in (ROOT / "perfbench", ROOT / "src"):
-    if str(_path) not in sys.path:
-        sys.path.insert(0, str(_path))
+SRC = Path(__file__).resolve().parents[1] / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
 
-import adapter  # noqa: E402
-import episode  # noqa: E402
+from streamform import ddpg, env, stream_avoid  # noqa: E402
 
 DEFAULT_SEED = 7
 DEFAULT_STEPS = {"train": 150, "obstacle_course": 400, "swarm": 120}
+WARMUP_TRAIN_STEPS = 3
+
+
+def drive(name: str, seed: int, steps: int, on_step=lambda *step: None):
+    """Run ``env.SPECS[name]`` at ``seed`` for ``steps`` steps past its
+    set-up and return its learner (None unless the spec trains one).
+    ``on_step(obs, costs, end, actions, agents)`` is called after every
+    step, the set-up's included: ``end`` is None, or whether the episode
+    ended in a collision; a step that ends moves no agent, and its
+    ``actions`` is None."""
+    e = env.Env(env.SPECS[name], seed)
+    cfg = ddpg.TrainerConfig()
+    episodes, prev, training = 0, None, False
+    learner, act = None, e.scripted_actions
+    if e.spec.controller == "learner":
+        learner = ddpg.DdpgLearner(env.OBS_DIM, cfg, e.init_rng)
+        act = lambda obs: learner.act(obs, cfg.sigma_at(episodes), e.policy_rng)  # noqa: E731
+    elif e.spec.controller == "actor":
+        act = ddpg.ActorPolicy(ddpg.init_mlp([env.OBS_DIM, *cfg.hidden, ddpg.ACTION_DIM],
+                                             e.init_rng, cfg.actor_final_scale)).act
+
+    def one_step():
+        nonlocal episodes, prev
+        obs, costs, collided, ended = e.sense()
+        if learner is not None and prev is not None:
+            for k in range(e.n_followers):
+                learner.record(prev[0][k], prev[1][k], costs[k], obs[k], collided)
+        if ended:
+            on_step(obs, costs, bool(collided), None, e.agents)
+            episodes += 1
+            prev = None
+            e.reset()
+            return
+        actions = act(obs)
+        e.move(actions)
+        prev = obs, actions
+        on_step(obs, costs, None, actions, e.agents)
+        if training:
+            learner.train_step(e.train_rng)
+
+    if learner is not None:
+        while not learner.ready():
+            one_step()
+        for _ in range(WARMUP_TRAIN_STEPS):
+            learner.train_step(e.train_rng)
+        training = True
+    for _ in range(steps):
+        one_step()
+    return learner
 
 
 def _put(sha, *values) -> None:
@@ -88,56 +139,45 @@ def _put_outcome(sha, out) -> None:
     _put(sha, out.cost)
 
 
-class _DigestedWorkload(episode.Workload):
-    """A workload that feeds each observation row it builds to ``sha``."""
-
-    def __init__(self, name, seed, out_dir, sha):
-        self.sha = sha  # the constructor already steps
-        super().__init__(name, seed, out_dir)
-
-    def _observation(self, *args):
-        row = super()._observation(*args)
-        _put(self.sha, np.asarray(row, dtype=np.float64))
-        return row
+def _tapped(fn, keep):
+    """``fn``, passing each call's arguments and result to ``keep``."""
+    def tapped(*args):
+        out = fn(*args)
+        keep(args, out)
+        return out
+    return tapped
 
 
 def trajectory_digest(workload: str, seed: int, steps: int) -> str:
-    """Hex sha256 of ``workload`` built at ``seed`` and run ``steps`` env
-    steps past its construction."""
+    """Hex sha256 of ``workload`` driven at ``seed`` for ``steps`` env
+    steps past its set-up."""
     sha = hashlib.sha256(f"{workload}/{seed}/{steps}".encode())
-    agent_step, raycast, stream_update = adapter.agent_step, adapter.raycast, adapter.stream_update
+    simplex = []  # move maps each simplex action just before it steps the agent
 
-    def digested_step(state, action, dt, limits):
-        new = agent_step(state, action, dt, limits)
-        _put_state(sha, state)
-        _put(sha, np.asarray(action, dtype=np.float64))
+    def keep_step(args, new):
+        _put_state(sha, args[0])
+        _put(sha, np.asarray(simplex.pop(), dtype=np.float64))
         _put_state(sha, new)
-        return new
 
-    def digested_raycast(position, heading, obstacles, cfg, rng):
-        scan = raycast(position, heading, obstacles, cfg, rng)
-        _put(sha, scan.distances, scan.agent_inside)
-        return scan
-
-    def digested_update(avoider, scan):
-        out = stream_update(avoider, scan)
-        _put_outcome(sha, out)
-        return out
-
-    adapter.agent_step, adapter.raycast = digested_step, digested_raycast
-    adapter.stream_update = digested_update
+    taps = [
+        (env, "raycast", lambda args, scan: _put(sha, scan.distances, scan.agent_inside)),
+        (env, "map_action", lambda args, controls: simplex.append(args[0])),
+        (env, "step", keep_step),
+        (env.Env, "_observation", lambda args, row: _put(sha, np.asarray(row, dtype=np.float64))),
+        (stream_avoid.StreamAvoider, "update", lambda args, out: _put_outcome(sha, out)),
+    ]
+    originals = [getattr(owner, name) for owner, name, _ in taps]
+    for (owner, name, keep), fn in zip(taps, originals):
+        setattr(owner, name, _tapped(fn, keep))
     try:
-        with tempfile.TemporaryDirectory() as tmp:
-            wl = _DigestedWorkload(workload, seed, Path(tmp), sha)
-            for _ in range(steps):
-                wl.step()
-            if wl.learner is not None:
-                for name, array in sorted(wl.learner.network_arrays().items()):
-                    sha.update(name.encode())
-                    _put(sha, array)
+        learner = drive(workload, seed, steps)
     finally:
-        adapter.agent_step, adapter.raycast = agent_step, raycast
-        adapter.stream_update = stream_update
+        for (owner, name, _), fn in zip(taps, originals):
+            setattr(owner, name, fn)
+    if learner is not None:
+        for name, array in sorted(learner.network_arrays().items()):
+            sha.update(name.encode())
+            _put(sha, array)
     return sha.hexdigest()
 
 
