@@ -28,7 +28,10 @@ MIN_INTERVAL_RAYS = 3
 # rounding moves a computed one by a few 1e-8 of itself at most (on a ray
 # grazing the circle). For a d_max below about 10 km, as the fixed 2 m is, a
 # culled circle's computed distance still exceeds d_max, and the clip to
-# d_max makes the cull exact: the circle would have left the scan unchanged.
+# d_max hides it. The other circles' bits stay as the uncut scan's only with
+# two or more circles in reach: OpenBLAS runs a one-row ``rel[near] @ dirs``
+# through another kernel, so with one circle in reach the cull can move its
+# distances by a few 1e-14 m. ROADMAP item 15 chooses the projection.
 REACH_MARGIN = 1e-3
 
 
@@ -72,27 +75,14 @@ class LidarScan:
     agent_inside: bool = False
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
-def _check_circles(centers, radii) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, 2) centers and (n,) radii as float arrays, a float64 array as
-    given; ValueError for bools (in an array or a list of numbers), strs or
-    objects (an int past the float range makes one), other shapes and unreal
-    circles (a NaN one would vanish from every scan)."""
-    for name, given in (("centers", centers), ("radii", radii)):
-        # numpy reads a bool among numbers as 0 or 1: [0.3, True] is float64
-        if not isinstance(given, np.ndarray) and any(
-            isinstance(v, (bool, np.bool_)) for v in np.asarray(given, dtype=object).flat
-        ):
-            raise ValueError(f"obstacle {name} must be real numbers, got bool: {given!r}")
-    centers, radii = np.asarray(centers), np.asarray(radii)
-    # the per-follower extended call passes float64 arrays: no test, no copy
-    if centers.dtype is not _FLOAT64 or radii.dtype is not _FLOAT64:
-        for name, a in (("centers", centers), ("radii", radii)):
-            if a.dtype.kind not in "fiu":
-                raise ValueError(f"obstacle {name} must be real numbers, got {a.dtype}: {a!r}")
-        centers, radii = centers.astype(float, copy=False), radii.astype(float, copy=False)
+def _check_circles(centers: np.ndarray, radii: np.ndarray) -> None:
+    """ValueError unless centers and radii take the one form, float64 numpy
+    arrays, of shapes (n, 2) and (n,), with finite centers and positive
+    finite radii (a NaN circle would vanish from every scan)."""
+    for name, a in (("centers", centers), ("radii", radii)):
+        if not isinstance(a, np.ndarray) or a.dtype != np.float64:
+            got = f"{a.dtype} array" if isinstance(a, np.ndarray) else type(a).__name__
+            raise ValueError(f"obstacle {name} must be a float64 numpy array, got {got}")
     if centers.shape[1:] != (2,) or radii.shape != centers.shape[:1]:
         raise ValueError("obstacle centers must have shape (n, 2) and radii shape (n,)"
                          f" of matching length, got {centers.shape} and {radii.shape}")
@@ -100,28 +90,33 @@ def _check_circles(centers, radii) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("obstacle centers must be finite")
     if not ((radii > 0) & (radii < np.inf)).all():
         raise ValueError("obstacle radii must be positive and finite")
-    return centers, radii
 
 
 class ObstacleSet:
-    """Circular obstacles stored as flat arrays for vectorized ray casts:
-    both constructors take (n, 2) centers and (n,) radii of ints or floats,
-    with finite centers and positive finite radii, and raise ValueError
-    otherwise."""
+    """Circular obstacles stored as flat read-only arrays for vectorized ray
+    casts: both constructors take float64 numpy arrays, (n, 2) centers and
+    (n,) radii, with finite centers and positive finite radii, and raise
+    ValueError otherwise. The set keeps its own copies, so no later write
+    to the caller's arrays reaches a checked circle."""
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray):
-        self.centers, self.radii = _check_circles(centers, radii)
+        _check_circles(centers, radii)
+        self.centers, self.radii = centers.copy(), radii.copy()
+        self.centers.setflags(write=False)
+        self.radii.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.radii)
 
     def extended(self, centers: np.ndarray, radii: np.ndarray) -> "ObstacleSet":
         """New set with extra circles appended (used to add agent bodies)."""
-        centers, radii = _check_circles(centers, radii)
+        _check_circles(centers, radii)
         # this set's own arrays were checked when it was built
         out = ObstacleSet.__new__(ObstacleSet)
         out.centers = np.concatenate([self.centers, centers])
         out.radii = np.concatenate([self.radii, radii])
+        out.centers.setflags(write=False)
+        out.radii.setflags(write=False)
         return out
 
 

@@ -1,10 +1,10 @@
 """Isolated medians of the learner's three hot calls, of its checkpoint, of
-the stream avoider's update, of one follower's step and scan and of the
-comms graph, for comparing two trees.
+the stream avoider's update, of one follower's step and scan, of the comms
+graph and of the env's whole sensing pass, for comparing two trees.
 
     python3 tests/learner_timing.py
 
-prints nine medians, then the machine they ran on:
+prints eleven medians, then the machine they ran on:
 
 - ``train_step_ms <median>``: ``DdpgLearner.train_step`` of a learner with
   the default ``TrainerConfig`` (batch 1024), seed 0 and the benchmark's
@@ -30,6 +30,10 @@ prints nine medians, then the machine they ran on:
 - ``comms_us <median>``: ``neighbor_observations`` over the 49 agents of the
   swarm workload's seed-0 start at that workload's connection zone, as
   ``Env.sense`` calls it;
+- ``sense_swarm_ms <median>`` and ``sense_obstacle_course_ms <median>``:
+  ``Env.sense`` of each workload's env at seed 0, repeated from its start
+  (the side readers and the lidar noise advance between calls, the agents
+  do not move);
 - ``machine.<key> <value>`` lines: the Python and numpy versions, the BLAS
   numpy was built with and its version, ``os.cpu_count()``, the
   ``OPENBLAS_NUM_THREADS`` setting (``unset`` when it is not set) and the
@@ -111,7 +115,7 @@ def _fastest_window_medians(calls: dict) -> dict[str, float]:
 
 
 def measure() -> dict[str, float]:
-    """The nine medians, in ms and µs, keyed as printed."""
+    """The eleven medians, in ms and µs, keyed as printed."""
     cfg = TrainerConfig()
     rng = np.random.default_rng(0)
     learner = DdpgLearner(OBS_DIM, cfg, rng)
@@ -134,6 +138,7 @@ def measure() -> dict[str, float]:
     bodies = np.full(len(centers) - 1, BODY_RADIUS)
     swarm_world = swarm.world.extended(np.delete(centers, k + 1, axis=0), bodies)
     positions = [a.position for a in swarm.agents]
+    course = Env(SPECS["obstacle_course"], 0)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "learner.ckpt"  # saved before it is loaded, warm-up included
         seconds = _fastest_window_medians({
@@ -148,6 +153,8 @@ def measure() -> dict[str, float]:
                 follower.position, follower.alpha, swarm_world, LIDAR, rng
             ),
             "comms_us": lambda: neighbor_observations(positions, swarm.spec.connection_zone),
+            "sense_swarm_ms": swarm.sense,
+            "sense_obstacle_course_ms": course.sense,
         })
     return {name: (1e3 if name.endswith("_ms") else 1e6) * t for name, t in seconds.items()}
 

@@ -60,7 +60,7 @@ def test_every_internal_call_is_reached():
         adapter.record(learner, rng.normal(size=4), rng.dirichlet(np.ones(3)), rng.normal(),
                        rng.normal(size=4), False)
     lidar = adapter.LidarConfig(noise_std=0.0)
-    world = adapter.ObstacleSet([[0.8, 0.35]], [0.25])
+    world = adapter.ObstacleSet(np.array([[0.8, 0.35]]), np.array([0.25]))
     scan = adapter.raycast(adapter.Vec2(0.0, 0.0), 0.0, world, lidar, rng)
     avoider = adapter.StreamAvoider(adapter.StreamParams())
     for owner, attr, fn in saved:

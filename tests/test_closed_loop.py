@@ -31,7 +31,7 @@ RADII = (0.1, 0.25)
 def min_clearance(delta: float, radius: float) -> float:
     """Smallest distance from the follower's centre to the cylinder's edge
     over STEPS steps; fails if a scan reports the follower inside it."""
-    world = ObstacleSet([[2.0, delta]], [radius])
+    world = ObstacleSet(np.array([[2.0, delta]]), np.array([radius]))
     sides = env.StreamSides()
     a = AgentState(Vec2(0.0, 0.0), 0.3, 0.0, 0.0)
     clearance = math.inf

@@ -83,6 +83,10 @@ def reference_raycast(position, heading, obstacles, cfg, rng):
     return LidarScan(d, agent_inside=inside)
 
 
+def one_circle(x, y, r):
+    return ObstacleSet(np.array([[x, y]]), np.array([r]))
+
+
 def random_world(gen):
     """Agent pose and a circle world around it; some empty, some around the agent."""
     position = Vec2(*gen.uniform(-5.0, 5.0, 2))
@@ -119,7 +123,7 @@ def make_scan(distances, cfg=CFG):
 
 class TestRaycast:
     def test_obstacle_dead_ahead(self):
-        obs = ObstacleSet([[1.0, 0.0]], [0.3])
+        obs = one_circle(1.0, 0.0, 0.3)
         scan = raycast(Vec2(0, 0), 0.0, obs, CFG, RNG)
         center_ray = CFG.n_rays // 2
         assert scan.angles[center_ray] == pytest.approx(0.0, abs=1e-12)
@@ -141,17 +145,17 @@ class TestRaycast:
         expected = b - math.sqrt(disc)
         idx = CFG.n_rays // 2 + 10  # 0 deg + 10 * 3 deg
         assert CFG.angles[idx] == pytest.approx(ray, abs=1e-12)
-        scan = raycast(Vec2(0, 0), 0.0, ObstacleSet([[center.x, center.y]], [r]), CFG, RNG)
+        scan = raycast(Vec2(0, 0), 0.0, one_circle(center.x, center.y, r), CFG, RNG)
         assert scan.distances[idx] == pytest.approx(expected, abs=1e-12)
 
     def test_heading_rotates_the_fan(self):
-        obs = ObstacleSet([[0.0, 1.0]], [0.3])
+        obs = one_circle(0.0, 1.0, 0.3)
         scan = raycast(Vec2(0, 0), math.pi / 2, obs, CFG, RNG)
         center_ray = CFG.n_rays // 2
         assert scan.distances[center_ray] == pytest.approx(0.7, abs=1e-12)
 
     def test_agent_inside_obstacle(self):
-        obs = ObstacleSet([[0.05, 0.0]], [0.3])
+        obs = one_circle(0.05, 0.0, 0.3)
         scan = raycast(Vec2(0, 0), 0.0, obs, CFG, RNG)
         assert scan.agent_inside
         assert np.all(scan.distances == CFG.d_min)
@@ -166,7 +170,7 @@ class TestRaycast:
     def test_noise_clamped_to_range(self):
         cfg = LidarConfig(noise_std=5.0)
         rng = np.random.default_rng(9)
-        obs = ObstacleSet([[1.0, 0.0]], [0.3])
+        obs = one_circle(1.0, 0.0, 0.3)
         for _ in range(50):
             scan = raycast(Vec2(0, 0), 0.0, obs, cfg, rng)
             assert np.all(scan.distances >= cfg.d_min)
@@ -180,7 +184,7 @@ class TestRaycast:
     def test_non_finite_position_or_nan_heading_raises(self, position, heading, name):
         # a NaN pose used to give a blind scan: every ray at d_max, not inside.
         # The position is refused as a Vec2 is built, the heading by raycast
-        obs = ObstacleSet([[1.0, 0.0]], [0.3])
+        obs = one_circle(1.0, 0.0, 0.3)
         match = {"position": r"Vec2\.[xy] must be finite", "heading": "heading must be finite"}[name]
         with pytest.raises(ValueError, match=match):
             raycast(Vec2(*position), heading, obs, CFG, RNG)
@@ -188,19 +192,19 @@ class TestRaycast:
     @pytest.mark.parametrize("heading", [math.inf, -math.inf])
     def test_infinite_heading_is_named(self, heading):
         # math.cos raised a bare "math domain error" here
-        obs = ObstacleSet([[1.0, 0.0]], [0.3])
+        obs = one_circle(1.0, 0.0, 0.3)
         with pytest.raises(ValueError, match="heading must be finite"):
             raycast(Vec2(0.0, 0.0), heading, obs, CFG, RNG)
 
     def test_behind_obstacle_not_seen(self):
-        obs = ObstacleSet([[-1.0, 0.0]], [0.3])
+        obs = one_circle(-1.0, 0.0, 0.3)
         scan = raycast(Vec2(0, 0), 0.0, obs, CFG, RNG)
         assert np.all(scan.distances == CFG.d_max)
 
     def test_rng_is_required(self):
         # a scan under LidarConfig() (noise 0.2) with no rng used to come
         # back noiseless, bit for bit the scan with noise_std=0.0
-        obs = ObstacleSet([[1.0, 0.0]], [0.3])
+        obs = one_circle(1.0, 0.0, 0.3)
         with pytest.raises(TypeError):
             raycast(Vec2(0, 0), 0.0, obs, LidarConfig())
 
@@ -267,8 +271,7 @@ class TestObstacleSetExtended:
         assert out.centers.dtype == out.radii.dtype == np.float64
         assert self.BASE.centers.tobytes() == base_centers.tobytes()
         assert self.BASE.radii.tobytes() == base_radii.tobytes()
-        out.centers[0] = 99.0
-        assert self.BASE.centers[0, 0] == 1.0
+        assert not np.shares_memory(out.centers, self.BASE.centers)
 
     def test_nothing_appended_gives_an_equal_set(self):
         out = self.BASE.extended(np.empty((0, 2)), np.empty(0))
@@ -295,28 +298,61 @@ class TestObstacleSetExtended:
             self.BASE.extended(np.zeros((0, 2)), np.ones(3))
 
 
+@pytest.mark.parametrize("build", ["constructor", "extended"])
+class TestObstacleSetOwnsItsArrays:
+    @staticmethod
+    def make(build, centers, radii):
+        if build == "constructor":
+            return ObstacleSet(centers, radii)
+        return ObstacleSet(np.empty((0, 2)), np.empty(0)).extended(centers, radii)
+
+    def test_scan_ignores_later_writes_by_the_caller(self, build):
+        # the constructor used to keep the caller's arrays: a NaN written
+        # into them afterwards got past the checks, and every ray missed it
+        centers, radii = np.array([[1.0, 0.0]]), np.array([0.3])
+        world = self.make(build, centers, radii)
+        want = raycast(Vec2(0, 0), 0.0, world, CFG, RNG).distances
+        assert want.min() == pytest.approx(0.7, abs=1e-12)
+        centers[0] = np.nan
+        radii[0] = np.nan
+        got = raycast(Vec2(0, 0), 0.0, world, CFG, RNG).distances
+        assert got.tobytes() == want.tobytes()
+
+    def test_arrays_are_read_only(self, build):
+        world = self.make(build, np.array([[1.0, 0.0]]), np.array([0.3]))
+        with pytest.raises(ValueError, match="read-only"):
+            world.centers[0, 0] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            world.radii[0] = np.nan
+
+
 # the constructor used to reshape the first three into other circles: the
 # first two into (1, 2) and (3, 4), and (0, 0), (0, 0), (0, 0) with six zeros
 # read row-major, the third into the one circle (1, 2). Both constructors
-# used to read the arrays of another kind as floats: a True radius as a 1 m
-# circle and a "0.3" one as 0.3 m; an int past the float range raised a
-# bare OverflowError
+# used to read other forms as floats: a True radius as a 1 m circle, a "0.3"
+# one as 0.3 m and a bool in a list of floats as 1.0; an int past the float
+# range raised a bare OverflowError. Float64 arrays are the one form now
+FORM = "^obstacle {} must be a float64 numpy array, got {}"
+XY, R = np.array([[1.0, 1.0]]), np.array([0.3])
+TWO_XY = np.array([[0.0, 0.0], [1.0, 1.0]])
 BAD_SHAPES = {
-    "row-of-four": ([[1, 2, 3, 4]], [0.1, 0.2], "shape"),
+    "row-of-four": (np.array([[1.0, 2.0, 3.0, 4.0]]), np.array([0.1, 0.2]), "shape"),
     "two-by-three": (np.zeros((2, 3)), np.ones(3), "shape"),
-    "flat-pair": ([1.0, 2.0], [0.1], "shape"),
-    "bool-radius": ([[1.0, 1.0]], [True], "^obstacle radii must be real numbers, got bool"),
-    "str-radius": ([[1.0, 1.0]], ["0.3"], "^obstacle radii must be real numbers, got <U3"),
-    "object-radius": ([[1.0, 1.0]], np.array([0.3], object), "^obstacle radii must be real"),
-    "bool-centers": ([[True, False]], [0.3], "^obstacle centers must be real numbers, got bool"),
-    # numpy reads these lists as float64, the bool as 1.0
-    "bool-among-radii": ([[0.0, 0.0], [1.0, 1.0]], [0.3, True],
-                         "^obstacle radii must be real numbers, got bool"),
-    "bool-among-centers": ([[0.0, True], [1.0, 1.0]], [0.3, 0.3],
-                           "^obstacle centers must be real numbers, got bool"),
-    "numpy-bool-among-radii": ([[0.0, 0.0], [1.0, 1.0]], [0.3, np.True_],
-                               "^obstacle radii must be real numbers, got bool"),
-    "huge-int-center": ([[10**400, 1]], [0.3], "^obstacle centers must be real numbers, got obj"),
+    "flat-pair": (np.array([1.0, 2.0]), np.array([0.1]), "shape"),
+    "bool-radius": (XY, np.array([True]), FORM.format("radii", "bool array")),
+    "str-radius": (XY, np.array(["0.3"]), FORM.format("radii", "<U3 array")),
+    "object-radius": (XY, np.array([0.3], object), FORM.format("radii", "object array")),
+    "bool-centers": (np.array([[True, False]]), R, FORM.format("centers", "bool array")),
+    # numpy would read these lists as float64, the bool as 1.0
+    "bool-among-radii": (TWO_XY, [0.3, True], FORM.format("radii", "list")),
+    "bool-among-centers": ([[0.0, True], [1.0, 1.0]], np.array([0.3, 0.3]),
+                           FORM.format("centers", "list")),
+    "numpy-bool-among-radii": (TWO_XY, [0.3, np.True_], FORM.format("radii", "list")),
+    "huge-int-center": (np.array([[10**400, 1]]), R, FORM.format("centers", "object array")),
+    "float-list-centers": ([[1.0, 1.0]], R, FORM.format("centers", "list")),
+    "float-list-radii": (XY, [0.3], FORM.format("radii", "list")),
+    "int-centers": (np.array([[1, 1]], np.int64), R, FORM.format("centers", "int64 array")),
+    "float32-radii": (XY, np.array([0.3], np.float32), FORM.format("radii", "float32 array")),
 }
 
 
@@ -363,7 +399,7 @@ class TestLidarConfig:
         assert (CFG.d_min, CFG.d_max) == (0.0, 2.0)
 
     def test_fan_is_shared_and_read_only(self):
-        scan = raycast(Vec2(0, 0), 0.0, ObstacleSet([[1.0, 0.0]], [0.3]), CFG, RNG)
+        scan = raycast(Vec2(0, 0), 0.0, one_circle(1.0, 0.0, 0.3), CFG, RNG)
         assert scan.angles is CFG.angles is LidarConfig(noise_std=0.2).angles
         with pytest.raises(ValueError, match="read-only"):
             CFG.angles[0] = 0.0

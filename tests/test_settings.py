@@ -108,7 +108,7 @@ def test_numpy_scalar_settings_are_stored_plain():
 
 
 def cast(heading):
-    world = ObstacleSet([[1.0, 0.0]], [0.3])
+    world = ObstacleSet(np.array([[1.0, 0.0]]), np.array([0.3]))
     return raycast(Vec2(0.0, 0.0), heading, world, LidarConfig(noise_std=0.0),
                    np.random.default_rng(0))
 

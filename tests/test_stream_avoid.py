@@ -33,7 +33,7 @@ PARAMS = StreamParams()
 def scan_of(world_obstacles, pos=Vec2(0, 0), heading=0.0):
     """Noise-free scan of a world given as (center, radius) pairs."""
     centers = np.reshape([[c.x, c.y] for c, _ in world_obstacles], (-1, 2))
-    radii = [r for _, r in world_obstacles]
+    radii = np.array([r for _, r in world_obstacles])
     return raycast(pos, heading, ObstacleSet(centers, radii), CFG, RNG)
 
 
@@ -397,7 +397,7 @@ class TestMirrorProperty:
 def steer_along_streamlines(obstacle_y, steps=140, gain=3.0):
     """Kinematic particle steered by a proportional law on the stream error."""
     center, r = Vec2(1.5, obstacle_y), 0.3
-    world = ObstacleSet([[center.x, center.y]], [r])
+    world = ObstacleSet(np.array([[center.x, center.y]]), np.array([r]))
     pos, heading, v, dt = Vec2(0.0, 0.0), 0.0, 0.3, 0.1
     avoider = StreamAvoider(PARAMS)
     headings = [heading]
