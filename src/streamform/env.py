@@ -121,9 +121,8 @@ class ApfSides:
 
     def read(self, scan: LidarScan) -> tuple[list, float]:
         """Four features per side, left then right, and the avoidance cost."""
-        lhs, rhs = split_sides(detect_intervals(scan, STREAM.d_risk), scan)
         feats, dists = [], []
-        for interval, inner in ((lhs, 0), (rhs, 1)):
+        for side, interval in enumerate(split_sides(detect_intervals(scan, STREAM.d_risk), scan)):
             if interval is None:
                 feats += [0.0, 0.0, 0.0, 0.0]
                 dists.append(None)
@@ -131,7 +130,7 @@ class ApfSides:
             start, end = interval
             d = max(float(scan.distances[start : end + 1].min()), MIN_SIDE_DISTANCE)
             dists.append(d)
-            feats += [1.0, 0.0, 1.0 / d - 1.0 / STREAM.d_risk, float(scan.angles[interval[inner]])]
+            feats += [1.0, 0.0, 1.0 / d - 1.0 / STREAM.d_risk, float(scan.angles[interval[side]])]
         return feats, apf_cost(dists, APF)
 
 

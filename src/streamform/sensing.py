@@ -68,11 +68,15 @@ _RAY_DIRS = np.stack([np.cos(LidarConfig.angles), np.sin(LidarConfig.angles)])
 
 @dataclass(eq=False)
 class LidarScan:
-    """Per-ray distances over the shared fan ``angles`` (agent frame, increasing)."""
+    """Per-ray distances, shaped as the shared fan ``angles`` (agent frame, increasing)."""
 
     angles: ClassVar[np.ndarray] = LidarConfig.angles
     distances: np.ndarray
     agent_inside: bool = False
+
+    def __post_init__(self):
+        if (shape := self.distances.shape) != self.angles.shape:
+            raise ValueError(f"LidarScan needs distances shaped {self.angles.shape}, got {shape}")
 
 
 def _check_circles(centers: np.ndarray, radii: np.ndarray) -> None:
@@ -198,13 +202,14 @@ def split_sides(
 ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
     """Assign detection intervals to the left/right half-fields.
 
-    ``intervals`` must be disjoint and ascending, as detect_intervals returns
-    them. An interval lies on the left when all its ray angles are positive
-    and on the right when all are negative; one straddling the heading axis
-    is assigned whole to the side of its shortest ray. Per side only the
-    foremost interval (inner endpoint nearest the heading axis) is kept: the
-    first one on the left (smallest start), the last one on the right
-    (largest end).
+    Returns ``(lhs, rhs)``, None for a clear side, the package's one side
+    order: side ``s`` is index ``s``, 0 left and 1 right, and its inner
+    endpoint, toward the other side, is ``interval[s]``. ``intervals`` must be
+    disjoint and ascending, as detect_intervals returns them. An interval lies
+    on the left when all its ray angles are positive and on the right when all
+    are negative; one straddling the heading axis is assigned whole to the
+    side of its shortest ray. Per side only the foremost interval is kept: the
+    first on the left (smallest start), the last on the right (largest end).
     """
     lhs = rhs = None
     for start, end in intervals:

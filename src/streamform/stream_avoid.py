@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import ClassVar
 
 from .geom import Angle, circumcenter
@@ -42,11 +41,6 @@ DEFAULT_CYL_RADIUS = 0.1
 # shortest-ray distances are floored here before entering the proximity
 # factor so a touching return cannot produce an infinite cost
 MIN_M_DISTANCE = 1e-3
-
-
-class Side(IntEnum):
-    LHS = 0
-    RHS = 1
 
 
 @dataclass(frozen=True)
@@ -75,6 +69,9 @@ class AvoidanceState:
     def avoid(self) -> bool:
         """The side is avoiding: it holds both memories."""
         return self.c_desired is not None and self.prev_inner_angle is not None
+
+
+_CLEAR = AvoidanceState()  # every clear side's memory: frozen, so one record serves all
 
 
 @dataclass(frozen=True)
@@ -107,17 +104,17 @@ def stream_value(x: float, y: float, radius: float) -> float:
     return y * (1.0 - radius * radius / rho_sq)
 
 
-def stream_bound(center: tuple[float, float], radius: float, side: Side) -> float:
+def stream_bound(center: tuple[float, float], radius: float, side: int) -> float:
     """Stream value of the minimum-clearance evasion path for one side.
 
-    ``center`` is the cylinder's agent-frame (x, y). Evaluated at the
-    agent-frame point the clearance ``StreamParams.d_stop`` to the side the
-    agent will swerve toward: (0, -d_stop) for the left field, (0, +d_stop)
-    for the right one. If that point coincides with the cylinder center the
-    far-field fallback sign(side)*d_stop is returned.
+    ``center`` is the cylinder's agent-frame (x, y), ``side`` an index of
+    ``split_sides``' result. Evaluated at the agent-frame point the clearance
+    ``StreamParams.d_stop`` to the side the agent will swerve toward: (0,
+    -d_stop) for the left field (0), (0, +d_stop) for the right one (1). At
+    the cylinder center the far-field fallback, that point's y, is returned.
     """
     d_stop = StreamParams.d_stop
-    sign = -1.0 if side == Side.LHS else 1.0
+    sign = -1.0 if side == 0 else 1.0
     x, y = -center[0], sign * d_stop - center[1]
     if math.hypot(x, y) < SINGULARITY_EPS:
         return sign * d_stop
@@ -129,9 +126,8 @@ def _ray_point(angle: float, d: float) -> tuple[float, float]:
     return d * math.cos(angle), d * math.sin(angle)
 
 
-def _read_side(scan: LidarScan, interval: tuple[int, int], side: Side) -> SideReading:
+def _read_side(scan: LidarScan, interval: tuple[int, int], side: int) -> SideReading:
     start, end = interval
-    inner = start if side == Side.LHS else end
     # the shortest ray strictly inside; detect_intervals keeps no interval
     # of fewer than MIN_INTERVAL_RAYS (3) rays, so there is one
     m = shortest_ray(scan, start + 1, end)
@@ -153,7 +149,7 @@ def _read_side(scan: LidarScan, interval: tuple[int, int], side: Side) -> SideRe
         degenerate=degenerate,
         c_current=c_current,
         m_distance=m_distance,
-        inner_angle=float(scan.angles[inner]),
+        inner_angle=float(scan.angles[interval[side]]),
     )
 
 
@@ -166,31 +162,29 @@ class StreamAvoider:
         self.reset()
 
     def reset(self) -> None:
-        self.states: tuple[AvoidanceState, AvoidanceState] = (AvoidanceState(), AvoidanceState())
+        self.states: tuple[AvoidanceState, AvoidanceState] = (_CLEAR, _CLEAR)
 
     def update(self, scan: LidarScan) -> AvoidanceOutcome:
         """One step of the per-side avoidance decision policy.
 
-        Per side: the avoid flag tracks whether a detection interval exists.
-        On a rising edge the desired stream value locks to the agent's
-        current stream value, floored in magnitude to the side's bound (the
-        minimum-clearance streamline). While avoiding, the desired value is
-        held as long as the interval's inner angle keeps growing in magnitude
-        (the same obstacle sliding outward as it is passed); if a new
-        obstacle appears in front the desired value re-locks to the current
-        one. A side with no detection resets its memory.
+        Per side, indexed as in ``split_sides``' result (0 left, 1 right): the
+        avoid flag tracks whether a detection interval exists. On a rising
+        edge the desired stream value locks to the agent's current stream
+        value, floored in magnitude to the side's bound (the minimum-clearance
+        streamline). While avoiding, the desired value is held as long as the
+        interval's inner angle keeps growing in magnitude (the same obstacle
+        sliding outward as it is passed); a new obstacle in front re-locks it
+        to the current value. A side with no detection resets its memory.
 
         The cost is the squared stream-value error times the repulsive
         proximity factor, summed over the active sides:
         (c_current - c_desired)^2 * (1/m_distance - 1/StreamParams.d_risk).
         """
         d_risk = StreamParams.d_risk
-        per_side = split_sides(detect_intervals(scan, d_risk), scan)
-        new_states = [AvoidanceState(), AvoidanceState()]
+        new_states = [_CLEAR, _CLEAR]
         readings: list[SideReading | None] = [None, None]
         cost = 0.0
-        for side in (Side.LHS, Side.RHS):
-            interval = per_side[side]
+        for side, interval in enumerate(split_sides(detect_intervals(scan, d_risk), scan)):
             if interval is None:
                 continue
             prev = self.states[side]

@@ -1,15 +1,21 @@
-"""Isolated medians of the learner's three hot calls, of its checkpoint, of
-the stream avoider's update, of one follower's step and scan, of the comms
-graph and of the env's whole sensing pass, for comparing two trees.
+"""Isolated medians of the learner's three hot calls and of ``train_step``'s
+four phases, of its checkpoint, of the stream avoider's update, of one
+follower's step and scan, of the comms graph and of the env's whole sensing
+pass, for comparing two trees.
 
     python3 tests/learner_timing.py
 
-prints eleven medians, then the machine they ran on:
+prints sixteen medians, then the machine they ran on:
 
 - ``train_step_ms <median>``: ``DdpgLearner.train_step`` of a learner with
   the default ``TrainerConfig`` (batch 1024), seed 0 and the benchmark's
   20-wide observations, on a buffer filled with one batch of random
   transitions;
+- ``td_targets_ms``, ``critic_grads_ms``, ``actor_grads_ms`` and
+  ``updates_ms <median>``: ``train_step``'s four phases, in its order, on
+  the same learner's own blocks and the batch in its ``sample`` block:
+  ``compute_td_targets``, ``critic_loss_grads``, ``actor_objective_grads``
+  and the rest (the batch sample, both Adam steps and both soft updates);
 - ``act_us <median>``: ``DdpgLearner.act`` of the same learner on 4
   observation rows at the config's starting ``sigma``;
 - ``policy_act_us <median>``: ``ActorPolicy.act`` of the same learner's
@@ -20,6 +26,8 @@ prints eleven medians, then the machine they ran on:
 - ``stream_update_us <median>``: ``StreamAvoider.update`` on one fixed
   noiseless scan of two circles, one each side of the heading, so that both
   sides engage, fit a cylinder and re-lock on every call;
+- ``stream_update_clear_us <median>``: the same avoider's update on a clear
+  scan, every ray at ``d_max``;
 - ``agent_step_us <median>``: ``map_action`` and ``dynamics.step`` of one
   follower at the ``env`` limits and time step, the per-follower move of
   every workload;
@@ -72,13 +80,18 @@ from streamform.ddpg import (  # noqa: E402
     ActorPolicy,
     DdpgLearner,
     TrainerConfig,
+    actor_objective_grads,
+    compute_td_targets,
+    critic_loss_grads,
     map_action,
+    soft_update,
 )
 from streamform.dynamics import step  # noqa: E402
 from streamform.env import BODY_RADIUS, DT, LIDAR, LIMITS, SPECS, Env  # noqa: E402
 from streamform.geom import Vec2  # noqa: E402
 from streamform.sensing import (  # noqa: E402
     LidarConfig,
+    LidarScan,
     ObstacleSet,
     neighbor_observations,
     raycast,
@@ -114,8 +127,41 @@ def _fastest_window_medians(calls: dict) -> dict[str, float]:
     return {name: min(values) for name, values in medians.items()}
 
 
+def _phases(learner: DdpgLearner, rng: np.random.Generator) -> dict:
+    """``train_step``'s four phases as calls on the learner's own blocks, in
+    its order. The three gradient phases read the batch in the learner's
+    ``sample`` block, which ``train_step`` and the last phase refill."""
+    a_bufs, c_bufs = learner.actor_bufs, learner.critic_bufs
+    a_opt, c_opt = learner.actor_opt, learner.critic_opt
+    obs, act, rew, obs_next, done = learner.buffer.sample(rng, learner.sample)
+
+    def td_targets():
+        return compute_td_targets(
+            learner.target_actor, learner.target_critic, rew, obs_next, done, a_bufs, c_bufs
+        )
+
+    def updates():
+        learner.buffer.sample(rng, learner.sample)
+        c_opt.step()
+        a_opt.step()
+        soft_update(learner.target_actor, learner.actor)
+        soft_update(learner.target_critic, learner.critic)
+
+    targets = td_targets()
+    return {
+        "td_targets_ms": td_targets,
+        "critic_grads_ms": lambda: critic_loss_grads(
+            learner.critic, obs, act, targets, c_bufs, c_opt.grad
+        ),
+        "actor_grads_ms": lambda: actor_objective_grads(
+            learner.actor, learner.critic, obs, a_bufs, c_bufs, a_opt.grad
+        ),
+        "updates_ms": updates,
+    }
+
+
 def measure() -> dict[str, float]:
-    """The eleven medians, in ms and µs, keyed as printed."""
+    """The sixteen medians, in ms and µs, keyed as printed."""
     cfg = TrainerConfig()
     rng = np.random.default_rng(0)
     learner = DdpgLearner(OBS_DIM, cfg, rng)
@@ -131,6 +177,7 @@ def measure() -> dict[str, float]:
     world = ObstacleSet(circles[:, :2], circles[:, 2])
     scan = raycast(Vec2(0.0, 0.0), 0.0, world, LidarConfig(noise_std=0.0), rng)
     avoider = StreamAvoider(StreamParams())
+    clear = LidarScan(np.full(LidarConfig.n_rays, LidarConfig.d_max))
     swarm = Env(SPECS["swarm"], 0)
     k = swarm.n_followers // 2
     follower = swarm.agents[k + 1]
@@ -143,11 +190,13 @@ def measure() -> dict[str, float]:
         path = Path(tmp) / "learner.ckpt"  # saved before it is loaded, warm-up included
         seconds = _fastest_window_medians({
             "train_step_ms": lambda: learner.train_step(rng),
+            **_phases(learner, rng),
             "act_us": lambda: learner.act(obs, cfg.sigma_start, rng),
             "policy_act_us": lambda: policy.act(swarm_obs),
             "checkpoint_save_ms": lambda: save_checkpoint(path, arrays, {}),
             "checkpoint_load_ms": lambda: load_checkpoint(path),
             "stream_update_us": lambda: avoider.update(scan),
+            "stream_update_clear_us": lambda: avoider.update(clear),
             "agent_step_us": lambda: step(follower, map_action(STEP_ACTION, LIMITS), DT, LIMITS),
             "raycast_us": lambda: raycast(
                 follower.position, follower.alpha, swarm_world, LIDAR, rng

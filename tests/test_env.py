@@ -1,6 +1,7 @@
 """``streamform.env`` steps bit for bit like the benchmark's episode loop,
-builds only the side memory its reading uses, and keeps a follower's row
-local to its own lidar reach.
+builds only the side memory its reading uses, keeps a follower's row
+local to its own lidar reach, and reads a side, stream or APF, at the index
+that ``split_sides`` gives it.
 
 The benchmark under perfbench/ still runs its own copy of the episode loop
 (``episode.Workload``). Until it drives ``streamform.env``, these tests hold
@@ -21,7 +22,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamform import env
-from streamform.sensing import REACH_MARGIN, LidarConfig, ObstacleSet
+from streamform.sensing import (
+    REACH_MARGIN,
+    LidarConfig,
+    LidarScan,
+    ObstacleSet,
+    detect_intervals,
+    split_sides,
+)
 from streamform.stream_avoid import StreamAvoider
 from trajectory_digest import DEFAULT_SEED, DEFAULT_STEPS, drive
 
@@ -181,6 +189,48 @@ def test_circles_out_of_reach_leave_a_followers_row_and_cost(name, seed, data):
     (obs_a, costs_a, _, _), (obs_b, costs_b, _, _) = near.sense(), far.sense()
     assert obs_b[k].tobytes() == obs_a[k].tobytes()
     assert costs_b[k].tobytes() == costs_a[k].tobytes()
+
+
+# runs of a few distances, d_risk and d_min among them, so that intervals
+# start and end anywhere and often straddle the heading
+RAY_RUNS = st.lists(st.tuples(st.integers(1, 20),
+                              st.sampled_from([0.0, 0.2, 0.35, 0.5, env.STREAM.d_risk, 2.0])),
+                    min_size=1, max_size=12)
+
+
+@st.composite
+def scans(draw):
+    """An inside scan, a scan of runs, or one of free per-ray distances."""
+    n, d_max = LidarConfig.n_rays, LidarConfig.d_max
+    kind = draw(st.sampled_from(["inside", "runs", "rays"]))
+    if kind == "inside":
+        return LidarScan(np.full(n, LidarConfig.d_min), agent_inside=True)
+    if kind == "runs":
+        d = [v for length, v in draw(RAY_RUNS) for _ in range(length)] + [d_max] * n
+    else:
+        d = draw(st.lists(st.floats(0.0, d_max), min_size=n, max_size=n))
+    return LidarScan(np.array(d[:n]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan=scans())
+def test_stream_and_apf_readings_index_sides_alike(scan):
+    # side s is index s of split_sides' result; its inner ray, the interval's
+    # end toward the other side, is its least-angle ray on the left and its
+    # greatest on the right. Both readings agree on each side's active flag
+    # (features 0 and 4) and inner-ray angle (features 3 and 7)
+    sides = split_sides(detect_intervals(scan, env.STREAM.d_risk), scan)
+    stream, _ = env.StreamSides().read(scan)
+    apf, _ = env.ApfSides().read(scan)
+    for side, interval in enumerate(sides):
+        active, inner = 4 * side, 4 * side + 3
+        assert stream[active] == apf[active] == (interval is not None)
+        assert stream[inner] == apf[inner]
+        if interval is not None:
+            pick = (min, max)[side]
+            assert apf[inner] == pick(scan.angles[i] for i in interval)
+    readings = StreamAvoider(env.STREAM).update(scan).readings
+    assert tuple(rd and rd.interval for rd in readings) == sides
 
 
 def _loaded_modules(code: str) -> set:

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -677,6 +678,14 @@ def test_array_records_compare_by_identity(make):
     record = make()
     assert record == record
     assert record != copy.deepcopy(record)
+
+
+@pytest.mark.parametrize("shape", [(0,), (10,), (60,), (62,), (80,), (61, 1), (1, 61), ()])
+def test_scan_needs_one_distance_per_ray(shape):
+    # ten distances used to read as an obstacle on the ten rightmost rays
+    # (a stream cost of 0.0945), and 80 raised a bare IndexError in the avoider
+    with pytest.raises(ValueError, match=rf"shaped \(61,\), got {re.escape(str(shape))}"):
+        LidarScan(np.full(shape, 0.5))
 
 
 COORD = st.floats(-20.0, 20.0)

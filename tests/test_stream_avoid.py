@@ -18,7 +18,6 @@ from streamform.stream_avoid import (
     DEFAULT_CYL_RADIUS,
     SINGULARITY_EPS,
     AvoidanceState,
-    Side,
     StreamAvoider,
     StreamParams,
     stream_bound,
@@ -28,6 +27,7 @@ from streamform.stream_avoid import (
 CFG = LidarConfig(noise_std=0.0)
 RNG = np.random.default_rng(0)  # CFG draws no noise from it
 PARAMS = StreamParams()
+LEFT, RIGHT = 0, 1  # side indices, in split_sides' order
 
 
 def scan_of(world_obstacles, pos=Vec2(0, 0), heading=0.0):
@@ -176,17 +176,17 @@ class TestShortestInteriorRay:
 
 class TestStreamBound:
     def test_far_field_limit(self):
-        got = stream_bound((100.0, 50.0), 0.3, Side.LHS)
+        got = stream_bound((100.0, 50.0), 0.3, LEFT)
         # far from the doublet the field is just y_point - y_center
         assert got == pytest.approx(-0.4 - 50.0, rel=1e-4)
 
     def test_singular_guard_default(self):
-        assert stream_bound((0.0, -0.4), 0.2, Side.LHS) == -0.4
-        assert stream_bound((0.0, 0.4), 0.2, Side.RHS) == 0.4
+        assert stream_bound((0.0, -0.4), 0.2, LEFT) == -0.4
+        assert stream_bound((0.0, 0.4), 0.2, RIGHT) == 0.4
 
     def test_odd_symmetry_between_sides(self):
-        bl = stream_bound((0.8, 0.3), 0.25, Side.LHS)
-        br = stream_bound((0.8, -0.3), 0.25, Side.RHS)
+        bl = stream_bound((0.8, 0.3), 0.25, LEFT)
+        br = stream_bound((0.8, -0.3), 0.25, RIGHT)
         assert bl == pytest.approx(-br, rel=1e-12)
 
 
@@ -199,11 +199,11 @@ class TestAvoidanceCost:
     def held(c_desired):
         scan = make_scan({i: 0.35 for i in range(20, 25)})
         fresh = (AvoidanceState(), AvoidanceState())
-        rd = update(scan, fresh).readings[Side.RHS]
+        rd = update(scan, fresh).readings[RIGHT]
         held = AvoidanceState(c_desired=c_desired(rd.c_current), prev_inner_angle=0.0)
         out = update(scan, (AvoidanceState(), held))
         # the side held its desired value rather than re-locking
-        assert out.states[Side.RHS] == AvoidanceState(held.c_desired, rd.inner_angle)
+        assert out.states[RIGHT] == AvoidanceState(held.c_desired, rd.inner_angle)
         return out
 
     def test_zero_when_on_desired_streamline(self):
@@ -239,10 +239,10 @@ class TestAvoidanceUpdate:
     def test_rising_edge_locks_floored_stream_value(self):
         scan = scan_of([(Vec2(0.8, 0.35), 0.25)])
         out = update(scan, (AvoidanceState(), AvoidanceState()))
-        st, rd = out.states[Side.LHS], out.readings[Side.LHS]
+        st, rd = out.states[LEFT], out.readings[LEFT]
         assert st.avoid and rd is not None
-        assert not out.states[Side.RHS].avoid
-        bound = stream_bound(rd.center, rd.radius, Side.LHS)
+        assert not out.states[RIGHT].avoid
+        bound = stream_bound(rd.center, rd.radius, LEFT)
         if abs(rd.c_current) >= abs(bound):
             assert st.c_desired == rd.c_current
             assert out.cost == 0.0
@@ -259,16 +259,16 @@ class TestAvoidanceUpdate:
         # agent advances, obstacle slides outward: inner angle magnitude grows
         s2 = scan_of(world, pos=Vec2(0.25, -0.1))
         out2 = update(s2, out1.states)
-        rd1, rd2 = out1.readings[Side.LHS], out2.readings[Side.LHS]
+        rd1, rd2 = out1.readings[LEFT], out2.readings[LEFT]
         assert abs(rd2.inner_angle) > abs(rd1.inner_angle)
-        assert out2.states[Side.LHS].c_desired == out1.states[Side.LHS].c_desired
+        assert out2.states[LEFT].c_desired == out1.states[LEFT].c_desired
 
     def test_avoider_carries_its_memory_between_updates(self):
         world = [(Vec2(0.8, 0.3), 0.25)]
         s1, s2 = scan_of(world), scan_of(world, pos=Vec2(0.25, -0.1))
         avoider = StreamAvoider(PARAMS)
         out1 = avoider.update(s1)
-        assert avoider.states == out1.states and out1.states[Side.LHS].avoid
+        assert avoider.states == out1.states and out1.states[LEFT].avoid
         assert avoider.update(s2) == update(s2, out1.states)
         avoider.reset()
         assert avoider.states == (AvoidanceState(), AvoidanceState())
@@ -279,14 +279,14 @@ class TestAvoidanceUpdate:
         pos2 = Vec2(0.25, -0.1)
         s2 = scan_of(world, pos=pos2)
         out2 = update(s2, out1.states)
-        rd2 = out2.readings[Side.LHS]
+        rd2 = out2.readings[LEFT]
         # independent recomputation of the cost pieces from the raw scan
         start, end = rd2.interval
         m = rd2.m_index
         (cx, cy), radius = circumcenter(endpoint(s2, start), endpoint(s2, m), endpoint(s2, end))
         c_now = 1.0 * (-cy) * (1 - radius**2 / (cx * cx + cy * cy))
         d_m = float(s2.distances[m])
-        expected = (c_now - out1.states[Side.LHS].c_desired) ** 2 * (1 / d_m - 1 / 0.7)
+        expected = (c_now - out1.states[LEFT].c_desired) ** 2 * (1 / d_m - 1 / 0.7)
         assert out2.cost == pytest.approx(expected, rel=1e-12)
 
     def test_new_obstacle_relocks(self):
@@ -295,17 +295,17 @@ class TestAvoidanceUpdate:
         out1 = update(s1, (AvoidanceState(), AvoidanceState()))
         s2 = scan_of([(Vec2(0.65, 0.15), 0.2)])
         out2 = update(s2, out1.states)
-        rd2 = out2.readings[Side.LHS]
-        assert abs(rd2.inner_angle) <= abs(out1.readings[Side.LHS].inner_angle)
-        bound = stream_bound(rd2.center, rd2.radius, Side.LHS)
+        rd2 = out2.readings[LEFT]
+        assert abs(rd2.inner_angle) <= abs(out1.readings[LEFT].inner_angle)
+        bound = stream_bound(rd2.center, rd2.radius, LEFT)
         expected = rd2.c_current if abs(rd2.c_current) >= abs(bound) else bound
-        assert out2.states[Side.LHS].c_desired == expected
+        assert out2.states[LEFT].c_desired == expected
 
     def test_side_resets_when_clear(self):
         out1 = update(scan_of([(Vec2(0.6, 0.3), 0.2)]), (AvoidanceState(), AvoidanceState()))
-        assert out1.states[Side.LHS].avoid
+        assert out1.states[LEFT].avoid
         out2 = update(scan_of([]), out1.states)
-        assert out2.states[Side.LHS] == AvoidanceState()
+        assert out2.states[LEFT] == AvoidanceState()
         assert out2.cost == 0.0
 
     def test_degenerate_triangle_uses_the_fallback_cylinder(self):
@@ -313,7 +313,7 @@ class TestAvoidanceUpdate:
         idx = range(28, 33)
         scan = make_scan({i: 0.5 / math.cos(CFG.angles[i]) for i in idx})
         out = update(scan, (AvoidanceState(), AvoidanceState()))
-        active = [s for s in (Side.LHS, Side.RHS) if out.readings[s] is not None]
+        active = [s for s in (LEFT, RIGHT) if out.readings[s] is not None]
         assert len(active) == 1
         rd = out.readings[active[0]]
         assert rd.degenerate
@@ -323,7 +323,7 @@ class TestAvoidanceUpdate:
         # a concentric arc: the circumcenter of its endpoints is the agent
         scan = make_scan({i: 0.5 for i in range(26, 31)})
         out = update(scan, (AvoidanceState(), AvoidanceState()))
-        active = [s for s in (Side.LHS, Side.RHS) if out.readings[s] is not None]
+        active = [s for s in (LEFT, RIGHT) if out.readings[s] is not None]
         assert len(active) == 1
         rd = out.readings[active[0]]
         start, end = rd.interval
@@ -340,17 +340,17 @@ class TestAvoidanceUpdate:
         for half_set in (AvoidanceState(c_desired=5.0), AvoidanceState(prev_inner_angle=0.0)):
             assert not half_set.avoid
             out = update(scan, (half_set, AvoidanceState()))
-            rd = out.readings[Side.LHS]
-            bound = stream_bound(rd.center, rd.radius, Side.LHS)
+            rd = out.readings[LEFT]
+            bound = stream_bound(rd.center, rd.radius, LEFT)
             expected = rd.c_current if abs(rd.c_current) >= abs(bound) else bound
-            assert out.states[Side.LHS] == AvoidanceState(expected, rd.inner_angle)
+            assert out.states[LEFT] == AvoidanceState(expected, rd.inner_angle)
 
     def test_two_obstacles_one_each_side(self):
         scan = scan_of([(Vec2(0.7, 0.35), 0.2), (Vec2(0.7, -0.35), 0.2)])
         out = update(scan, (AvoidanceState(), AvoidanceState()))
-        assert out.states[Side.LHS].avoid and out.states[Side.RHS].avoid
-        assert out.readings[Side.LHS] is not None
-        assert out.readings[Side.RHS] is not None
+        assert out.states[LEFT].avoid and out.states[RIGHT].avoid
+        assert out.readings[LEFT] is not None
+        assert out.readings[RIGHT] is not None
         expected = sum(
             (rd.c_current - st.c_desired) ** 2 * (1 / rd.m_distance - 1 / PARAMS.d_risk)
             for st, rd in zip(out.states, out.readings)
