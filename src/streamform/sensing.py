@@ -39,10 +39,11 @@ REACH_MARGIN = 1e-3
 class LidarConfig:
     """A lidar's one setting, its range noise std. The fan is fixed: n_rays
     rays resolution apart from fov_min to fov_max about the heading, ranges
-    clamped to [d_min, d_max]. ``split_sides`` needs the fan centred on the
-    heading, the cull of REACH_MARGIN a short d_max and MIN_INTERVAL_RAYS
-    the 3 degree spacing. ``angles`` is read-only and shared by every scan.
-    ``noise_std`` is a nonnegative setting by ``geom._real``."""
+    clamped to [d_min, d_max]. Ray ``n_rays // 2`` is dead ahead (angle 0.0)
+    and ray k's angle has the sign of ``k - n_rays // 2``, so ``split_sides``
+    goes by index; the cull of REACH_MARGIN needs a short d_max and
+    MIN_INTERVAL_RAYS the 3 degree spacing. ``angles`` is read-only and shared
+    by every scan. ``noise_std`` is a nonnegative setting by ``geom._real``."""
 
     resolution: ClassVar[float] = math.radians(3.0)
     fov_min: ClassVar[float] = -math.pi / 2
@@ -68,15 +69,23 @@ _RAY_DIRS = np.stack([np.cos(LidarConfig.angles), np.sin(LidarConfig.angles)])
 
 @dataclass(eq=False)
 class LidarScan:
-    """Per-ray distances, shaped as the shared fan ``angles`` (agent frame, increasing)."""
+    """Per-ray distances, a numpy array shaped as the shared fan ``angles``
+    (agent frame, increasing) and within [d_min, d_max]; ValueError otherwise."""
 
     angles: ClassVar[np.ndarray] = LidarConfig.angles
     distances: np.ndarray
     agent_inside: bool = False
 
     def __post_init__(self):
-        if (shape := self.distances.shape) != self.angles.shape:
-            raise ValueError(f"LidarScan needs distances shaped {self.angles.shape}, got {shape}")
+        d, lo, hi = self.distances, LidarConfig.d_min, LidarConfig.d_max
+        if not isinstance(d, np.ndarray):
+            raise ValueError(f"LidarScan needs distances as a numpy array, got {type(d).__name__}")
+        if d.shape != self.angles.shape:
+            raise ValueError(f"LidarScan needs distances shaped {self.angles.shape}, got {d.shape}")
+        # one min/max pair; a NaN fails both compares
+        if not (d.min() >= lo and d.max() <= hi):
+            k = int(np.argmin((d >= lo) & (d <= hi)))
+            raise ValueError(f"LidarScan needs distances in [{lo}, {hi}], got {d[k]} on ray {k}")
 
 
 def _check_circles(centers: np.ndarray, radii: np.ndarray) -> None:
@@ -205,28 +214,18 @@ def split_sides(
     Returns ``(lhs, rhs)``, None for a clear side, the package's one side
     order: side ``s`` is index ``s``, 0 left and 1 right, and its inner
     endpoint, toward the other side, is ``interval[s]``. ``intervals`` must be
-    disjoint and ascending, as detect_intervals returns them. An interval lies
-    on the left when all its ray angles are positive and on the right when all
-    are negative; one straddling the heading axis is assigned whole to the
-    side of its shortest ray. Per side only the foremost interval is kept: the
-    first on the left (smallest start), the last on the right (largest end).
+    disjoint and ascending, as detect_intervals returns them. Sides go by ray
+    index against ray ``c = n_rays // 2``, dead ahead: an interval past ``c``
+    is left, one before it right, and one holding ``c`` goes whole to the side
+    of its shortest ray or, that ray being ``c``, of more of its rays (left on
+    a tie). Per side the foremost is kept: the first left, the last right.
     """
+    c = LidarConfig.n_rays // 2
     lhs = rhs = None
     for start, end in intervals:
-        if scan.angles[start] > 0.0:
-            left = True
-        elif scan.angles[end] < 0.0:
-            left = False
-        else:
-            a_m = scan.angles[shortest_ray(scan, start, end + 1)]
-            if a_m != 0.0:
-                left = a_m > 0.0
-            else:
-                # shortest ray dead ahead: take the side covering more rays,
-                # left on a perfect tie
-                seg = scan.angles[start : end + 1]
-                left = np.count_nonzero(seg > 0) >= np.count_nonzero(seg < 0)
-        if not left:
+        # every ray of an interval clear of c is on one side, its start's
+        m = shortest_ray(scan, start, end + 1) if start <= c <= end else start
+        if m < c or m == c and start + end < 2 * c:
             rhs = (start, end)
         elif lhs is None:
             lhs = (start, end)

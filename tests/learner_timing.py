@@ -1,11 +1,11 @@
 """Isolated medians of the learner's three hot calls and of ``train_step``'s
-four phases, of its checkpoint, of the stream avoider's update, of one
-follower's step and scan, of the comms graph and of the env's whole sensing
-pass, for comparing two trees.
+four phases, of its checkpoint, of the side split and the stream avoider's
+update, of one follower's step and scan, of the comms graph and of the env's
+whole sensing pass, for comparing two trees.
 
     python3 tests/learner_timing.py
 
-prints sixteen medians, then the machine they ran on:
+prints seventeen medians, then the machine they ran on:
 
 - ``train_step_ms <median>``: ``DdpgLearner.train_step`` of a learner with
   the default ``TrainerConfig`` (batch 1024), seed 0 and the benchmark's
@@ -23,6 +23,10 @@ prints sixteen medians, then the machine they ran on:
 - ``checkpoint_save_ms <median>`` and ``checkpoint_load_ms <median>``:
   ``save_checkpoint`` of the same learner's ``network_arrays()`` to a file in
   a temporary directory, and ``load_checkpoint`` of that file;
+- ``sides_us <median>``: ``detect_intervals`` at the avoider's ``d_risk``,
+  then ``split_sides``, on one fixed noiseless scan of a circle dead ahead,
+  so that its one interval straddles the heading: the call pair of
+  ``env.ApfSides.read``;
 - ``stream_update_us <median>``: ``StreamAvoider.update`` on one fixed
   noiseless scan of two circles, one each side of the heading, so that both
   sides engage, fit a cylinder and re-lock on every call;
@@ -93,16 +97,20 @@ from streamform.sensing import (  # noqa: E402
     LidarConfig,
     LidarScan,
     ObstacleSet,
+    detect_intervals,
     neighbor_observations,
     raycast,
+    split_sides,
 )
 from streamform.stream_avoid import StreamAvoider, StreamParams  # noqa: E402
 
 OBS_DIM = 20  # the observation width of the benchmark's workloads
 ACT_ROWS = 4
 POLICY_ROWS = 48  # the swarm workload's followers
-# two circles ahead, left and right of the heading: (x, y, radius) [m]
+# (x, y, radius) [m]: two circles ahead, left and right of the heading,
+# and one dead ahead
 STREAM_CIRCLES = ((0.7, 0.35, 0.2), (0.7, -0.35, 0.2))
+AHEAD_CIRCLES = ((0.6, 0.0, 0.25),)
 STEP_ACTION = np.array([0.2, 0.5, 0.3])  # accelerate and turn left
 WARMUP = 50
 CALLS = 200
@@ -161,7 +169,7 @@ def _phases(learner: DdpgLearner, rng: np.random.Generator) -> dict:
 
 
 def measure() -> dict[str, float]:
-    """The sixteen medians, in ms and µs, keyed as printed."""
+    """The seventeen medians, in ms and µs, keyed as printed."""
     cfg = TrainerConfig()
     rng = np.random.default_rng(0)
     learner = DdpgLearner(OBS_DIM, cfg, rng)
@@ -173,9 +181,11 @@ def measure() -> dict[str, float]:
     obs = rng.normal(size=(ACT_ROWS, OBS_DIM))
     policy, swarm_obs = ActorPolicy(learner.actor), rng.normal(size=(POLICY_ROWS, OBS_DIM))
     arrays = learner.network_arrays()
-    circles = np.array(STREAM_CIRCLES)
-    world = ObstacleSet(circles[:, :2], circles[:, 2])
-    scan = raycast(Vec2(0.0, 0.0), 0.0, world, LidarConfig(noise_std=0.0), rng)
+    noiseless = LidarConfig(noise_std=0.0)
+    scan, ahead = (
+        raycast(Vec2(0.0, 0.0), 0.0, ObstacleSet(c[:, :2], c[:, 2]), noiseless, rng)
+        for c in (np.array(STREAM_CIRCLES), np.array(AHEAD_CIRCLES))
+    )
     avoider = StreamAvoider(StreamParams())
     clear = LidarScan(np.full(LidarConfig.n_rays, LidarConfig.d_max))
     swarm = Env(SPECS["swarm"], 0)
@@ -195,6 +205,7 @@ def measure() -> dict[str, float]:
             "policy_act_us": lambda: policy.act(swarm_obs),
             "checkpoint_save_ms": lambda: save_checkpoint(path, arrays, {}),
             "checkpoint_load_ms": lambda: load_checkpoint(path),
+            "sides_us": lambda: split_sides(detect_intervals(ahead, StreamParams.d_risk), ahead),
             "stream_update_us": lambda: avoider.update(scan),
             "stream_update_clear_us": lambda: avoider.update(clear),
             "agent_step_us": lambda: step(follower, map_action(STEP_ACTION, LIMITS), DT, LIMITS),

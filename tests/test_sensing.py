@@ -395,6 +395,10 @@ class TestLidarConfig:
         np.testing.assert_array_equal(angles, math.radians(3.0) * (np.arange(61) - 30.0))
         assert np.array_equal(angles, -angles[::-1])
         assert angles[30] == 0.0 and math.copysign(1.0, angles[30]) == 1.0
+        # split_sides reads each ray's side from its index against n_rays // 2,
+        # which a sign of 0 marks dead ahead
+        c = CFG.n_rays // 2
+        np.testing.assert_array_equal(np.sign(angles), np.sign(np.arange(CFG.n_rays) - c))
         assert angles[0] == pytest.approx(-math.pi / 2, abs=1e-15)
         assert angles[-1] == pytest.approx(math.pi / 2, abs=1e-15)
         assert (CFG.d_min, CFG.d_max) == (0.0, 2.0)
@@ -686,6 +690,25 @@ def test_scan_needs_one_distance_per_ray(shape):
     # (a stream cost of 0.0945), and 80 raised a bare IndexError in the avoider
     with pytest.raises(ValueError, match=rf"shaped \(61,\), got {re.escape(str(shape))}"):
         LidarScan(np.full(shape, 0.5))
+
+
+@pytest.mark.parametrize(
+    "distances, match",
+    [
+        ([0.5] * 61, "a numpy array, got list"),
+        (np.full(61, np.nan), "got nan on ray 0"),
+        (np.full(61, -1.0), r"got -1\.0 on ray 0"),
+        (np.full(61, 2.5), r"got 2\.5 on ray 0"),
+        (np.r_[np.full(40, 1.0), np.nan, np.full(20, 3.0)], "got nan on ray 40"),
+        (np.r_[np.full(60, 2.0), np.nextafter(2.0, 3.0)], "on ray 60"),
+    ],
+    ids=["list", "all-nan", "negative", "past-d_max", "first-bad-ray", "one-ulp-past"],
+)
+def test_scan_needs_distances_within_range(distances, match):
+    # an all-NaN scan read both sides clear at cost 0, -1.0 m gave ApfSides a
+    # cost of 4.99e5, and a list raised a bare AttributeError
+    with pytest.raises(ValueError, match=match):
+        LidarScan(distances)
 
 
 COORD = st.floats(-20.0, 20.0)
