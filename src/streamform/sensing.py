@@ -38,24 +38,20 @@ REACH_MARGIN = 1e-3
 @dataclass(frozen=True)
 class LidarConfig:
     """A lidar's one setting, its range noise std. The fan is fixed: n_rays
-    rays resolution apart from fov_min to fov_max about the heading, ranges
-    clamped to [d_min, d_max]. Ray ``n_rays // 2`` is dead ahead (angle 0.0)
-    and ray k's angle has the sign of ``k - n_rays // 2``, so ``split_sides``
-    goes by index; the cull of REACH_MARGIN needs a short d_max and
-    MIN_INTERVAL_RAYS the 3 degree spacing. ``angles`` is read-only and shared
-    by every scan. ``noise_std`` is a nonnegative setting by ``geom._real``."""
+    rays resolution apart, ray k at ``resolution * (k - n_rays // 2)`` about
+    the heading, so ray ``n_rays // 2`` is dead ahead (angle 0.0) and ray k's
+    angle has the sign of ``k - n_rays // 2``, which ``split_sides`` reads by
+    index. Ranges are clamped to [d_min, d_max]; the cull of REACH_MARGIN
+    needs a short d_max and MIN_INTERVAL_RAYS the 3 degree spacing.
+    ``angles`` is read-only and shared by every scan. ``noise_std`` is a
+    nonnegative setting by ``geom._real``, the scale of every cast's draw."""
 
     resolution: ClassVar[float] = math.radians(3.0)
-    fov_min: ClassVar[float] = -math.pi / 2
-    fov_max: ClassVar[float] = math.pi / 2
+    n_rays: ClassVar[int] = 61
     d_min: ClassVar[float] = 0.0
     d_max: ClassVar[float] = 2.0
-    n_rays: ClassVar[int] = round((fov_max - fov_min) / resolution) + 1
-    # built symmetrically about the fan center so that mirrored worlds
-    # produce exactly mirrored scans
-    angles: ClassVar[np.ndarray] = 0.5 * (fov_min + fov_max) + resolution * (
-        np.arange(n_rays) - (n_rays - 1) / 2.0
-    )
+    # whole ray steps either side of ray n_rays // 2: mirrored worlds, mirrored scans
+    angles: ClassVar[np.ndarray] = resolution * (np.arange(n_rays) - n_rays // 2)
     angles.flags.writeable = False
     noise_std: float = 0.2
 
@@ -69,8 +65,8 @@ _RAY_DIRS = np.stack([np.cos(LidarConfig.angles), np.sin(LidarConfig.angles)])
 
 @dataclass(eq=False)
 class LidarScan:
-    """Per-ray distances, a numpy array shaped as the shared fan ``angles``
-    (agent frame, increasing) and within [d_min, d_max]; ValueError otherwise."""
+    """Per-ray distances, a float64 numpy array shaped as the shared fan
+    ``angles`` (agent frame, increasing), within [d_min, d_max]; else ValueError."""
 
     angles: ClassVar[np.ndarray] = LidarConfig.angles
     distances: np.ndarray
@@ -78,8 +74,9 @@ class LidarScan:
 
     def __post_init__(self):
         d, lo, hi = self.distances, LidarConfig.d_min, LidarConfig.d_max
-        if not isinstance(d, np.ndarray):
-            raise ValueError(f"LidarScan needs distances as a numpy array, got {type(d).__name__}")
+        if not isinstance(d, np.ndarray) or d.dtype != np.float64:
+            got = f"{d.dtype} array" if isinstance(d, np.ndarray) else type(d).__name__
+            raise ValueError(f"LidarScan needs float64 distances as a numpy array, got {got}")
         if d.shape != self.angles.shape:
             raise ValueError(f"LidarScan needs distances shaped {self.angles.shape}, got {d.shape}")
         # one min/max pair; a NaN fails both compares
@@ -142,18 +139,18 @@ def raycast(
 ) -> LidarScan:
     """Cast the lidar's ray fan from a pose against circular obstacles.
 
-    Each ray reports the nearest intersection distance (or d_max when the
-    ray misses everything), plus Gaussian range noise drawn from ``rng``
-    when ``cfg.noise_std`` is positive; results are clamped to [d_min,
-    d_max]. If the agent center lies inside an obstacle every ray reads
-    d_min and ``agent_inside`` is set; its noise is drawn all the same, so
-    a collision leaves the noise of later scans from ``rng`` as it was.
-    Circles out of reach (see REACH_MARGIN) are dropped before the ray
-    work. A non-finite heading raises ValueError.
+    Each ray reports the nearest intersection distance, or d_max when the
+    ray misses everything. Every cast draws n_rays normals of std
+    ``cfg.noise_std`` from ``rng`` (zeros at 0.0), adds them and clamps once
+    to [d_min, d_max], so each cast moves ``rng`` on by the same n_rays
+    draws. If the agent center lies inside an obstacle every ray reads d_min
+    and ``agent_inside`` is set; its noise is drawn all the same. Circles out
+    of reach (see REACH_MARGIN) are dropped before the ray work. A
+    non-finite heading raises ValueError.
     """
     heading = _finite("heading", heading)
     n = cfg.n_rays
-    noise = rng.normal(0.0, cfg.noise_std, size=n) if cfg.noise_std > 0.0 else None
+    noise = rng.normal(0.0, cfg.noise_std, size=n)
     rel = obstacles.centers - (position.x, position.y)
     cc = np.einsum("ij,ij->i", rel, rel)
     gap = cc - obstacles.radii**2  # negative inside a circle
@@ -165,7 +162,7 @@ def raycast(
     b = rel[near] @ dirs  # (circles, rays) projections on rays
     # disc = b|b| - gap: a circle behind a ray (b < 0) gets a negative
     # discriminant and misses like one off to the side. The inside test
-    # leaves gap >= 0, so a hit's b >= 0 gives a root t >= 0
+    # leaves gap >= 0, so a hit's b >= 0 gives a root t >= +0.0, clamped once
     disc = np.abs(b)
     disc *= b
     disc -= gap[near][:, None]
@@ -174,11 +171,9 @@ def raycast(
     b -= disc
     # nearest hit per ray, d_max where none (also with no circle in reach)
     d = np.fmin.reduce(b, axis=0, initial=cfg.d_max, where=hit)
+    d += noise
+    np.minimum(d, cfg.d_max, out=d)
     np.maximum(d, cfg.d_min, out=d)
-    if noise is not None:
-        d += noise
-        np.minimum(d, cfg.d_max, out=d)
-        np.maximum(d, cfg.d_min, out=d)
     return LidarScan(d)
 
 

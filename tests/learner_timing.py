@@ -1,11 +1,11 @@
 """Isolated medians of the learner's three hot calls and of ``train_step``'s
 four phases, of its checkpoint, of the side split and the stream avoider's
-update, of one follower's step and scan, of the comms graph and of the env's
-whole sensing pass, for comparing two trees.
+update, of one follower's step and scan, of the comms graph, of the env's
+whole sensing pass and of its move, for comparing two trees.
 
     python3 tests/learner_timing.py
 
-prints seventeen medians, then the machine they ran on:
+prints twenty-two medians, then the machine they ran on:
 
 - ``train_step_ms <median>``: ``DdpgLearner.train_step`` of a learner with
   the default ``TrainerConfig`` (batch 1024), seed 0 and the benchmark's
@@ -42,10 +42,16 @@ prints seventeen medians, then the machine they ran on:
 - ``comms_us <median>``: ``neighbor_observations`` over the 49 agents of the
   swarm workload's seed-0 start at that workload's connection zone, as
   ``Env.sense`` calls it;
-- ``sense_swarm_ms <median>`` and ``sense_obstacle_course_ms <median>``:
-  ``Env.sense`` of each workload's env at seed 0, repeated from its start
-  (the side readers and the lidar noise advance between calls, the agents
-  do not move);
+- ``comms_5_us <median>``: the same over the 5 agents of the train
+  workload's seed-0 start at its connection zone;
+- ``sense_train_ms``, ``sense_swarm_ms`` and ``sense_obstacle_course_ms
+  <median>``: ``Env.sense`` of each workload's env at seed 0, repeated from
+  its start (the side readers and the lidar noise advance between calls,
+  the agents do not move);
+- ``move_train_us``, ``move_obstacle_course_us`` and ``move_swarm_us
+  <median>``: ``Env.move`` of one ``NAV_ACTION`` row per follower, on a
+  second env of each workload at seed 0, repeated from its start (every
+  agent goes on straight at its starting speed between calls);
 - ``machine.<key> <value>`` lines: the Python and numpy versions, the BLAS
   numpy was built with and its version, ``os.cpu_count()``, the
   ``OPENBLAS_NUM_THREADS`` setting (``unset`` when it is not set) and the
@@ -91,7 +97,7 @@ from streamform.ddpg import (  # noqa: E402
     soft_update,
 )
 from streamform.dynamics import step  # noqa: E402
-from streamform.env import BODY_RADIUS, DT, LIDAR, LIMITS, SPECS, Env  # noqa: E402
+from streamform.env import BODY_RADIUS, DT, LIDAR, LIMITS, NAV_ACTION, SPECS, Env  # noqa: E402
 from streamform.geom import Vec2  # noqa: E402
 from streamform.sensing import (  # noqa: E402
     LidarConfig,
@@ -169,7 +175,7 @@ def _phases(learner: DdpgLearner, rng: np.random.Generator) -> dict:
 
 
 def measure() -> dict[str, float]:
-    """The seventeen medians, in ms and µs, keyed as printed."""
+    """The twenty-two medians, in ms and µs, keyed as printed."""
     cfg = TrainerConfig()
     rng = np.random.default_rng(0)
     learner = DdpgLearner(OBS_DIM, cfg, rng)
@@ -195,7 +201,10 @@ def measure() -> dict[str, float]:
     bodies = np.full(len(centers) - 1, BODY_RADIUS)
     swarm_world = swarm.world.extended(np.delete(centers, k + 1, axis=0), bodies)
     positions = [a.position for a in swarm.agents]
-    course = Env(SPECS["obstacle_course"], 0)
+    train, course = Env(SPECS["train"], 0), Env(SPECS["obstacle_course"], 0)
+    train_positions = [a.position for a in train.agents]
+    movers = {name: Env(spec, 0) for name, spec in SPECS.items()}
+    nav_rows = {name: np.tile(NAV_ACTION, (env.n_followers, 1)) for name, env in movers.items()}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "learner.ckpt"  # saved before it is loaded, warm-up included
         seconds = _fastest_window_medians({
@@ -213,8 +222,13 @@ def measure() -> dict[str, float]:
                 follower.position, follower.alpha, swarm_world, LIDAR, rng
             ),
             "comms_us": lambda: neighbor_observations(positions, swarm.spec.connection_zone),
+            "comms_5_us": lambda: neighbor_observations(train_positions,
+                                                        train.spec.connection_zone),
+            "sense_train_ms": train.sense,
             "sense_swarm_ms": swarm.sense,
             "sense_obstacle_course_ms": course.sense,
+            **{f"move_{name}_us": lambda env=env, rows=nav_rows[name]: env.move(rows)
+               for name, env in movers.items()},
         })
     return {name: (1e3 if name.endswith("_ms") else 1e6) * t for name, t in seconds.items()}
 

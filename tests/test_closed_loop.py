@@ -22,7 +22,7 @@ from streamform.geom import Vec2
 from streamform.sensing import LidarConfig, ObstacleSet, raycast
 
 LIDAR = LidarConfig(noise_std=0.0)
-RNG = np.random.default_rng(0)  # LIDAR draws no noise from it
+RNG = np.random.default_rng(0)  # LIDAR draws zeros from it
 STEPS = 120
 OFFSETS = (0.0, 0.05, 0.15, 0.3)
 RADII = (0.1, 0.25)

@@ -19,12 +19,13 @@ def test_prints_every_median():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    medians, machine = lines[:17], lines[17:]
+    medians, machine = lines[:22], lines[22:]
     assert [line.split()[0] for line in medians] == [
         "train_step_ms", "td_targets_ms", "critic_grads_ms", "actor_grads_ms", "updates_ms",
         "act_us", "policy_act_us", "checkpoint_save_ms", "checkpoint_load_ms",
         "sides_us", "stream_update_us", "stream_update_clear_us", "agent_step_us", "raycast_us",
-        "comms_us", "sense_swarm_ms", "sense_obstacle_course_ms",
+        "comms_us", "comms_5_us", "sense_train_ms", "sense_swarm_ms", "sense_obstacle_course_ms",
+        "move_train_us", "move_obstacle_course_us", "move_swarm_us",
     ]
     for line in medians:
         assert re.fullmatch(r"\S+ \d+\.\d{3}", line), line

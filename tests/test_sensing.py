@@ -21,7 +21,7 @@ from streamform.sensing import (
 )
 
 CFG = LidarConfig(noise_std=0.0)
-RNG = np.random.default_rng(0)  # CFG draws no noise from it
+RNG = np.random.default_rng(0)  # CFG draws zeros from it
 
 
 def scalar_neighbor_observations(positions, connection_zone):
@@ -58,9 +58,9 @@ def scalar_neighbor_observations(positions, connection_zone):
 
 def reference_raycast(position, heading, obstacles, cfg, rng):
     """Every ray against every circle, no culling: the oracle for ``raycast``.
-    With noise on, every scan draws n_rays values, an inside one too."""
+    Every scan draws n_rays values, zeros at noise 0.0, an inside one too."""
     n = cfg.n_rays
-    noise = rng.normal(0.0, cfg.noise_std, size=n) if cfg.noise_std > 0.0 else 0.0
+    noise = rng.normal(0.0, cfg.noise_std, size=n)
     if len(obstacles) == 0:
         true_d = np.full(n, cfg.d_max)
         inside = False
@@ -223,6 +223,18 @@ class TestRaycast:
             np.testing.assert_array_equal(got.angles, want.angles)
             np.testing.assert_allclose(got.distances, want.distances, rtol=0.0, atol=1e-9)
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.2])
+    @pytest.mark.parametrize("center, inside", [((-1.0, 0.0), False), ((0.1, 0.0), True)],
+                             ids=["clear", "inside"])
+    def test_each_cast_draws_n_rays_normals(self, noise_std, center, inside):
+        # a noiseless cast used to leave rng as it was, so the draw count
+        # hung on the setting
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        scan = raycast(Vec2(0, 0), 0.0, one_circle(*center, 0.3), LidarConfig(noise_std), rng)
+        assert scan.agent_inside == inside
+        twin.standard_normal(LidarConfig.n_rays)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_circles_out_of_range_never_change_a_scan(self):
         cfg = LidarConfig(noise_std=0.2)
@@ -411,7 +423,7 @@ class TestLidarConfig:
         with pytest.raises(ValueError, match="read-only"):
             scan.angles += 1.0
 
-    @pytest.mark.parametrize("field", ["resolution", "fov_min", "fov_max", "d_min", "d_max"])
+    @pytest.mark.parametrize("field", ["resolution", "n_rays", "d_min", "d_max"])
     def test_fan_geometry_is_not_settable(self, field):
         with pytest.raises(TypeError):
             LidarConfig(**{field: 1.0})
@@ -707,6 +719,17 @@ def test_scan_needs_one_distance_per_ray(shape):
 def test_scan_needs_distances_within_range(distances, match):
     # an all-NaN scan read both sides clear at cost 0, -1.0 m gave ApfSides a
     # cost of 4.99e5, and a list raised a bare AttributeError
+    with pytest.raises(ValueError, match=match):
+        LidarScan(distances)
+
+
+@pytest.mark.parametrize("dtype, value", [(bool, True), (np.int64, 1), (np.float32, 0.5),
+                                          (np.complex128, 0.5), (object, 0.5), (str, "0.5")])
+def test_scan_needs_float64_distances(dtype, value):
+    # in-range bool, int64, float32, complex128 and object arrays built a
+    # scan, and a str array raised a bare UFuncTypeError
+    distances = np.full(61, value, dtype=dtype)
+    match = f"float64 distances as a numpy array, got {distances.dtype} array"
     with pytest.raises(ValueError, match=match):
         LidarScan(distances)
 

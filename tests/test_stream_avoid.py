@@ -25,7 +25,7 @@ from streamform.stream_avoid import (
 )
 
 CFG = LidarConfig(noise_std=0.0)
-RNG = np.random.default_rng(0)  # CFG draws no noise from it
+RNG = np.random.default_rng(0)  # CFG draws zeros from it
 PARAMS = StreamParams()
 LEFT, RIGHT = 0, 1  # side indices, in split_sides' order
 
