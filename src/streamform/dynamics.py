@@ -3,7 +3,7 @@
 The state is [x, y, v, alpha, omega]; the controls are the raw pair
 (acceleration, angular acceleration), which only ``step`` saturates, to
 +-``a_max`` / +-``beta_max``. One step advances the position along the exact
-circular arc swept during dt, then integrates v, alpha, omega.
+circular arc swept during dt (by its chord), then integrates v, alpha, omega.
 """
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .geom import Angle, Vec2, _finite, _real, wrap_angle
-
-# Below this |omega| the arc displacement switches to its second-order
-# Taylor form to avoid dividing by a vanishing turn rate.
-OMEGA_SINGULARITY = 1e-6
 
 
 @dataclass(frozen=True)
@@ -51,17 +47,13 @@ class AgentState:
 
 
 def arc_displacement(v: float, alpha: float, omega: float, dt: float) -> tuple[float, float]:
-    """Displacement of a unicycle moving at constant (v, omega) for dt."""
-    if abs(omega) < OMEGA_SINGULARITY:
-        # second-order Taylor expansion of the exact arc in omega*dt
-        half = 0.5 * omega * dt
-        dx = v * dt * (math.cos(alpha) - half * math.sin(alpha))
-        dy = v * dt * (math.sin(alpha) + half * math.cos(alpha))
-    else:
-        turned = alpha + omega * dt
-        dx = (v / omega) * (math.sin(turned) - math.sin(alpha))
-        dy = (v / omega) * (math.cos(alpha) - math.cos(turned))
-    return dx, dy
+    """Displacement of a unicycle moving at constant (v, omega) for dt: its
+    arc's chord, v * dt * sin(h) / h long (v * dt at h == 0) along the mean
+    heading alpha + h, with h = omega * dt / 2. No term cancels."""
+    h = 0.5 * omega * dt
+    chord = v * dt * (math.sin(h) / h if h else 1.0)
+    heading = alpha + h
+    return chord * math.cos(heading), chord * math.sin(heading)
 
 
 def step(state: AgentState, u: tuple[float, float], dt: float, limits: Limits) -> AgentState:

@@ -83,15 +83,10 @@ class Vec2:
 
 def wrap_angle(angle: float) -> Angle:
     """Wrap an angle into (-pi, pi]; pi maps to itself, -pi maps to pi.
-    Exactly idempotent: fmod returns an angle already in range unchanged."""
-    angle = _finite("angle", angle)
-    # fmod is exact; the +-2pi correction is exact by Sterbenz's lemma.
-    a = math.fmod(angle, TWO_PI)
-    if a > math.pi:
-        a -= TWO_PI
-    elif a <= -math.pi:
-        a += TWO_PI
-    return a
+    Exactly idempotent: the IEEE remainder is exact, so it returns an angle
+    already in range unchanged."""
+    a = math.remainder(_finite("angle", angle), TWO_PI)
+    return math.pi if a == -math.pi else a
 
 
 def circumcenter(

@@ -103,16 +103,41 @@ def test_omega_continuity_near_zero():
         assert math.hypot(dx - ex, dy - ey) < 1e-5
 
 
-def test_arc_taylor_agrees_with_exact_at_threshold():
-    # at |omega| just below the branch switch, the Taylor form must match
-    # the exact arc expressions evaluated at the same omega
-    v, alpha, dt = 1.0, 0.7, 0.1
-    for omega in (9e-7, -9e-7):
-        dx, dy = arc_displacement(v, alpha, omega, dt)
-        turned = alpha + omega * dt
-        ex = (v / omega) * (math.sin(turned) - math.sin(alpha))
-        ey = (v / omega) * (math.cos(alpha) - math.cos(turned))
-        assert math.hypot(dx - ex, dy - ey) < 1e-10
+def exact_arc(v, alpha, omega, dt):
+    """The arc's displacement in np.longdouble, from its power series
+    v*dt * e^(i*alpha) * sum_k (i*omega*dt)^k / (k+1)!, which has no term
+    that cancels; 20 terms take |omega*dt| <= 0.1 far below its eps."""
+    ld = np.longdouble
+    theta = ld(omega) * ld(dt)
+    re, im, fact = ld(1), ld(0), ld(1)  # (i*theta)^k and (k+1)!
+    sum_re, sum_im = ld(0), ld(0)
+    for k in range(20):
+        fact *= k + 1
+        sum_re, sum_im = sum_re + re / fact, sum_im + im / fact
+        re, im = -im * theta, re * theta
+    c, s, vdt = np.cos(ld(alpha)), np.sin(ld(alpha)), ld(v) * ld(dt)
+    return vdt * (c * sum_re - s * sum_im), vdt * (s * sum_re + c * sum_im)
+
+
+_turn_rate = st.one_of(
+    st.just(0.0),
+    st.floats(1e-9, 1.0),
+    st.floats(-9.0, 0.0).map(lambda e: 10.0**e),  # log-uniform |omega|
+).flatmap(lambda m: st.sampled_from([m, -m]))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is not extended")
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 0.4), st.floats(-math.pi, math.pi, exclude_min=True), _turn_rate)
+def test_arc_within_1e14_of_the_exact_arc(v, alpha, omega):
+    # the old difference-of-sines form lost ~7 digits just above its
+    # 1e-6 rad/s switch to a Taylor form (2.9e-9 relative at -1.06e-6)
+    dx, dy = arc_displacement(v, alpha, omega, 0.1)
+    ex, ey = exact_arc(v, alpha, omega, 0.1)
+    err = np.hypot(np.longdouble(dx) - ex, np.longdouble(dy) - ey)
+    # below float64's normal range (a subnormal v) rounding is absolute, in
+    # steps of math.ulp(0.0)
+    assert err <= 1e-14 * np.hypot(ex, ey) + 8 * math.ulp(0.0)
 
 
 def test_speed_stays_nonnegative_and_bounded():

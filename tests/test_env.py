@@ -12,6 +12,7 @@ observation rows, costs, episode end, actions and agent states, and for
 """
 
 import ast
+import dataclasses
 import math
 import subprocess
 import sys
@@ -22,6 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamform import env
+from streamform.ddpg import simplex_from_controls
+from streamform.dynamics import AgentState
+from streamform.geom import Vec2
 from streamform.sensing import (
     REACH_MARGIN,
     LidarConfig,
@@ -294,3 +298,21 @@ def test_move_keeps_a_copy_of_the_actions():
     actions[:] = 0.0
     obs, *_ = e.sense()
     assert obs[:, 17:].tobytes() == moved.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, -0.45, 2 * math.pi - 0.2, 3.5])
+@pytest.mark.parametrize("slot_error_x", [-0.5, 0.2])
+def test_scripted_follower_without_a_broadcast_turns_back_to_heading_0(alpha, slot_error_x):
+    # no workload runs this fallback: with no broadcast (ob[2] == 0) and
+    # no side active, the law turns against the heading wrapped into
+    # (-pi, pi], clipped to omega_max, and accelerates while behind the slot
+    spec = dataclasses.replace(env.SPECS["obstacle_course"], offsets=(Vec2(-1.0, 0.0),))
+    e = env.Env(spec, DEFAULT_SEED)
+    e.agents = [e.agents[0], AgentState(Vec2(-1.0, 0.0), 0.2, alpha, 0.1)]
+    ob = np.zeros((1, env.OBS_DIM))
+    ob[0, 0] = slot_error_x
+    omega = -env.HEADING_GAIN * math.remainder(alpha, 2 * math.pi)
+    omega = min(max(omega, -env.LIMITS.omega_max), env.LIMITS.omega_max)
+    accel = env.ACCEL_SHARE * env.LIMITS.a_max if slot_error_x < 0.0 else 0.0
+    want = simplex_from_controls(accel, (omega - 0.1) / env.DT, env.LIMITS)
+    assert e.scripted_actions(ob).tobytes() == want[None, :].tobytes()

@@ -49,6 +49,31 @@ class TestWrapAngle:
         assert w + 2 * math.pi * k == pytest.approx(x, abs=1e-9)
 
 
+def fmod_wrap(angle):
+    """wrap_angle's earlier rule, kept as the reference for its bits: fmod
+    is exact, and the +-2pi correction is exact by Sterbenz's lemma."""
+    a = math.fmod(angle, 2 * math.pi)
+    if a > math.pi:
+        a -= 2 * math.pi
+    elif a <= -math.pi:
+        a += 2 * math.pi
+    return a
+
+
+class TestWrapAngleBits:
+    """``wrap_angle`` gives the fmod rule's bits, the sign of zero included."""
+
+    def test_multiples_of_pi_and_their_neighbours(self):
+        for k in range(-40, 41):
+            x = k * math.pi
+            for a in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)):
+                assert wrap_angle(a).hex() == fmod_wrap(a).hex(), (k, a)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_angle(self, x):
+        assert wrap_angle(x).hex() == fmod_wrap(x).hex()
+
+
 def oracle_circumcenter(p1, p2, p3):
     """Independent oracle: solve the two perpendicular-bisector equations.
 

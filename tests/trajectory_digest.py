@@ -14,7 +14,9 @@ the step that ends an episode. ``test_env.py``'s tie test pins that order
 to the benchmark's. The digest starts at the env's construction and covers:
 
 - every agent step: the state before it, the simplex action and the state after;
-- every lidar scan: each ray's distance and ``agent_inside``;
+- every lidar scan, as a side reader (``env.StreamSides.read`` or
+  ``env.ApfSides.read``) is handed it: each ray's distance and
+  ``agent_inside``;
 - every follower observation row;
 - every ``StreamAvoider.update`` outcome: per side the avoid flag,
   ``c_desired`` and ``prev_inner_angle``, every field of the reading, and
@@ -148,6 +150,14 @@ def _tapped(fn, keep):
     return tapped
 
 
+def _entered(fn, keep):
+    """``fn``, passing each call's arguments to ``keep`` before the call."""
+    def entered(*args):
+        keep(args)
+        return fn(*args)
+    return entered
+
+
 def trajectory_digest(workload: str, seed: int, steps: int) -> str:
     """Hex sha256 of ``workload`` driven at ``seed`` for ``steps`` env
     steps past its set-up."""
@@ -159,20 +169,25 @@ def trajectory_digest(workload: str, seed: int, steps: int) -> str:
         _put(sha, np.asarray(simplex.pop(), dtype=np.float64))
         _put_state(sha, new)
 
+    def keep_scan(args):  # (reader, scan), hashed before the reader runs its avoider
+        _put(sha, args[1].distances, args[1].agent_inside)
+
     taps = [
-        (env, "raycast", lambda args, scan: _put(sha, scan.distances, scan.agent_inside)),
-        (env, "map_action", lambda args, controls: simplex.append(args[0])),
-        (env, "step", keep_step),
-        (env.Env, "_observation", lambda args, row: _put(sha, np.asarray(row, dtype=np.float64))),
-        (stream_avoid.StreamAvoider, "update", lambda args, out: _put_outcome(sha, out)),
+        (env.StreamSides, "read", _entered, keep_scan),
+        (env.ApfSides, "read", _entered, keep_scan),
+        (env, "map_action", _tapped, lambda args, controls: simplex.append(args[0])),
+        (env, "step", _tapped, keep_step),
+        (env.Env, "_observation", _tapped,
+         lambda args, row: _put(sha, np.asarray(row, dtype=np.float64))),
+        (stream_avoid.StreamAvoider, "update", _tapped, lambda args, out: _put_outcome(sha, out)),
     ]
-    originals = [getattr(owner, name) for owner, name, _ in taps]
-    for (owner, name, keep), fn in zip(taps, originals):
-        setattr(owner, name, _tapped(fn, keep))
+    originals = [getattr(owner, name) for owner, name, _, _ in taps]
+    for (owner, name, wrap, keep), fn in zip(taps, originals):
+        setattr(owner, name, wrap(fn, keep))
     try:
         learner = drive(workload, seed, steps)
     finally:
-        for (owner, name, _), fn in zip(taps, originals):
+        for (owner, name, _, _), fn in zip(taps, originals):
             setattr(owner, name, fn)
     if learner is not None:
         for name, array in sorted(learner.network_arrays().items()):
